@@ -13,6 +13,7 @@ ambient = frame + quotient on each chart.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,6 +27,7 @@ from .algebroid import (
     morphism_defect_pairs,
     section_bracket,
 )
+from .grassmann import Subspace
 from .linalg import (
     adjugate,
     clear_denominators,
@@ -277,6 +279,25 @@ class NashChartAlgebroid:
         self.algebroid = algebroid
 
 
+def pullback_anchor(bundle: AnchoredBundle, chart: ChartMap) -> list[PulledBackField]:
+    """The pullback of every anchor column (basis section image) to the chart."""
+    d = bundle.base_dim
+    return [
+        pullback_vector_field(chart, [bundle.anchor[i][j] for i in range(d)])
+        for j in range(bundle.fiber_rank)
+    ]
+
+
+def _resolved_columns(pullbacks: Sequence[PulledBackField]) -> list[list[MultiPoly]]:
+    """Polynomial components of every pullback; raises if any has a pole."""
+    failures = [
+        (j, pb.denominator) for j, pb in enumerate(pullbacks) if not pb.polynomial_flag
+    ]
+    if failures:
+        raise NotResolvedByChartError(failures)
+    return [pb.polynomial_components() for pb in pullbacks]
+
+
 def nash_anchor_on_chart(
     algebroid: AlmostLieAlgebroid, chart: ChartMap
 ) -> NashChartAlgebroid:
@@ -286,17 +307,8 @@ def nash_anchor_on_chart(
         raise ArityMismatchError("algebroid and chart live over different base variables")
     n = bundle.fiber_rank
     d = bundle.base_dim
-    pullbacks = []
-    failures = []
-    for j in range(n):
-        column = [bundle.anchor[i][j] for i in range(d)]
-        pb = pullback_vector_field(chart, column)
-        pullbacks.append(pb)
-        if not pb.polynomial_flag:
-            failures.append((j, pb.denominator))
-    if failures:
-        raise NotResolvedByChartError(failures)
-    columns = [pb.polynomial_components() for pb in pullbacks]
+    pullbacks = pullback_anchor(bundle, chart)
+    columns = _resolved_columns(pullbacks)
     anchor = [[columns[j][i] for j in range(n)] for i in range(d)]
     structure = {
         pair: [chart.compose(p) for p in section]
@@ -440,9 +452,7 @@ def tautological_frame(a, chart: ChartMap, seed: int = 0) -> ChartFrame:
             return frame
         u0, m = deficient
         relation = frac_kernel(m, k)[0]
-        scale = 1
-        for c in relation:
-            scale = scale * c.denominator // _gcd(scale, c.denominator)
+        scale = math.lcm(*(c.denominator for c in relation))
         ints = [int(c * scale) for c in relation]
         involved = [idx for idx, c in enumerate(ints) if c]
         leader = involved[-1]
@@ -459,30 +469,21 @@ def tautological_frame(a, chart: ChartMap, seed: int = 0) -> ChartFrame:
     raise FrameReductionFailedError([deficient[0]] if deficient else samples)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
+def _columns_outside_kernel(nca: NashChartAlgebroid, frame: ChartFrame) -> list[int]:
+    """Indices of the frame columns that the chart anchor P does not kill.
+
+    J * P = A o phi with det J != 0, so P * k = 0 exactly when (A o phi) * k = 0:
+    the pulled-back anchor decides kernel membership without substituting A.
+    """
+    anchor = nca.algebroid.bundle.anchor
+    return [
+        idx
+        for idx, col in enumerate(frame.columns)
+        if not all(p.is_zero() for p in poly_mat_vec(anchor, col))
+    ]
 
 
-def _in_column_span(columns: Sequence[Sequence[MultiPoly]], vec: Sequence[MultiPoly]) -> bool:
-    """Membership of a polynomial vector in the fraction-field column span."""
-    k = len(columns)
-    matrix = [[columns[c][i] for c in range(k)] for i in range(len(vec))]
-    stacked = [row + [v] for row, v in zip(matrix, vec)]
-    return rank(stacked) == rank(matrix)
-
-
-def _in_span_at(columns: Sequence[Sequence[MultiPoly]], vec: Sequence[MultiPoly], u0: Point) -> bool:
-    k = len(columns)
-    m = [[columns[c][i].eval(u0) for c in range(k)] for i in range(len(vec))]
-    stacked = [row + [v.eval(u0)] for row, v in zip(m, vec)]
-    return frac_rank(stacked) == frac_rank(m)
-
-
-def check_ideal(
-    algebroid: AlmostLieAlgebroid, chart: ChartMap, frame: ChartFrame, seed: int = 0
-) -> tuple[bool, dict]:
+def check_ideal(nca: NashChartAlgebroid, frame: ChartFrame, seed: int = 0) -> tuple[bool, dict]:
     """Bracket-ideal and Lie-algebra-bundle check for the frame on the chart.
 
     Brackets of frame columns against basis sections (and against each other)
@@ -490,16 +491,12 @@ def check_ideal(
     and pointwise at seeded exceptional samples.  Results are labeled
     "generic + sampled": true module membership is not decided here.
     """
-    nca = nash_anchor_on_chart(algebroid, chart)
     chart_alg = nca.algebroid
-    bundle = algebroid.bundle
-    subst_anchor = [[chart.compose(p) for p in row] for row in bundle.anchor]
-    for idx, col in enumerate(frame.columns):
-        image = poly_mat_vec(subst_anchor, col)
-        if not all(p.is_zero() for p in image):
-            return False, {"precondition": f"frame column {idx} is not a kernel section"}
-    samples = exceptional_samples(chart, seed=seed)
-    n = bundle.fiber_rank
+    outside = _columns_outside_kernel(nca, frame)
+    if outside:
+        return False, {"precondition": f"frame column {outside[0]} is not a kernel section"}
+    samples = exceptional_samples(nca.chart, seed=seed)
+    n = chart_alg.bundle.fiber_rank
     report = {
         "label": "generic + sampled",
         "samples": [[str(c) for c in u0] for u0 in samples],
@@ -517,11 +514,16 @@ def check_ideal(
                 section_bracket(chart_alg, frame.columns[a_idx], frame.columns[b_idx])
             )
     report["pairs_checked"] = len(to_check)
+    matrix = frame.matrix()
+    frame_rank = rank(matrix)
+    fibers = [
+        Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns]) for u0 in samples
+    ]
     for bracket in to_check:
-        if not _in_column_span(frame.columns, bracket):
+        if rank([row + [v] for row, v in zip(matrix, bracket)]) != frame_rank:
             report["generic"] = False
-        for u0 in samples:
-            if not _in_span_at(frame.columns, bracket, u0):
+        for fiber, u0 in zip(fibers, samples):
+            if not fiber.contains([v.eval(u0) for v in bracket]):
                 report["pointwise"] = False
     ok = report["generic"] and report["pointwise"]
     return ok, report
@@ -548,16 +550,8 @@ def debord_generators(a, chart: ChartMap) -> tuple[list[PulledBackField], list[R
     bundle = _bundle_of(a)
     n = bundle.fiber_rank
     d = bundle.base_dim
-    pullbacks = []
-    failures = []
-    for j in range(n):
-        pb = pullback_vector_field(chart, [bundle.anchor[i][j] for i in range(d)])
-        pullbacks.append(pb)
-        if not pb.polynomial_flag:
-            failures.append((j, pb.denominator))
-    if failures:
-        raise NotResolvedByChartError(failures)
-    columns = [pb.polynomial_components() for pb in pullbacks]
+    pullbacks = pullback_anchor(bundle, chart)
+    columns = _resolved_columns(pullbacks)
     full = [[columns[j][i] for j in range(n)] for i in range(d)]
     r = rank(full)
     fallback: list[Relation] | None = None
@@ -587,26 +581,17 @@ def debord_generators(a, chart: ChartMap) -> tuple[list[PulledBackField], list[R
     return pullbacks, fallback
 
 
-def check_debord_on_chart(a, chart: ChartMap, frame: ChartFrame) -> tuple[bool, dict]:
+def check_debord_on_chart(nca: NashChartAlgebroid, frame: ChartFrame) -> tuple[bool, dict]:
     """Certify the exact-sequence ranks: frame + quotient = ambient.
 
     True when the pullback matrix keeps the generic anchor rank and the frame
     columns span its kernel generically, so the induced quotient anchor is
     injective on a dense open subset of the chart.
     """
-    bundle = _bundle_of(a)
-    n = bundle.fiber_rank
-    d = bundle.base_dim
-    pullbacks, _ = debord_generators(a, chart)
-    columns = [pb.polynomial_components() for pb in pullbacks]
-    full = [[columns[j][i] for j in range(n)] for i in range(d)]
-    quotient_rank = rank(full)
-    r = anchor_rank_generic(a)
-    subst_anchor = [[chart.compose(p) for p in row] for row in bundle.anchor]
-    kernel_ok = all(
-        all(p.is_zero() for p in poly_mat_vec(subst_anchor, col))
-        for col in frame.columns
-    )
+    n = nca.source.bundle.fiber_rank
+    quotient_rank = rank(nca.algebroid.bundle.anchor)
+    r = anchor_rank_generic(nca.source)
+    kernel_ok = not _columns_outside_kernel(nca, frame)
     frame_rank = rank(frame.matrix()) if frame.columns else 0
     certificate = {
         "ambient_rank": n,

@@ -34,7 +34,11 @@ from .scenario import (
     run_single_step,
 )
 
-_SEEDED_COMMANDS = {"nash-fiber", "nash-chart-report"}
+_FLAG_HELP = {
+    "point": "comma-separated rational coordinates",
+    "curve": "curve JSON file (or a name from a scenario input)",
+    "chart": "chart JSON file (or a name from a scenario input)",
+}
 
 
 def _uint(text: str) -> int:
@@ -54,29 +58,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, point=False, curve=False, chart=False):
+    def add(name, help_text, requires=None, seeded=False):
+        """One command; ``requires`` names the flag it cannot run without and
+        ``seeded`` puts the seed in its output."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="input JSON document")
         p.add_argument("--seed", type=_uint, default=0, help="RNG seed (default 0)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        if point:
-            p.add_argument("--point", help="comma-separated rational coordinates")
-        if curve:
-            p.add_argument("--curve", help="curve JSON file (or a name from a scenario input)")
-        if chart:
-            p.add_argument("--chart", help="chart JSON file (or a name from a scenario input)")
+        if requires:
+            p.add_argument(f"--{requires}", help=_FLAG_HELP[requires])
+        p.set_defaults(requires=requires, seeded=seeded)
         return p
 
     add("validate", "check bracket axioms (or Poisson condition for a bivector)")
     add("rank", "generic anchor rank")
     add("singular-locus", "generators cutting out the singular locus")
-    add("kernel-at", "anchor kernel at a point", point=True)
-    add("isotropy", "isotropy Lie algebra at a point", point=True)
-    add("nash-limit", "kernel limit along one arc", curve=True)
-    add("nash-fiber", "distinct kernel limits over a point", point=True)
-    add("pullback-chart", "pull anchor sections back through a chart", chart=True)
-    add("nash-chart-report", "full chart report: pullbacks, frame, quotient", chart=True)
-    add("poisson-pullback", "pull a bivector back through a chart", chart=True)
+    add("kernel-at", "anchor kernel at a point", requires="point")
+    add("isotropy", "isotropy Lie algebra at a point", requires="point")
+    add("nash-limit", "kernel limit along one arc", requires="curve")
+    add("nash-fiber", "distinct kernel limits over a point", requires="point", seeded=True)
+    add("pullback-chart", "pull anchor sections back through a chart", requires="chart")
+    add(
+        "nash-chart-report",
+        "full chart report: pullbacks, frame, quotient",
+        requires="chart",
+        seeded=True,
+    )
+    add("poisson-pullback", "pull a bivector back through a chart", requires="chart")
     add("run-scenario", "run a scenario document and report pass/fail")
     return parser
 
@@ -129,19 +137,19 @@ def _single_step(args, extra: dict | None = None) -> dict:
     return step
 
 
-def _require(args, flag: str):
-    if not getattr(args, flag, None):
-        raise DocumentError(f"{args.command} requires --{flag}")
+def _require(args):
+    if args.requires and not getattr(args, args.requires):
+        raise DocumentError(f"{args.command} requires --{args.requires}")
 
 
 def _emit_single(args, result) -> int:
     if args.json:
         doc = dict(result.details)
-        if args.command in _SEEDED_COMMANDS:
+        if args.seeded:
             doc["seed"] = args.seed
         print(json.dumps(doc, sort_keys=True, indent=2))
         return 0
-    if args.command in _SEEDED_COMMANDS:
+    if args.seeded:
         print(f"seed: {args.seed}")
     print(_render_single_text(args.command, result))
     return 0
@@ -229,12 +237,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "run-scenario":
             return _cmd_run_scenario(args)
-        if args.command in ("kernel-at", "isotropy", "nash-fiber"):
-            _require(args, "point")
-        if args.command == "nash-limit":
-            _require(args, "curve")
-        if args.command in ("pullback-chart", "nash-chart-report", "poisson-pullback"):
-            _require(args, "chart")
+        _require(args)
         scenario = _load_input_scenario(args)
         step = _single_step(args)
         result = run_single_step(scenario, step, seed=args.seed)

@@ -13,11 +13,9 @@ from typing import Sequence
 
 from .algebroid import AlmostLieAlgebroid, AnchoredBundle
 from .charts import ChartMap
-from .nash import CurveGerm
+from .nash import CURVE_VAR, CurveGerm
 from .poisson import Bivector
 from .poly import MultiPoly, parse_rational, poly_from_doc
-
-CURVE_VAR = ("t",)
 
 
 class DocumentError(ValueError):

@@ -13,6 +13,7 @@ stay zero and the exact-division invariant is preserved.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -146,12 +147,6 @@ def rref(m: Sequence[Sequence[MultiPoly]]):
     return rat_rows, pivots
 
 
-def rref_rank(m: Sequence[Sequence[MultiPoly]]):
-    """Reduced echelon form, pivot columns, and rank over the fraction field."""
-    rows, pivots = rref(m)
-    return rows, pivots, len(pivots)
-
-
 def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
     """Scale a rational vector to a primitive polynomial vector.
 
@@ -188,7 +183,7 @@ def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
             continue
         c = abs(p.content())
         content = c if content is None else Fraction(
-            _gcd_int(content.numerator * c.denominator, c.numerator * content.denominator),
+            math.gcd(content.numerator * c.denominator, c.numerator * content.denominator),
             content.denominator * c.denominator,
         )
     if content is not None and content != 1:
@@ -196,12 +191,6 @@ def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
             MultiPoly(vs, {e: v / content for e, v in p.terms.items()}) for p in polys
         ]
     return polys
-
-
-def _gcd_int(a: int, b: int) -> int:
-    import math
-
-    return math.gcd(a, b)
 
 
 def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:

@@ -281,13 +281,6 @@ class MultiPoly:
             result = result + term
         return result
 
-    def rename(self, variables: Sequence[str]) -> "MultiPoly":
-        """Same terms over a new variable tuple of equal length."""
-        vs = tuple(variables)
-        if len(vs) != len(self.vars):
-            raise ArityMismatchError("rename must preserve the number of variables")
-        return MultiPoly(vs, dict(self.terms))
-
     # -- content and divisibility -------------------------------------------
 
     def content(self) -> Fraction:
@@ -448,10 +441,6 @@ class RatFunc:
             num = MultiPoly(num.vars, {e: v / c for e, v in num.terms.items()})
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_poly(cls, p: MultiPoly) -> "RatFunc":
-        return cls(p)
 
     @property
     def vars(self) -> tuple[str, ...]:

@@ -34,8 +34,8 @@ from .charts import (
     check_ideal,
     debord_generators,
     nash_anchor_on_chart,
+    pullback_anchor,
     pullback_bivector,
-    pullback_vector_field,
     tautological_frame,
 )
 from .documents import (
@@ -468,11 +468,7 @@ class _Runner:
         chart = self.chart(step)
         bundle = a.bundle if isinstance(a, AlmostLieAlgebroid) else a
         n = bundle.fiber_rank
-        d = bundle.base_dim
-        pullbacks = [
-            pullback_vector_field(chart, [bundle.anchor[i][j] for i in range(d)])
-            for j in range(n)
-        ]
+        pullbacks = pullback_anchor(bundle, chart)
         checks: list[Check] = []
         expect = step.get("expect", {})
         if "pullbacks" in expect:
@@ -545,7 +541,7 @@ class _Runner:
         checks: list[Check] = []
         expect = step.get("expect", {})
         try:
-            nash_anchor_on_chart(_as_algebroid(a), chart)
+            nca = nash_anchor_on_chart(_as_algebroid(a), chart)
         except NotResolvedByChartError as err:
             details = {
                 "resolved": False,
@@ -559,8 +555,8 @@ class _Runner:
                 "nash-chart-report", "chart does not resolve", details, checks
             )
         frame = tautological_frame(a, chart, seed=self.seed)
-        ideal_ok, ideal_report = check_ideal(_as_algebroid(a), chart, frame, seed=self.seed)
-        debord_ok, cert = check_debord_on_chart(a, chart, frame)
+        ideal_ok, ideal_report = check_ideal(nca, frame, seed=self.seed)
+        debord_ok, cert = check_debord_on_chart(nca, frame)
         if "resolved" in expect:
             _check(checks, "resolved", bool(expect["resolved"]), True)
         if "frame" in expect:

@@ -30,6 +30,7 @@ from nashfol.charts import (
     check_debord_on_chart,
     check_ideal,
     debord_generators,
+    nash_anchor_on_chart,
     pullback_bivector,
     pullback_vector_field,
     tautological_frame,
@@ -160,8 +161,9 @@ def test_criterion_2_so3_chart_reproduction():
     assert mat[1][2] == RatFunc(parse_poly("-1 - y^2 - z^2", vs), parse_poly("x", vs))
 
     frame = tautological_frame(a, chart)
-    ideal_ok, _ = check_ideal(a, chart, frame)
-    debord_ok, cert = check_debord_on_chart(a, chart, frame)
+    nca = nash_anchor_on_chart(a, chart)
+    ideal_ok, _ = check_ideal(nca, frame)
+    debord_ok, cert = check_debord_on_chart(nca, frame)
     assert ideal_ok and debord_ok
     assert (cert["frame_rank"], cert["quotient_rank"], cert["ambient_rank"]) == (1, 2, 3)
 

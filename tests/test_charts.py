@@ -9,6 +9,7 @@ from nashfol.algebroid import (
     kernel_at,
 )
 from nashfol.charts import (
+    ChartFrame,
     ChartMap,
     FrameReductionFailedError,
     NotResolvedByChartError,
@@ -117,9 +118,10 @@ def test_sl2_chart_frame_and_quotient():
     ch = ChartMap.blowup(XY, 0)
     frame = tautological_frame(sl2, ch)
     assert col_strs(frame) == [["-y", "-y^2", "1"]]
-    ok, report = check_ideal(sl2, ch, frame)
+    nca = nash_anchor_on_chart(sl2, ch)
+    ok, report = check_ideal(nca, frame)
     assert ok and report["label"] == "generic + sampled"
-    ok, cert = check_debord_on_chart(sl2, ch, frame)
+    ok, cert = check_debord_on_chart(nca, frame)
     assert ok
     assert cert["frame_rank"] == 1 and cert["quotient_rank"] == 2
     assert cert["ambient_rank"] == 3 and cert["sum_matches"]
@@ -153,9 +155,10 @@ def test_so3_chart_frame_and_quotient():
     ch = ChartMap.blowup(XYZ, 0)
     frame = tautological_frame(so3, ch)
     assert col_strs(frame) == [["1", "-y", "z"]]
-    ok, _ = check_ideal(so3, ch, frame)
+    nca = nash_anchor_on_chart(so3, ch)
+    ok, _ = check_ideal(nca, frame)
     assert ok
-    ok, cert = check_debord_on_chart(so3, ch, frame)
+    ok, cert = check_debord_on_chart(nca, frame)
     assert ok
     assert cert["frame_rank"] == 1 and cert["quotient_rank"] == 2
     assert cert["frame_rank"] + cert["quotient_rank"] == cert["ambient_rank"]
@@ -203,9 +206,9 @@ def test_gl2_chart_pullbacks_and_frame():
     ]
     frame = tautological_frame(gl2, ch)
     assert col_strs(frame) == [["-y2", "0", "1", "0"], ["0", "-y2", "0", "1"]]
-    ok, cert = check_debord_on_chart(gl2, ch, frame)
+    ok, cert = check_debord_on_chart(nca, frame)
     assert ok and cert["frame_rank"] == 2 and cert["quotient_rank"] == 2
-    ok, _ = check_ideal(gl2, ch, frame)
+    ok, _ = check_ideal(nca, frame)
     assert ok
 
 
@@ -226,7 +229,7 @@ def test_gl3_chart_relations_all_polynomial():
     ]
     frame = tautological_frame(gl3, ch)
     assert frame.width == 6
-    ok, cert = check_debord_on_chart(gl3, ch, frame)
+    ok, cert = check_debord_on_chart(nash_anchor_on_chart(gl3, ch), frame)
     assert ok and cert["frame_rank"] + cert["quotient_rank"] == 9
 
 
@@ -245,9 +248,28 @@ def test_check_ideal_rejects_corrupted_frame():
     ch = ChartMap.blowup(XY, 0)
     frame = tautological_frame(sl2, ch)
     frame.columns[0][0] = parse_poly("1", XY)
-    ok, report = check_ideal(sl2, ch, frame)
+    nca = nash_anchor_on_chart(sl2, ch)
+    ok, report = check_ideal(nca, frame)
     assert not ok
     assert "precondition" in report
+    ok, cert = check_debord_on_chart(nca, frame)
+    assert not ok
+    assert cert["frame_in_kernel"] is False
+
+
+def test_check_ideal_fails_only_pointwise():
+    # On the chart e_1 pulls back to d/dy, so [y e_0, e_1] = -e_0: it lies in
+    # the span of the frame y e_0 over the fraction field, but not at the
+    # exceptional sample (0, 0), where the frame vanishes.
+    bundle = AnchoredBundle(XY, [polys(XY, "0", "0"), polys(XY, "0", "x")])
+    ch = ChartMap.blowup(XY, 0)
+    nca = nash_anchor_on_chart(AlmostLieAlgebroid(bundle, {}), ch)
+    frame = ChartFrame(ch, [polys(XY, "y", "0")])
+    ok, report = check_ideal(nca, frame)
+    assert not ok
+    assert report["generic"] is True
+    assert report["pointwise"] is False
+    assert report["pairs_checked"] == 2
 
 
 def test_exceptional_samples_are_deterministic():

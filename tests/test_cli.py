@@ -143,6 +143,25 @@ def test_usage_errors_exit_2(so3_pi_file, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("kernel-at", "point"),
+        ("isotropy", "point"),
+        ("nash-fiber", "point"),
+        ("nash-limit", "curve"),
+        ("pullback-chart", "chart"),
+        ("nash-chart-report", "chart"),
+        ("poisson-pullback", "chart"),
+    ],
+)
+def test_missing_required_flag_exits_2(command, flag, capsys):
+    assert main([command, "--input", corpus_path("sl2")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {command} requires --{flag}\n"
+
+
 def test_non_document_input_rejected(tmp_path, capsys):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"vars": ["x"]}))

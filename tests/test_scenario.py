@@ -8,9 +8,14 @@ drift apart silently.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nashfol
 from nashfol.documents import algebroid_to_doc, bivector_to_doc
 from nashfol.models import (
     linear_poisson_so3,
@@ -145,6 +150,33 @@ def test_report_renderings_are_deterministic():
     assert doc["scenario"] == "so3-sphere-generators"
     assert doc["seed"] == 5
     assert "elapsed" not in json.dumps(doc)
+
+
+def test_corpus_reports_identical_under_optimize():
+    """Stripping asserts (python -O) must not change a single report byte."""
+    child = (
+        "import json, sys\n"
+        "from nashfol.scenario import (corpus_names, load_corpus_scenario,\n"
+        "    render_report_json, render_report_text, run_scenario)\n"
+        "reports = {}\n"
+        "for name in corpus_names():\n"
+        "    report = run_scenario(load_corpus_scenario(name), seed=0)\n"
+        "    reports[name] = [render_report_text(report), render_report_json(report)]\n"
+        "json.dump({'optimize': sys.flags.optimize, 'reports': reports}, sys.stdout)\n"
+    )
+    src = str(Path(nashfol.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1
+    assert sorted(out["reports"]) == corpus_names()
+    for name in corpus_names():
+        report = run_scenario(load_corpus_scenario(name), seed=0)
+        assert out["reports"][name] == [render_report_text(report), render_report_json(report)]
 
 
 def test_report_doc_shape():
