@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .grassmann import Subspace
@@ -24,7 +25,7 @@ from .linalg import (
     poly_mat_vec,
     rank,
 )
-from .poly import ArityMismatchError, MultiPoly
+from .poly import ArityMismatchError, InternalInvariantError, MultiPoly
 
 Section = list[MultiPoly]
 VectorField = list[MultiPoly]
@@ -52,7 +53,8 @@ class AnchoredBundle:
     """A trivialized bundle with a polynomial anchor matrix.
 
     ``anchor`` has one row per base coordinate and one column per frame
-    section; entries are MultiPoly over ``base_vars``.
+    section; entries are MultiPoly over ``base_vars``.  The bundle is never
+    mutated after construction, so its generic rank is computed once and kept.
     """
 
     def __init__(self, base_vars: Sequence[str], anchor: Sequence[Sequence[MultiPoly]]):
@@ -73,6 +75,7 @@ class AnchoredBundle:
                     )
         self.base_vars = vs
         self.anchor = rows
+        self._generic_rank: int | None = None
 
     @property
     def base_dim(self) -> int:
@@ -106,7 +109,11 @@ class AnchoredBundle:
 
 
 class AlmostLieAlgebroid:
-    """An anchored bundle with structure sections c_ij = [e_i, e_j], i < j."""
+    """An anchored bundle with structure sections c_ij = [e_i, e_j], i < j.
+
+    Never mutated after construction: the morphism defect scan and the Lie
+    verdict are computed once per instance and kept on it.
+    """
 
     def __init__(
         self,
@@ -127,6 +134,8 @@ class AlmostLieAlgebroid:
                 clean[(i, j)] = sec
         self.bundle = bundle
         self.structure = clean
+        self._defect_pairs: list[tuple[int, int]] | None = None
+        self._lie: bool | None = None
 
     def structure_section(self, i: int, j: int) -> Section:
         """[e_i, e_j] with the skew extension to arbitrary index order."""
@@ -213,14 +222,15 @@ def validate_anchor_morphism(algebroid: AlmostLieAlgebroid) -> list[VectorField]
 
 
 def morphism_defect_pairs(algebroid: AlmostLieAlgebroid) -> list[tuple[int, int]]:
-    """Index pairs whose morphism defect is nonzero."""
-    n = algebroid.bundle.fiber_rank
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return [
-        pair
-        for pair, defect in zip(pairs, validate_anchor_morphism(algebroid))
-        if any(not p.is_zero() for p in defect)
-    ]
+    """Index pairs whose morphism defect is nonzero (scanned once per instance)."""
+    if algebroid._defect_pairs is None:
+        pairs = combinations(range(algebroid.bundle.fiber_rank), 2)
+        algebroid._defect_pairs = [
+            pair
+            for pair, defect in zip(pairs, validate_anchor_morphism(algebroid))
+            if any(not p.is_zero() for p in defect)
+        ]
+    return list(algebroid._defect_pairs)
 
 
 def jacobiator(algebroid: AlmostLieAlgebroid, i: int, j: int, k: int) -> Section:
@@ -240,24 +250,23 @@ def jacobiator(algebroid: AlmostLieAlgebroid, i: int, j: int, k: int) -> Section
 
 
 def is_lie_algebroid(algebroid: AlmostLieAlgebroid) -> bool:
-    """Anchor morphism plus Jacobi on all frame triples."""
-    if morphism_defect_pairs(algebroid):
-        return False
-    n = algebroid.bundle.fiber_rank
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if any(not p.is_zero() for p in jacobiator(algebroid, i, j, k)):
-                    return False
-    return True
+    """Anchor morphism plus Jacobi on all frame triples (scanned once per
+    instance)."""
+    if algebroid._lie is None:
+        algebroid._lie = not morphism_defect_pairs(algebroid) and not any(
+            any(not p.is_zero() for p in jacobiator(algebroid, i, j, k))
+            for i, j, k in combinations(range(algebroid.bundle.fiber_rank), 3)
+        )
+    return algebroid._lie
 
 
 def anchor_rank_generic(a) -> int:
-    """Rank of the anchor over the fraction field of the base."""
+    """Rank of the anchor over the fraction field of the base (computed once
+    per bundle)."""
     bundle = _bundle_of(a)
-    if not bundle.anchor or not bundle.anchor[0]:
-        return 0
-    return rank(bundle.anchor)
+    if bundle._generic_rank is None:
+        bundle._generic_rank = rank(bundle.anchor) if bundle.fiber_rank else 0
+    return bundle._generic_rank
 
 
 def kernel_at(a, x: Point) -> Subspace:
@@ -342,7 +351,8 @@ def pointwise_kernel_bracket(
         coeff = u[i] * v[j] - u[j] * v[i]
         if coeff:
             out = [o + coeff * ck.eval(x) for o, ck in zip(out, c)]
-    assert in_kernel(out), "pointwise bracket left the kernel"
+    if not in_kernel(out):
+        raise InternalInvariantError("pointwise bracket left the kernel")
     return out
 
 
@@ -395,7 +405,8 @@ def isotropy_algebra_at(
             reps.append(row)
             current.append(list(row))
     dim = ker.dim - sker.dim
-    assert len(reps) == dim
+    if len(reps) != dim:
+        raise InternalInvariantError("quotient representatives miss the quotient dimension")
     columns = [list(r) for r in sker.rows] + [list(r) for r in reps]
     structure: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for a in range(dim):
@@ -418,29 +429,27 @@ def isotropy_algebra_at(
     )
 
 
-def _full_constants(structure, dim):
-    def gamma(a, b):
-        if a == b:
-            return (Fraction(0),) * dim
-        if a < b:
-            return structure.get((a, b), (Fraction(0),) * dim)
-        return tuple(-c for c in gamma(b, a))
-
-    return gamma
+def _constant_table(structure, dim) -> list[list[tuple[Fraction, ...]]]:
+    """table[a][b] = [basis_a, basis_b] in quotient coordinates, skew-extended."""
+    zero = (Fraction(0),) * dim
+    table = [[zero] * dim for _ in range(dim)]
+    for (a, b), coeffs in structure.items():
+        table[a][b] = tuple(coeffs)
+        table[b][a] = tuple(-c for c in coeffs)
+    return table
 
 
 def _assert_jacobi_numeric(structure, dim) -> None:
-    gamma = _full_constants(structure, dim)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            for c in range(b + 1, dim):
-                for f in range(dim):
-                    total = Fraction(0)
-                    for e in range(dim):
-                        total += gamma(a, b)[e] * gamma(e, c)[f]
-                        total += gamma(b, c)[e] * gamma(e, a)[f]
-                        total += gamma(c, a)[e] * gamma(e, b)[f]
-                    assert total == 0, "quotient constants violate Jacobi"
+    g = _constant_table(structure, dim)
+    for a, b, c in combinations(range(dim), 3):
+        gab, gbc, gca = g[a][b], g[b][c], g[c][a]
+        for f in range(dim):
+            total = sum(
+                gab[e] * g[e][c][f] + gbc[e] * g[e][a][f] + gca[e] * g[e][b][f]
+                for e in range(dim)
+            )
+            if total != 0:
+                raise InternalInvariantError("quotient constants violate Jacobi")
 
 
 def linear_lift(algebroid: AlmostLieAlgebroid, a: Sequence[MultiPoly]):

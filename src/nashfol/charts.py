@@ -6,7 +6,7 @@ is a diffeomorphism onto its image, so vector fields and bivectors on the
 base pull back to unique rational objects on the chart; whether those are
 polynomial is exactly the question of whether the chart resolves the
 foliation.  The tautological frame collects polynomial kernel columns of the
-substituted anchor, and the quotient checks certify the rank bookkeeping
+pulled-back anchor, and the quotient checks certify the rank bookkeeping
 ambient = frame + quotient on each chart.
 """
 
@@ -29,6 +29,7 @@ from .algebroid import (
 )
 from .grassmann import Subspace
 from .linalg import (
+    RowEchelon,
     adjugate,
     clear_denominators,
     det,
@@ -42,7 +43,14 @@ from .linalg import (
 )
 from .nash import _seeded_rng
 from .poisson import Bivector
-from .poly import ArityMismatchError, MultiPoly, RatFunc, divides, exact_div
+from .poly import (
+    ArityMismatchError,
+    InternalInvariantError,
+    MultiPoly,
+    RatFunc,
+    divides,
+    exact_div,
+)
 
 Point = Sequence[Fraction]
 
@@ -206,7 +214,8 @@ def pullback_vector_field(chart: ChartMap, field: Sequence[MultiPoly]) -> Pulled
         acc = RatFunc(MultiPoly.zero(chart.chart_vars))
         for j in range(chart.dim):
             acc = acc + comps[j] * chart.jac[i][j]
-        assert acc == rhs[i], "pullback does not satisfy its defining equation"
+        if acc != rhs[i]:
+            raise InternalInvariantError("pullback does not satisfy its defining equation")
     poly_flags = [c.is_polynomial() for c in comps]
     if all(poly_flags):
         return PulledBackField(tuple(comps), True, None)
@@ -248,7 +257,8 @@ def pullback_bivector(
         out.append(row)
     for i in range(d):
         for j in range(d):
-            assert (out[i][j] + out[j][i]).is_zero(), "pullback lost skew-symmetry"
+            if not (out[i][j] + out[j][i]).is_zero():
+                raise InternalInvariantError("pullback lost skew-symmetry")
     dens = [
         out[i][j].den
         for i in range(d)
@@ -319,12 +329,15 @@ def nash_anchor_on_chart(
     )
     if not morphism_defect_pairs(algebroid):
         bad = morphism_defect_pairs(chart_algebroid)
-        assert not bad, f"chart bracket lost the anchor morphism on pairs {bad}"
+        if bad:
+            raise InternalInvariantError(
+                f"chart bracket lost the anchor morphism on pairs {bad}"
+            )
     return NashChartAlgebroid(algebroid, chart, pullbacks, chart_algebroid)
 
 
 class ChartFrame:
-    """Polynomial kernel columns of the substituted anchor, full rank pointwise."""
+    """Polynomial kernel columns of the pulled-back anchor, full rank pointwise."""
 
     def __init__(self, chart: ChartMap, columns: Sequence[Sequence[MultiPoly]]):
         self.chart = chart
@@ -419,17 +432,18 @@ def exceptional_samples(chart: ChartMap, seed: int = 0, count: int = 6) -> list[
     return [tuple(p) for p in points[:count]]
 
 
-def tautological_frame(a, chart: ChartMap, seed: int = 0) -> ChartFrame:
-    """Kernel frame of the substituted anchor, repaired to full rank on the
-    exceptional locus by bounded column operations."""
-    bundle = _bundle_of(a)
-    if bundle.base_vars != chart.target_vars:
-        raise ArityMismatchError("bundle and chart live over different base variables")
-    rphi = [[chart.compose(entry) for entry in row] for row in bundle.anchor]
-    r = anchor_rank_generic(a)
-    if rank(rphi) != r:
+def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
+    """Kernel frame of the pulled-back anchor P, repaired to full rank on the
+    exceptional locus by bounded column operations.
+
+    J * P = A o phi with det J != 0, so P has the kernel and the rank of the
+    substituted anchor without substituting A.
+    """
+    chart = nca.chart
+    bundle = nca.algebroid.bundle
+    if anchor_rank_generic(bundle) != anchor_rank_generic(nca.source):
         raise ValueError("chart does not resolve: substituted anchor dropped rank")
-    cols = kernel_basis(rphi)
+    cols = kernel_basis(bundle.anchor)
     k = len(cols)
     if k == 0:
         return ChartFrame(chart, [])
@@ -446,9 +460,8 @@ def tautological_frame(a, chart: ChartMap, seed: int = 0) -> ChartFrame:
                 break
         if deficient is None:
             frame = ChartFrame(chart, cols)
-            for col in cols:
-                image = poly_mat_vec(rphi, col)
-                assert all(p.is_zero() for p in image), "frame column left the kernel"
+            if _columns_outside_kernel(nca, frame):
+                raise InternalInvariantError("frame column left the kernel")
             return frame
         u0, m = deficient
         relation = frac_kernel(m, k)[0]
@@ -514,13 +527,12 @@ def check_ideal(nca: NashChartAlgebroid, frame: ChartFrame, seed: int = 0) -> tu
                 section_bracket(chart_alg, frame.columns[a_idx], frame.columns[b_idx])
             )
     report["pairs_checked"] = len(to_check)
-    matrix = frame.matrix()
-    frame_rank = rank(matrix)
+    span = RowEchelon(frame.columns)
     fibers = [
         Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns]) for u0 in samples
     ]
     for bracket in to_check:
-        if rank([row + [v] for row, v in zip(matrix, bracket)]) != frame_rank:
+        if not span.contains(bracket):
             report["generic"] = False
         for fiber, u0 in zip(fibers, samples):
             if not fiber.contains([v.eval(u0) for v in bracket]):
@@ -564,7 +576,8 @@ def debord_generators(a, chart: ChartMap) -> tuple[list[PulledBackField], list[R
             if j in subset:
                 continue
             coeffs = ratfunc_solve(chosen, columns[j])
-            assert coeffs is not None, "maximal independent subset failed to span"
+            if coeffs is None:
+                raise InternalInvariantError("maximal independent subset failed to span")
             relations.append(
                 Relation(
                     index=j,
@@ -577,7 +590,8 @@ def debord_generators(a, chart: ChartMap) -> tuple[list[PulledBackField], list[R
             fallback = relations
         if all(rel.polynomial for rel in relations):
             return pullbacks, relations
-    assert fallback is not None, "anchor pullback matrix has no independent subset"
+    if fallback is None:
+        raise InternalInvariantError("anchor pullback matrix has no independent subset")
     return pullbacks, fallback
 
 
@@ -589,7 +603,7 @@ def check_debord_on_chart(nca: NashChartAlgebroid, frame: ChartFrame) -> tuple[b
     injective on a dense open subset of the chart.
     """
     n = nca.source.bundle.fiber_rank
-    quotient_rank = rank(nca.algebroid.bundle.anchor)
+    quotient_rank = anchor_rank_generic(nca.algebroid)
     r = anchor_rank_generic(nca.source)
     kernel_ok = not _columns_outside_kernel(nca, frame)
     frame_rank = rank(frame.matrix()) if frame.columns else 0

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success (or all expectations pass), 1 expectation failure,
-2 input or usage error.  Output is deterministic for fixed input and seed;
-elapsed time goes to stderr only.
+2 input or usage error, or a failed internal invariant.  Output is
+deterministic for fixed input and seed; elapsed time goes to stderr only.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .poly import MultiPoly, RatFunc, divides, exact_div
+from .poly import InternalInvariantError, MultiPoly, RatFunc, divides, exact_div
 
 PolyMatrix = list[list[MultiPoly]]
 PolyVector = list[MultiPoly]
@@ -57,6 +57,22 @@ def eval_matrix(m: Sequence[Sequence[MultiPoly]], point: Sequence) -> list[list[
     return [[entry.eval(point) for entry in row] for row in m]
 
 
+def _reduce_row(
+    row: PolyVector, pivot_row: Sequence[MultiPoly], c: int, prev: MultiPoly
+) -> None:
+    """One fraction-free step in place: right of column c the row becomes
+    (pivot * row - row[c] * pivot_row) / prev, and row[c] becomes zero.
+
+    ``prev`` is the previous pivot (1 before the first); the division is
+    exact by Sylvester's identity.
+    """
+    pivot = pivot_row[c]
+    for j in range(c + 1, len(row)):
+        num = pivot * row[j] - row[c] * pivot_row[j]
+        row[j] = exact_div(num, prev) if num else num
+    row[c] = MultiPoly.zero(pivot.vars)
+
+
 def _bareiss(m: Sequence[Sequence[MultiPoly]]):
     """Forward elimination.  Returns (rows, pivot_cols, sign).
 
@@ -67,8 +83,7 @@ def _bareiss(m: Sequence[Sequence[MultiPoly]]):
     if not rows or not rows[0]:
         return rows, [], 1
     nrows, ncols = len(rows), len(rows[0])
-    one = MultiPoly.constant(rows[0][0].vars, 1)
-    prev = one
+    prev = MultiPoly.constant(rows[0][0].vars, 1)
     pivot_cols: list[int] = []
     sign = 1
     r = 0
@@ -81,13 +96,9 @@ def _bareiss(m: Sequence[Sequence[MultiPoly]]):
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             sign = -sign
-        pivot = rows[r][c]
         for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                num = pivot * rows[i][j] - rows[i][c] * rows[r][j]
-                rows[i][j] = exact_div(num, prev) if num else MultiPoly.zero(num.vars)
-            rows[i][c] = MultiPoly.zero(pivot.vars)
-        prev = pivot
+            _reduce_row(rows[i], rows[r], c, prev)
+        prev = rows[r][c]
         pivot_cols.append(c)
         r += 1
     return rows, pivot_cols, sign
@@ -97,6 +108,28 @@ def rank(m: Sequence[Sequence[MultiPoly]]) -> int:
     """Rank over the fraction field (generic rank)."""
     _, pivots, _ = _bareiss(m)
     return len(pivots)
+
+
+class RowEchelon:
+    """The fraction-free echelon form of a matrix, kept to test further rows.
+
+    ``contains(v)`` replays on v the steps Bareiss would apply to it as an
+    extra last row of the matrix, so each division stays exact.  A nonzero
+    remainder means v is outside the row span over the fraction field.
+    """
+
+    def __init__(self, m: Sequence[Sequence[MultiPoly]]):
+        self.rows, self.pivot_cols, _ = _bareiss(m)
+
+    def contains(self, v: Sequence[MultiPoly]) -> bool:
+        if self.rows and len(v) != len(self.rows[0]):
+            raise ValueError("vector length does not match the matrix width")
+        out = list(v)
+        prev = MultiPoly.constant(out[0].vars, 1) if out else None
+        for row, c in zip(self.rows, self.pivot_cols):
+            _reduce_row(out, row, c, prev)
+            prev = row[c]
+        return not any(out)
 
 
 def det(m: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -218,7 +251,8 @@ def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:
         if polys[f].leading()[1] < 0:
             polys = [-p for p in polys]
         residual = poly_mat_vec(m, polys)
-        assert all(p.is_zero() for p in residual), "kernel vector fails M*v = 0"
+        if any(residual):
+            raise InternalInvariantError("kernel vector fails M*v = 0")
         basis.append(polys)
     return basis
 

@@ -29,7 +29,7 @@ from .algebroid import (
 )
 from .grassmann import PlueckerVector, Subspace, unpluecker
 from .linalg import frac_solve, kernel_basis, minors, rank
-from .poly import MultiPoly
+from .poly import InternalInvariantError, MultiPoly
 
 CURVE_VAR = ("t",)
 
@@ -149,7 +149,8 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
     at_zero = [p.eval([Fraction(0)]) for p in shifted]
     pv = PlueckerVector.from_fractions(n, k, at_zero)
     limit = unpluecker(pv)
-    assert limit.dim == k
+    if limit.dim != k:
+        raise InternalInvariantError("Pluecker round trip changed the limit dimension")
     return limit
 
 
@@ -292,15 +293,16 @@ def isotropy_image(
     image = Subspace(iso.dim, image_vectors)
     codim = iso.dim - image.dim
     expected = anchor_rank_generic(algebroid) - rank_at(algebroid, x)
-    assert codim == expected, "codimension defies the rank bookkeeping"
+    if codim != expected:
+        raise InternalInvariantError("codimension defies the rank bookkeeping")
     _assert_quotient_subalgebra(iso, image)
     return image, codim
 
 
 def _assert_quotient_subalgebra(iso, image: Subspace) -> None:
-    from .algebroid import _full_constants
+    from .algebroid import _constant_table
 
-    gamma = _full_constants(iso.structure, iso.dim)
+    gamma = _constant_table(iso.structure, iso.dim)
     for i, u in enumerate(image.rows):
         for w in image.rows[i + 1 :]:
             bracket = [Fraction(0)] * iso.dim
@@ -309,9 +311,10 @@ def _assert_quotient_subalgebra(iso, image: Subspace) -> None:
                     coeff = u[aa] * w[bb]
                     if coeff:
                         bracket = [
-                            acc + coeff * g for acc, g in zip(bracket, gamma(aa, bb))
+                            acc + coeff * g for acc, g in zip(bracket, gamma[aa][bb])
                         ]
-            assert image.contains(bracket), "limit image is not a subalgebra"
+            if not image.contains(bracket):
+                raise InternalInvariantError("limit image is not a subalgebra")
 
 
 def convergence_errors(

@@ -50,6 +50,19 @@ class ExactDivisionError(ArithmeticError):
     """Polynomial division was requested where the quotient is not polynomial."""
 
 
+class InternalInvariantError(RuntimeError):
+    """An identity the engine establishes for itself failed: a bug, not bad input.
+
+    Raised explicitly rather than by ``assert`` so the check survives
+    ``python -O``.
+    """
+
+
+# Largest exponent accepted after '^' in polynomial text; the corpus uses at
+# most 4, and a bound keeps hostile input from expanding without limit.
+MAX_EXPONENT = 64
+
+
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     """Sort key realizing graded lexicographic order (ascending)."""
     return (sum(exps), exps)
@@ -567,7 +580,7 @@ class _Parser:
 
     expr     := ('-')? term (('+' | '-') term)*
     term     := ('-')? factor ('*' factor)*
-    factor   := base ('^' uint)?
+    factor   := base ('^' uint)?        (uint at most MAX_EXPONENT)
     base     := rational | ident | '(' expr ')'
     rational := uint ('/' uint)?
 
@@ -626,6 +639,8 @@ class _Parser:
         if self.peek()[0] == "^":
             self.advance()
             tok = self.expect("INT")
+            if int(tok[1]) > MAX_EXPONENT:
+                raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", tok[2])
             p = p ** int(tok[1])
         return p
 

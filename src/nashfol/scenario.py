@@ -554,7 +554,7 @@ class _Runner:
             return StepResult(
                 "nash-chart-report", "chart does not resolve", details, checks
             )
-        frame = tautological_frame(a, chart, seed=self.seed)
+        frame = tautological_frame(nca, seed=self.seed)
         ideal_ok, ideal_report = check_ideal(nca, frame, seed=self.seed)
         debord_ok, cert = check_debord_on_chart(nca, frame)
         if "resolved" in expect:

@@ -160,8 +160,8 @@ def test_criterion_2_so3_chart_reproduction():
     assert pole is not None and pole.primitive() == parse_poly("x", vs)
     assert mat[1][2] == RatFunc(parse_poly("-1 - y^2 - z^2", vs), parse_poly("x", vs))
 
-    frame = tautological_frame(a, chart)
     nca = nash_anchor_on_chart(a, chart)
+    frame = tautological_frame(nca)
     ideal_ok, _ = check_ideal(nca, frame)
     debord_ok, cert = check_debord_on_chart(nca, frame)
     assert ideal_ok and debord_ok

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import nashfol.algebroid as algebroid_module
 from nashfol.algebroid import (
     AlmostLieAlgebroid,
     AnchoredBundle,
@@ -25,6 +27,7 @@ from nashfol.algebroid import (
     validate_anchor_morphism,
     vf_bracket,
 )
+from nashfol.documents import algebroid_to_doc
 from nashfol.grassmann import Subspace
 from nashfol.models import (
     matrix_action_algebroid,
@@ -32,6 +35,7 @@ from nashfol.models import (
     sphere_generators_algebroid,
 )
 from nashfol.poly import MultiPoly, parse_poly
+from nashfol.scenario import load_corpus_scenario, load_scenario, run_scenario
 
 XYZ = ("x", "y", "z")
 
@@ -129,22 +133,106 @@ def test_jacobiator_vanishes_for_lie_models():
 
 
 def test_jacobiator_detects_broken_jacobi():
+    # zero anchor passes the morphism axiom trivially; brackets chosen to
+    # break Jacobi: [e0,e1]=e2, [e0,e2]=e0, [e1,e2]=0
+    alg = _broken_jacobi_algebroid()
+    assert morphism_defect_pairs(alg) == []
+    assert any(not p.is_zero() for p in jacobiator(alg, 0, 1, 2))
+    assert not is_lie_algebroid(alg)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _broken_jacobi_algebroid():
     vs = ("x", "y")
     zero = MultiPoly.zero(vs)
     one = MultiPoly.constant(vs, 1)
     bundle = AnchoredBundle(vs, [[zero] * 3 for _ in range(2)])
-    # zero anchor passes the morphism axiom trivially; brackets chosen to
-    # break Jacobi: [e0,e1]=e2, [e0,e2]=e0, [e1,e2]=0
-    alg = AlmostLieAlgebroid(
-        bundle,
-        {
-            (0, 1): [zero, zero, one],
-            (0, 2): [one, zero, zero],
-        },
+    return AlmostLieAlgebroid(
+        bundle, {(0, 1): [zero, zero, one], (0, 2): [one, zero, zero]}
     )
-    assert morphism_defect_pairs(alg) == []
-    assert any(not p.is_zero() for p in jacobiator(alg, 0, 1, 2))
-    assert not is_lie_algebroid(alg)
+
+
+def test_equal_algebroids_each_compute_their_own_verdict(monkeypatch):
+    calls = _count_calls(monkeypatch, algebroid_module, "jacobiator")
+    first, second = matrix_action_algebroid(2), matrix_action_algebroid(2)
+    assert first == second and first is not second
+    one_scan = math.comb(first.bundle.fiber_rank, 3)
+    assert is_lie_algebroid(first) and is_lie_algebroid(first)
+    assert len(calls) == one_scan
+    assert is_lie_algebroid(second) and is_lie_algebroid(second)
+    assert len(calls) == 2 * one_scan
+    # a corrupted copy sharing the bundle gets its own (failing) verdict
+    bad = dict(first.structure)
+    bad[(0, 1)] = [p * 2 for p in bad[(0, 1)]]
+    corrupted = AlmostLieAlgebroid(first.bundle, bad)
+    assert morphism_defect_pairs(corrupted) == [(0, 1)]
+    assert not is_lie_algebroid(corrupted)
+    assert morphism_defect_pairs(first) == []
+
+
+def test_validate_and_isotropy_share_one_jacobi_scan(monkeypatch):
+    calls = _count_calls(monkeypatch, algebroid_module, "jacobiator")
+    sc = load_corpus_scenario("sl2")
+    sc.steps = [s for s in sc.steps if s["op"] in ("validate", "isotropy")]
+    report = run_scenario(sc, seed=0)
+    assert [step.op for step in report.steps] == ["validate", "isotropy"]
+    assert report.passed
+    assert report.steps[0].details["lie"] is True
+    assert len(calls) == math.comb(sc.algebroid.bundle.fiber_rank, 3)
+
+
+def test_non_lie_verdict_holds_in_every_step():
+    validate = {"op": "validate", "expect": {"anchor_morphism": True, "lie": False}}
+    sc = load_scenario(
+        {
+            "name": "not-lie",
+            "algebroid": algebroid_to_doc(_broken_jacobi_algebroid()),
+            "steps": [
+                validate,
+                {"op": "isotropy", "point": ["0", "0"], "expect": {"dim": 0}},
+                validate,
+            ],
+        }
+    )
+    report = run_scenario(sc, seed=0)
+    assert report.passed
+    assert [step.details.get("lie") for step in report.steps] == [False, None, False]
+    assert not is_lie_algebroid(sc.algebroid)
+
+
+def test_defect_pairs_are_returned_as_copies():
+    alg = _broken_jacobi_algebroid()
+    anchor = alg.bundle.anchor
+    corrupted = AlmostLieAlgebroid(
+        AnchoredBundle(alg.bundle.base_vars, [[p + 1 for p in row] for row in anchor]),
+        alg.structure,
+    )
+    pairs = morphism_defect_pairs(corrupted)
+    assert pairs
+    pairs.clear()
+    assert morphism_defect_pairs(corrupted)
+
+
+def test_generic_rank_is_ranked_once_per_bundle(monkeypatch):
+    calls = _count_calls(monkeypatch, algebroid_module, "rank")
+    sl2 = special_linear_2_algebroid()
+    assert anchor_rank_generic(sl2) == 2
+    assert anchor_rank_generic(sl2.bundle) == 2
+    assert generic_kernel_sections(sl2)
+    assert len(calls) == 1
+    assert anchor_rank_generic(special_linear_2_algebroid()) == 2
+    assert len(calls) == 2
 
 
 def test_generic_rank_and_singular_locus():

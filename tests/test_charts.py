@@ -116,9 +116,9 @@ def test_sl2_chart_pullbacks_and_relation():
 def test_sl2_chart_frame_and_quotient():
     sl2 = special_linear_2_algebroid()
     ch = ChartMap.blowup(XY, 0)
-    frame = tautological_frame(sl2, ch)
-    assert col_strs(frame) == [["-y", "-y^2", "1"]]
     nca = nash_anchor_on_chart(sl2, ch)
+    frame = tautological_frame(nca)
+    assert col_strs(frame) == [["-y", "-y^2", "1"]]
     ok, report = check_ideal(nca, frame)
     assert ok and report["label"] == "generic + sampled"
     ok, cert = check_debord_on_chart(nca, frame)
@@ -153,9 +153,9 @@ def test_so3_chart_pullbacks_and_relation():
 def test_so3_chart_frame_and_quotient():
     so3 = sphere_generators_algebroid()
     ch = ChartMap.blowup(XYZ, 0)
-    frame = tautological_frame(so3, ch)
-    assert col_strs(frame) == [["1", "-y", "z"]]
     nca = nash_anchor_on_chart(so3, ch)
+    frame = tautological_frame(nca)
+    assert col_strs(frame) == [["1", "-y", "z"]]
     ok, _ = check_ideal(nca, frame)
     assert ok
     ok, cert = check_debord_on_chart(nca, frame)
@@ -182,7 +182,7 @@ def test_so3_bivector_pullback_pole():
 def test_frame_fiber_matches_kernel_at_regular_point():
     so3 = sphere_generators_algebroid()
     ch = ChartMap.blowup(XYZ, 0)
-    frame = tautological_frame(so3, ch)
+    frame = tautological_frame(nash_anchor_on_chart(so3, ch))
     u = (Fraction(2), Fraction(1, 2), Fraction(1, 3))
     image = [p.eval(u) for p in ch.phi]
     fiber = Subspace(3, [[col[i].eval(u) for i in range(3)] for col in frame.columns])
@@ -204,7 +204,7 @@ def test_gl2_chart_pullbacks_and_frame():
         ["y2", "0"],
         ["0", "y2"],
     ]
-    frame = tautological_frame(gl2, ch)
+    frame = tautological_frame(nca)
     assert col_strs(frame) == [["-y2", "0", "1", "0"], ["0", "-y2", "0", "1"]]
     ok, cert = check_debord_on_chart(nca, frame)
     assert ok and cert["frame_rank"] == 2 and cert["quotient_rank"] == 2
@@ -227,9 +227,10 @@ def test_gl3_chart_relations_all_polynomial():
         ["0", "y3", "0"],
         ["0", "0", "y3"],
     ]
-    frame = tautological_frame(gl3, ch)
+    nca = nash_anchor_on_chart(gl3, ch)
+    frame = tautological_frame(nca)
     assert frame.width == 6
-    ok, cert = check_debord_on_chart(nash_anchor_on_chart(gl3, ch), frame)
+    ok, cert = check_debord_on_chart(nca, frame)
     assert ok and cert["frame_rank"] + cert["quotient_rank"] == 9
 
 
@@ -237,8 +238,9 @@ def test_frame_reduction_failure_is_reported():
     vs = ("x1", "x2")
     bundle = AnchoredBundle(vs, [polys(vs, "x1^2", "-x2"), polys(vs, "0", "0")])
     ch = ChartMap.blowup(vs, 0, chart_vars=("y1", "y2"))
+    nca = nash_anchor_on_chart(AlmostLieAlgebroid(bundle, {}), ch)
     with pytest.raises(FrameReductionFailedError) as err:
-        tautological_frame(bundle, ch)
+        tautological_frame(nca)
     assert (Fraction(0), Fraction(0)) in err.value.samples
     assert "no polynomial frame" in str(err.value)
 
@@ -246,9 +248,9 @@ def test_frame_reduction_failure_is_reported():
 def test_check_ideal_rejects_corrupted_frame():
     sl2 = special_linear_2_algebroid()
     ch = ChartMap.blowup(XY, 0)
-    frame = tautological_frame(sl2, ch)
-    frame.columns[0][0] = parse_poly("1", XY)
     nca = nash_anchor_on_chart(sl2, ch)
+    frame = tautological_frame(nca)
+    frame.columns[0][0] = parse_poly("1", XY)
     ok, report = check_ideal(nca, frame)
     assert not ok
     assert "precondition" in report

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import nashfol
+import nashfol.linalg as linalg
 from nashfol.cli import main
+from nashfol.poly import MultiPoly
 from nashfol.scenario import corpus_names
 
 
@@ -198,3 +200,43 @@ def test_console_script_installed():
     assert proc.returncode == 0
     assert proc.stdout.rstrip().endswith("expectations)")
     assert proc.stderr.startswith("# elapsed:")
+
+
+# Both tests make kernel_basis see a nonzero residual, so its invariant
+# "M * v = 0" fails on valid input, as it would after an engine bug.
+_ISOTROPY_ARGS = ["isotropy", "--point", "0,0", "--input"]
+
+
+def test_internal_invariant_failure_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(
+        linalg, "poly_mat_vec", lambda m, v: [MultiPoly.constant(v[0].vars, 1)]
+    )
+    assert main(_ISOTROPY_ARGS + [corpus_path("sl2")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: kernel vector fails M*v = 0\n"
+
+
+def test_internal_invariant_fires_under_optimize():
+    child = (
+        "import sys\n"
+        "import nashfol.linalg as linalg\n"
+        "from nashfol.cli import main\n"
+        "from nashfol.poly import MultiPoly\n"
+        "if sys.flags.optimize != 1:\n"
+        "    sys.exit('child is not running under -O')\n"
+        "linalg.poly_mat_vec = lambda m, v: [MultiPoly.constant(v[0].vars, 1)]\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(nashfol.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", child, *_ISOTROPY_ARGS, corpus_path("sl2")],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: kernel vector fails M*v = 0\n"

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nashfol.linalg import (
+    RowEchelon,
     SizeError,
     adjugate,
     det,
@@ -171,3 +174,63 @@ def test_ratfunc_solve():
     assert [str(c) for c in coeffs] == ["(x2) / (x1)", "x1"]
     outside = ratfunc_solve([cols[0]], target)
     assert outside is None
+
+
+UV = ("u", "v")
+
+
+def _in_span_by_stacked_rank(columns, v):
+    """Oracle: v is in the column span iff appending it keeps the rank."""
+    n = len(v)
+    matrix = [[col[i] for col in columns] for i in range(n)]
+    return rank([row + [v[i]] for i, row in enumerate(matrix)]) == rank(matrix)
+
+
+_uv_poly = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3).map(Fraction),
+    max_size=3,
+).map(lambda terms: MultiPoly(UV, terms))
+
+
+@st.composite
+def _frame_and_vector(draw):
+    """Small frames over Q[u,v] with dependent and zero columns, plus a vector
+    drawn inside their span or (usually) outside it."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(_uv_poly, min_size=n, max_size=n)
+    columns = draw(st.lists(vec, min_size=1, max_size=3))
+    zero = [MultiPoly.zero(UV)] * n
+    for kind in draw(st.lists(st.sampled_from(["zero", "dependent"]), max_size=2)):
+        if kind == "zero":
+            columns.append(list(zero))
+        else:
+            a, b = draw(_uv_poly), draw(_uv_poly)
+            columns.append([a * x + b * y for x, y in zip(columns[0], columns[-1])])
+    if draw(st.booleans()):
+        coeffs = [draw(_uv_poly) for _ in columns]
+        v = list(zero)
+        for c, col in zip(coeffs, columns):
+            v = [acc + c * x for acc, x in zip(v, col)]
+        return columns, v, True
+    return columns, draw(vec), False
+
+
+@settings(max_examples=150, deadline=None)
+@given(_frame_and_vector())
+def test_row_echelon_contains_matches_stacked_rank(case):
+    columns, v, inside = case
+    got = RowEchelon(columns).contains(v)
+    assert got == _in_span_by_stacked_rank(columns, v)
+    if inside:
+        assert got
+
+
+def test_row_echelon_reduces_against_skipped_columns():
+    # the first column has no pivot, so the bracket row would take it
+    span = RowEchelon([[parse_poly(e, UV) for e in ("0", "u", "v")]])
+    assert span.contains([parse_poly(e, UV) for e in ("0", "u*v", "v^2")])
+    assert not span.contains([parse_poly(e, UV) for e in ("1", "u*v", "v^2")])
+    assert not span.contains([parse_poly(e, UV) for e in ("0", "u", "u")])
+    with pytest.raises(ValueError):
+        span.contains([parse_poly("u", UV)])

@@ -130,6 +130,16 @@ def test_syntax_error_carries_byte_offset():
     assert exc.value.offset == 2
 
 
+def test_exponent_cap():
+    assert parse_poly("x^64", XY) == MultiPoly(XY, {(64, 0): Fraction(1)})
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly("x^65", XY)
+    assert exc.value.offset == 2
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly("(x + y)^100", XY)
+    assert exc.value.offset == 8
+
+
 def test_unknown_variable_error():
     with pytest.raises(UnknownVariableError) as exc:
         parse_poly("x + w", XY)
