@@ -243,8 +243,8 @@ def jacobiator(algebroid: AlmostLieAlgebroid, i: int, j: int, k: int) -> Section
     e = algebroid.bundle.basis_section
     total = [algebroid.bundle.zero_poly()] * n
     for a, b, c in ((i, j, k), (k, i, j), (j, k, i)):
-        inner = section_bracket(algebroid, e(a), e(b))
-        term = section_bracket(algebroid, inner, e(c))
+        # [e_a, e_b] is the structure section c_ab itself.
+        term = section_bracket(algebroid, algebroid.structure_section(a, b), e(c))
         total = [t + s for t, s in zip(total, term)]
     return total
 

@@ -16,6 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .algebroid import (
@@ -347,9 +348,12 @@ class ChartFrame:
     def width(self) -> int:
         return len(self.columns)
 
-    def matrix(self) -> list[list[MultiPoly]]:
-        n = len(self.columns[0]) if self.columns else 0
-        return [[col[i] for col in self.columns] for i in range(n)]
+    @cached_property
+    def echelon(self) -> RowEchelon:
+        """The columns eliminated once, on first use (so the columns must not
+        change afterwards); its pivot count is the frame rank over the
+        fraction field."""
+        return RowEchelon(self.columns)
 
     def eval_at(self, point: Point) -> list[list[Fraction]]:
         n = len(self.columns[0]) if self.columns else 0
@@ -359,6 +363,18 @@ class ChartFrame:
         if not self.columns:
             return 0
         return frac_rank(self.eval_at(point))
+
+
+# Largest constant or leading coefficient whose divisors _rational_roots tries;
+# corpus charts never exceed 1, and a bound keeps a hostile chart from
+# stalling the root search.
+MAX_ROOT_COEFFICIENT = 10**6
+
+
+def _divisors(m: int) -> list[int]:
+    """The positive divisors of m >= 1, found in pairs up to isqrt(m)."""
+    small = [k for k in range(1, math.isqrt(m) + 1) if m % k == 0]
+    return small + [m // k for k in reversed(small) if k * k != m]
 
 
 def _rational_roots(p: MultiPoly) -> list[Fraction]:
@@ -375,12 +391,15 @@ def _rational_roots(p: MultiPoly) -> list[Fraction]:
         if p.is_constant():
             return roots
     prim = p.primitive()
-    a0 = abs(prim.eval([Fraction(0)]))
-    an = abs(prim.leading()[1])
-    num_divisors = [k for k in range(1, int(a0) + 1) if a0 % k == 0]
-    den_divisors = [k for k in range(1, int(an) + 1) if an % k == 0]
-    for num in num_divisors:
-        for den in den_divisors:
+    a0 = int(abs(prim.eval([Fraction(0)])))
+    an = int(abs(prim.leading()[1]))
+    if max(a0, an) > MAX_ROOT_COEFFICIENT:
+        raise ValueError(
+            f"exceptional polynomial has a coefficient above {MAX_ROOT_COEFFICIENT} "
+            "on a sample line; its rational roots are not searched"
+        )
+    for num in _divisors(a0):
+        for den in _divisors(an):
             for sign in (1, -1):
                 cand = Fraction(sign * num, den)
                 if prim.eval([cand]) == 0 and cand not in roots:
@@ -527,12 +546,11 @@ def check_ideal(nca: NashChartAlgebroid, frame: ChartFrame, seed: int = 0) -> tu
                 section_bracket(chart_alg, frame.columns[a_idx], frame.columns[b_idx])
             )
     report["pairs_checked"] = len(to_check)
-    span = RowEchelon(frame.columns)
     fibers = [
         Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns]) for u0 in samples
     ]
     for bracket in to_check:
-        if not span.contains(bracket):
+        if not frame.echelon.contains(bracket):
             report["generic"] = False
         for fiber, u0 in zip(fibers, samples):
             if not fiber.contains([v.eval(u0) for v in bracket]):
@@ -606,7 +624,7 @@ def check_debord_on_chart(nca: NashChartAlgebroid, frame: ChartFrame) -> tuple[b
     quotient_rank = anchor_rank_generic(nca.algebroid)
     r = anchor_rank_generic(nca.source)
     kernel_ok = not _columns_outside_kernel(nca, frame)
-    frame_rank = rank(frame.matrix()) if frame.columns else 0
+    frame_rank = len(frame.echelon.pivot_cols)
     certificate = {
         "ambient_rank": n,
         "quotient_rank": quotient_rank,

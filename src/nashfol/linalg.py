@@ -58,18 +58,18 @@ def eval_matrix(m: Sequence[Sequence[MultiPoly]], point: Sequence) -> list[list[
 
 
 def _reduce_row(
-    row: PolyVector, pivot_row: Sequence[MultiPoly], c: int, prev: MultiPoly
+    row: PolyVector, pivot_row: Sequence[MultiPoly], c: int, prev: MultiPoly | None
 ) -> None:
     """One fraction-free step in place: right of column c the row becomes
     (pivot * row - row[c] * pivot_row) / prev, and row[c] becomes zero.
 
-    ``prev`` is the previous pivot (1 before the first); the division is
-    exact by Sylvester's identity.
+    ``prev`` is the previous pivot (None before the first, when there is
+    nothing to divide by); the division is exact by Sylvester's identity.
     """
     pivot = pivot_row[c]
     for j in range(c + 1, len(row)):
         num = pivot * row[j] - row[c] * pivot_row[j]
-        row[j] = exact_div(num, prev) if num else num
+        row[j] = exact_div(num, prev) if num and prev is not None else num
     row[c] = MultiPoly.zero(pivot.vars)
 
 
@@ -83,7 +83,7 @@ def _bareiss(m: Sequence[Sequence[MultiPoly]]):
     if not rows or not rows[0]:
         return rows, [], 1
     nrows, ncols = len(rows), len(rows[0])
-    prev = MultiPoly.constant(rows[0][0].vars, 1)
+    prev = None
     pivot_cols: list[int] = []
     sign = 1
     r = 0
@@ -125,7 +125,7 @@ class RowEchelon:
         if self.rows and len(v) != len(self.rows[0]):
             raise ValueError("vector length does not match the matrix width")
         out = list(v)
-        prev = MultiPoly.constant(out[0].vars, 1) if out else None
+        prev = None
         for row, c in zip(self.rows, self.pivot_cols):
             _reduce_row(out, row, c, prev)
             prev = row[c]

@@ -96,10 +96,20 @@ class Check:
 
 @dataclass
 class StepResult:
+    """One step's outcome.  ``summary`` is its report line and ``text`` what
+    the single command ``nashfol <op>`` prints (the summary unless the op
+    renders more); ``seeded`` marks output that depends on the seed."""
+
     op: str
     summary: str
     details: dict
     checks: list[Check] = field(default_factory=list)
+    text: str | None = None
+    seeded: bool = False
+
+    def __post_init__(self):
+        if self.text is None:
+            self.text = self.summary
 
 
 @dataclass
@@ -143,16 +153,12 @@ def load_scenario(doc) -> Scenario:
             if isinstance(algebroid, AlmostLieAlgebroid)
             else algebroid.fiber_rank,
         )
-    charts = {
-        cname: chart_from_doc(cdoc, base_vars)
-        for cname, cdoc in doc.get("charts", {}).items()
-    }
-    curves = {
-        cname: curve_from_doc(cdoc) for cname, cdoc in doc.get("curves", {}).items()
-    }
-    points = {
-        pname: point_from_doc(pdoc) for pname, pdoc in doc.get("points", {}).items()
-    }
+    tables = {}
+    for table, from_doc in _REFERENCES.values():
+        entries = doc.get(table, {})
+        if not isinstance(entries, dict):
+            raise ScenarioError(f"\"{table}\" must be an object")
+        tables[table] = {key: from_doc(value, base_vars) for key, value in entries.items()}
     steps = doc.get("steps", [])
     if not isinstance(steps, list):
         raise ScenarioError("\"steps\" must be a list")
@@ -161,12 +167,21 @@ def load_scenario(doc) -> Scenario:
         algebroid=algebroid,
         bivector=bivector,
         kernel_gens=kernel_gens,
-        charts=charts,
-        curves=curves,
-        points=points,
+        charts=tables["charts"],
+        curves=tables["curves"],
+        points=tables["points"],
         steps=steps,
         commentary=doc.get("commentary"),
     )
+
+
+# Step key -> (scenario table, decoder of an inline document given the base
+# variables); tables are decoded in this order.
+_REFERENCES: dict[str, tuple[str, Callable]] = {
+    "chart": ("charts", chart_from_doc),
+    "curve": ("curves", lambda doc, base_vars: curve_from_doc(doc)),
+    "point": ("points", lambda doc, base_vars: point_from_doc(doc)),
+}
 
 
 def _base_vars(algebroid, bivector):
@@ -218,12 +233,13 @@ def _check(checks: list[Check], label: str, expected, actual):
     )
 
 
+def _rows_text(rows) -> str:
+    return ", ".join("(" + ", ".join(str(c) for c in row) + ")" for row in rows)
+
+
 def _render_value(value) -> str:
     if isinstance(value, Subspace):
-        rows = ", ".join(
-            "(" + ", ".join(str(c) for c in row) + ")" for row in _basis_rows(value)
-        )
-        return f"span[{rows}]"
+        return f"span[{_rows_text(_basis_rows(value))}]"
     if isinstance(value, PlueckerVector):
         return f"pluecker{tuple(value.coords)}"
     if isinstance(value, (list, tuple)):
@@ -271,33 +287,19 @@ class _Runner:
             return self.scenario.kernel_gens
         return generic_kernel_sections(algebroid)
 
-    def point(self, step):
-        ref = step.get("point")
+    def resolve(self, step, key: str):
+        """The step's "point", "curve" or "chart": a string names an entry of
+        the scenario's table, any other value is an inline document."""
+        ref = step.get(key)
         if ref is None:
-            raise ScenarioError(f"step {step.get('op')!r} needs a \"point\"")
+            raise ScenarioError(f"step {step.get('op')!r} needs a \"{key}\"")
+        table, from_doc = _REFERENCES[key]
         if isinstance(ref, str):
-            if ref not in self.scenario.points:
-                raise ScenarioError(f"unknown point {ref!r}")
-            return self.scenario.points[ref]
-        return point_from_doc(ref)
-
-    def curve(self, step):
-        ref = step.get("curve")
-        if ref is None:
-            raise ScenarioError(f"step {step.get('op')!r} needs a \"curve\"")
-        if isinstance(ref, str):
-            if ref not in self.scenario.curves:
-                raise ScenarioError(f"unknown curve {ref!r}")
-            return self.scenario.curves[ref]
-        return curve_from_doc(ref)
-
-    def chart(self, step):
-        ref = step.get("chart")
-        if ref is None:
-            raise ScenarioError(f"step {step.get('op')!r} needs a \"chart\"")
-        if ref not in self.scenario.charts:
-            raise ScenarioError(f"unknown chart {ref!r}")
-        return self.scenario.charts[ref]
+            entries = getattr(self.scenario, table)
+            if ref not in entries:
+                raise ScenarioError(f"unknown {key} {ref!r}")
+            return entries[ref]
+        return from_doc(ref, self.base_vars())
 
     def base_vars(self):
         return _base_vars(self.scenario.algebroid, self.scenario.bivector)
@@ -306,7 +308,7 @@ class _Runner:
 
     def run_step(self, step) -> StepResult:
         op = step.get("op")
-        handler = _STEP_HANDLERS.get(op)
+        handler = _STEP_HANDLERS.get(op) if isinstance(op, str) else None
         if handler is None:
             raise ScenarioError(f"unknown step op {op!r}")
         return handler(self, step)
@@ -368,21 +370,20 @@ class _Runner:
 
     def step_kernel_at(self, step) -> StepResult:
         a = self.anchor_source(step)
-        x = self.point(step)
+        x = self.resolve(step, "point")
         sub = kernel_at(a, x)
         checks: list[Check] = []
         if "expect" in step:
             _check(checks, "kernel-at", _expect_subspace(step["expect"], sub.n), sub)
-        details = {
-            "point": [str(c) for c in x],
-            "dim": sub.dim,
-            "basis": _basis_rows(sub),
-        }
-        return StepResult("kernel-at", f"kernel at point: {_render_value(sub)}", details, checks)
+        basis = _basis_rows(sub)
+        details = {"point": [str(c) for c in x], "dim": sub.dim, "basis": basis}
+        summary = f"kernel at point: {_render_value(sub)}"
+        text = f"kernel basis: [{_rows_text(basis)}] (dim {sub.dim})"
+        return StepResult("kernel-at", summary, details, checks, text=text)
 
     def step_isotropy(self, step) -> StepResult:
         a = self.bracket_source(step)
-        x = self.point(step)
+        x = self.resolve(step, "point")
         iso = isotropy_algebra_at(a, self.kernel_gens(a), x)
         abelian = all(
             all(c == 0 for c in coeffs) for coeffs in iso.structure.values()
@@ -401,11 +402,15 @@ class _Runner:
             "strong_kernel_dim": iso.strong_kernel.dim,
         }
         summary = f"isotropy: dim {iso.dim}" + (", abelian" if abelian else "")
-        return StepResult("isotropy", summary, details, checks)
+        text = (
+            f"isotropy: dim {iso.dim} ({'abelian' if abelian else 'non-abelian'}); "
+            f"kernel dim {iso.kernel.dim}, strong kernel dim {iso.strong_kernel.dim}"
+        )
+        return StepResult("isotropy", summary, details, checks, text=text)
 
     def step_nash_limit(self, step) -> StepResult:
         a = self.anchor_source(step)
-        curve = self.curve(step)
+        curve = self.resolve(step, "curve")
         limit = limit_subspace(kernel_curve(a, curve))
         pv = limit.pluecker()
         checks: list[Check] = []
@@ -419,18 +424,22 @@ class _Runner:
             )
         if "basis" in expect:
             _check(checks, "basis", _expect_subspace(expect["basis"], limit.n), limit)
-        details = {
-            "dim": limit.dim,
-            "pluecker": list(pv.coords),
-            "basis": _basis_rows(limit),
-        }
-        return StepResult("nash-limit", f"limit: {_render_value(limit)}", details, checks)
+        basis = _basis_rows(limit)
+        details = {"dim": limit.dim, "pluecker": list(pv.coords), "basis": basis}
+        text = (
+            f"limit: dim {limit.dim}, basis [{_rows_text(basis)}], "
+            f"pluecker ({', '.join(str(c) for c in pv.coords)})"
+        )
+        summary = f"limit: {_render_value(limit)}"
+        return StepResult("nash-limit", summary, details, checks, text=text)
 
     def step_nash_fiber(self, step) -> StepResult:
         a = self.anchor_source(step)
-        x = self.point(step)
+        x = self.resolve(step, "point")
         if "curves" in step:
-            curves = [self.curve({"op": step["op"], "curve": c}) for c in step["curves"]]
+            curves = [
+                self.resolve({"op": step["op"], "curve": c}, "curve") for c in step["curves"]
+            ]
         else:
             curves = default_arcs(x, self.seed)
         sample = nash_fiber_sample(a, x, curves)
@@ -461,11 +470,27 @@ class _Runner:
             ],
         }
         summary = f"nash fiber: {len(sample.limits)} distinct limit(s) from {ok_count} arc(s)"
-        return StepResult("nash-fiber", summary, details, checks)
+        lines = [
+            f"point: ({', '.join(details['point'])})",
+            f"arcs: {ok_count} ok, {details['arcs']['singular']} in singular locus",
+            f"distinct limits: {len(sample.limits)}",
+        ]
+        for rec in details["limits"]:
+            pl = ", ".join(str(c) for c in rec["pluecker"])
+            rows = _rows_text(rec["basis"])
+            lines.append(f"  dim {rec['dim']}  pluecker ({pl})  basis [{rows}]")
+        return StepResult(
+            "nash-fiber",
+            summary,
+            details,
+            checks,
+            text="\n".join(lines),
+            seeded="curves" not in step,
+        )
 
     def step_pullback_chart(self, step) -> StepResult:
         a = self.anchor_source(step)
-        chart = self.chart(step)
+        chart = self.resolve(step, "chart")
         bundle = a.bundle if isinstance(a, AlmostLieAlgebroid) else a
         n = bundle.fiber_rank
         pullbacks = pullback_anchor(bundle, chart)
@@ -497,11 +522,17 @@ class _Runner:
         }
         flags = sum(1 for pb in pullbacks if pb.polynomial_flag)
         summary = f"pullbacks: {flags}/{n} polynomial"
-        return StepResult("pullback-chart", summary, details, checks)
+        text = "\n".join(
+            f"e_{idx}: ({', '.join(pb['components'])})  ["
+            + ("polynomial" if pb["polynomial"] else f"denominator {pb['denominator']}")
+            + "]"
+            for idx, pb in enumerate(details["pullbacks"])
+        )
+        return StepResult("pullback-chart", summary, details, checks, text=text)
 
     def step_relations(self, step) -> StepResult:
         a = self.anchor_source(step)
-        chart = self.chart(step)
+        chart = self.resolve(step, "chart")
         _, relations = debord_generators(a, chart)
         checks: list[Check] = []
         if "expect" in step:
@@ -537,7 +568,7 @@ class _Runner:
 
     def step_chart_report(self, step) -> StepResult:
         a = self.anchor_source(step)
-        chart = self.chart(step)
+        chart = self.resolve(step, "chart")
         checks: list[Check] = []
         expect = step.get("expect", {})
         try:
@@ -551,8 +582,20 @@ class _Runner:
             }
             if "resolved" in expect:
                 _check(checks, "resolved", bool(expect["resolved"]), False)
+            text = "\n".join(
+                ["chart does not resolve the foliation:"]
+                + [
+                    f"  basis section {i} pulls back with denominator {d}"
+                    for i, d in err.failures
+                ]
+            )
             return StepResult(
-                "nash-chart-report", "chart does not resolve", details, checks
+                "nash-chart-report",
+                "chart does not resolve",
+                details,
+                checks,
+                text=text,
+                seeded=True,
             )
         frame = tautological_frame(nca, seed=self.seed)
         ideal_ok, ideal_report = check_ideal(nca, frame, seed=self.seed)
@@ -586,18 +629,30 @@ class _Runner:
                 "quotient": cert["quotient_rank"],
             },
         }
+        ideal = "ok" if ideal_ok else "FAILED"
+        debord = "ok" if debord_ok else "FAILED"
         summary = (
             f"chart resolves; frame rank {cert['frame_rank']} + quotient rank "
             f"{cert['quotient_rank']} = {cert['ambient_rank']}; "
-            f"ideal {'ok' if ideal_ok else 'FAILED'}, "
-            f"debord {'ok' if debord_ok else 'FAILED'}"
+            f"ideal {ideal}, debord {debord}"
         )
-        return StepResult("nash-chart-report", summary, details, checks)
+        cols = ", ".join("(" + ", ".join(col) + ")" for col in details["frame"])
+        text = "\n".join(
+            [
+                "chart resolves the foliation",
+                f"frame columns: [{cols}]",
+                f"ideal check: {ideal} ({details['ideal_label']})",
+                f"debord check: {debord}",
+                f"ranks: frame {cert['frame_rank']} + quotient {cert['quotient_rank']} "
+                f"= ambient {cert['ambient_rank']}",
+            ]
+        )
+        return StepResult("nash-chart-report", summary, details, checks, text=text, seeded=True)
 
     def step_poisson_pullback(self, step) -> StepResult:
         if self.scenario.bivector is None:
             raise ScenarioError("poisson-pullback needs a bivector in the scenario")
-        chart = self.chart(step)
+        chart = self.resolve(step, "chart")
         matrix, pole = pullback_bivector(chart, self.scenario.bivector)
         d = chart.dim
         checks: list[Check] = []
@@ -627,7 +682,11 @@ class _Runner:
             },
         }
         summary = "pullback pole: " + ("none (polynomial)" if pole is None else str(pole))
-        return StepResult("poisson-pullback", summary, details, checks)
+        text = "\n".join(
+            [summary]
+            + [f"  pi[{key}] = {value}" for key, value in sorted(details["entries"].items())]
+        )
+        return StepResult("poisson-pullback", summary, details, checks, text=text)
 
 
 def _as_algebroid(a) -> AlmostLieAlgebroid:
@@ -665,7 +724,10 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> Report:
             steps.append(runner.run_step(step))
         except (ScenarioError, DocumentError):
             raise
-        except (ValueError, ArithmeticError, RuntimeError) as exc:
+        # A malformed expectation (a list where a number belongs, a string
+        # where an object belongs, a missing key) fails with TypeError or
+        # LookupError; it is reported against its step like a ValueError.
+        except (ValueError, ArithmeticError, RuntimeError, TypeError, LookupError) as exc:
             raise EngineError(
                 f"step {idx} ({step.get('op')!r}) failed: {exc}"
             ) from exc

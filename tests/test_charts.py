@@ -9,6 +9,7 @@ from nashfol.algebroid import (
     kernel_at,
 )
 from nashfol.charts import (
+    MAX_ROOT_COEFFICIENT,
     ChartFrame,
     ChartMap,
     FrameReductionFailedError,
@@ -257,6 +258,19 @@ def test_check_ideal_rejects_corrupted_frame():
     ok, cert = check_debord_on_chart(nca, frame)
     assert not ok
     assert cert["frame_in_kernel"] is False
+
+
+def test_exceptional_samples_refuse_coefficients_above_the_cap():
+    # phi = (x^2 - 2c*x, y) has det J = 2x - 2c: the root search on each
+    # sample line through x meets the constant c.
+    def chart(c):
+        x, y = polys(XY, "x", "y")
+        return ChartMap(XY, XY, [x * x - x * (2 * c), y])
+
+    samples = exceptional_samples(chart(MAX_ROOT_COEFFICIENT))
+    assert samples and all(u0[0] == MAX_ROOT_COEFFICIENT for u0 in samples)
+    with pytest.raises(ValueError, match="above"):
+        exceptional_samples(chart(MAX_ROOT_COEFFICIENT + 1))
 
 
 def test_check_ideal_fails_only_pointwise():

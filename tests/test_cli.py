@@ -105,6 +105,17 @@ def test_chart_command_with_chart_file(so3_pi_file, tmp_path, capsys):
     assert "pullback pole: x" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("content", ['"x-chart"', "null", "[]"])
+def test_chart_file_must_hold_an_object(content, tmp_path, capsys):
+    chart = tmp_path / "chart.json"
+    chart.write_text(content)
+    args = ["pullback-chart", "--input", corpus_path("so3"), "--chart", str(chart)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: chart document must be an object\n"
+
+
 @pytest.mark.parametrize("name", corpus_names())
 def test_run_scenario_corpus(name, capsys):
     assert main(["run-scenario", "--input", corpus_path(name)]) == 0
@@ -162,6 +173,106 @@ def test_missing_required_flag_exits_2(command, flag, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {command} requires --{flag}\n"
+
+
+_SO3_FIBER_LIMITS = [
+    (0, 0, 1), (0, 1, 0), (1, -5, 1), (1, 0, 0), (1, 4, -10), (1, 6, 4), (2, -6, -3),
+    (2, -5, -1), (2, -4, 1), (2, 3, 1), (2, 3, 12), (2, 6, -1), (3, -3, -2), (3, -3, -1),
+    (3, 1, 6), (3, 10, -3), (5, -3, 10), (5, 1, -2), (5, 15, 6), (6, -3, 5), (6, -2, -5),
+    (6, 3, -8), (9, 1, -6), (9, 6, -1), (12, -8, -15),
+]
+
+
+# Exact single-command stdout on so3.json with its named curve and chart
+# (the point is the origin).
+_SO3_TEXT = [
+    (["validate"], "algebroid: anchor morphism holds, Jacobi holds\n"),
+    (["rank"], "generic rank: 2\n"),
+    (["singular-locus"], "singular locus: x*y, x*z, x^2, y*z, y^2, z^2\n"),
+    (
+        ["kernel-at", "--point", "0,0,0"],
+        "kernel basis: [(1, 0, 0), (0, 1, 0), (0, 0, 1)] (dim 3)\n",
+    ),
+    (
+        ["isotropy", "--point", "0,0,0"],
+        "isotropy: dim 3 (non-abelian); kernel dim 3, strong kernel dim 0\n",
+    ),
+    (
+        ["nash-limit", "--curve", "skew-ray"],
+        "limit: dim 1, basis [(1, -2, 3)], pluecker (1, -2, 3)\n",
+    ),
+    (
+        ["nash-fiber", "--point", "0,0,0"],
+        "seed: 0\npoint: (0, 0, 0)\narcs: 30 ok, 0 in singular locus\n"
+        "distinct limits: 25\n"
+        + "".join(
+            f"  dim 1  pluecker ({', '.join(map(str, pl))})  "
+            f"basis [({', '.join(map(str, pl))})]\n"
+            for pl in _SO3_FIBER_LIMITS
+        ),
+    ),
+    (
+        ["pullback-chart", "--chart", "x-chart"],
+        "e_0: (0, z, -y)  [polynomial]\n"
+        "e_1: (x*z, -y*z, -z^2 - 1)  [polynomial]\n"
+        "e_2: (x*y, -y^2 - 1, -y*z)  [polynomial]\n",
+    ),
+    (
+        ["nash-chart-report", "--chart", "x-chart"],
+        "seed: 0\nchart resolves the foliation\nframe columns: [(1, -y, z)]\n"
+        "ideal check: ok (generic + sampled)\ndebord check: ok\n"
+        "ranks: frame 1 + quotient 2 = ambient 3\n",
+    ),
+    (
+        ["poisson-pullback", "--chart", "x-chart"],
+        "pullback pole: x\n  pi[0,1] = -z\n  pi[0,2] = y\n"
+        "  pi[1,2] = (-y^2 - z^2 - 1) / (x)\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, expected", _SO3_TEXT, ids=[args[0] for args, _ in _SO3_TEXT])
+def test_single_command_text_on_so3(args, expected, capsys):
+    assert main([args[0], "--input", corpus_path("so3"), *args[1:]]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_chart_report_text_when_chart_does_not_resolve(tmp_path, capsys):
+    chart = tmp_path / "fold.json"
+    chart.write_text(json.dumps({"chart_vars": ["x", "y"], "phi": ["x^2", "y"]}))
+    args = ["nash-chart-report", "--input", corpus_path("sl2"), "--chart", str(chart)]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (
+        "seed: 0\nchart does not resolve the foliation:\n"
+        "  basis section 2 pulls back with denominator x\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"steps": [{"op": ["rank"]}]},
+        {"steps": [{"op": "isotropy", "point": "origin", "expect": {"dim": [1]}}]},
+        {"steps": [{"op": "isotropy", "point": "origin", "expect": "dim"}]},
+        {"steps": [{"op": "relations", "chart": "x-chart", "expect": [{"basis": [1, 2]}]}]},
+        {"charts": [1, 2]},
+        {"curves": [1]},
+        {"points": "origin"},
+    ],
+    ids=[
+        "op-list", "expect-dim-list", "expect-string", "expect-missing-key",
+        "charts-list", "curves-list", "points-string",
+    ],
+)
+def test_malformed_scenario_exits_2(changes, tmp_path, capsys):
+    doc = json.loads(Path(corpus_path("so3")).read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(doc, **changes)))
+    assert main(["run-scenario", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_non_document_input_rejected(tmp_path, capsys):

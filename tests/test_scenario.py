@@ -179,6 +179,21 @@ def test_corpus_reports_identical_under_optimize():
         assert out["reports"][name] == [render_report_text(report), render_report_json(report)]
 
 
+def test_inline_chart_reports_like_named_chart():
+    path = Path(nashfol.__file__).parent / "scenarios" / "so3.json"
+    doc = json.loads(path.read_text())
+    chart_steps = [step for step in doc["steps"] if step.get("chart") == "x-chart"]
+    inline_steps = [dict(step, chart=doc["charts"]["x-chart"]) for step in chart_steps]
+    named = run_scenario(load_scenario(dict(doc, steps=chart_steps)), seed=2)
+    inline = run_scenario(load_scenario(dict(doc, charts={}, steps=inline_steps)), seed=2)
+    assert [step.op for step in named.steps] == [
+        "pullback-chart", "relations", "nash-chart-report", "poisson-pullback"
+    ]
+    assert named.passed
+    assert render_report_text(inline) == render_report_text(named)
+    assert render_report_json(inline) == render_report_json(named)
+
+
 def test_report_doc_shape():
     report = run_scenario(load_scenario(SO3_DOC), seed=1)
     doc = report_to_doc(report)
