@@ -18,6 +18,7 @@ from typing import Sequence
 from .grassmann import Subspace
 from .linalg import (
     eval_matrix,
+    frac_kernel,
     frac_rank,
     frac_solve,
     kernel_basis,
@@ -201,6 +202,25 @@ def section_bracket(
     return out
 
 
+def bracket_with_basis(algebroid: AlmostLieAlgebroid, s: Sequence[MultiPoly], c: int) -> Section:
+    """[s, e_c] = sum_m s_m [e_m, e_c] - rho(e_c)(s_m) e_m: the Leibniz bracket
+    with a basis section, from one anchor column and O(r) structure lookups."""
+    n = algebroid.bundle.fiber_rank
+    if len(s) != n:
+        raise ArityMismatchError("section length does not match the fiber rank")
+    if not 0 <= c < n:
+        raise IndexError(f"basis index {c} out of range for rank {n}")
+    column = [row[c] for row in algebroid.bundle.anchor]
+    out = [-lie_derivative(column, p) if p else p for p in s]
+    for m, coeff in enumerate(s):
+        # [e_m, e_c] is c_mc, or -c_cm when m > c
+        sec = algebroid.structure.get((m, c) if m < c else (c, m)) if coeff else None
+        if sec:
+            coeff = coeff if m < c else -coeff
+            out = [o + coeff * ck for o, ck in zip(out, sec)]
+    return out
+
+
 def validate_anchor_morphism(algebroid: AlmostLieAlgebroid) -> list[VectorField]:
     """Defect R*c_ij - [rho(e_i), rho(e_j)] for each pair i < j, in pair order.
 
@@ -235,16 +255,11 @@ def morphism_defect_pairs(algebroid: AlmostLieAlgebroid) -> list[tuple[int, int]
 
 def jacobiator(algebroid: AlmostLieAlgebroid, i: int, j: int, k: int) -> Section:
     """[[e_i,e_j],e_k] + [[e_k,e_i],e_j] + [[e_j,e_k],e_i]; zero iff Jacobi
-    holds on this triple."""
-    n = algebroid.bundle.fiber_rank
-    for idx in (i, j, k):
-        if not 0 <= idx < n:
-            raise IndexError(f"basis index {idx} out of range for rank {n}")
-    e = algebroid.bundle.basis_section
-    total = [algebroid.bundle.zero_poly()] * n
+    holds on this triple (bracket_with_basis range-checks each index)."""
+    total = [algebroid.bundle.zero_poly()] * algebroid.bundle.fiber_rank
     for a, b, c in ((i, j, k), (k, i, j), (j, k, i)):
         # [e_a, e_b] is the structure section c_ab itself.
-        term = section_bracket(algebroid, algebroid.structure_section(a, b), e(c))
+        term = bracket_with_basis(algebroid, algebroid.structure_section(a, b), c)
         total = [t + s for t, s in zip(total, term)]
     return total
 
@@ -272,8 +287,6 @@ def anchor_rank_generic(a) -> int:
 def kernel_at(a, x: Point) -> Subspace:
     """Kernel of the anchor evaluated at a rational point, in canonical form."""
     bundle = _bundle_of(a)
-    from .linalg import frac_kernel
-
     vectors = frac_kernel(bundle.anchor_at(x), bundle.fiber_rank)
     return Subspace(bundle.fiber_rank, vectors)
 
@@ -328,32 +341,34 @@ def strong_kernel_at(a, kernel_gens: Sequence[Sequence[MultiPoly]], x: Point) ->
     return Subspace(bundle.fiber_rank, values)
 
 
-def pointwise_kernel_bracket(
-    algebroid: AlmostLieAlgebroid,
-    x: Point,
-    u: Sequence[Fraction],
-    v: Sequence[Fraction],
-) -> list[Fraction]:
-    """The bracket ker rho_x x ker rho_x -> ker rho_x, sum u_i v_j c_ij(x)."""
-    bundle = algebroid.bundle
-    ax = bundle.anchor_at(x)
+def _kernel_bracket_at(algebroid: AlmostLieAlgebroid, x: Point):
+    """The bracket ker rho_x x ker rho_x -> ker rho_x, sum u_i v_j c_ij(x), with
+    the anchor and every c_ij evaluated at x once for all the brackets taken."""
+    ax = algebroid.bundle.anchor_at(x)
+    structure = sorted(algebroid.structure.items())
+    constants = [(i, j, [ck.eval(x) for ck in c]) for (i, j), c in structure]
 
     def in_kernel(w):
-        return all(
-            sum(ax[row][col] * w[col] for col in range(bundle.fiber_rank)) == 0
-            for row in range(bundle.base_dim)
-        )
+        return all(sum(a * b for a, b in zip(row, w, strict=True)) == 0 for row in ax)
 
-    if not in_kernel(u) or not in_kernel(v):
-        raise NotInKernelError(f"argument not in the anchor kernel at {list(x)}")
-    out = [Fraction(0)] * bundle.fiber_rank
-    for (i, j), c in sorted(algebroid.structure.items()):
-        coeff = u[i] * v[j] - u[j] * v[i]
-        if coeff:
-            out = [o + coeff * ck.eval(x) for o, ck in zip(out, c)]
-    if not in_kernel(out):
-        raise InternalInvariantError("pointwise bracket left the kernel")
-    return out
+    def bracket(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
+        if not in_kernel(u) or not in_kernel(v):
+            raise NotInKernelError(f"argument not in the anchor kernel at {list(x)}")
+        out = [Fraction(0)] * algebroid.bundle.fiber_rank
+        for i, j, c in constants:
+            coeff = u[i] * v[j] - u[j] * v[i]
+            if coeff:
+                out = [o + coeff * ck for o, ck in zip(out, c)]
+        if not in_kernel(out):
+            raise InternalInvariantError("pointwise bracket left the kernel")
+        return out
+
+    return bracket
+
+
+def pointwise_kernel_bracket(algebroid: AlmostLieAlgebroid, x: Point, u, v) -> list[Fraction]:
+    """The bracket ker rho_x x ker rho_x -> ker rho_x, sum u_i v_j c_ij(x)."""
+    return _kernel_bracket_at(algebroid, x)(u, v)
 
 
 @dataclass(frozen=True)
@@ -390,10 +405,10 @@ def isotropy_algebra_at(
     if not ker.contains_subspace(sker):
         # cannot happen for validated generators; guards evaluation slips
         raise NotInKernelError("strong kernel escapes the kernel")
+    bracket = _kernel_bracket_at(algebroid, x)
     for s in sker.rows:
         for u in ker.rows:
-            w = pointwise_kernel_bracket(algebroid, x, s, u)
-            if not sker.contains(w):
+            if not sker.contains(bracket(s, u)):
                 raise WellDefinednessFailureError(
                     f"[Sker, ker] leaves Sker at {list(x)}; "
                     "the kernel generator set is incomplete or wrong"
@@ -411,8 +426,7 @@ def isotropy_algebra_at(
     structure: dict[tuple[int, int], tuple[Fraction, ...]] = {}
     for a in range(dim):
         for b in range(a + 1, dim):
-            w = pointwise_kernel_bracket(algebroid, x, reps[a], reps[b])
-            sol = frac_solve(columns, w)
+            sol = frac_solve(columns, bracket(reps[a], reps[b]))
             if sol is None:
                 raise WellDefinednessFailureError(
                     "bracket of representatives escaped the kernel span"
@@ -429,27 +443,27 @@ def isotropy_algebra_at(
     )
 
 
-def _constant_table(structure, dim) -> list[list[tuple[Fraction, ...]]]:
-    """table[a][b] = [basis_a, basis_b] in quotient coordinates, skew-extended."""
-    zero = (Fraction(0),) * dim
-    table = [[zero] * dim for _ in range(dim)]
+def _constant_table(structure, dim) -> list[list[tuple[tuple[int, Fraction], ...]]]:
+    """table[a][b] = the nonzero (e, coefficient) terms of [basis_a, basis_b] in
+    quotient coordinates, skew-extended."""
+    table = [[()] * dim for _ in range(dim)]
     for (a, b), coeffs in structure.items():
-        table[a][b] = tuple(coeffs)
-        table[b][a] = tuple(-c for c in coeffs)
+        terms = tuple((e, c) for e, c in enumerate(coeffs) if c)
+        table[a][b], table[b][a] = terms, tuple((e, -c) for e, c in terms)
     return table
 
 
 def _assert_jacobi_numeric(structure, dim) -> None:
+    """Jacobi on every triple, summed over the nonzero constants only."""
     g = _constant_table(structure, dim)
     for a, b, c in combinations(range(dim), 3):
-        gab, gbc, gca = g[a][b], g[b][c], g[c][a]
-        for f in range(dim):
-            total = sum(
-                gab[e] * g[e][c][f] + gbc[e] * g[e][a][f] + gca[e] * g[e][b][f]
-                for e in range(dim)
-            )
-            if total != 0:
-                raise InternalInvariantError("quotient constants violate Jacobi")
+        total = [Fraction(0)] * dim
+        for inner, outer in ((g[a][b], c), (g[b][c], a), (g[c][a], b)):
+            for e, coeff in inner:
+                for f, ge in g[e][outer]:
+                    total[f] += coeff * ge
+        if any(total):
+            raise InternalInvariantError("quotient constants violate Jacobi")
 
 
 def linear_lift(algebroid: AlmostLieAlgebroid, a: Sequence[MultiPoly]):
@@ -464,7 +478,7 @@ def linear_lift(algebroid: AlmostLieAlgebroid, a: Sequence[MultiPoly]):
     x_field = bundle.anchor_of_section(list(a))
     b_matrix = [[bundle.zero_poly()] * n for _ in range(n)]
     for j in range(n):
-        col = section_bracket(algebroid, list(a), bundle.basis_section(j))
+        col = bracket_with_basis(algebroid, list(a), j)
         for k in range(n):
             b_matrix[k][j] = -col[k]
     return x_field, b_matrix

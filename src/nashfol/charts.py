@@ -25,6 +25,7 @@ from .algebroid import (
     Section,
     _bundle_of,
     anchor_rank_generic,
+    bracket_with_basis,
     morphism_defect_pairs,
     section_bracket,
 )
@@ -338,11 +339,17 @@ def nash_anchor_on_chart(
 
 
 class ChartFrame:
-    """Polynomial kernel columns of the pulled-back anchor, full rank pointwise."""
+    """Polynomial kernel columns of the pulled-back anchor, full rank pointwise.
 
-    def __init__(self, chart: ChartMap, columns: Sequence[Sequence[MultiPoly]]):
-        self.chart = chart
+    The echelon form, the seeded exceptional samples and the kernel test are
+    computed once, on first use, so the columns must not change after that.
+    """
+
+    def __init__(self, nca: NashChartAlgebroid, columns: Sequence[Section], seed: int = 0):
+        self.nca = nca
+        self.chart = nca.chart
         self.columns = [list(c) for c in columns]
+        self.seed = seed
 
     @property
     def width(self) -> int:
@@ -350,10 +357,24 @@ class ChartFrame:
 
     @cached_property
     def echelon(self) -> RowEchelon:
-        """The columns eliminated once, on first use (so the columns must not
-        change afterwards); its pivot count is the frame rank over the
-        fraction field."""
+        """The columns eliminated once; its pivot count is the frame rank over
+        the fraction field."""
         return RowEchelon(self.columns)
+
+    @cached_property
+    def samples(self) -> list[Point]:
+        return exceptional_samples(self.chart, seed=self.seed)
+
+    @cached_property
+    def outside_kernel(self) -> list[int]:
+        """Indices of the columns that the chart anchor P does not kill (J * P =
+        A o phi with det J != 0, so P decides kernel membership without A o phi)."""
+        anchor = self.nca.algebroid.bundle.anchor
+        return [
+            idx
+            for idx, col in enumerate(self.columns)
+            if not all(p.is_zero() for p in poly_mat_vec(anchor, col))
+        ]
 
     def eval_at(self, point: Point) -> list[list[Fraction]]:
         n = len(self.columns[0]) if self.columns else 0
@@ -462,24 +483,23 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
     bundle = nca.algebroid.bundle
     if anchor_rank_generic(bundle) != anchor_rank_generic(nca.source):
         raise ValueError("chart does not resolve: substituted anchor dropped rank")
-    cols = kernel_basis(bundle.anchor)
-    k = len(cols)
+    frame = ChartFrame(nca, kernel_basis(bundle.anchor), seed)
+    cols = frame.columns  # repaired in place before any cached quantity reads them
+    k = frame.width
     if k == 0:
-        return ChartFrame(chart, [])
-    samples = exceptional_samples(chart, seed=seed)
+        return frame
     e_poly = chart.exceptional_poly()
     n = bundle.fiber_rank
     deficient = None
     for _ in range(4 * n + 1):
         deficient = None
-        for u0 in samples:
-            m = [[col[i].eval(u0) for col in cols] for i in range(n)]
+        for u0 in frame.samples:
+            m = frame.eval_at(u0)
             if frac_rank(m) < k:
                 deficient = (u0, m)
                 break
         if deficient is None:
-            frame = ChartFrame(chart, cols)
-            if _columns_outside_kernel(nca, frame):
+            if frame.outside_kernel:
                 raise InternalInvariantError("frame column left the kernel")
             return frame
         u0, m = deficient
@@ -498,40 +518,25 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
         if same:
             raise FrameReductionFailedError([u0])
         cols[leader] = combo
-    raise FrameReductionFailedError([deficient[0]] if deficient else samples)
+    raise FrameReductionFailedError([deficient[0]] if deficient else frame.samples)
 
 
-def _columns_outside_kernel(nca: NashChartAlgebroid, frame: ChartFrame) -> list[int]:
-    """Indices of the frame columns that the chart anchor P does not kill.
-
-    J * P = A o phi with det J != 0, so P * k = 0 exactly when (A o phi) * k = 0:
-    the pulled-back anchor decides kernel membership without substituting A.
-    """
-    anchor = nca.algebroid.bundle.anchor
-    return [
-        idx
-        for idx, col in enumerate(frame.columns)
-        if not all(p.is_zero() for p in poly_mat_vec(anchor, col))
-    ]
-
-
-def check_ideal(nca: NashChartAlgebroid, frame: ChartFrame, seed: int = 0) -> tuple[bool, dict]:
-    """Bracket-ideal and Lie-algebra-bundle check for the frame on the chart.
+def check_ideal(frame: ChartFrame) -> tuple[bool, dict]:
+    """Bracket-ideal and Lie-algebra-bundle check for the frame on its chart.
 
     Brackets of frame columns against basis sections (and against each other)
     must stay in the frame's column span, generically over the fraction field
-    and pointwise at seeded exceptional samples.  Results are labeled
-    "generic + sampled": true module membership is not decided here.
+    and pointwise at the frame's seeded exceptional samples.  Results are
+    labeled "generic + sampled": true module membership is not decided here.
     """
-    chart_alg = nca.algebroid
-    outside = _columns_outside_kernel(nca, frame)
+    chart_alg = frame.nca.algebroid
+    outside = frame.outside_kernel
     if outside:
         return False, {"precondition": f"frame column {outside[0]} is not a kernel section"}
-    samples = exceptional_samples(nca.chart, seed=seed)
     n = chart_alg.bundle.fiber_rank
     report = {
         "label": "generic + sampled",
-        "samples": [[str(c) for c in u0] for u0 in samples],
+        "samples": [[str(c) for c in u0] for u0 in frame.samples],
         "pairs_checked": 0,
         "generic": True,
         "pointwise": True,
@@ -539,7 +544,7 @@ def check_ideal(nca: NashChartAlgebroid, frame: ChartFrame, seed: int = 0) -> tu
     to_check: list[Section] = []
     for kappa in frame.columns:
         for j in range(n):
-            to_check.append(section_bracket(chart_alg, kappa, chart_alg.bundle.basis_section(j)))
+            to_check.append(bracket_with_basis(chart_alg, kappa, j))
     for a_idx in range(frame.width):
         for b_idx in range(a_idx + 1, frame.width):
             to_check.append(
@@ -547,12 +552,13 @@ def check_ideal(nca: NashChartAlgebroid, frame: ChartFrame, seed: int = 0) -> tu
             )
     report["pairs_checked"] = len(to_check)
     fibers = [
-        Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns]) for u0 in samples
+        Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns])
+        for u0 in frame.samples
     ]
     for bracket in to_check:
         if not frame.echelon.contains(bracket):
             report["generic"] = False
-        for fiber, u0 in zip(fibers, samples):
+        for fiber, u0 in zip(fibers, frame.samples):
             if not fiber.contains([v.eval(u0) for v in bracket]):
                 report["pointwise"] = False
     ok = report["generic"] and report["pointwise"]
@@ -613,17 +619,18 @@ def debord_generators(a, chart: ChartMap) -> tuple[list[PulledBackField], list[R
     return pullbacks, fallback
 
 
-def check_debord_on_chart(nca: NashChartAlgebroid, frame: ChartFrame) -> tuple[bool, dict]:
+def check_debord_on_chart(frame: ChartFrame) -> tuple[bool, dict]:
     """Certify the exact-sequence ranks: frame + quotient = ambient.
 
     True when the pullback matrix keeps the generic anchor rank and the frame
     columns span its kernel generically, so the induced quotient anchor is
     injective on a dense open subset of the chart.
     """
+    nca = frame.nca
     n = nca.source.bundle.fiber_rank
     quotient_rank = anchor_rank_generic(nca.algebroid)
     r = anchor_rank_generic(nca.source)
-    kernel_ok = not _columns_outside_kernel(nca, frame)
+    kernel_ok = not frame.outside_kernel
     frame_rank = len(frame.echelon.pivot_cols)
     certificate = {
         "ambient_rank": n,

@@ -21,9 +21,11 @@ from .algebroid import (
     AnchoredBundle,
     Point,
     _bundle_of,
+    _constant_table,
+    _kernel_bracket_at,
     anchor_rank_generic,
+    isotropy_algebra_at,
     kernel_at,
-    pointwise_kernel_bracket,
     rank_at,
     strong_kernel_at,
 )
@@ -261,10 +263,10 @@ def check_flag(a, kernel_gens, v: Subspace, x: Point) -> bool:
 
 def check_limit_subalgebra(algebroid: AlmostLieAlgebroid, v: Subspace, x: Point) -> bool:
     """Whether the limit is closed under the pointwise kernel bracket."""
+    bracket = _kernel_bracket_at(algebroid, x)
     for i, row_u in enumerate(v.rows):
         for row_w in v.rows[i + 1 :]:
-            bracket = pointwise_kernel_bracket(algebroid, x, row_u, row_w)
-            if not v.contains(bracket):
+            if not v.contains(bracket(row_u, row_w)):
                 return False
     return True
 
@@ -280,8 +282,6 @@ def isotropy_image(
     The codimension equals generic rank minus the anchor rank at the point;
     the image is verified to be a subalgebra of the quotient constants.
     """
-    from .algebroid import isotropy_algebra_at
-
     iso = isotropy_algebra_at(algebroid, kernel_gens, x)
     columns = [list(r) for r in iso.strong_kernel.rows] + [list(b) for b in iso.basis]
     image_vectors = []
@@ -300,19 +300,16 @@ def isotropy_image(
 
 
 def _assert_quotient_subalgebra(iso, image: Subspace) -> None:
-    from .algebroid import _constant_table
-
     gamma = _constant_table(iso.structure, iso.dim)
     for i, u in enumerate(image.rows):
         for w in image.rows[i + 1 :]:
             bracket = [Fraction(0)] * iso.dim
-            for aa in range(iso.dim):
-                for bb in range(iso.dim):
-                    coeff = u[aa] * w[bb]
-                    if coeff:
-                        bracket = [
-                            acc + coeff * g for acc, g in zip(bracket, gamma[aa][bb])
-                        ]
+            u_terms = [(aa, ua) for aa, ua in enumerate(u) if ua]
+            w_terms = [(bb, wb) for bb, wb in enumerate(w) if wb]
+            for aa, ua in u_terms:
+                for bb, wb in w_terms:
+                    for e, g in gamma[aa][bb]:
+                        bracket[e] += ua * wb * g
             if not image.contains(bracket):
                 raise InternalInvariantError("limit image is not a subalgebra")
 

@@ -58,8 +58,8 @@ class InternalInvariantError(RuntimeError):
     """
 
 
-# Largest exponent accepted after '^' in polynomial text; the corpus uses at
-# most 4, and a bound keeps hostile input from expanding without limit.
+# Largest exponent in polynomial text ('^') and term-list documents; the corpus
+# uses at most 4, and a bound keeps hostile input from expanding without limit.
 MAX_EXPONENT = 64
 
 
@@ -728,6 +728,8 @@ def poly_from_doc(doc: object, variables: Sequence[str] | None = None) -> MultiP
         terms: dict[Exponents, Fraction] = {}
         for item in doc["terms"]:
             exps = tuple(int(x) for x in item["exps"])
+            if any(x > MAX_EXPONENT for x in exps):
+                raise ValueError(f"exponent above {MAX_EXPONENT} in term {list(exps)}")
             coeff = parse_rational(str(item["coeff"]))
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
         return MultiPoly(vs, terms)

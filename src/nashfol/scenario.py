@@ -598,8 +598,8 @@ class _Runner:
                 seeded=True,
             )
         frame = tautological_frame(nca, seed=self.seed)
-        ideal_ok, ideal_report = check_ideal(nca, frame, seed=self.seed)
-        debord_ok, cert = check_debord_on_chart(nca, frame)
+        ideal_ok, ideal_report = check_ideal(frame)
+        debord_ok, cert = check_debord_on_chart(frame)
         if "resolved" in expect:
             _check(checks, "resolved", bool(expect["resolved"]), True)
         if "frame" in expect:

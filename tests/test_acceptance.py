@@ -162,8 +162,8 @@ def test_criterion_2_so3_chart_reproduction():
 
     nca = nash_anchor_on_chart(a, chart)
     frame = tautological_frame(nca)
-    ideal_ok, _ = check_ideal(nca, frame)
-    debord_ok, cert = check_debord_on_chart(nca, frame)
+    ideal_ok, _ = check_ideal(frame)
+    debord_ok, cert = check_debord_on_chart(frame)
     assert ideal_ok and debord_ok
     assert (cert["frame_rank"], cert["quotient_rank"], cert["ambient_rank"]) == (1, 2, 3)
 

@@ -1,8 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nashfol.algebroid as algebroid_module
 from nashfol.algebroid import (
@@ -12,6 +15,7 @@ from nashfol.algebroid import (
     NotInKernelModuleError,
     WellDefinednessFailureError,
     anchor_rank_generic,
+    bracket_with_basis,
     generic_kernel_sections,
     is_lie_algebroid,
     isotropy_algebra_at,
@@ -35,7 +39,12 @@ from nashfol.models import (
     sphere_generators_algebroid,
 )
 from nashfol.poly import MultiPoly, parse_poly
-from nashfol.scenario import load_corpus_scenario, load_scenario, run_scenario
+from nashfol.scenario import (
+    corpus_names,
+    load_corpus_scenario,
+    load_scenario,
+    run_scenario,
+)
 
 XYZ = ("x", "y", "z")
 
@@ -395,3 +404,63 @@ def test_zero_anchor_rank():
     bundle = AnchoredBundle(vs, [[zero, zero]])
     assert anchor_rank_generic(bundle) == 0
     assert singular_locus(bundle) == []
+
+
+XY = ("x", "y")
+
+_xy_poly = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    st.integers(-3, 3).map(Fraction),
+    max_size=3,
+).map(lambda terms: MultiPoly(XY, terms))
+
+
+@st.composite
+def _algebroid_and_section(draw):
+    """Almost Lie algebroids over Q[x,y] with random anchors and constants (so
+    the anchor morphism and Jacobi usually fail), and a section with zeros."""
+    n = draw(st.integers(1, 4))
+    vec = st.lists(_xy_poly, min_size=n, max_size=n)
+    anchor = draw(st.lists(vec, min_size=2, max_size=2))
+    pairs = list(combinations(range(n), 2))
+    structure = draw(st.dictionaries(st.sampled_from(pairs), vec)) if pairs else {}
+    section = draw(vec)
+    for idx in draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        section[idx] = MultiPoly.zero(XY)
+    return AlmostLieAlgebroid(AnchoredBundle(XY, anchor), structure), section
+
+
+@settings(max_examples=150, deadline=None)
+@given(_algebroid_and_section())
+@example((_broken_jacobi_algebroid(), V(XY, "x", "0", "y")))
+@example((special_linear_2_algebroid(), V(XY, "x*y", "0", "y^2 - 1")))
+def test_bracket_with_basis_matches_leibniz(case):
+    alg, section = case
+    for c in range(alg.bundle.fiber_rank):
+        expected = section_bracket(alg, section, alg.bundle.basis_section(c))
+        assert bracket_with_basis(alg, section, c) == expected
+
+
+def test_bracket_with_basis_matches_leibniz_on_corpus_structure():
+    # the jacobiator's brackets [c_ab, e_c], on every corpus algebroid
+    for name in corpus_names():
+        alg = load_corpus_scenario(name).algebroid
+        if not isinstance(alg, AlmostLieAlgebroid):
+            continue
+        for a, b in alg.structure:
+            sec = alg.structure_section(a, b)
+            for c in range(alg.bundle.fiber_rank):
+                expected = section_bracket(alg, sec, alg.bundle.basis_section(c))
+                assert bracket_with_basis(alg, sec, c) == expected
+
+
+def test_bracket_with_basis_checks_its_arguments():
+    sl2 = special_linear_2_algebroid()
+    with pytest.raises(IndexError):
+        bracket_with_basis(sl2, sl2.bundle.basis_section(0), 3)
+    # the jacobiator's indices are range-checked as the basis side of a term
+    for triple, bad in (((5, 0, 1), 5), ((0, 5, 1), 5), ((0, 1, 5), 5), ((-1, 0, 1), -1)):
+        with pytest.raises(IndexError, match=f"basis index {bad} out of range"):
+            jacobiator(sl2, *triple)
+    with pytest.raises(ValueError):
+        bracket_with_basis(sl2, V(XY, "x", "y"), 0)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import nashfol.charts as charts_module
 from nashfol.algebroid import (
     AlmostLieAlgebroid,
     AnchoredBundle,
@@ -32,6 +33,7 @@ from nashfol.models import (
 )
 from nashfol.poisson import Bivector
 from nashfol.poly import ArityMismatchError, MultiPoly, RatFunc, parse_poly
+from nashfol.scenario import load_corpus_scenario, run_scenario
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -120,9 +122,9 @@ def test_sl2_chart_frame_and_quotient():
     nca = nash_anchor_on_chart(sl2, ch)
     frame = tautological_frame(nca)
     assert col_strs(frame) == [["-y", "-y^2", "1"]]
-    ok, report = check_ideal(nca, frame)
+    ok, report = check_ideal(frame)
     assert ok and report["label"] == "generic + sampled"
-    ok, cert = check_debord_on_chart(nca, frame)
+    ok, cert = check_debord_on_chart(frame)
     assert ok
     assert cert["frame_rank"] == 1 and cert["quotient_rank"] == 2
     assert cert["ambient_rank"] == 3 and cert["sum_matches"]
@@ -157,9 +159,9 @@ def test_so3_chart_frame_and_quotient():
     nca = nash_anchor_on_chart(so3, ch)
     frame = tautological_frame(nca)
     assert col_strs(frame) == [["1", "-y", "z"]]
-    ok, _ = check_ideal(nca, frame)
+    ok, _ = check_ideal(frame)
     assert ok
-    ok, cert = check_debord_on_chart(nca, frame)
+    ok, cert = check_debord_on_chart(frame)
     assert ok
     assert cert["frame_rank"] == 1 and cert["quotient_rank"] == 2
     assert cert["frame_rank"] + cert["quotient_rank"] == cert["ambient_rank"]
@@ -207,9 +209,9 @@ def test_gl2_chart_pullbacks_and_frame():
     ]
     frame = tautological_frame(nca)
     assert col_strs(frame) == [["-y2", "0", "1", "0"], ["0", "-y2", "0", "1"]]
-    ok, cert = check_debord_on_chart(nca, frame)
+    ok, cert = check_debord_on_chart(frame)
     assert ok and cert["frame_rank"] == 2 and cert["quotient_rank"] == 2
-    ok, _ = check_ideal(nca, frame)
+    ok, _ = check_ideal(frame)
     assert ok
 
 
@@ -231,7 +233,7 @@ def test_gl3_chart_relations_all_polynomial():
     nca = nash_anchor_on_chart(gl3, ch)
     frame = tautological_frame(nca)
     assert frame.width == 6
-    ok, cert = check_debord_on_chart(nca, frame)
+    ok, cert = check_debord_on_chart(frame)
     assert ok and cert["frame_rank"] + cert["quotient_rank"] == 9
 
 
@@ -250,12 +252,12 @@ def test_check_ideal_rejects_corrupted_frame():
     sl2 = special_linear_2_algebroid()
     ch = ChartMap.blowup(XY, 0)
     nca = nash_anchor_on_chart(sl2, ch)
-    frame = tautological_frame(nca)
-    frame.columns[0][0] = parse_poly("1", XY)
-    ok, report = check_ideal(nca, frame)
+    good = tautological_frame(nca)
+    frame = ChartFrame(nca, [[parse_poly("1", XY)] + good.columns[0][1:]])
+    ok, report = check_ideal(frame)
     assert not ok
     assert "precondition" in report
-    ok, cert = check_debord_on_chart(nca, frame)
+    ok, cert = check_debord_on_chart(frame)
     assert not ok
     assert cert["frame_in_kernel"] is False
 
@@ -280,8 +282,8 @@ def test_check_ideal_fails_only_pointwise():
     bundle = AnchoredBundle(XY, [polys(XY, "0", "0"), polys(XY, "0", "x")])
     ch = ChartMap.blowup(XY, 0)
     nca = nash_anchor_on_chart(AlmostLieAlgebroid(bundle, {}), ch)
-    frame = ChartFrame(ch, [polys(XY, "y", "0")])
-    ok, report = check_ideal(nca, frame)
+    frame = ChartFrame(nca, [polys(XY, "y", "0")])
+    ok, report = check_ideal(frame)
     assert not ok
     assert report["generic"] is True
     assert report["pointwise"] is False
@@ -307,3 +309,22 @@ def test_pullback_bivector_through_linear_chart():
     mat, pole = pullback_bivector(ch, pi)
     assert pole is None
     assert str(mat[0][1]) == "u + v"
+
+
+def test_chart_report_samples_and_kernel_test_once(monkeypatch):
+    counts = {"exceptional_samples": 0, "poly_mat_vec": 0}
+    for name in counts:
+        original = getattr(charts_module, name)
+
+        def counting(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(charts_module, name, counting)
+    sc = load_corpus_scenario("sl2")
+    sc.steps = [s for s in sc.steps if s["op"] == "nash-chart-report"]
+    report = run_scenario(sc, seed=0)
+    assert [step.op for step in report.steps] == ["nash-chart-report"]
+    assert report.passed
+    # one sample search, and one anchor product for the frame's single column
+    assert counts == {"exceptional_samples": 1, "poly_mat_vec": 1}

@@ -156,6 +156,21 @@ def test_usage_errors_exit_2(so3_pi_file, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("exponent, code", [(64, 0), (65, 2)])
+def test_term_list_exponent_cap_exits_2(exponent, code, tmp_path, capsys):
+    term = {"vars": ["x"], "terms": [{"coeff": "1", "exps": [exponent]}]}
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps({"vars": ["x"], "rank": 1, "anchor": [[term]]}))
+    assert main(["rank", "--input", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.out == "generic rank: 1\n"
+    else:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "exponent above 64" in captured.err
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [

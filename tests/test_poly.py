@@ -244,6 +244,16 @@ def test_json_document_roundtrip():
     assert poly_from_doc("x^2 - 1/3*x*y + 5", XY) == p
 
 
+def test_term_list_exponent_cap():
+    def doc(exps):
+        return {"vars": ["x", "y"], "terms": [{"coeff": "1", "exps": exps}]}
+
+    assert poly_from_doc(doc([64, 0])) == MultiPoly(XY, {(64, 0): Fraction(1)})
+    for exps in ([65, 0], [0, 65], [100000, 0]):
+        with pytest.raises(ValueError, match="exponent above 64"):
+            poly_from_doc(doc(exps))
+
+
 def test_pow_edge_cases():
     p = P("x + 1")
     assert p**0 == MultiPoly.constant(XY, 1)
