@@ -10,7 +10,7 @@ are canonical subspaces, and generic ranks live over the fraction field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -20,7 +20,7 @@ from .linalg import (
     eval_matrix,
     frac_kernel,
     frac_rank,
-    frac_solve,
+    frac_rref,
     kernel_basis,
     minors,
     poly_mat_vec,
@@ -377,6 +377,7 @@ class IsotropyAlgebra:
 
     ``basis`` holds kernel vectors representing the quotient classes;
     ``structure[(a,b)]`` gives [basis_a, basis_b] in quotient coordinates.
+    ``row_coordinates[i]`` gives the quotient coordinates of kernel row i.
     """
 
     dim: int
@@ -384,6 +385,32 @@ class IsotropyAlgebra:
     structure: dict[tuple[int, int], tuple[Fraction, ...]]
     kernel: Subspace
     strong_kernel: Subspace
+    row_coordinates: tuple[tuple[Fraction, ...], ...] = field(repr=False, compare=False)
+
+    def coordinates(self, w: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
+        """Quotient coordinates of w, None outside the kernel.  A kernel
+        vector is sum_i w[p_i] * row_i over the RREF rows and their pivots."""
+        if not self.kernel.contains(w):
+            return None
+        out = [Fraction(0)] * self.dim
+        for c, row in zip(self.kernel.pivots, self.row_coordinates):
+            if w[c]:
+                out = [o + w[c] * q for o, q in zip(out, row)]
+        return tuple(out)
+
+
+def _quotient_basis(sker: Subspace, ker: Subspace):
+    """Representatives of ker / sker and the quotient coordinates of each
+    kernel row, from one elimination of the matrix whose columns are the Sker
+    rows, then the kernel rows: its pivot columns past Sker are the kernel rows
+    that extend Sker, and column p + i is kernel row i in (Sker, reps)."""
+    p = sker.dim
+    echelon, pivots = frac_rref(list(zip(*sker.rows, *ker.rows)))
+    reps = tuple(ker.rows[c - p] for c in pivots[p:])
+    row_coordinates = tuple(
+        tuple(echelon[p + b][p + i] for b in range(len(reps))) for i in range(ker.dim)
+    )
+    return reps, row_coordinates
 
 
 def isotropy_algebra_at(
@@ -413,34 +440,17 @@ def isotropy_algebra_at(
                     f"[Sker, ker] leaves Sker at {list(x)}; "
                     "the kernel generator set is incomplete or wrong"
                 )
-    reps: list[tuple[Fraction, ...]] = []
-    current = [list(r) for r in sker.rows]
-    for row in ker.rows:
-        if frac_rank(current + [list(row)]) > len(current):
-            reps.append(row)
-            current.append(list(row))
+    reps, row_coordinates = _quotient_basis(sker, ker)
     dim = ker.dim - sker.dim
     if len(reps) != dim:
         raise InternalInvariantError("quotient representatives miss the quotient dimension")
-    columns = [list(r) for r in sker.rows] + [list(r) for r in reps]
-    structure: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            sol = frac_solve(columns, bracket(reps[a], reps[b]))
-            if sol is None:
-                raise WellDefinednessFailureError(
-                    "bracket of representatives escaped the kernel span"
-                )
-            structure[(a, b)] = tuple(sol[sker.dim :])
+    iso = IsotropyAlgebra(dim, reps, {}, ker, sker, row_coordinates)
+    # the bracket raises if its value leaves the kernel, so none maps to None
+    for a, b in combinations(range(dim), 2):
+        iso.structure[(a, b)] = iso.coordinates(bracket(reps[a], reps[b]))
     if check_jacobi and is_lie_algebroid(algebroid):
-        _assert_jacobi_numeric(structure, dim)
-    return IsotropyAlgebra(
-        dim=dim,
-        basis=tuple(reps),
-        structure=structure,
-        kernel=ker,
-        strong_kernel=sker,
-    )
+        _assert_jacobi_numeric(iso.structure, dim)
+    return iso
 
 
 def _constant_table(structure, dim) -> list[list[tuple[tuple[int, Fraction], ...]]]:

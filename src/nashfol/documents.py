@@ -24,9 +24,11 @@ class DocumentError(ValueError):
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
     """Comma-separated rationals, e.g. "1,2,-1/3"."""
-    parts = [s for s in text.split(",") if s.strip()]
-    if not parts:
+    parts = text.split(",")
+    if not any(s.strip() for s in parts):
         raise DocumentError(f"empty point {text!r}")
+    if not all(s.strip() for s in parts):
+        raise DocumentError(f"empty coordinate in point {text!r}")
     try:
         return tuple(parse_rational(s) for s in parts)
     except ValueError as exc:
@@ -44,6 +46,13 @@ def point_from_doc(doc) -> tuple[Fraction, ...]:
 
 def point_to_doc(point: Sequence[Fraction]) -> list[str]:
     return [str(c) for c in point]
+
+
+def _shaped(doc, kind: type, what: str):
+    """The document itself when it is a JSON list or object, as ``kind`` asks."""
+    if not isinstance(doc, kind):
+        raise DocumentError(f"{what} must be {'a list' if kind is list else 'an object'}")
+    return doc
 
 
 def _poly(doc, variables) -> MultiPoly:
@@ -72,21 +81,22 @@ def algebroid_from_doc(doc):
     Returns an AlmostLieAlgebroid when "brackets" is present, otherwise the
     bare AnchoredBundle.
     """
-    if not isinstance(doc, dict):
-        raise DocumentError("algebroid document must be an object")
+    _shaped(doc, dict, "algebroid document")
     try:
-        variables = tuple(str(v) for v in doc["vars"])
+        variables = tuple(str(v) for v in _shaped(doc["vars"], list, '"vars"'))
         n = int(doc["rank"])
-        anchor_doc = doc["anchor"]
+        anchor_doc = _shaped(doc["anchor"], list, '"anchor"')
     except KeyError as exc:
         raise DocumentError(f"algebroid document missing {exc}") from exc
+    except TypeError as exc:
+        raise DocumentError(f'"rank" must be an integer, not {doc["rank"]!r}') from exc
     if len(anchor_doc) != len(variables):
         raise DocumentError(
             f"anchor has {len(anchor_doc)} rows for {len(variables)} variables"
         )
     anchor = []
     for row in anchor_doc:
-        if len(row) != n:
+        if len(_shaped(row, list, "an anchor row")) != n:
             raise DocumentError(f"anchor row of width {len(row)}, expected {n}")
         anchor.append([_poly(e, variables) for e in row])
     try:
@@ -96,9 +106,9 @@ def algebroid_from_doc(doc):
     if "brackets" not in doc:
         return bundle
     structure = {}
-    for key, section in doc["brackets"].items():
+    for key, section in _shaped(doc["brackets"], dict, '"brackets"').items():
         pair = _pair_key(key, n)
-        if len(section) != n:
+        if len(_shaped(section, list, f"bracket {key!r}")) != n:
             raise DocumentError(f"bracket {key!r} has {len(section)} components")
         structure[pair] = [_poly(e, variables) for e in section]
     try:
@@ -123,11 +133,10 @@ def algebroid_to_doc(a) -> dict:
 
 
 def bivector_from_doc(doc) -> Bivector:
-    if not isinstance(doc, dict):
-        raise DocumentError("bivector document must be an object")
+    _shaped(doc, dict, "bivector document")
     try:
-        variables = tuple(str(v) for v in doc["vars"])
-        entries_doc = doc["pi"]
+        variables = tuple(str(v) for v in _shaped(doc["vars"], list, '"vars"'))
+        entries_doc = _shaped(doc["pi"], dict, '"pi"')
     except KeyError as exc:
         raise DocumentError(f"bivector document missing {exc}") from exc
     d = len(variables)
@@ -151,11 +160,12 @@ def bivector_to_doc(pi: Bivector) -> dict:
 
 
 def curve_from_doc(doc) -> CurveGerm:
-    if not isinstance(doc, dict):
-        raise DocumentError("curve document must be an object")
+    _shaped(doc, dict, "curve document")
     try:
-        target = tuple(parse_rational(str(c)) for c in doc["target"])
-        components = tuple(_poly(c, CURVE_VAR) for c in doc["components"])
+        target_doc = _shaped(doc["target"], list, '"target"')
+        target = tuple(parse_rational(str(c)) for c in target_doc)
+        components_doc = _shaped(doc["components"], list, '"components"')
+        components = tuple(_poly(c, CURVE_VAR) for c in components_doc)
     except KeyError as exc:
         raise DocumentError(f"curve document missing {exc}") from exc
     except ValueError as exc:
@@ -176,11 +186,10 @@ def curve_to_doc(curve: CurveGerm) -> dict:
 def chart_from_doc(doc, target_vars: Sequence[str]) -> ChartMap:
     """Read a chart document; the target variables come from the input it
     will be applied to."""
-    if not isinstance(doc, dict):
-        raise DocumentError("chart document must be an object")
+    _shaped(doc, dict, "chart document")
     try:
-        chart_vars = tuple(str(v) for v in doc["chart_vars"])
-        phi = [_poly(p, chart_vars) for p in doc["phi"]]
+        chart_vars = tuple(str(v) for v in _shaped(doc["chart_vars"], list, '"chart_vars"'))
+        phi = [_poly(p, chart_vars) for p in _shaped(doc["phi"], list, '"phi"')]
     except KeyError as exc:
         raise DocumentError(f"chart document missing {exc}") from exc
     exceptional = None
@@ -194,8 +203,8 @@ def chart_from_doc(doc, target_vars: Sequence[str]) -> ChartMap:
 
 def kernel_gens_from_doc(doc, variables: Sequence[str], n: int) -> list[list[MultiPoly]]:
     gens = []
-    for idx, section in enumerate(doc):
-        if len(section) != n:
+    for idx, section in enumerate(_shaped(doc, list, '"kernel_gens"')):
+        if len(_shaped(section, list, f"kernel generator {idx}")) != n:
             raise DocumentError(
                 f"kernel generator {idx} has {len(section)} components, expected {n}"
             )

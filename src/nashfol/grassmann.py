@@ -26,9 +26,10 @@ class ZeroDimError(ValueError):
 
 
 class Subspace:
-    """A linear subspace of Q^n in canonical (RREF) form."""
+    """A linear subspace of Q^n in canonical (RREF) form.  It is never
+    mutated, so its Pluecker vector is computed at most once and kept."""
 
-    __slots__ = ("n", "rows", "pivots")
+    __slots__ = ("n", "rows", "pivots", "_pluecker")
 
     def __init__(self, n: int, vectors: Iterable[Sequence[Fraction]]):
         vecs = [list(v) for v in vectors]
@@ -39,6 +40,7 @@ class Subspace:
         self.n = n
         self.rows = tuple(tuple(row) for row in rows)
         self.pivots = tuple(pivots)
+        self._pluecker: PlueckerVector | None = None
 
     @property
     def dim(self) -> int:
@@ -72,12 +74,13 @@ class Subspace:
         return [list(r) for r in self.rows]
 
     def pluecker(self) -> "PlueckerVector":
-        k = self.dim
-        coords = [
-            frac_det([[row[c] for c in cols] for row in self.rows])
-            for cols in combinations(range(self.n), k)
-        ]
-        return PlueckerVector.from_fractions(self.n, k, coords)
+        if self._pluecker is None:
+            coords = [
+                frac_det([[row[c] for c in cols] for row in self.rows])
+                for cols in combinations(range(self.n), self.dim)
+            ]
+            self._pluecker = PlueckerVector.from_fractions(self.n, self.dim, coords)
+        return self._pluecker
 
 
 class PlueckerVector:

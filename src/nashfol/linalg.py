@@ -377,28 +377,6 @@ def frac_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return result
 
 
-def frac_solve(
-    columns: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """Coefficients expressing target in the given column vectors, or None.
-
-    The columns are assumed independent, so a representation is unique.
-    """
-    ncols = len(columns)
-    nrows = len(target)
-    aug = [
-        [Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-        for i in range(nrows)
-    ]
-    rows, pivots = frac_rref(aug)
-    if ncols in pivots:
-        return None
-    sol = [Fraction(0)] * ncols
-    for a, c in enumerate(pivots):
-        sol[c] = rows[a][-1]
-    return sol
-
-
 def frac_kernel(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
     """Basis of the right kernel of a Fraction matrix, one vector per free column."""
     if ncols is None:

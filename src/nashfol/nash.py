@@ -30,7 +30,7 @@ from .algebroid import (
     strong_kernel_at,
 )
 from .grassmann import PlueckerVector, Subspace, unpluecker
-from .linalg import frac_solve, kernel_basis, minors, rank
+from .linalg import kernel_basis, minors, rank
 from .poly import InternalInvariantError, MultiPoly
 
 CURVE_VAR = ("t",)
@@ -129,7 +129,8 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
 
     Computed in Pluecker coordinates: take maximal minors over Q[t], strip
     the common power of t, evaluate at 0, reconstruct.  The reconstruction
-    is round-trip verified, so a failure here is an internal error.
+    is round-trip verified, and the returned subspace keeps the Pluecker
+    vector that check computed.
     """
     k = len(basis_over_t)
     if k == 0:
@@ -149,11 +150,16 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
         p.shift_down((valuation,)) if not p.is_zero() else p for p in coords
     ]
     at_zero = [p.eval([Fraction(0)]) for p in shifted]
-    pv = PlueckerVector.from_fractions(n, k, at_zero)
-    limit = unpluecker(pv)
-    if limit.dim != k:
-        raise InternalInvariantError("Pluecker round trip changed the limit dimension")
-    return limit
+    return unpluecker(PlueckerVector.from_fractions(n, k, at_zero))
+
+
+def limit_along(a, curve: CurveGerm) -> Subspace:
+    """The t -> 0 limit of the anchor kernel along the arc: the one arc-limit
+    path.  A full-rank anchor has the zero subspace as its limit."""
+    basis = kernel_curve(a, curve)
+    if not basis:
+        return Subspace(_bundle_of(a).fiber_rank, [])
+    return limit_subspace(basis)
 
 
 @dataclass(frozen=True)
@@ -190,14 +196,10 @@ def nash_fiber_sample(a, x: Point, curves: Sequence[CurveGerm]) -> NashFiberSamp
     status = []
     for curve in curves:
         try:
-            basis = kernel_curve(bundle, curve)
+            limit = limit_along(bundle, curve)
         except CurveInSingularLocusError:
             status.append("singular")
             continue
-        if not basis:
-            limit = Subspace(bundle.fiber_rank, [])
-        else:
-            limit = limit_subspace(basis)
         pv = limit.pluecker()
         status.append("ok")
         if pv not in seen:
@@ -283,13 +285,9 @@ def isotropy_image(
     the image is verified to be a subalgebra of the quotient constants.
     """
     iso = isotropy_algebra_at(algebroid, kernel_gens, x)
-    columns = [list(r) for r in iso.strong_kernel.rows] + [list(b) for b in iso.basis]
-    image_vectors = []
-    for row in v.rows:
-        sol = frac_solve(columns, list(row))
-        if sol is None:
-            raise ValueError("limit subspace escapes the kernel span")
-        image_vectors.append(sol[iso.strong_kernel.dim :])
+    image_vectors = [iso.coordinates(row) for row in v.rows]
+    if None in image_vectors:
+        raise ValueError("limit subspace escapes the kernel span")
     image = Subspace(iso.dim, image_vectors)
     codim = iso.dim - image.dim
     expected = anchor_rank_generic(algebroid) - rank_at(algebroid, x)

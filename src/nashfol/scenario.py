@@ -48,7 +48,7 @@ from .documents import (
     point_from_doc,
 )
 from .grassmann import PlueckerVector, Subspace
-from .nash import default_arcs, kernel_curve, limit_subspace, nash_fiber_sample
+from .nash import default_arcs, limit_along, nash_fiber_sample
 from .poisson import cotangent_algebroid, is_poisson, pi_sharp
 from .poly import MultiPoly, RatFunc, parse_poly, parse_rational
 
@@ -411,7 +411,7 @@ class _Runner:
     def step_nash_limit(self, step) -> StepResult:
         a = self.anchor_source(step)
         curve = self.resolve(step, "curve")
-        limit = limit_subspace(kernel_curve(a, curve))
+        limit = limit_along(a, curve)
         pv = limit.pluecker()
         checks: list[Check] = []
         expect = step.get("expect", {})

@@ -65,6 +65,20 @@ def test_nash_limit_with_curve_file(so3_pi_file, tmp_path, capsys):
     assert "basis [(1, 2, 3)]" in out
 
 
+def test_nash_limit_of_full_rank_anchor_is_zero_subspace(tmp_path, capsys):
+    bundle = tmp_path / "full_rank.json"
+    bundle.write_text(json.dumps({"vars": ["x"], "rank": 1, "anchor": [["x"]]}))
+    curve = tmp_path / "ray.json"
+    curve.write_text(json.dumps({"target": ["0"], "components": ["t"]}))
+    limit_args = ["nash-limit", "--input", str(bundle), "--curve", str(curve)]
+    assert main(limit_args) == 0
+    assert capsys.readouterr().out == "limit: dim 0, basis [], pluecker (1)\n"
+    assert main(limit_args + ["--json"]) == 0
+    limit = json.loads(capsys.readouterr().out)
+    assert main(["nash-fiber", "--input", str(bundle), "--point", "0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["limits"] == [limit]
+
+
 def test_nash_fiber_seed_in_header_and_determinism(so3_pi_file, capsys):
     args = ["nash-fiber", "--input", so3_pi_file, "--point", "0,0,0", "--seed", "9"]
     assert main(args) == 0
@@ -284,6 +298,37 @@ def test_malformed_scenario_exits_2(changes, tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(doc, **changes)))
     assert main(["run-scenario", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+_BUNDLE = {"vars": ["x", "y"], "rank": 2, "anchor": [["x", "0"], ["0", "y"]]}
+
+
+@pytest.mark.parametrize(
+    "doc, point",
+    [
+        (dict(_BUNDLE, brackets=[]), "1,2"),
+        (dict(_BUNDLE, anchor=5), "1,2"),
+        (dict(_BUNDLE, brackets={"0,1": 5}), "1,2"),
+        ({"vars": ["x", "y"], "pi": []}, "1,2"),
+        (dict(_BUNDLE, vars=5), "1,2"),
+        ({"algebroid": _BUNDLE, "kernel_gens": 5}, "1,2"),
+        ({"algebroid": _BUNDLE, "kernel_gens": [5]}, "1,2"),
+        (_BUNDLE, "1,,2"),
+        (_BUNDLE, "1,2,"),
+    ],
+    ids=[
+        "brackets-list", "anchor-int", "bracket-section-int", "pi-list", "vars-int",
+        "kernel-gens-int", "kernel-gen-int", "point-inner-blank", "point-trailing-comma",
+    ],
+)
+def test_wrongly_shaped_input_exits_2(doc, point, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["kernel-at", "--input", str(path), "--point", point]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -229,7 +229,7 @@ def test_frame_change_invariance_basic():
     before = nash_fiber_sample(alg.bundle, ORIGIN3, curves)
     after = nash_fiber_sample(changed, ORIGIN3, curves)
     # G^{-1} maps original limits onto transformed ones
-    from nashfol.linalg import frac_solve
+    from oracles import frac_solve
 
     g_frac = [[Fraction(e) for e in row] for row in g_rows]
     cols = [[g_frac[i][j] for i in range(3)] for j in range(3)]
