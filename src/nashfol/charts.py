@@ -38,9 +38,10 @@ from .linalg import (
     frac_kernel,
     frac_rank,
     kernel_basis,
+    poly_mat_mul,
     poly_mat_vec,
     rank,
-    ratfunc_solve,
+    rref,
     solve,
 )
 from .nash import _seeded_rng
@@ -51,7 +52,7 @@ from .poly import (
     MultiPoly,
     RatFunc,
     divides,
-    exact_div,
+    exact_quotients,
 )
 
 Point = Sequence[Fraction]
@@ -228,7 +229,8 @@ def pullback_vector_field(chart: ChartMap, field: Sequence[MultiPoly]) -> Pulled
 def pullback_bivector(
     chart: ChartMap, pi: Bivector
 ) -> tuple[list[list[RatFunc]], MultiPoly | None]:
-    """Congruence transform of the bivector matrix by the inverse Jacobian.
+    """Congruence transform of the bivector matrix by the inverse Jacobian J,
+    adj(J)·(pi o phi)·adj(J)^T / det(J)^2.
 
     Returns the rational chart bivector and its pole: the least common
     denominator of the entries, or None when all of them are polynomial.
@@ -238,29 +240,11 @@ def pullback_bivector(
     d = chart.dim
     pi_phi = [[chart.compose(pi.matrix[i][j]) for j in range(d)] for i in range(d)]
     adj = adjugate(chart.jac)
-    middle = []
-    for i in range(d):
-        row = []
-        for b in range(d):
-            acc = MultiPoly.zero(chart.chart_vars)
-            for a in range(d):
-                acc = acc + adj[i][a] * pi_phi[a][b]
-            row.append(acc)
-        middle.append(row)
+    congruent = poly_mat_mul(poly_mat_mul(adj, pi_phi), [list(col) for col in zip(*adj)])
     det_sq = chart.jac_det * chart.jac_det
-    out: list[list[RatFunc]] = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = MultiPoly.zero(chart.chart_vars)
-            for b in range(d):
-                acc = acc + middle[i][b] * adj[j][b]
-            row.append(RatFunc(acc, det_sq))
-        out.append(row)
-    for i in range(d):
-        for j in range(d):
-            if not (out[i][j] + out[j][i]).is_zero():
-                raise InternalInvariantError("pullback lost skew-symmetry")
+    if any(congruent[i][j] + congruent[j][i] for i in range(d) for j in range(d)):
+        raise InternalInvariantError("pullback lost skew-symmetry")
+    out = [[RatFunc(entry, det_sq) for entry in row] for row in congruent]
     dens = [
         out[i][j].den
         for i in range(d)
@@ -511,8 +495,8 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
         combo = [MultiPoly.zero(chart.chart_vars) for _ in range(n)]
         for idx in involved:
             combo = [acc + cols[idx][i] * ints[idx] for i, acc in enumerate(combo)]
-        while all(divides(e_poly, p) for p in combo):
-            combo = [exact_div(p, e_poly) for p in combo]
+        while (quotients := exact_quotients(combo, e_poly)) is not None:
+            combo = quotients
         combo = clear_denominators([RatFunc(p) for p in combo])
         same = combo == cols[leader] or combo == [-p for p in cols[leader]]
         if same:
@@ -588,28 +572,23 @@ def debord_generators(a, chart: ChartMap) -> tuple[list[PulledBackField], list[R
     d = bundle.base_dim
     pullbacks = pullback_anchor(bundle, chart)
     columns = _resolved_columns(pullbacks)
-    full = [[columns[j][i] for j in range(n)] for i in range(d)]
-    r = rank(full)
+    r = rank([[columns[j][i] for j in range(n)] for i in range(d)])
     fallback: list[Relation] | None = None
     for subset in itertools.combinations(range(n), r):
-        chosen = [columns[j] for j in subset]
-        if rank([[col[i] for col in chosen] for i in range(d)]) < r:
+        rest = [j for j in range(n) if j not in subset]
+        order = list(subset) + rest
+        # the subset is independent iff its columns are the first r pivots;
+        # rref column r+i then holds the coefficients of rest[i] over it
+        rows, pivots = rref([[columns[j][i] for j in order] for i in range(d)])
+        if pivots[:r] != list(range(r)):
             continue
-        relations = []
-        for j in range(n):
-            if j in subset:
-                continue
-            coeffs = ratfunc_solve(chosen, columns[j])
-            if coeffs is None:
-                raise InternalInvariantError("maximal independent subset failed to span")
-            relations.append(
-                Relation(
-                    index=j,
-                    basis=subset,
-                    coefficients=tuple(coeffs),
-                    polynomial=all(c.is_polynomial() for c in coeffs),
-                )
-            )
+        if len(pivots) > r:
+            raise InternalInvariantError("maximal independent subset failed to span")
+        coefficients = [tuple(row[r + i] for row in rows) for i in range(len(rest))]
+        relations = [
+            Relation(j, subset, coeffs, all(c.is_polynomial() for c in coeffs))
+            for j, coeffs in zip(rest, coefficients)
+        ]
         if fallback is None:
             fallback = relations
         if all(rel.polynomial for rel in relations):

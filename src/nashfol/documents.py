@@ -55,6 +55,14 @@ def _shaped(doc, kind: type, what: str):
     return doc
 
 
+def _names(doc, what: str) -> tuple[str, ...]:
+    """A JSON list of distinct strings, such as a document's variable names."""
+    names = _shaped(doc, list, what)
+    if not all(isinstance(v, str) for v in names) or len(set(names)) != len(names):
+        raise DocumentError(f"{what} must hold distinct strings, not {names!r}")
+    return tuple(names)
+
+
 def _poly(doc, variables) -> MultiPoly:
     try:
         return poly_from_doc(doc, variables)
@@ -83,13 +91,13 @@ def algebroid_from_doc(doc):
     """
     _shaped(doc, dict, "algebroid document")
     try:
-        variables = tuple(str(v) for v in _shaped(doc["vars"], list, '"vars"'))
-        n = int(doc["rank"])
+        variables = _names(doc["vars"], '"vars"')
+        n = doc["rank"]
         anchor_doc = _shaped(doc["anchor"], list, '"anchor"')
     except KeyError as exc:
         raise DocumentError(f"algebroid document missing {exc}") from exc
-    except TypeError as exc:
-        raise DocumentError(f'"rank" must be an integer, not {doc["rank"]!r}') from exc
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        raise DocumentError(f'"rank" must be a non-negative integer, not {n!r}')
     if len(anchor_doc) != len(variables):
         raise DocumentError(
             f"anchor has {len(anchor_doc)} rows for {len(variables)} variables"
@@ -135,7 +143,7 @@ def algebroid_to_doc(a) -> dict:
 def bivector_from_doc(doc) -> Bivector:
     _shaped(doc, dict, "bivector document")
     try:
-        variables = tuple(str(v) for v in _shaped(doc["vars"], list, '"vars"'))
+        variables = _names(doc["vars"], '"vars"')
         entries_doc = _shaped(doc["pi"], dict, '"pi"')
     except KeyError as exc:
         raise DocumentError(f"bivector document missing {exc}") from exc
@@ -188,7 +196,7 @@ def chart_from_doc(doc, target_vars: Sequence[str]) -> ChartMap:
     will be applied to."""
     _shaped(doc, dict, "chart document")
     try:
-        chart_vars = tuple(str(v) for v in _shaped(doc["chart_vars"], list, '"chart_vars"'))
+        chart_vars = _names(doc["chart_vars"], '"chart_vars"')
         phi = [_poly(p, chart_vars) for p in _shaped(doc["phi"], list, '"phi"')]
     except KeyError as exc:
         raise DocumentError(f"chart document missing {exc}") from exc

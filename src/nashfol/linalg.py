@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .poly import InternalInvariantError, MultiPoly, RatFunc, divides, exact_div
+from .poly import InternalInvariantError, MultiPoly, RatFunc, exact_div, exact_quotients
 
 PolyMatrix = list[list[MultiPoly]]
 PolyVector = list[MultiPoly]
@@ -198,10 +198,10 @@ def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
         scale = scale * d
     polys = [(e * scale).as_poly() for e in entries]
     for d in dens:
-        while d.total_degree() > 0 and all(
-            p.is_zero() or divides(d, p) for p in polys
-        ) and any(not p.is_zero() for p in polys):
-            polys = [exact_div(p, d) if p else p for p in polys]
+        while d.total_degree() > 0 and any(polys):
+            if (quotients := exact_quotients(polys, d)) is None:
+                break
+            polys = quotients
     live = [p for p in polys if not p.is_zero()]
     if not live:
         return polys
@@ -210,16 +210,11 @@ def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
         mono = tuple(map(min, mono, p.monomial_content()))
     if any(mono):
         polys = [p.shift_down(mono) if p else p for p in polys]
-    content = None
-    for p in polys:
-        if p.is_zero():
-            continue
-        c = abs(p.content())
-        content = c if content is None else Fraction(
-            math.gcd(content.numerator * c.denominator, c.numerator * content.denominator),
-            content.denominator * c.denominator,
-        )
-    if content is not None and content != 1:
+    coeffs = [c for p in live for c in p.terms.values()]
+    content = Fraction(
+        math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs))
+    )
+    if content != 1:
         polys = [
             MultiPoly(vs, {e: v / content for e, v in p.terms.items()}) for p in polys
         ]
@@ -288,29 +283,6 @@ def adjugate(m: Sequence[Sequence[MultiPoly]]) -> PolyMatrix:
             row.append(cof if (i + j) % 2 == 0 else -cof)
         adj.append(row)
     return adj
-
-
-def ratfunc_solve(
-    columns: Sequence[Sequence[MultiPoly]], target: Sequence[MultiPoly]
-) -> list[RatFunc] | None:
-    """Coefficients expressing target in the given polynomial columns, or None.
-
-    The columns are assumed independent over the fraction field, so any
-    representation is unique.
-    """
-    ncols = len(columns)
-    aug = [
-        [columns[j][i] for j in range(ncols)] + [target[i]]
-        for i in range(len(target))
-    ]
-    rows, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    zero = RatFunc(MultiPoly.zero(target[0].vars))
-    sol = [zero] * ncols
-    for a, c in enumerate(pivots):
-        sol[c] = rows[a][-1]
-    return sol
 
 
 # ---------------------------------------------------------------------------

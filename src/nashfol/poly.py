@@ -62,6 +62,11 @@ class InternalInvariantError(RuntimeError):
 # uses at most 4, and a bound keeps hostile input from expanding without limit.
 MAX_EXPONENT = 64
 
+# Largest term count that a '*' or '^' in polynomial text may be asked for,
+# bounded before expanding: the exponent cap alone still lets a short power
+# of a long sum ask for billions of terms.
+MAX_TERMS = 10_000
+
 
 def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     """Sort key realizing graded lexicographic order (ascending)."""
@@ -367,52 +372,68 @@ class MultiPoly:
         return " ".join(pieces)
 
 
-def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Exact polynomial quotient p/q; raises ExactDivisionError otherwise.
+def _divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """Quotient and remainder of p by q, the only polynomial division loop.
 
-    Repeatedly cancels the graded-lex leading term.  When the division is
-    exact this terminates with remainder zero; the first leading term that q's
-    leading monomial fails to divide proves inexactness.
+    Cancels the graded-lex leading term while q's leading monomial divides it
+    and stops at the first one it does not divide.  The remainder is zero
+    exactly when q divides p (while it is a multiple of q, its leading term
+    is divisible), and in one variable it is the Euclidean remainder.
     """
     p._check_same_ring(q)
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     q_exps, q_coeff = q.leading()
     quotient: dict[Exponents, Fraction] = {}
-    rem = p
-    while rem.terms:
-        r_exps, r_coeff = rem.leading()
+    rem = dict(p.terms)
+    while rem:
+        r_exps = max(rem, key=grlex_key)
         t = tuple(a - b for a, b in zip(r_exps, q_exps))
         if any(x < 0 for x in t):
-            raise ExactDivisionError(f"({p}) is not divisible by ({q})")
-        c = r_coeff / q_coeff
+            break
+        c = rem[r_exps] / q_coeff
         quotient[t] = c
-        rem = rem - MultiPoly(p.vars, {t: c}) * q
-    return MultiPoly(p.vars, quotient)
+        for e, v in q.terms.items():
+            e = tuple(a + b for a, b in zip(t, e))
+            s = rem.get(e, 0) - c * v
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+    return MultiPoly(p.vars, quotient), MultiPoly(p.vars, rem)
+
+
+def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
+    """Exact polynomial quotient p/q; raises ExactDivisionError otherwise."""
+    quotient, rem = _divmod(p, q)
+    if rem:
+        raise ExactDivisionError(f"({p}) is not divisible by ({q})")
+    return quotient
 
 
 def divides(q: MultiPoly, p: MultiPoly) -> bool:
     """True iff q divides p exactly (q nonzero)."""
-    try:
-        exact_div(p, q)
-        return True
-    except ExactDivisionError:
-        return False
+    return not _divmod(p, q)[1]
+
+
+def exact_quotients(polys: Iterable[MultiPoly], q: MultiPoly) -> list[MultiPoly] | None:
+    """Every p/q, or None when q fails to divide one of them; each p is
+    divided once."""
+    out = []
+    for p in polys:
+        quotient, rem = _divmod(p, q)
+        if rem:
+            return None
+        out.append(quotient)
+    return out
 
 
 def poly_gcd_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Primitive gcd of two univariate polynomials (monic Euclid over Q)."""
+    """Primitive gcd of two univariate polynomials (Euclid over Q)."""
     if len(a.vars) != 1 or a.vars != b.vars:
         raise ArityMismatchError("univariate gcd needs matching single variables")
     while not b.is_zero():
-        # remainder of a by b over Q
-        r = a
-        b_exps, b_coeff = b.leading()
-        while not r.is_zero() and r.leading()[0][0] >= b_exps[0]:
-            r_exps, r_coeff = r.leading()
-            shift = (r_exps[0] - b_exps[0],)
-            r = r - MultiPoly(a.vars, {shift: r_coeff / b_coeff}) * b
-        a, b = b, r
+        a, b = b, _divmod(a, b)[1]
     return a.primitive()
 
 
@@ -446,8 +467,7 @@ class RatFunc:
             if len(num.vars) == 1 and den.total_degree() > 0:
                 g = poly_gcd_univariate(num, den)
                 if g.total_degree() > 0:
-                    num = exact_div(num, g)
-                    den = exact_div(den, g)
+                    num, den = exact_div(num, g), exact_div(den, g)
         c = den.content()
         if c != 1:
             den = MultiPoly(den.vars, {e: v / c for e, v in den.terms.items()})
@@ -586,7 +606,8 @@ class _Parser:
 
     Whitespace is insignificant.  A leading '-' (on any term) is accepted as a
     superset of the strict grammar so that negative leading coefficients have
-    a printable form.
+    a printable form.  A '*' or '^' whose result may exceed MAX_TERMS terms
+    is refused before it is expanded.
     """
 
     def __init__(self, text: str, variables: Sequence[str]):
@@ -623,6 +644,11 @@ class _Parser:
             p = p + q if op == "+" else p - q
         return p
 
+    @staticmethod
+    def check_terms(bound: int, op: tuple[str, str, int]) -> None:
+        if bound > MAX_TERMS:
+            raise PolySyntaxError(f"'{op[1]}' may give more than {MAX_TERMS} terms", op[2])
+
     def term(self) -> MultiPoly:
         negate = False
         if self.peek()[0] == "-":
@@ -630,18 +656,24 @@ class _Parser:
             negate = True
         p = self.factor()
         while self.peek()[0] == "*":
-            self.advance()
-            p = p * self.factor()
+            op = self.advance()
+            q = self.factor()
+            self.check_terms(len(p.terms) * len(q.terms), op)
+            p = p * q
         return -p if negate else p
 
     def factor(self) -> MultiPoly:
         p = self.base()
         if self.peek()[0] == "^":
-            self.advance()
+            op = self.advance()
             tok = self.expect("INT")
-            if int(tok[1]) > MAX_EXPONENT:
+            e = int(tok[1])
+            if e > MAX_EXPONENT:
                 raise PolySyntaxError(f"exponent above {MAX_EXPONENT}", tok[2])
-            p = p ** int(tok[1])
+            # t terms to the power e give at most the C(t+e-1, e) monomials of degree e in them
+            t = len(p.terms)
+            self.check_terms(math.comb(t + e - 1, e) if t else 1, op)
+            p = p**e
         return p
 
     def base(self) -> MultiPoly:

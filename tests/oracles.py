@@ -5,9 +5,11 @@ used before each fast path replaced it."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
-from nashfol.linalg import frac_rank, frac_rref
+from nashfol.linalg import frac_rank, frac_rref, rank, rref
+from nashfol.poly import MultiPoly, RatFunc
 
 
 def frac_solve(
@@ -41,3 +43,51 @@ def greedy_representatives(sker_rows, ker_rows) -> list[tuple[Fraction, ...]]:
             reps.append(tuple(row))
             current.append(list(row))
     return reps
+
+
+def ratfunc_solve(
+    columns: Sequence[Sequence[MultiPoly]], target: Sequence[MultiPoly]
+) -> list[RatFunc] | None:
+    """Coefficients expressing target in the given polynomial columns, or None.
+
+    The columns are assumed independent over the fraction field, so any
+    representation is unique.
+    """
+    ncols = len(columns)
+    aug = [
+        [columns[j][i] for j in range(ncols)] + [target[i]]
+        for i in range(len(target))
+    ]
+    rows, pivots = rref(aug)
+    if ncols in pivots:
+        return None
+    zero = RatFunc(MultiPoly.zero(target[0].vars))
+    sol = [zero] * ncols
+    for a, c in enumerate(pivots):
+        sol[c] = rows[a][-1]
+    return sol
+
+
+def relations_by_solve(columns: Sequence[Sequence[MultiPoly]]):
+    """The relations ``charts.debord_generators`` reports, as (index, basis,
+    coefficients) triples: subsets of rank-many columns in lexicographic
+    order, each tested by its own ``rank`` and each dependent column solved
+    by its own ``ratfunc_solve``; the first subset with all coefficients
+    polynomial wins, else the first independent one."""
+    n, d = len(columns), len(columns[0])
+    r = rank([[columns[j][i] for j in range(n)] for i in range(d)])
+    fallback = None
+    for subset in combinations(range(n), r):
+        chosen = [columns[j] for j in subset]
+        if rank([[col[i] for col in chosen] for i in range(d)]) < r:
+            continue
+        relations = [
+            (j, subset, ratfunc_solve(chosen, columns[j]))
+            for j in range(n)
+            if j not in subset
+        ]
+        if fallback is None:
+            fallback = relations
+        if all(c.is_polynomial() for _, _, coeffs in relations for c in coeffs):
+            return relations
+    return fallback

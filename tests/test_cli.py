@@ -319,10 +319,20 @@ _BUNDLE = {"vars": ["x", "y"], "rank": 2, "anchor": [["x", "0"], ["0", "y"]]}
         ({"algebroid": _BUNDLE, "kernel_gens": [5]}, "1,2"),
         (_BUNDLE, "1,,2"),
         (_BUNDLE, "1,2,"),
+        (dict(_BUNDLE, rank=2.7), "1,2"),
+        ({"vars": ["x", "y"], "rank": True, "anchor": [["x"], ["y"]]}, "1,2"),
+        ({"vars": ["x", "y"], "rank": "3", "anchor": [["x", "0", "0"], ["0", "y", "0"]]}, "1,2"),
+        (dict(_BUNDLE, rank=-1), "1,2"),
+        ({"vars": ["x", "x"], "rank": 1, "anchor": [["x"], ["x"]]}, "1,2"),
+        ({"vars": ["x", 1], "rank": 1, "anchor": [["x"], ["x"]]}, "1,2"),
+        ({"vars": ["x", "x"], "pi": {"0,1": "x"}}, "1,2"),
+        ({"algebroid": _BUNDLE, "charts": {"c": {"chart_vars": ["u", "u"], "phi": ["u", "u"]}}}, "1,2"),
     ],
     ids=[
         "brackets-list", "anchor-int", "bracket-section-int", "pi-list", "vars-int",
         "kernel-gens-int", "kernel-gen-int", "point-inner-blank", "point-trailing-comma",
+        "rank-float", "rank-bool", "rank-string", "rank-negative", "vars-repeated",
+        "vars-not-string", "bivector-vars-repeated", "chart-vars-repeated",
     ],
 )
 def test_wrongly_shaped_input_exits_2(doc, point, tmp_path, capsys):

@@ -19,11 +19,11 @@ from nashfol.linalg import (
     poly_mat_mul,
     poly_mat_vec,
     rank,
-    ratfunc_solve,
     rref,
     solve,
 )
 from nashfol.poly import MultiPoly, parse_poly
+from oracles import ratfunc_solve
 
 XYZ = ("x", "y", "z")
 X12 = ("x1", "x2")

@@ -12,10 +12,11 @@ from nashfol.algebroid import (
     _quotient_basis,
     anchor_rank_generic,
 )
+from nashfol.charts import ChartMap, debord_generators
 from nashfol.grassmann import Subspace, unpluecker
 from nashfol.nash import CurveGerm, CurveInSingularLocusError, limit_along
 from nashfol.poly import MultiPoly
-from oracles import frac_solve, greedy_representatives
+from oracles import frac_solve, greedy_representatives, relations_by_solve
 
 _ENTRY = st.integers(-3, 3)
 
@@ -102,3 +103,47 @@ def test_limit_along_reuses_a_correct_pluecker_vector(anchor, direction):
     if limit.dim:
         assert limit._pluecker is not None
     assert limit.pluecker() == Subspace(limit.n, limit.rows).pluecker()
+
+
+_XYZ = ("x", "y", "z")
+_SMALL = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+    _ENTRY.filter(bool).map(Fraction),
+    max_size=3,
+).map(lambda terms: MultiPoly(_XYZ, terms))
+
+
+@st.composite
+def _anchor_columns(draw):
+    """Three-component polynomial columns, each either fresh or a polynomial
+    combination of earlier ones, so that lexicographically early subsets are
+    often dependent and the chosen basis is not a prefix."""
+    n = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(n):
+        if columns and draw(st.booleans()):
+            picks = draw(st.lists(st.sampled_from(columns), min_size=1, max_size=2))
+            factors = [draw(_SMALL) for _ in picks]
+            col = [
+                sum((f * c[i] for f, c in zip(factors, picks)), MultiPoly.zero(_XYZ))
+                for i in range(3)
+            ]
+        else:
+            col = [draw(_SMALL) for _ in range(3)]
+        columns.append(col)
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(_anchor_columns())
+def test_debord_relations_match_per_target_solve(columns):
+    bundle = AnchoredBundle(_XYZ, [[col[i] for col in columns] for i in range(3)])
+    pullbacks, relations = debord_generators(bundle, ChartMap.identity(_XYZ))
+    pulled = [pb.polynomial_components() for pb in pullbacks]
+    expected = relations_by_solve(pulled)
+    assert [(rel.index, rel.basis) for rel in relations] == [
+        (j, basis) for j, basis, _ in expected
+    ]
+    for rel, (_, _, coeffs) in zip(relations, expected):
+        assert [str(c) for c in rel.coefficients] == [str(c) for c in coeffs]
+        assert rel.polynomial == all(c.is_polynomial() for c in coeffs)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from nashfol.poly import (
     ArityMismatchError,
+    MAX_TERMS,
     ExactDivisionError,
     MultiPoly,
     PolySyntaxError,
@@ -138,6 +139,30 @@ def test_exponent_cap():
     with pytest.raises(PolySyntaxError) as exc:
         parse_poly("(x + y)^100", XY)
     assert exc.value.offset == 8
+
+
+def test_term_cap(monkeypatch):
+    largest = []
+    multiply = MultiPoly.__mul__
+
+    def spy(self, other):
+        product = multiply(self, other)
+        largest.append(len(product.terms))
+        return product
+
+    monkeypatch.setattr(MultiPoly, "__mul__", spy)
+    ten = tuple("abcdefghij")
+    linear = "(" + " + ".join(ten) + ")"
+    assert len(parse_poly(linear + "^6", ten).terms) == 5005
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly(linear + "^7", ten)  # bound C(16, 7) = 11440
+    assert exc.value.offset == len(linear)
+    hundred = "(" + " + ".join(f"x^{i}*y^{j}" for i in range(10) for j in range(10)) + ")"
+    assert len(parse_poly(f"{hundred} * {hundred}", XYZ).terms) == 19 * 19  # bound 10000
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly(f"{hundred} * ({hundred[1:-1]} + z)", XYZ)  # bound 100 * 101
+    assert exc.value.offset == len(hundred) + 1
+    assert max(largest) <= MAX_TERMS
 
 
 def test_unknown_variable_error():
