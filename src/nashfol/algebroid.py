@@ -167,13 +167,10 @@ def vf_bracket(x_field: Sequence[MultiPoly], y_field: Sequence[MultiPoly]) -> Ve
         raise ArityMismatchError(
             f"vector field of length {len(x_field)} over {len(vs)} coordinates"
         )
-    out = []
-    for k in range(len(vs)):
-        acc = MultiPoly.zero(vs)
-        for i, v in enumerate(vs):
-            acc = acc + x_field[i] * y_field[k].diff(v) - y_field[i] * x_field[k].diff(v)
-        out.append(acc)
-    return out
+    return [
+        lie_derivative(x_field, yk) - lie_derivative(y_field, xk)
+        for xk, yk in zip(x_field, y_field)
+    ]
 
 
 def lie_derivative(field: Sequence[MultiPoly], f: MultiPoly) -> MultiPoly:
@@ -417,7 +414,6 @@ def isotropy_algebra_at(
     algebroid: AlmostLieAlgebroid,
     kernel_gens: Sequence[Sequence[MultiPoly]],
     x: Point,
-    check_jacobi: bool = True,
 ) -> IsotropyAlgebra:
     """Isotropy Lie algebra at a point.
 
@@ -448,7 +444,7 @@ def isotropy_algebra_at(
     # the bracket raises if its value leaves the kernel, so none maps to None
     for a, b in combinations(range(dim), 2):
         iso.structure[(a, b)] = iso.coordinates(bracket(reps[a], reps[b]))
-    if check_jacobi and is_lie_algebroid(algebroid):
+    if is_lie_algebroid(algebroid):
         _assert_jacobi_numeric(iso.structure, dim)
     return iso
 

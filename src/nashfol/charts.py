@@ -40,7 +40,6 @@ from .linalg import (
     kernel_basis,
     poly_mat_mul,
     poly_mat_vec,
-    rank,
     rref,
     solve,
 )
@@ -414,15 +413,16 @@ def _rational_roots(p: MultiPoly) -> list[Fraction]:
 
 _SAMPLE_NUMERATORS = list(range(-3, 4))
 _SAMPLE_DENOMINATORS = [1, 2]
+_SAMPLE_COUNT = 6  # exceptional points per chart
 
 
-def exceptional_samples(chart: ChartMap, seed: int = 0, count: int = 6) -> list[Point]:
+def exceptional_samples(chart: ChartMap, seed: int = 0) -> list[Point]:
     """Seeded rational points on the exceptional locus of the chart.
 
     Cycles through the chart variables, freezes the others at random
     rationals, and solves the resulting univariate equation exactly.  Always
     includes the origin when it lies on the locus.  May return fewer than
-    ``count`` points (none at all for a chart with constant exceptional
+    six points (none at all for a chart with constant exceptional
     polynomial, such as the identity).
     """
     e = chart.exceptional_poly()
@@ -434,8 +434,8 @@ def exceptional_samples(chart: ChartMap, seed: int = 0, count: int = 6) -> list[
     origin = tuple(Fraction(0) for _ in range(d))
     if e.eval(origin) == 0:
         points.append(origin)
-    for attempt in range(count * 8):
-        if len(points) >= count:
+    for attempt in range(_SAMPLE_COUNT * 8):
+        if len(points) >= _SAMPLE_COUNT:
             break
         v = attempt % d
         assignment = [
@@ -453,7 +453,7 @@ def exceptional_samples(chart: ChartMap, seed: int = 0, count: int = 6) -> list[
             point = tuple(root if w == v else assignment[w] for w in range(d))
             if point not in points:
                 points.append(point)
-    return [tuple(p) for p in points[:count]]
+    return [tuple(p) for p in points[:_SAMPLE_COUNT]]
 
 
 def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
@@ -465,9 +465,10 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
     """
     chart = nca.chart
     bundle = nca.algebroid.bundle
-    if anchor_rank_generic(bundle) != anchor_rank_generic(nca.source):
-        raise ValueError("chart does not resolve: substituted anchor dropped rank")
     frame = ChartFrame(nca, kernel_basis(bundle.anchor), seed)
+    # rank + nullity = n: P's rank is read from its kernel
+    if bundle.fiber_rank - frame.width != anchor_rank_generic(nca.source):
+        raise ValueError("chart does not resolve: substituted anchor dropped rank")
     cols = frame.columns  # repaired in place before any cached quantity reads them
     k = frame.width
     if k == 0:
@@ -565,14 +566,15 @@ def debord_generators(a, chart: ChartMap) -> tuple[list[PulledBackField], list[R
     Subsets are scanned in lexicographic index order; the first one whose
     relation coefficients all reduce to polynomials wins.  When no subset
     manages that, the first independent subset is kept and the offending
-    relations are reported with polynomial = False (not fatal).
+    relations are reported with polynomial = False (not fatal).  The
+    pullback keeps the source's generic rank, since det J != 0.
     """
     bundle = _bundle_of(a)
     n = bundle.fiber_rank
     d = bundle.base_dim
     pullbacks = pullback_anchor(bundle, chart)
     columns = _resolved_columns(pullbacks)
-    r = rank([[columns[j][i] for j in range(n)] for i in range(d)])
+    r = anchor_rank_generic(bundle)
     fallback: list[Relation] | None = None
     for subset in itertools.combinations(range(n), r):
         rest = [j for j in range(n) if j not in subset]

@@ -349,12 +349,9 @@ def frac_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return result
 
 
-def frac_kernel(m: Sequence[Sequence[Fraction]], ncols: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel of a Fraction matrix, one vector per free column."""
-    if ncols is None:
-        if not m:
-            raise ValueError("cannot infer the column count of an empty matrix")
-        ncols = len(m[0])
+def frac_kernel(m: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the right kernel of a Fraction matrix with ``ncols`` columns,
+    one vector per free column."""
     rows, pivots = frac_rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

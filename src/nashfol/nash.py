@@ -18,7 +18,6 @@ from typing import Sequence
 
 from .algebroid import (
     AlmostLieAlgebroid,
-    AnchoredBundle,
     Point,
     _bundle_of,
     _constant_table,
@@ -26,7 +25,6 @@ from .algebroid import (
     anchor_rank_generic,
     isotropy_algebra_at,
     kernel_at,
-    rank_at,
     strong_kernel_at,
 )
 from .grassmann import PlueckerVector, Subspace, unpluecker
@@ -105,6 +103,8 @@ def kernel_curve(a, curve: CurveGerm) -> list[list[MultiPoly]]:
 
     Requires the substituted anchor to keep the generic rank over Q(t);
     an arc trapped in the singular locus raises CurveInSingularLocusError.
+    A rank-deficient anchor is eliminated once: rank + nullity = n, so the
+    arc's rank is read from the kernel's size.
     """
     bundle = _bundle_of(a)
     if len(curve.components) != bundle.base_dim:
@@ -114,14 +114,18 @@ def kernel_curve(a, curve: CurveGerm) -> list[list[MultiPoly]]:
         [entry.subst(CURVE_VAR, images) for entry in row] for row in bundle.anchor
     ]
     r = anchor_rank_generic(bundle)
-    if rank(substituted) < r:
+    n = bundle.fiber_rank
+    if r < n:
+        basis = kernel_basis(substituted)
+        arc_rank = n - len(basis)
+    else:
+        basis, arc_rank = [], rank(substituted)
+    if arc_rank < r:
         raise CurveInSingularLocusError(
             "anchor rank drops along the whole arc; pick a curve leaving the "
             "singular locus"
         )
-    if r == bundle.fiber_rank:
-        return []
-    return kernel_basis(substituted)
+    return basis
 
 
 def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
@@ -290,7 +294,8 @@ def isotropy_image(
         raise ValueError("limit subspace escapes the kernel span")
     image = Subspace(iso.dim, image_vectors)
     codim = iso.dim - image.dim
-    expected = anchor_rank_generic(algebroid) - rank_at(algebroid, x)
+    # the rank at x is n - dim ker(A(x)), read off the kernel isotropy computed
+    expected = anchor_rank_generic(algebroid) - algebroid.bundle.fiber_rank + iso.kernel.dim
     if codim != expected:
         raise InternalInvariantError("codimension defies the rank bookkeeping")
     _assert_quotient_subalgebra(iso, image)

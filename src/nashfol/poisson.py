@@ -12,7 +12,6 @@ the structure sections).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .algebroid import AlmostLieAlgebroid, AnchoredBundle, Point, VectorField

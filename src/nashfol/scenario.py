@@ -49,7 +49,7 @@ from .documents import (
 )
 from .grassmann import PlueckerVector, Subspace
 from .nash import default_arcs, limit_along, nash_fiber_sample
-from .poisson import cotangent_algebroid, is_poisson, pi_sharp
+from .poisson import cotangent_algebroid, is_poisson
 from .poly import MultiPoly, RatFunc, parse_poly, parse_rational
 
 
@@ -233,6 +233,25 @@ def _check(checks: list[Check], label: str, expected, actual):
     )
 
 
+def _expectations(step, keys) -> dict:
+    """The step's expect object; a key that the op never checks is refused."""
+    expect = step.get("expect", {})
+    for key in expect if isinstance(expect, dict) else ():
+        if key not in keys:
+            raise ScenarioError(
+                f"step {step['op']!r} has no expectation {key!r} "
+                f"(it checks {', '.join(keys)})"
+            )
+    return expect
+
+
+def _not_computed(checks: list[Check], expect, keys) -> None:
+    """A failing check for each expected key that this branch cannot compute."""
+    for key in keys:
+        if key in expect:
+            checks.append(Check(key, False, _render_value(expect[key]), "not computed"))
+
+
 def _rows_text(rows) -> str:
     return ", ".join("(" + ", ".join(str(c) for c in row) + ")" for row in rows)
 
@@ -258,28 +277,25 @@ class _Runner:
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
         self.seed = seed
-        self._cotangent = None
+        # its bundle, the sharp map, anchors every bivector step: ranked once per run
+        bivector = scenario.bivector
+        self.cotangent = None if bivector is None else cotangent_algebroid(bivector)
 
     # -- input resolution ---------------------------------------------------
 
     def anchor_source(self, step):
-        s = self.scenario
-        if step.get("source") == "bivector":
-            if s.bivector is None:
+        if step.get("source") == "bivector" or self.scenario.algebroid is None:
+            if self.cotangent is None:
                 raise ScenarioError("step asks for the bivector; scenario has none")
-            return pi_sharp(s.bivector)
-        if s.algebroid is not None:
-            return s.algebroid
-        return pi_sharp(s.bivector)
+            return self.cotangent.bundle
+        return self.scenario.algebroid
 
     def bracket_source(self, step):
         s = self.scenario
         if step.get("source") != "bivector" and isinstance(s.algebroid, AlmostLieAlgebroid):
             return s.algebroid
-        if s.bivector is not None:
-            if self._cotangent is None:
-                self._cotangent = cotangent_algebroid(s.bivector)
-            return self._cotangent
+        if self.cotangent is not None:
+            return self.cotangent
         raise ScenarioError("step needs bracket data; scenario has none")
 
     def kernel_gens(self, algebroid):
@@ -315,7 +331,7 @@ class _Runner:
 
     def step_validate(self, step) -> StepResult:
         checks: list[Check] = []
-        expect = step.get("expect", {})
+        expect = _expectations(step, ("poisson", "anchor_morphism", "lie"))
         if step.get("source") == "bivector" or (
             self.scenario.algebroid is None and self.scenario.bivector is not None
         ):
@@ -324,10 +340,12 @@ class _Runner:
             summary = f"bivector: {'Poisson' if poisson else 'not Poisson'}"
             if "poisson" in expect:
                 _check(checks, "poisson", bool(expect["poisson"]), poisson)
+            _not_computed(checks, expect, ("anchor_morphism", "lie"))
             return StepResult("validate", summary, details, checks)
         a = self.scenario.algebroid
         if not isinstance(a, AlmostLieAlgebroid):
             details = {"kind": "anchored-bundle"}
+            _not_computed(checks, expect, ("poisson", "anchor_morphism", "lie"))
             return StepResult("validate", "anchored bundle: no bracket data", details, checks)
         defects = morphism_defect_pairs(a)
         lie = not defects and is_lie_algebroid(a)
@@ -347,6 +365,7 @@ class _Runner:
             _check(checks, "anchor_morphism", bool(expect["anchor_morphism"]), not defects)
         if "lie" in expect:
             _check(checks, "lie", bool(expect["lie"]), lie)
+        _not_computed(checks, expect, ("poisson",))
         return StepResult("validate", summary, details, checks)
 
     def step_rank(self, step) -> StepResult:
@@ -382,6 +401,7 @@ class _Runner:
         return StepResult("kernel-at", summary, details, checks, text=text)
 
     def step_isotropy(self, step) -> StepResult:
+        expect = _expectations(step, ("dim", "abelian"))
         a = self.bracket_source(step)
         x = self.resolve(step, "point")
         iso = isotropy_algebra_at(a, self.kernel_gens(a), x)
@@ -389,7 +409,6 @@ class _Runner:
             all(c == 0 for c in coeffs) for coeffs in iso.structure.values()
         )
         checks: list[Check] = []
-        expect = step.get("expect", {})
         if "dim" in expect:
             _check(checks, "dim", int(expect["dim"]), iso.dim)
         if "abelian" in expect:
@@ -409,12 +428,12 @@ class _Runner:
         return StepResult("isotropy", summary, details, checks, text=text)
 
     def step_nash_limit(self, step) -> StepResult:
+        expect = _expectations(step, ("pluecker", "basis"))
         a = self.anchor_source(step)
         curve = self.resolve(step, "curve")
         limit = limit_along(a, curve)
         pv = limit.pluecker()
         checks: list[Check] = []
-        expect = step.get("expect", {})
         if "pluecker" in expect:
             _check(
                 checks,
@@ -434,6 +453,7 @@ class _Runner:
         return StepResult("nash-limit", summary, details, checks, text=text)
 
     def step_nash_fiber(self, step) -> StepResult:
+        expect = _expectations(step, ("count", "plueckers"))
         a = self.anchor_source(step)
         x = self.resolve(step, "point")
         if "curves" in step:
@@ -444,7 +464,6 @@ class _Runner:
             curves = default_arcs(x, self.seed)
         sample = nash_fiber_sample(a, x, curves)
         checks: list[Check] = []
-        expect = step.get("expect", {})
         if "count" in expect:
             _check(checks, "count", int(expect["count"]), len(sample.limits))
         if "plueckers" in expect:
@@ -489,13 +508,13 @@ class _Runner:
         )
 
     def step_pullback_chart(self, step) -> StepResult:
+        expect = _expectations(step, ("pullbacks", "polynomial"))
         a = self.anchor_source(step)
         chart = self.resolve(step, "chart")
         bundle = a.bundle if isinstance(a, AlmostLieAlgebroid) else a
         n = bundle.fiber_rank
         pullbacks = pullback_anchor(bundle, chart)
         checks: list[Check] = []
-        expect = step.get("expect", {})
         if "pullbacks" in expect:
             expected = [
                 [RatFunc(parse_poly(c, chart.chart_vars)) for c in comps]
@@ -567,10 +586,11 @@ class _Runner:
         return StepResult("relations", summary, details, checks)
 
     def step_chart_report(self, step) -> StepResult:
+        computed = ("frame", "ideal", "debord", "frame_rank", "quotient_rank")
+        expect = _expectations(step, ("resolved",) + computed)
         a = self.anchor_source(step)
         chart = self.resolve(step, "chart")
         checks: list[Check] = []
-        expect = step.get("expect", {})
         try:
             nca = nash_anchor_on_chart(_as_algebroid(a), chart)
         except NotResolvedByChartError as err:
@@ -582,6 +602,7 @@ class _Runner:
             }
             if "resolved" in expect:
                 _check(checks, "resolved", bool(expect["resolved"]), False)
+            _not_computed(checks, expect, computed)
             text = "\n".join(
                 ["chart does not resolve the foliation:"]
                 + [
@@ -636,11 +657,10 @@ class _Runner:
             f"{cert['quotient_rank']} = {cert['ambient_rank']}; "
             f"ideal {ideal}, debord {debord}"
         )
-        cols = ", ".join("(" + ", ".join(col) + ")" for col in details["frame"])
         text = "\n".join(
             [
                 "chart resolves the foliation",
-                f"frame columns: [{cols}]",
+                f"frame columns: [{_rows_text(details['frame'])}]",
                 f"ideal check: {ideal} ({details['ideal_label']})",
                 f"debord check: {debord}",
                 f"ranks: frame {cert['frame_rank']} + quotient {cert['quotient_rank']} "
@@ -650,13 +670,13 @@ class _Runner:
         return StepResult("nash-chart-report", summary, details, checks, text=text, seeded=True)
 
     def step_poisson_pullback(self, step) -> StepResult:
+        expect = _expectations(step, ("pole", "entries"))
         if self.scenario.bivector is None:
             raise ScenarioError("poisson-pullback needs a bivector in the scenario")
         chart = self.resolve(step, "chart")
         matrix, pole = pullback_bivector(chart, self.scenario.bivector)
         d = chart.dim
         checks: list[Check] = []
-        expect = step.get("expect", {})
         if "pole" in expect:
             expected_pole = (
                 None

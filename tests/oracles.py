@@ -8,7 +8,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from nashfol.linalg import frac_rank, frac_rref, rank, rref
+from nashfol.algebroid import anchor_rank_generic
+from nashfol.linalg import frac_rank, frac_rref, kernel_basis, rank, rref
+from nashfol.nash import CURVE_VAR, CurveInSingularLocusError
 from nashfol.poly import MultiPoly, RatFunc
 
 
@@ -91,3 +93,17 @@ def relations_by_solve(columns: Sequence[Sequence[MultiPoly]]):
         if all(c.is_polynomial() for _, _, coeffs in relations for c in coeffs):
             return relations
     return fallback
+
+
+def kernel_curve_by_rank(bundle, curve) -> list[list[MultiPoly]]:
+    """The anchor kernel along an arc as ``nash.kernel_curve`` returns it,
+    by two eliminations of the substituted anchor: ``rank`` for the
+    singular-locus test, then ``kernel_basis``."""
+    images = list(curve.components)
+    substituted = [[entry.subst(CURVE_VAR, images) for entry in row] for row in bundle.anchor]
+    r = anchor_rank_generic(bundle)
+    if rank(substituted) < r:
+        raise CurveInSingularLocusError("anchor rank drops along the whole arc")
+    if r == bundle.fiber_rank:
+        return []
+    return kernel_basis(substituted)

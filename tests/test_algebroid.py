@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nashfol.algebroid as algebroid_module
+import nashfol.nash as nash_module
 from nashfol.algebroid import (
     AlmostLieAlgebroid,
     AnchoredBundle,
@@ -38,6 +39,7 @@ from nashfol.models import (
     special_linear_2_algebroid,
     sphere_generators_algebroid,
 )
+from nashfol.nash import CurveGerm, kernel_curve
 from nashfol.poly import MultiPoly, parse_poly
 from nashfol.scenario import (
     corpus_names,
@@ -244,6 +246,23 @@ def test_generic_rank_is_ranked_once_per_bundle(monkeypatch):
     assert len(calls) == 2
 
 
+def test_bivector_run_ranks_the_sharp_map_once(monkeypatch):
+    # every bivector step anchors on the one cotangent algebroid's bundle,
+    # and kernel_curve reads each arc's rank from its kernel
+    calls = [_count_calls(monkeypatch, m, "rank") for m in (algebroid_module, nash_module)]
+    assert run_scenario(load_corpus_scenario("duval2"), seed=0).passed
+    assert sum(map(len, calls)) == 1
+
+
+def test_kernel_curve_on_a_rank_deficient_anchor_skips_rank(monkeypatch):
+    calls = _count_calls(monkeypatch, nash_module, "rank")
+    gl2 = matrix_action_algebroid(2)
+    assert anchor_rank_generic(gl2) < gl2.bundle.fiber_rank
+    ray = CurveGerm.ray([Fraction(0)] * 2, [Fraction(1), Fraction(2)])
+    assert len(kernel_curve(gl2, ray)) == gl2.bundle.fiber_rank - anchor_rank_generic(gl2)
+    assert calls == []
+
+
 def test_generic_rank_and_singular_locus():
     sl2 = special_linear_2_algebroid()
     assert anchor_rank_generic(sl2) == 2
@@ -342,7 +361,7 @@ def test_isotropy_well_definedness_guard():
     assert morphism_defect_pairs(alg) == []
     gens = [[one, -one, zero]]
     with pytest.raises(WellDefinednessFailureError):
-        isotropy_algebra_at(alg, gens, [Fraction(0)], check_jacobi=False)
+        isotropy_algebra_at(alg, gens, [Fraction(0)])
 
 
 def test_linear_lift_of_constant_sections():

@@ -283,13 +283,14 @@ def test_chart_report_text_when_chart_does_not_resolve(tmp_path, capsys):
         {"steps": [{"op": ["rank"]}]},
         {"steps": [{"op": "isotropy", "point": "origin", "expect": {"dim": [1]}}]},
         {"steps": [{"op": "isotropy", "point": "origin", "expect": "dim"}]},
+        {"steps": [{"op": "isotropy", "point": "origin", "expect": {"dimension": 99}}]},
         {"steps": [{"op": "relations", "chart": "x-chart", "expect": [{"basis": [1, 2]}]}]},
         {"charts": [1, 2]},
         {"curves": [1]},
         {"points": "origin"},
     ],
     ids=[
-        "op-list", "expect-dim-list", "expect-string", "expect-missing-key",
+        "op-list", "expect-dim-list", "expect-string", "expect-unknown-key", "expect-missing-key",
         "charts-list", "curves-list", "points-string",
     ],
 )

@@ -144,7 +144,7 @@ def test_frac_rref_is_canonical():
 
 
 def test_frac_kernel():
-    ker = frac_kernel([[Fraction(1), Fraction(2), Fraction(3)]])
+    ker = frac_kernel([[Fraction(1), Fraction(2), Fraction(3)]], 3)
     assert ker == [
         [Fraction(-2), Fraction(1), Fraction(0)],
         [Fraction(-3), Fraction(0), Fraction(1)],

@@ -14,9 +14,14 @@ from nashfol.algebroid import (
 )
 from nashfol.charts import ChartMap, debord_generators
 from nashfol.grassmann import Subspace, unpluecker
-from nashfol.nash import CurveGerm, CurveInSingularLocusError, limit_along
+from nashfol.nash import CurveGerm, CurveInSingularLocusError, kernel_curve, limit_along
 from nashfol.poly import MultiPoly
-from oracles import frac_solve, greedy_representatives, relations_by_solve
+from oracles import (
+    frac_solve,
+    greedy_representatives,
+    kernel_curve_by_rank,
+    relations_by_solve,
+)
 
 _ENTRY = st.integers(-3, 3)
 
@@ -103,6 +108,70 @@ def test_limit_along_reuses_a_correct_pluecker_vector(anchor, direction):
     if limit.dim:
         assert limit._pluecker is not None
     assert limit.pluecker() == Subspace(limit.n, limit.rows).pluecker()
+
+
+_UNIT = st.integers(-1, 1)
+# a*x + b*y: every anchor vanishes at the origin, so arcs that stay there or
+# run along an axis often keep the rank below the generic one
+_HOMOGENEOUS = st.tuples(_UNIT, _UNIT).map(
+    lambda c: MultiPoly(_XY, dict(zip([(1, 0), (0, 1)], map(Fraction, c))))
+)
+
+
+@st.composite
+def _two_row_anchors(draw):
+    """Anchors over (x, y) with 1-3 columns: fresh columns are mostly
+    independent, a multiple of the first column makes the anchor
+    rank-deficient, and three columns always are."""
+    first = [draw(_HOMOGENEOUS), draw(_HOMOGENEOUS)]
+    columns = [first]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            factor = draw(_LINEAR)
+            columns.append([factor * p for p in first])
+        else:
+            columns.append([draw(_HOMOGENEOUS), draw(_HOMOGENEOUS)])
+    return AnchoredBundle(_XY, [[col[i] for col in columns] for i in range(2)])
+
+
+def _kernel_curve_verdicts(bundle, ray):
+    """kernel_curve and its two-elimination oracle on one arc: the same
+    basis, or both find the arc in the singular locus."""
+    outcomes = []
+    for method in (kernel_curve, kernel_curve_by_rank):
+        try:
+            outcomes.append(method(bundle, ray))
+        except CurveInSingularLocusError:
+            outcomes.append("singular")
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+# Rays through small points; a zero direction is a constant arc and a zero
+# component keeps the arc inside a coordinate hyperplane.
+_RAYS = st.tuples(st.tuples(st.integers(0, 1), _UNIT), st.tuples(_UNIT, _UNIT)).map(
+    lambda pd: CurveGerm.ray([Fraction(c) for c in pd[0]], [Fraction(c) for c in pd[1]])
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_two_row_anchors(), _RAYS)
+def test_kernel_curve_matches_the_rank_then_kernel_oracle(bundle, ray):
+    _kernel_curve_verdicts(bundle, ray)
+
+
+def test_kernel_curve_finds_singular_arcs_on_both_branches():
+    x, y = (MultiPoly.variable(_XY, v) for v in _XY)
+    zero = MultiPoly.zero(_XY)
+    full_rank = AnchoredBundle(_XY, [[x, zero], [zero, y]])
+    deficient = AnchoredBundle(_XY, [[x, x * y], [x, x * y]])
+    inside_x_axis = CurveGerm.ray([Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)])
+    constant = CurveGerm.ray([Fraction(0), Fraction(2)], [Fraction(0), Fraction(0)])
+    regular = CurveGerm.ray([Fraction(0), Fraction(0)], [Fraction(1), Fraction(1)])
+    assert _kernel_curve_verdicts(full_rank, inside_x_axis) == "singular"
+    assert _kernel_curve_verdicts(deficient, constant) == "singular"
+    assert _kernel_curve_verdicts(full_rank, regular) == []
+    assert len(_kernel_curve_verdicts(deficient, regular)) == 1
 
 
 _XYZ = ("x", "y", "z")

@@ -216,6 +216,32 @@ def test_scenario_without_expectations_passes():
     assert report.check_counts == (0, 0)
 
 
+def test_expectation_the_branch_cannot_compute_fails():
+    # validate computes no morphism or Jacobi verdict for a bundle without
+    # brackets, and a chart that does not resolve has no frame to report
+    bundle = {"vars": ["x", "y"], "rank": 2, "anchor": [["x", "0"], ["0", "y"]]}
+    validate = {"op": "validate", "expect": {"lie": False, "anchor_morphism": False}}
+    fold = {"chart_vars": ["x", "y", "z"], "phi": ["x^2", "y", "z"]}
+    chart_report = {
+        "op": "nash-chart-report",
+        "chart": fold,
+        "expect": {"resolved": False, "ideal": True, "frame_rank": 1},
+    }
+    reports = [
+        run_scenario(load_scenario({"name": "bundle", "algebroid": bundle, "steps": [validate]})),
+        run_scenario(load_scenario(dict(SO3_DOC, steps=[chart_report]))),
+    ]
+    assert [[(c.label, c.passed, c.actual) for c in r.steps[0].checks] for r in reports] == [
+        [("anchor_morphism", False, "not computed"), ("lie", False, "not computed")],
+        [
+            ("resolved", True, "false"),
+            ("ideal", False, "not computed"),
+            ("frame_rank", False, "not computed"),
+        ],
+    ]
+    assert not any(r.passed for r in reports)
+
+
 def test_subspace_expectations_compare_canonically():
     # Any spanning set is accepted: scaled rows and summed rows name the
     # same subspace, so none of these should fail.
