@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .documents import DocumentError, load_json, parse_point, point_to_doc
 from .scenario import (
+    OPS,
     EngineError,
     Scenario,
     ScenarioError,
@@ -23,12 +24,6 @@ from .scenario import (
     run_scenario,
     run_single_step,
 )
-
-_FLAG_HELP = {
-    "point": "comma-separated rational coordinates",
-    "curve": "curve JSON file (or a name from a scenario input)",
-    "chart": "chart JSON file (or a name from a scenario input)",
-}
 
 
 def _uint(text: str) -> int:
@@ -47,29 +42,17 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, requires=None):
-        """One command; ``requires`` names the flag it cannot run without."""
+    commands = {name: (op.help, op.ref) for name, op in OPS.items()}
+    commands["run-scenario"] = ("run a scenario document and report pass/fail", None)
+    for name, (help_text, ref) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="input JSON document")
         p.add_argument("--seed", type=_uint, default=0, help="RNG seed (default 0)")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        if requires:
-            p.add_argument(f"--{requires}", help=_FLAG_HELP[requires])
-        p.set_defaults(requires=requires)
-        return p
-
-    add("validate", "check bracket axioms (or Poisson condition for a bivector)")
-    add("rank", "generic anchor rank")
-    add("singular-locus", "generators cutting out the singular locus")
-    add("kernel-at", "anchor kernel at a point", requires="point")
-    add("isotropy", "isotropy Lie algebra at a point", requires="point")
-    add("nash-limit", "kernel limit along one arc", requires="curve")
-    add("nash-fiber", "distinct kernel limits over a point", requires="point")
-    add("pullback-chart", "pull anchor sections back through a chart", requires="chart")
-    add("nash-chart-report", "full chart report: pullbacks, frame, quotient", requires="chart")
-    add("poisson-pullback", "pull a bivector back through a chart", requires="chart")
-    add("run-scenario", "run a scenario document and report pass/fail")
+        if ref == "point":
+            p.add_argument("--point", help="comma-separated rational coordinates")
+        elif ref:
+            p.add_argument(f"--{ref}", help=f"{ref} JSON file (or a name from a scenario input)")
     return parser
 
 
@@ -93,23 +76,17 @@ def _single_step(args, scenario: Scenario) -> dict:
     """The step a single command runs; a --curve or --chart value that names
     no entry of the input scenario is read as a file and given inline."""
     step = {"op": args.command}
-    if getattr(args, "point", None):
+    key = OPS[args.command].ref
+    if key == "point":
         step["point"] = point_to_doc(parse_point(args.point))
-    for key, table in (("curve", scenario.curves), ("chart", scenario.charts)):
-        ref = getattr(args, key, None)
-        if not ref:
-            continue
-        if ref not in table:
+    elif key:
+        ref = getattr(args, key)
+        if ref not in {"curve": scenario.curves, "chart": scenario.charts}[key]:
             ref = load_json(ref)
             if not isinstance(ref, dict):  # not to be read as a name or left out
                 raise DocumentError(f"{key} document must be an object")
         step[key] = ref
     return step
-
-
-def _require(args):
-    if args.requires and not getattr(args, args.requires):
-        raise DocumentError(f"{args.command} requires --{args.requires}")
 
 
 def _emit_single(args, result) -> int:
@@ -143,7 +120,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.command == "run-scenario":
             return _cmd_run_scenario(args)
-        _require(args)
+        ref = OPS[args.command].ref
+        if ref and not getattr(args, ref):
+            raise DocumentError(f"{args.command} requires --{ref}")
         scenario = _load_input_scenario(args)
         result = run_single_step(scenario, _single_step(args, scenario), seed=args.seed)
         return _emit_single(args, result)

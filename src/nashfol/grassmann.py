@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Sequence
 
 from .linalg import frac_det, frac_rref
@@ -93,7 +93,7 @@ class PlueckerVector:
     __slots__ = ("n", "k", "coords")
 
     def __init__(self, n: int, k: int, coords: Sequence[int]):
-        expected = len(list(combinations(range(n), k)))
+        expected = comb(n, k)
         if len(coords) != expected:
             raise ValueError(
                 f"expected {expected} coordinates for Gr({k}, {n}), got {len(coords)}"

@@ -25,7 +25,14 @@ PolyVector = list[MultiPoly]
 
 
 class SizeError(ValueError):
-    """A requested minor size exceeds the matrix dimensions."""
+    """A requested minor size exceeds the matrix dimensions, or asks for more
+    than MAX_MINORS minors."""
+
+
+# Largest number of minors one call may compute, checked before the first:
+# the corpus asks for at most 84, while a 6x24 anchor would ask for 134 596
+# polynomial determinants.
+MAX_MINORS = 10_000
 
 
 def mat_copy(m: Sequence[Sequence[MultiPoly]]) -> PolyMatrix:
@@ -150,6 +157,11 @@ def minors(m: Sequence[Sequence[MultiPoly]], size: int) -> list[MultiPoly]:
     nrows, ncols = len(m), len(m[0]) if m else 0
     if size < 1 or size > min(nrows, ncols):
         raise SizeError(f"no {size}x{size} minors in a {nrows}x{ncols} matrix")
+    count = math.comb(nrows, size) * math.comb(ncols, size)
+    if count > MAX_MINORS:
+        raise SizeError(
+            f"{count} {size}x{size} minors of a {nrows}x{ncols} matrix exceed {MAX_MINORS}"
+        )
     out = []
     for rset in combinations(range(nrows), size):
         for cset in combinations(range(ncols), size):

@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from importlib import resources
 from typing import Callable
 
@@ -98,14 +99,15 @@ class Check:
 class StepResult:
     """One step's outcome.  ``summary`` is its report line and ``text`` what
     the single command ``nashfol <op>`` prints (the summary unless the op
-    renders more); ``seeded`` marks output that depends on the seed."""
+    renders more); ``seeded`` marks output that depends on the seed.  The
+    runner fills in ``op`` and ``checks``."""
 
-    op: str
     summary: str
     details: dict
-    checks: list[Check] = field(default_factory=list)
     text: str | None = None
     seeded: bool = False
+    op: str = ""
+    checks: list[Check] = field(default_factory=list)
 
     def __post_init__(self):
         if self.text is None:
@@ -205,11 +207,6 @@ def _poly_set(polys) -> list[str]:
     return sorted({str(_norm(p)) for p in polys if not p.is_zero()})
 
 
-def _expect_subspace(expected_rows, n: int) -> Subspace:
-    rows = [[parse_rational(str(c)) for c in row] for row in expected_rows]
-    return Subspace(n, rows)
-
-
 def _int_row(row) -> list[int]:
     """Scale a rational basis row to its primitive integer representative."""
     scale = math.lcm(*(c.denominator for c in row)) if row else 1
@@ -222,34 +219,8 @@ def _basis_rows(sub: Subspace) -> list[list[int]]:
     return [_int_row(row) for row in sub.rows]
 
 
-def _check(checks: list[Check], label: str, expected, actual):
-    checks.append(
-        Check(
-            label=label,
-            passed=expected == actual,
-            expected=_render_value(expected),
-            actual=_render_value(actual),
-        )
-    )
-
-
-def _expectations(step, keys) -> dict:
-    """The step's expect object; a key that the op never checks is refused."""
-    expect = step.get("expect", {})
-    for key in expect if isinstance(expect, dict) else ():
-        if key not in keys:
-            raise ScenarioError(
-                f"step {step['op']!r} has no expectation {key!r} "
-                f"(it checks {', '.join(keys)})"
-            )
-    return expect
-
-
-def _not_computed(checks: list[Check], expect, keys) -> None:
-    """A failing check for each expected key that this branch cannot compute."""
-    for key in keys:
-        if key in expect:
-            checks.append(Check(key, False, _render_value(expect[key]), "not computed"))
+def _check(label: str, expected, actual) -> Check:
+    return Check(label, expected == actual, _render_value(expected), _render_value(actual))
 
 
 def _rows_text(rows) -> str:
@@ -269,6 +240,88 @@ def _render_value(value) -> str:
 
 
 # ---------------------------------------------------------------------------
+# expected documents
+# ---------------------------------------------------------------------------
+# Each parser is called as parser(doc, actual, ring_vars): ``actual`` is the
+# value the step observed (None when it computed none), and ``ring_vars`` are
+# the chart variables for a chart op, else the base variables.
+
+_JSON_TYPES = {int: "integer", bool: "boolean", list: "list", dict: "object"}
+
+
+def _json(kind: type, doc, *_):
+    """``doc`` itself when it is a JSON value of ``kind``: a boolean is no
+    integer, and neither is 2.9 or "3"."""
+    if type(doc) is not kind:
+        raise ScenarioError(f"expected a JSON {_JSON_TYPES[kind]}, not {json.dumps(doc)}")
+    return doc
+
+
+def _each(parse):
+    """The parser of a JSON list whose items ``parse`` reads."""
+    return lambda doc, *_: [parse(item) for item in _json(list, doc)]
+
+
+_int, _bool = partial(_json, int), partial(_json, bool)
+_ints, _bools = _each(_int), _each(_bool)
+
+
+def _generators(doc, _, ring_vars) -> list[str]:
+    return sorted(str(_norm(parse_poly(e, ring_vars))) for e in _json(list, doc))
+
+
+def _subspace(doc, actual: Subspace, _) -> Subspace:
+    return Subspace(actual.n, [[parse_rational(str(c)) for c in row] for row in _json(list, doc)])
+
+
+def _pluecker(doc, actual: PlueckerVector, _) -> PlueckerVector:
+    return PlueckerVector(actual.n, actual.k, _ints(doc))
+
+
+def _plueckers(doc, actual: list, _) -> list:
+    """Sorted like the sample's limits; raw lists when there is no limit."""
+    return sorted(
+        PlueckerVector(actual[0].n, actual[0].k, _ints(coords)) if actual else _ints(coords)
+        for coords in _json(list, doc)
+    )
+
+
+def _polys(doc, _, ring_vars) -> list[list[MultiPoly]]:
+    return [[parse_poly(c, ring_vars) for c in col] for col in _json(list, doc)]
+
+
+def _ratfuncs(doc, _, ring_vars) -> list[list[RatFunc]]:
+    return [[RatFunc(p) for p in col] for col in _polys(doc, None, ring_vars)]
+
+
+def _relations(doc, _, ring_vars) -> list[tuple]:
+    return [
+        (
+            _int(rel["index"]),
+            tuple(_ints(rel["basis"])),
+            [RatFunc(parse_poly(c, ring_vars)) for c in rel["coefficients"]],
+            _bool(rel.get("polynomial", True)),
+        )
+        for rel in _json(list, doc)
+    ]
+
+
+def _pole(doc, _, ring_vars) -> str | None:
+    return None if doc is None else str(_norm(parse_poly(doc, ring_vars)))
+
+
+def _entries(doc, _, ring_vars) -> dict:
+    """Expected bivector entries by "i,j" key, in key order, each labelled
+    as its own check."""
+    expected = {}
+    for key, value in sorted(_json(dict, doc).items()):
+        i, j = (int(text) for text in key.split(","))
+        den = parse_poly(value[1], ring_vars) if len(value) > 1 else None
+        expected[f"entry {i},{j}"] = RatFunc(parse_poly(value[0], ring_vars), den)
+    return expected
+
+
+# ---------------------------------------------------------------------------
 # step execution
 # ---------------------------------------------------------------------------
 
@@ -285,8 +338,6 @@ class _Runner:
 
     def anchor_source(self, step):
         if step.get("source") == "bivector" or self.scenario.algebroid is None:
-            if self.cotangent is None:
-                raise ScenarioError("step asks for the bivector; scenario has none")
             return self.cotangent.bundle
         return self.scenario.algebroid
 
@@ -323,30 +374,64 @@ class _Runner:
     # -- steps ----------------------------------------------------------------
 
     def run_step(self, step) -> StepResult:
-        op = step.get("op")
-        handler = _STEP_HANDLERS.get(op) if isinstance(op, str) else None
-        if handler is None:
-            raise ScenarioError(f"unknown step op {op!r}")
-        return handler(self, step)
+        """Refuse keys the op does not read, resolve its reference, run its
+        handler and check what it observed against the step's expectations:
+        computed keys first, then those it could not compute, in table order."""
+        name = step.get("op")
+        op = OPS.get(name) if isinstance(name, str) else None
+        if op is None:
+            raise ScenarioError(f"unknown step op {name!r}")
+        for key in step:
+            if key not in ("op", "expect", op.ref, *op.keys):
+                raise ScenarioError(f"step {name!r} has no key {key!r}")
+        source = step.get("source", "algebroid")
+        if source not in ("algebroid", "bivector"):
+            raise ScenarioError(
+                f"step {name!r} has source {source!r}, not \"algebroid\" or \"bivector\""
+            )
+        if source == "bivector" and self.cotangent is None:
+            raise ScenarioError("step asks for the bivector; scenario has none")
+        single = callable(op.expect)
+        if single:
+            parsers, expect = {name: op.expect}, {name: step["expect"]} if "expect" in step else {}
+        else:
+            parsers, expect = op.expect, step.get("expect", {})
+            if not isinstance(expect, dict):
+                raise ScenarioError(f"step {name!r} needs an object as \"expect\"")
+            for key in expect:
+                if key not in parsers:
+                    raise ScenarioError(
+                        f"step {name!r} has no expectation {key!r} "
+                        f"(it checks {', '.join(parsers)})"
+                    )
+        ref = None if op.ref is None else self.resolve(step, op.ref)
+        result, observed = op.handler(self, step, ref)
+        observed = {name: observed} if single else observed
+        ring_vars = ref.chart_vars if op.ref == "chart" else self.base_vars()
+        computed, missing = [], []
+        for key in (key for key in parsers if key in expect):
+            try:
+                expected = parsers[key](expect[key], observed.get(key), ring_vars)
+            except ScenarioError as exc:
+                raise ScenarioError(f"step {name!r} expectation {key!r}: {exc}") from None
+            if key not in observed:
+                missing.append(Check(key, False, _render_value(expect[key]), "not computed"))
+            elif isinstance(expected, dict):  # one check per expected entry
+                computed += [_check(k, v, observed[key][k]) for k, v in expected.items()]
+            else:
+                computed.append(_check(key, expected, observed[key]))
+        result.op, result.checks = name, computed + missing
+        return result
 
-    def step_validate(self, step) -> StepResult:
-        checks: list[Check] = []
-        expect = _expectations(step, ("poisson", "anchor_morphism", "lie"))
-        if step.get("source") == "bivector" or (
-            self.scenario.algebroid is None and self.scenario.bivector is not None
-        ):
+    def step_validate(self, step, _):
+        if step.get("source") == "bivector" or self.scenario.algebroid is None:
             poisson = is_poisson(self.scenario.bivector)
-            details = {"kind": "bivector", "poisson": poisson}
             summary = f"bivector: {'Poisson' if poisson else 'not Poisson'}"
-            if "poisson" in expect:
-                _check(checks, "poisson", bool(expect["poisson"]), poisson)
-            _not_computed(checks, expect, ("anchor_morphism", "lie"))
-            return StepResult("validate", summary, details, checks)
+            details = {"kind": "bivector", "poisson": poisson}
+            return StepResult(summary, details), {"poisson": poisson}
         a = self.scenario.algebroid
         if not isinstance(a, AlmostLieAlgebroid):
-            details = {"kind": "anchored-bundle"}
-            _not_computed(checks, expect, ("poisson", "anchor_morphism", "lie"))
-            return StepResult("validate", "anchored bundle: no bracket data", details, checks)
+            return StepResult("anchored bundle: no bracket data", {"kind": "anchored-bundle"}), {}
         defects = morphism_defect_pairs(a)
         lie = not defects and is_lie_algebroid(a)
         details = {
@@ -361,58 +446,31 @@ class _Runner:
             + ", Jacobi "
             + ("holds" if lie else "fails or not checked")
         )
-        if "anchor_morphism" in expect:
-            _check(checks, "anchor_morphism", bool(expect["anchor_morphism"]), not defects)
-        if "lie" in expect:
-            _check(checks, "lie", bool(expect["lie"]), lie)
-        _not_computed(checks, expect, ("poisson",))
-        return StepResult("validate", summary, details, checks)
+        return StepResult(summary, details), {"anchor_morphism": not defects, "lie": lie}
 
-    def step_rank(self, step) -> StepResult:
-        a = self.anchor_source(step)
-        r = anchor_rank_generic(a)
-        checks: list[Check] = []
-        if "expect" in step:
-            _check(checks, "rank", int(step["expect"]), r)
-        return StepResult("rank", f"generic rank: {r}", {"rank": r}, checks)
+    def step_rank(self, step, _):
+        r = anchor_rank_generic(self.anchor_source(step))
+        return StepResult(f"generic rank: {r}", {"rank": r}), r
 
-    def step_singular_locus(self, step) -> StepResult:
-        a = self.anchor_source(step)
-        gens = _poly_set(singular_locus(a))
-        checks: list[Check] = []
-        if "expect" in step:
-            vs = self.base_vars()
-            expected = sorted(str(_norm(parse_poly(e, vs))) for e in step["expect"])
-            _check(checks, "singular-locus", expected, gens)
+    def step_singular_locus(self, step, _):
+        gens = _poly_set(singular_locus(self.anchor_source(step)))
         summary = "singular locus: " + (", ".join(gens) if gens else "(empty)")
-        return StepResult("singular-locus", summary, {"generators": gens}, checks)
+        return StepResult(summary, {"generators": gens}), gens
 
-    def step_kernel_at(self, step) -> StepResult:
-        a = self.anchor_source(step)
-        x = self.resolve(step, "point")
-        sub = kernel_at(a, x)
-        checks: list[Check] = []
-        if "expect" in step:
-            _check(checks, "kernel-at", _expect_subspace(step["expect"], sub.n), sub)
+    def step_kernel_at(self, step, x):
+        sub = kernel_at(self.anchor_source(step), x)
         basis = _basis_rows(sub)
         details = {"point": [str(c) for c in x], "dim": sub.dim, "basis": basis}
         summary = f"kernel at point: {_render_value(sub)}"
         text = f"kernel basis: [{_rows_text(basis)}] (dim {sub.dim})"
-        return StepResult("kernel-at", summary, details, checks, text=text)
+        return StepResult(summary, details, text=text), sub
 
-    def step_isotropy(self, step) -> StepResult:
-        expect = _expectations(step, ("dim", "abelian"))
+    def step_isotropy(self, step, x):
         a = self.bracket_source(step)
-        x = self.resolve(step, "point")
         iso = isotropy_algebra_at(a, self.kernel_gens(a), x)
         abelian = all(
             all(c == 0 for c in coeffs) for coeffs in iso.structure.values()
         )
-        checks: list[Check] = []
-        if "dim" in expect:
-            _check(checks, "dim", int(expect["dim"]), iso.dim)
-        if "abelian" in expect:
-            _check(checks, "abelian", bool(expect["abelian"]), abelian)
         details = {
             "point": [str(c) for c in x],
             "dim": iso.dim,
@@ -425,24 +483,11 @@ class _Runner:
             f"isotropy: dim {iso.dim} ({'abelian' if abelian else 'non-abelian'}); "
             f"kernel dim {iso.kernel.dim}, strong kernel dim {iso.strong_kernel.dim}"
         )
-        return StepResult("isotropy", summary, details, checks, text=text)
+        return StepResult(summary, details, text=text), {"dim": iso.dim, "abelian": abelian}
 
-    def step_nash_limit(self, step) -> StepResult:
-        expect = _expectations(step, ("pluecker", "basis"))
-        a = self.anchor_source(step)
-        curve = self.resolve(step, "curve")
-        limit = limit_along(a, curve)
+    def step_nash_limit(self, step, curve):
+        limit = limit_along(self.anchor_source(step), curve)
         pv = limit.pluecker()
-        checks: list[Check] = []
-        if "pluecker" in expect:
-            _check(
-                checks,
-                "pluecker",
-                PlueckerVector(pv.n, pv.k, [int(c) for c in expect["pluecker"]]),
-                pv,
-            )
-        if "basis" in expect:
-            _check(checks, "basis", _expect_subspace(expect["basis"], limit.n), limit)
         basis = _basis_rows(limit)
         details = {"dim": limit.dim, "pluecker": list(pv.coords), "basis": basis}
         text = (
@@ -450,31 +495,16 @@ class _Runner:
             f"pluecker ({', '.join(str(c) for c in pv.coords)})"
         )
         summary = f"limit: {_render_value(limit)}"
-        return StepResult("nash-limit", summary, details, checks, text=text)
+        return StepResult(summary, details, text=text), {"pluecker": pv, "basis": limit}
 
-    def step_nash_fiber(self, step) -> StepResult:
-        expect = _expectations(step, ("count", "plueckers"))
-        a = self.anchor_source(step)
-        x = self.resolve(step, "point")
+    def step_nash_fiber(self, step, x):
         if "curves" in step:
             curves = [
                 self.resolve({"op": step["op"], "curve": c}, "curve") for c in step["curves"]
             ]
         else:
             curves = default_arcs(x, self.seed)
-        sample = nash_fiber_sample(a, x, curves)
-        checks: list[Check] = []
-        if "count" in expect:
-            _check(checks, "count", int(expect["count"]), len(sample.limits))
-        if "plueckers" in expect:
-            actual = [rec.pluecker for rec in sample.limits]
-            expected = [
-                PlueckerVector(actual[0].n, actual[0].k, [int(c) for c in coords])
-                if actual
-                else coords
-                for coords in expect["plueckers"]
-            ]
-            _check(checks, "plueckers", sorted(expected), list(actual))
+        sample = nash_fiber_sample(self.anchor_source(step), x, curves)
         ok_count = sum(1 for s in sample.curve_status if s == "ok")
         details = {
             "point": [str(c) for c in x],
@@ -498,37 +528,14 @@ class _Runner:
             pl = ", ".join(str(c) for c in rec["pluecker"])
             rows = _rows_text(rec["basis"])
             lines.append(f"  dim {rec['dim']}  pluecker ({pl})  basis [{rows}]")
-        return StepResult(
-            "nash-fiber",
-            summary,
-            details,
-            checks,
-            text="\n".join(lines),
-            seeded="curves" not in step,
-        )
+        result = StepResult(summary, details, text="\n".join(lines), seeded="curves" not in step)
+        plueckers = [rec.pluecker for rec in sample.limits]
+        return result, {"count": len(sample.limits), "plueckers": plueckers}
 
-    def step_pullback_chart(self, step) -> StepResult:
-        expect = _expectations(step, ("pullbacks", "polynomial"))
+    def step_pullback_chart(self, step, chart):
         a = self.anchor_source(step)
-        chart = self.resolve(step, "chart")
         bundle = a.bundle if isinstance(a, AlmostLieAlgebroid) else a
-        n = bundle.fiber_rank
         pullbacks = pullback_anchor(bundle, chart)
-        checks: list[Check] = []
-        if "pullbacks" in expect:
-            expected = [
-                [RatFunc(parse_poly(c, chart.chart_vars)) for c in comps]
-                for comps in expect["pullbacks"]
-            ]
-            actual = [list(pb.components) for pb in pullbacks]
-            _check(checks, "pullbacks", expected, actual)
-        if "polynomial" in expect:
-            _check(
-                checks,
-                "polynomial",
-                [bool(f) for f in expect["polynomial"]],
-                [pb.polynomial_flag for pb in pullbacks],
-            )
         details = {
             "pullbacks": [
                 {
@@ -540,35 +547,20 @@ class _Runner:
             ]
         }
         flags = sum(1 for pb in pullbacks if pb.polynomial_flag)
-        summary = f"pullbacks: {flags}/{n} polynomial"
+        summary = f"pullbacks: {flags}/{bundle.fiber_rank} polynomial"
         text = "\n".join(
             f"e_{idx}: ({', '.join(pb['components'])})  ["
             + ("polynomial" if pb["polynomial"] else f"denominator {pb['denominator']}")
             + "]"
             for idx, pb in enumerate(details["pullbacks"])
         )
-        return StepResult("pullback-chart", summary, details, checks, text=text)
+        return StepResult(summary, details, text=text), {
+            "pullbacks": [list(pb.components) for pb in pullbacks],
+            "polynomial": [pb.polynomial_flag for pb in pullbacks],
+        }
 
-    def step_relations(self, step) -> StepResult:
-        a = self.anchor_source(step)
-        chart = self.resolve(step, "chart")
-        _, relations = debord_generators(a, chart)
-        checks: list[Check] = []
-        if "expect" in step:
-            expected = [
-                (
-                    int(rel["index"]),
-                    tuple(int(b) for b in rel["basis"]),
-                    [RatFunc(parse_poly(c, chart.chart_vars)) for c in rel["coefficients"]],
-                    bool(rel.get("polynomial", True)),
-                )
-                for rel in step["expect"]
-            ]
-            actual = [
-                (rel.index, rel.basis, list(rel.coefficients), rel.polynomial)
-                for rel in relations
-            ]
-            _check(checks, "relations", expected, actual)
+    def step_relations(self, step, chart):
+        _, relations = debord_generators(self.anchor_source(step), chart)
         details = {
             "relations": [
                 {
@@ -583,16 +575,13 @@ class _Runner:
         summary = f"relations: {len(relations)}" + (
             "" if all(r.polynomial for r in relations) else " (some non-polynomial)"
         )
-        return StepResult("relations", summary, details, checks)
+        return StepResult(summary, details), [
+            (rel.index, rel.basis, list(rel.coefficients), rel.polynomial) for rel in relations
+        ]
 
-    def step_chart_report(self, step) -> StepResult:
-        computed = ("frame", "ideal", "debord", "frame_rank", "quotient_rank")
-        expect = _expectations(step, ("resolved",) + computed)
-        a = self.anchor_source(step)
-        chart = self.resolve(step, "chart")
-        checks: list[Check] = []
+    def step_chart_report(self, step, chart):
         try:
-            nca = nash_anchor_on_chart(_as_algebroid(a), chart)
+            nca = nash_anchor_on_chart(_as_algebroid(self.anchor_source(step)), chart)
         except NotResolvedByChartError as err:
             details = {
                 "resolved": False,
@@ -600,9 +589,6 @@ class _Runner:
                     {"index": i, "denominator": str(d)} for i, d in err.failures
                 ],
             }
-            if "resolved" in expect:
-                _check(checks, "resolved", bool(expect["resolved"]), False)
-            _not_computed(checks, expect, computed)
             text = "\n".join(
                 ["chart does not resolve the foliation:"]
                 + [
@@ -610,34 +596,11 @@ class _Runner:
                     for i, d in err.failures
                 ]
             )
-            return StepResult(
-                "nash-chart-report",
-                "chart does not resolve",
-                details,
-                checks,
-                text=text,
-                seeded=True,
-            )
+            result = StepResult("chart does not resolve", details, text=text, seeded=True)
+            return result, {"resolved": False}
         frame = tautological_frame(nca, seed=self.seed)
         ideal_ok, ideal_report = check_ideal(frame)
         debord_ok, cert = check_debord_on_chart(frame)
-        if "resolved" in expect:
-            _check(checks, "resolved", bool(expect["resolved"]), True)
-        if "frame" in expect:
-            expected = [
-                [parse_poly(c, chart.chart_vars) for c in col] for col in expect["frame"]
-            ]
-            _check(checks, "frame", expected, frame.columns)
-        if "ideal" in expect:
-            _check(checks, "ideal", bool(expect["ideal"]), ideal_ok)
-        if "debord" in expect:
-            _check(checks, "debord", bool(expect["debord"]), debord_ok)
-        if "frame_rank" in expect:
-            _check(checks, "frame_rank", int(expect["frame_rank"]), cert["frame_rank"])
-        if "quotient_rank" in expect:
-            _check(
-                checks, "quotient_rank", int(expect["quotient_rank"]), cert["quotient_rank"]
-            )
         details = {
             "resolved": True,
             "frame": [[str(p) for p in col] for col in frame.columns],
@@ -667,31 +630,20 @@ class _Runner:
                 f"= ambient {cert['ambient_rank']}",
             ]
         )
-        return StepResult("nash-chart-report", summary, details, checks, text=text, seeded=True)
+        return StepResult(summary, details, text=text, seeded=True), {
+            "resolved": True,
+            "frame": frame.columns,
+            "ideal": ideal_ok,
+            "debord": debord_ok,
+            "frame_rank": cert["frame_rank"],
+            "quotient_rank": cert["quotient_rank"],
+        }
 
-    def step_poisson_pullback(self, step) -> StepResult:
-        expect = _expectations(step, ("pole", "entries"))
+    def step_poisson_pullback(self, step, chart):
         if self.scenario.bivector is None:
             raise ScenarioError("poisson-pullback needs a bivector in the scenario")
-        chart = self.resolve(step, "chart")
         matrix, pole = pullback_bivector(chart, self.scenario.bivector)
         d = chart.dim
-        checks: list[Check] = []
-        if "pole" in expect:
-            expected_pole = (
-                None
-                if expect["pole"] is None
-                else str(_norm(parse_poly(expect["pole"], chart.chart_vars)))
-            )
-            actual_pole = None if pole is None else str(_norm(pole))
-            _check(checks, "pole", expected_pole, actual_pole)
-        if "entries" in expect:
-            for key, value in sorted(expect["entries"].items()):
-                i_text, j_text = key.split(",")
-                i, j = int(i_text), int(j_text)
-                num = parse_poly(value[0], chart.chart_vars)
-                den = parse_poly(value[1], chart.chart_vars) if len(value) > 1 else None
-                _check(checks, f"entry {i},{j}", RatFunc(num, den), matrix[i][j])
         details = {
             "pole": None if pole is None else str(pole),
             "entries": {
@@ -706,25 +658,77 @@ class _Runner:
             [summary]
             + [f"  pi[{key}] = {value}" for key, value in sorted(details["entries"].items())]
         )
-        return StepResult("poisson-pullback", summary, details, checks, text=text)
+        return StepResult(summary, details, text=text), {
+            "pole": None if pole is None else str(_norm(pole)),
+            "entries": {f"entry {i},{j}": matrix[i][j] for i in range(d) for j in range(d)},
+        }
 
 
 def _as_algebroid(a) -> AlmostLieAlgebroid:
     return a if isinstance(a, AlmostLieAlgebroid) else AlmostLieAlgebroid(a, {})
 
 
-_STEP_HANDLERS: dict[str, Callable] = {
-    "validate": _Runner.step_validate,
-    "rank": _Runner.step_rank,
-    "singular-locus": _Runner.step_singular_locus,
-    "kernel-at": _Runner.step_kernel_at,
-    "isotropy": _Runner.step_isotropy,
-    "nash-limit": _Runner.step_nash_limit,
-    "nash-fiber": _Runner.step_nash_fiber,
-    "pullback-chart": _Runner.step_pullback_chart,
-    "relations": _Runner.step_relations,
-    "nash-chart-report": _Runner.step_chart_report,
-    "poisson-pullback": _Runner.step_poisson_pullback,
+@dataclass(frozen=True)
+class Op:
+    """One step op, which is also the command ``nashfol <op>``.
+
+    ``handler(runner, step, ref)`` gets the step's resolved ``ref`` ("point",
+    "curve" or "chart"; None if the op reads none) and returns its StepResult
+    and what it observed: expectation key -> actual value.  ``expect`` maps
+    each expectation key, in check order, to the parser of its expected
+    document; it is a bare parser when the step's "expect" value is itself
+    the one check, labelled with the op, and the handler observes one bare
+    value.  A dict observed is checked entry by entry, for each entry the
+    parser returns.  ``keys`` are the other step keys the op reads.
+    """
+
+    handler: Callable
+    help: str
+    expect: dict[str, Callable] | Callable
+    ref: str | None = None
+    keys: tuple[str, ...] = ("source",)
+
+
+OPS: dict[str, Op] = {
+    "validate": Op(
+        _Runner.step_validate, "check bracket axioms (or Poisson condition for a bivector)",
+        {"poisson": _bool, "anchor_morphism": _bool, "lie": _bool},
+    ),
+    "rank": Op(_Runner.step_rank, "generic anchor rank", _int),
+    "singular-locus": Op(
+        _Runner.step_singular_locus, "generators cutting out the singular locus", _generators
+    ),
+    "kernel-at": Op(_Runner.step_kernel_at, "anchor kernel at a point", _subspace, "point"),
+    "isotropy": Op(
+        _Runner.step_isotropy, "isotropy Lie algebra at a point",
+        {"dim": _int, "abelian": _bool}, "point",
+    ),
+    "nash-limit": Op(
+        _Runner.step_nash_limit, "kernel limit along one arc",
+        {"pluecker": _pluecker, "basis": _subspace}, "curve",
+    ),
+    "nash-fiber": Op(
+        _Runner.step_nash_fiber, "distinct kernel limits over a point",
+        {"count": _int, "plueckers": _plueckers}, "point", ("source", "curves"),
+    ),
+    "pullback-chart": Op(
+        _Runner.step_pullback_chart, "pull anchor sections back through a chart",
+        {"pullbacks": _ratfuncs, "polynomial": _bools}, "chart",
+    ),
+    "relations": Op(
+        _Runner.step_relations, "relations among the anchor sections pulled back to a chart",
+        _relations, "chart",
+    ),
+    "nash-chart-report": Op(
+        _Runner.step_chart_report, "full chart report: pullbacks, frame, quotient",
+        {"resolved": _bool, "frame": _polys, "ideal": _bool, "debord": _bool,
+         "frame_rank": _int, "quotient_rank": _int},
+        "chart",
+    ),
+    "poisson-pullback": Op(
+        _Runner.step_poisson_pullback, "pull a bivector back through a chart",
+        {"pole": _pole, "entries": _entries}, "chart", (),
+    ),
 }
 
 

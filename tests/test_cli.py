@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line front end."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -11,9 +12,9 @@ import pytest
 
 import nashfol
 import nashfol.linalg as linalg
-from nashfol.cli import main
+from nashfol.cli import _build_parser, main
 from nashfol.poly import MultiPoly
-from nashfol.scenario import corpus_names
+from nashfol.scenario import OPS, corpus_names
 
 
 def corpus_path(name: str) -> str:
@@ -195,6 +196,7 @@ def test_term_list_exponent_cap_exits_2(exponent, code, tmp_path, capsys):
         ("pullback-chart", "chart"),
         ("nash-chart-report", "chart"),
         ("poisson-pullback", "chart"),
+        ("relations", "chart"),
     ],
 )
 def test_missing_required_flag_exits_2(command, flag, capsys):
@@ -266,6 +268,43 @@ def test_single_command_text_on_so3(args, expected, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_commands_are_the_step_ops():
+    (commands,) = [
+        action.choices
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert set(commands) == set(OPS) | {"run-scenario"}
+
+
+def test_relations_command_on_gl2(capsys):
+    args = ["relations", "--input", corpus_path("gl2"), "--chart", "chart-1"]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "relations: 2\n"
+    assert main(args + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "relations": [
+            {"index": 2, "basis": [0, 1], "coefficients": ["y2", "0"], "polynomial": True},
+            {"index": 3, "basis": [0, 1], "coefficients": ["0", "y2"], "polynomial": True},
+        ]
+    }
+
+
+def test_singular_locus_over_the_minor_cap_exits_2(tmp_path, monkeypatch, capsys):
+    # generic rank 6, so the locus asks for C(6, 6) * C(24, 6) = 134 596 minors
+    names = [f"x{i}" for i in range(6)]
+    anchor = [[name if j == i else "0" for j in range(24)] for i, name in enumerate(names)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"vars": names, "rank": 24, "anchor": anchor}))
+    monkeypatch.setattr(linalg, "det", lambda m: pytest.fail("a minor was expanded"))
+    assert main(["singular-locus", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: 134596 6x6 minors of a 6x24 matrix exceed {linalg.MAX_MINORS}\n"
+    )
+
+
 def test_chart_report_text_when_chart_does_not_resolve(tmp_path, capsys):
     chart = tmp_path / "fold.json"
     chart.write_text(json.dumps({"chart_vars": ["x", "y"], "phi": ["x^2", "y"]}))
@@ -278,23 +317,35 @@ def test_chart_report_text_when_chart_does_not_resolve(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "changes",
+    "changes, named",
     [
-        {"steps": [{"op": ["rank"]}]},
-        {"steps": [{"op": "isotropy", "point": "origin", "expect": {"dim": [1]}}]},
-        {"steps": [{"op": "isotropy", "point": "origin", "expect": "dim"}]},
-        {"steps": [{"op": "isotropy", "point": "origin", "expect": {"dimension": 99}}]},
-        {"steps": [{"op": "relations", "chart": "x-chart", "expect": [{"basis": [1, 2]}]}]},
-        {"charts": [1, 2]},
-        {"curves": [1]},
-        {"points": "origin"},
+        ({"steps": [{"op": ["rank"]}]}, "['rank']"),
+        ({"steps": [{"op": "isotropy", "point": "origin", "expect": {"dim": [1]}}]}, "'dim'"),
+        ({"steps": [{"op": "isotropy", "point": "origin", "expect": "dim"}]}, '"expect"'),
+        (
+            {"steps": [{"op": "isotropy", "point": "origin", "expect": {"dimension": 99}}]},
+            "'dimension'",
+        ),
+        (
+            {"steps": [{"op": "relations", "chart": "x-chart", "expect": [{"basis": [1, 2]}]}]},
+            "'index'",
+        ),
+        ({"charts": [1, 2]}, '"charts"'),
+        ({"curves": [1]}, '"curves"'),
+        ({"points": "origin"}, '"points"'),
+        ({"steps": [{"op": "rank", "expect": 2.9}]}, "not 2.9"),
+        ({"steps": [{"op": "isotropy", "point": "origin", "expect": {"dim": 3.7}}]}, "not 3.7"),
+        ({"steps": [{"op": "validate", "expect": {"lie": "false"}}]}, 'not "false"'),
+        ({"steps": [{"op": "rank", "expct": 3}]}, "'expct'"),
+        ({"steps": [{"op": "rank", "source": "bivectr", "expect": 2}]}, "'bivectr'"),
     ],
     ids=[
         "op-list", "expect-dim-list", "expect-string", "expect-unknown-key", "expect-missing-key",
-        "charts-list", "curves-list", "points-string",
+        "charts-list", "curves-list", "points-string", "expect-rank-float", "expect-dim-float",
+        "expect-lie-string", "step-unknown-key", "source-misspelt",
     ],
 )
-def test_malformed_scenario_exits_2(changes, tmp_path, capsys):
+def test_malformed_scenario_exits_2(changes, named, tmp_path, capsys):
     doc = json.loads(Path(corpus_path("so3")).read_text())
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(dict(doc, **changes)))
@@ -302,6 +353,7 @@ def test_malformed_scenario_exits_2(changes, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert named in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nashfol.linalg as linalg
 from nashfol.linalg import (
     RowEchelon,
     SizeError,
@@ -109,6 +110,20 @@ def test_minors_size_error():
         minors(anchor, 3)
     with pytest.raises(SizeError):
         minors(anchor, 0)
+
+
+@pytest.mark.parametrize("nrows, ncols", [(100, 100), (73, 137)], ids=["at-cap", "over-cap"])
+def test_minors_count_cap(nrows, ncols, monkeypatch):
+    # C(nrows, 1) * C(ncols, 1) minors: 10 000 is allowed, 10 001 is refused
+    # before any determinant is taken
+    zero = MultiPoly.zero(XYZ)
+    m = [[zero] * ncols for _ in range(nrows)]
+    if nrows * ncols <= linalg.MAX_MINORS:
+        assert len(minors(m, 1)) == linalg.MAX_MINORS
+        return
+    monkeypatch.setattr(linalg, "det", lambda m: pytest.fail("a minor was expanded"))
+    with pytest.raises(SizeError, match="10001 1x1 minors"):
+        minors(m, 1)
 
 
 def test_rref_rank_triple():
