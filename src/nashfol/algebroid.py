@@ -19,7 +19,6 @@ from .grassmann import Subspace
 from .linalg import (
     eval_matrix,
     frac_kernel,
-    frac_rank,
     frac_rref,
     kernel_basis,
     minors,
@@ -98,10 +97,6 @@ class AnchoredBundle:
 
     def anchor_at(self, x: Point) -> list[list[Fraction]]:
         return eval_matrix(self.anchor, x)
-
-    def basis_section(self, i: int) -> Section:
-        one = MultiPoly.constant(self.base_vars, 1)
-        return [one if j == i else self.zero_poly() for j in range(self.fiber_rank)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AnchoredBundle):
@@ -288,11 +283,6 @@ def kernel_at(a, x: Point) -> Subspace:
     return Subspace(bundle.fiber_rank, vectors)
 
 
-def rank_at(a, x: Point) -> int:
-    bundle = _bundle_of(a)
-    return frac_rank(bundle.anchor_at(x))
-
-
 def singular_locus(a) -> list[MultiPoly]:
     """The r-by-r minors of the anchor, r its generic rank.
 
@@ -303,11 +293,6 @@ def singular_locus(a) -> list[MultiPoly]:
     if r == 0:
         return []
     return minors(bundle.anchor, r)
-
-
-def is_regular_point(a, x: Point) -> bool:
-    bundle = _bundle_of(a)
-    return rank_at(bundle, x) == anchor_rank_generic(bundle)
 
 
 def generic_kernel_sections(a) -> list[Section]:
@@ -361,11 +346,6 @@ def _kernel_bracket_at(algebroid: AlmostLieAlgebroid, x: Point):
         return out
 
     return bracket
-
-
-def pointwise_kernel_bracket(algebroid: AlmostLieAlgebroid, x: Point, u, v) -> list[Fraction]:
-    """The bracket ker rho_x x ker rho_x -> ker rho_x, sum u_i v_j c_ij(x)."""
-    return _kernel_bracket_at(algebroid, x)(u, v)
 
 
 @dataclass(frozen=True)
@@ -470,21 +450,3 @@ def _assert_jacobi_numeric(structure, dim) -> None:
                     total[f] += coeff * ge
         if any(total):
             raise InternalInvariantError("quotient constants violate Jacobi")
-
-
-def linear_lift(algebroid: AlmostLieAlgebroid, a: Sequence[MultiPoly]):
-    """Base field and fiber matrix of the linear lift of a section.
-
-    Returns (X, B) with X = R*a and B[k][j] = -(coefficient of e_k in
-    [a, e_j]).  For constant sections of an action algebroid B is the negative
-    adjoint matrix.
-    """
-    bundle = algebroid.bundle
-    n = bundle.fiber_rank
-    x_field = bundle.anchor_of_section(list(a))
-    b_matrix = [[bundle.zero_poly()] * n for _ in range(n)]
-    for j in range(n):
-        col = bracket_with_basis(algebroid, list(a), j)
-        for k in range(n):
-            b_matrix[k][j] = -col[k]
-    return x_field, b_matrix

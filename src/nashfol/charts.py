@@ -143,36 +143,6 @@ class ChartMap:
     def exceptional_poly(self) -> MultiPoly:
         return self.exceptional if self.exceptional is not None else self.jac_det
 
-    @classmethod
-    def identity(cls, variables: Sequence[str]) -> "ChartMap":
-        vs = tuple(variables)
-        return cls(vs, vs, [MultiPoly.variable(vs, v) for v in vs])
-
-    @classmethod
-    def blowup(
-        cls,
-        target_vars: Sequence[str],
-        index: int,
-        chart_vars: Sequence[str] | None = None,
-    ) -> "ChartMap":
-        """The standard chart of the blow-up at the origin in which the given
-        coordinate is the exceptional parameter: that coordinate maps to
-        itself and every other one to (it times the matching chart variable).
-        """
-        tvs = tuple(target_vars)
-        d = len(tvs)
-        if not 0 <= index < d:
-            raise ValueError(f"chart index {index} out of range for dimension {d}")
-        cvs = tuple(chart_vars) if chart_vars is not None else tvs
-        if len(cvs) != d:
-            raise ArityMismatchError("chart_vars must match the target dimension")
-        pivot = MultiPoly.variable(cvs, cvs[index])
-        phi = [
-            pivot if j == index else pivot * MultiPoly.variable(cvs, cvs[j])
-            for j in range(d)
-        ]
-        return cls(cvs, tvs, phi, exceptional=pivot)
-
 
 @dataclass(frozen=True)
 class PulledBackField:
@@ -362,11 +332,6 @@ class ChartFrame:
     def eval_at(self, point: Point) -> list[list[Fraction]]:
         n = len(self.columns[0]) if self.columns else 0
         return [[col[i].eval(point) for col in self.columns] for i in range(n)]
-
-    def rank_at(self, point: Point) -> int:
-        if not self.columns:
-            return 0
-        return frac_rank(self.eval_at(point))
 
 
 # Largest constant or leading coefficient whose divisors _rational_roots tries;

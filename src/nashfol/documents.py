@@ -1,8 +1,8 @@
-"""JSON document codecs for the CLI and the scenario corpus.
+"""JSON document readers for the CLI and the scenario corpus.
 
-Polynomials inside documents are grammar strings (the term-list encoding from
-``poly_to_doc`` is also accepted anywhere a polynomial is expected).  Bracket
-and bivector entry keys are "i,j" with 0-based indices.
+Polynomials inside documents are grammar strings; the term-list object that
+``poly.poly_from_doc`` reads is also accepted anywhere a polynomial is
+expected.  Bracket and bivector entry keys are "i,j" with 0-based indices.
 """
 
 from __future__ import annotations
@@ -125,21 +125,6 @@ def algebroid_from_doc(doc):
         raise DocumentError(str(exc)) from exc
 
 
-def algebroid_to_doc(a) -> dict:
-    bundle = a.bundle if isinstance(a, AlmostLieAlgebroid) else a
-    doc = {
-        "vars": list(bundle.base_vars),
-        "rank": bundle.fiber_rank,
-        "anchor": [[str(e) for e in row] for row in bundle.anchor],
-    }
-    if isinstance(a, AlmostLieAlgebroid):
-        doc["brackets"] = {
-            f"{i},{j}": [str(p) for p in section]
-            for (i, j), section in sorted(a.structure.items())
-        }
-    return doc
-
-
 def bivector_from_doc(doc) -> Bivector:
     _shaped(doc, dict, "bivector document")
     try:
@@ -157,16 +142,6 @@ def bivector_from_doc(doc) -> Bivector:
     return Bivector.from_upper_entries(variables, entries)
 
 
-def bivector_to_doc(pi: Bivector) -> dict:
-    d = pi.dim
-    entries = {}
-    for i in range(d):
-        for j in range(i + 1, d):
-            if not pi.matrix[i][j].is_zero():
-                entries[f"{i},{j}"] = str(pi.matrix[i][j])
-    return {"vars": list(pi.vars), "pi": entries}
-
-
 def curve_from_doc(doc) -> CurveGerm:
     _shaped(doc, dict, "curve document")
     try:
@@ -182,13 +157,6 @@ def curve_from_doc(doc) -> CurveGerm:
         return CurveGerm(target, components)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
-
-
-def curve_to_doc(curve: CurveGerm) -> dict:
-    return {
-        "target": [str(c) for c in curve.target],
-        "components": [str(p) for p in curve.components],
-    }
 
 
 def chart_from_doc(doc, target_vars: Sequence[str]) -> ChartMap:

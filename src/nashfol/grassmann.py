@@ -125,13 +125,6 @@ class PlueckerVector:
     def first_nonzero(self) -> int:
         return next(i for i, c in enumerate(self.coords) if c)
 
-    def affine_chart(self, index: int) -> tuple[Fraction, ...]:
-        """Coordinates divided by coords[index]; requires that entry nonzero."""
-        pivot = self.coords[index]
-        if pivot == 0:
-            raise ValueError(f"coordinate {index} vanishes, not an affine chart")
-        return tuple(Fraction(c, pivot) for c in self.coords)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PlueckerVector):
             return NotImplemented
@@ -195,7 +188,3 @@ def unpluecker(pv: PlueckerVector) -> Subspace:
             f"coordinates {list(pv.coords)} fail the Grassmannian relations"
         )
     return sub
-
-
-def span_of_integer_vectors(n: int, vectors: Iterable[Sequence[int]]) -> Subspace:
-    return Subspace(n, [[Fraction(x) for x in v] for v in vectors])

@@ -16,20 +16,10 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .algebroid import (
-    AlmostLieAlgebroid,
-    Point,
-    _bundle_of,
-    _constant_table,
-    _kernel_bracket_at,
-    anchor_rank_generic,
-    isotropy_algebra_at,
-    kernel_at,
-    strong_kernel_at,
-)
+from .algebroid import Point, _bundle_of, anchor_rank_generic, kernel_at, strong_kernel_at
 from .grassmann import PlueckerVector, Subspace, unpluecker
 from .linalg import kernel_basis, minors, rank
-from .poly import InternalInvariantError, MultiPoly
+from .poly import MultiPoly
 
 CURVE_VAR = ("t",)
 
@@ -85,17 +75,6 @@ class CurveGerm:
 
     def eval(self, t0: Fraction) -> list[Fraction]:
         return [c.eval([t0]) for c in self.components]
-
-    def reparametrize(self, scale: Fraction) -> "CurveGerm":
-        scaled = []
-        for comp in self.components:
-            scaled.append(
-                MultiPoly(
-                    CURVE_VAR,
-                    {e: c * scale ** e[0] for e, c in comp.terms.items()},
-                )
-            )
-        return CurveGerm(self.target, tuple(scaled))
 
 
 def kernel_curve(a, curve: CurveGerm) -> list[list[MultiPoly]]:
@@ -265,78 +244,3 @@ def check_flag(a, kernel_gens, v: Subspace, x: Point) -> bool:
     sker = strong_kernel_at(bundle, kernel_gens, x)
     ker = kernel_at(bundle, x)
     return v.contains_subspace(sker) and ker.contains_subspace(v)
-
-
-def check_limit_subalgebra(algebroid: AlmostLieAlgebroid, v: Subspace, x: Point) -> bool:
-    """Whether the limit is closed under the pointwise kernel bracket."""
-    bracket = _kernel_bracket_at(algebroid, x)
-    for i, row_u in enumerate(v.rows):
-        for row_w in v.rows[i + 1 :]:
-            if not v.contains(bracket(row_u, row_w)):
-                return False
-    return True
-
-
-def isotropy_image(
-    algebroid: AlmostLieAlgebroid,
-    kernel_gens,
-    v: Subspace,
-    x: Point,
-):
-    """Image of a limit in the isotropy quotient and its codimension there.
-
-    The codimension equals generic rank minus the anchor rank at the point;
-    the image is verified to be a subalgebra of the quotient constants.
-    """
-    iso = isotropy_algebra_at(algebroid, kernel_gens, x)
-    image_vectors = [iso.coordinates(row) for row in v.rows]
-    if None in image_vectors:
-        raise ValueError("limit subspace escapes the kernel span")
-    image = Subspace(iso.dim, image_vectors)
-    codim = iso.dim - image.dim
-    # the rank at x is n - dim ker(A(x)), read off the kernel isotropy computed
-    expected = anchor_rank_generic(algebroid) - algebroid.bundle.fiber_rank + iso.kernel.dim
-    if codim != expected:
-        raise InternalInvariantError("codimension defies the rank bookkeeping")
-    _assert_quotient_subalgebra(iso, image)
-    return image, codim
-
-
-def _assert_quotient_subalgebra(iso, image: Subspace) -> None:
-    gamma = _constant_table(iso.structure, iso.dim)
-    for i, u in enumerate(image.rows):
-        for w in image.rows[i + 1 :]:
-            bracket = [Fraction(0)] * iso.dim
-            u_terms = [(aa, ua) for aa, ua in enumerate(u) if ua]
-            w_terms = [(bb, wb) for bb, wb in enumerate(w) if wb]
-            for aa, ua in u_terms:
-                for bb, wb in w_terms:
-                    for e, g in gamma[aa][bb]:
-                        bracket[e] += ua * wb * g
-            if not image.contains(bracket):
-                raise InternalInvariantError("limit image is not a subalgebra")
-
-
-def convergence_errors(
-    a,
-    curve: CurveGerm,
-    limit: Subspace,
-    times: Sequence[Fraction],
-) -> list[Fraction]:
-    """Oracle distances between the limit and exact kernels along the arc.
-
-    For each sample time, both subspaces are put in the affine Pluecker chart
-    at the limit's first nonvanishing coordinate; the error is the largest
-    absolute coordinate difference.  Exact zeros mean the kernel is constant.
-    """
-    bundle = _bundle_of(a)
-    target = limit.pluecker()
-    anchor_index = target.first_nonzero()
-    reference = target.affine_chart(anchor_index)
-    errors = []
-    for t0 in times:
-        point = curve.eval(Fraction(t0))
-        sampled = kernel_at(bundle, point).pluecker()
-        chart = sampled.affine_chart(anchor_index)
-        errors.append(max(abs(p - q) for p, q in zip(chart, reference)))
-    return errors

@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .algebroid import AlmostLieAlgebroid, AnchoredBundle, Point, VectorField
-from .grassmann import Subspace
-from .linalg import frac_kernel, poly_mat_vec
+from .algebroid import AlmostLieAlgebroid, AnchoredBundle
 from .poly import ArityMismatchError, MultiPoly
 
 
@@ -80,24 +78,6 @@ def gradient(p: MultiPoly) -> list[MultiPoly]:
     return [p.diff(v) for v in p.vars]
 
 
-def hamiltonian_vf(pi: Bivector, h: MultiPoly) -> VectorField:
-    """The field R * grad(h); derivations along it are the bracket with h."""
-    if h.vars != pi.vars:
-        raise ArityMismatchError(f"function over {h.vars}, bivector over {pi.vars}")
-    return poly_mat_vec(pi.matrix, gradient(h))
-
-
-def poisson_bracket(pi: Bivector, f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """{f, g} = sum_ij pi^{ij} d_i f d_j g; the derivative of f along X_g."""
-    acc = MultiPoly.zero(pi.vars)
-    for i, vi in enumerate(pi.vars):
-        for j, vj in enumerate(pi.vars):
-            entry = pi.matrix[i][j]
-            if entry:
-                acc = acc + entry * f.diff(vi) * g.diff(vj)
-    return acc
-
-
 def cotangent_algebroid(pi: Bivector) -> AlmostLieAlgebroid:
     """The algebroid on coordinate differentials induced by the bivector."""
     bundle = pi_sharp(pi)
@@ -126,38 +106,3 @@ def schouten_self_bracket(pi: Bivector) -> dict[tuple[int, int, int], MultiPoly]
 
 def is_poisson(pi: Bivector) -> bool:
     return all(p.is_zero() for p in schouten_self_bracket(pi).values())
-
-
-def annihilator_duality_check(pi: Bivector, x: Point):
-    """Whether ker of the evaluated sharp map equals the annihilator of its
-    image.  Returns (flag, certificate) with both canonical bases; skewness
-    makes the flag true at every point."""
-    d = pi.dim
-    mat = [[entry.eval(x) for entry in row] for row in pi.matrix]
-    kernel = Subspace(d, frac_kernel(mat, d))
-    transpose = [[mat[j][i] for j in range(d)] for i in range(d)]
-    annihilator = Subspace(d, frac_kernel(transpose, d))
-    certificate = {
-        "kernel": [[str(c) for c in row] for row in kernel.rows],
-        "image_annihilator": [[str(c) for c in row] for row in annihilator.rows],
-    }
-    return kernel == annihilator, certificate
-
-
-def jacobian_bivector(phi: MultiPoly) -> Bivector:
-    """The exact bivector attached to a function of three coordinates.
-
-    Components follow the alternating pattern (d_z phi, -d_y phi, d_x phi) on
-    the upper triangle, making phi itself a global conserved quantity.
-    """
-    if len(phi.vars) != 3:
-        raise ArityMismatchError("jacobian bivector needs exactly three coordinates")
-    vx, vy, vz = phi.vars
-    return Bivector.from_upper_entries(
-        phi.vars,
-        {
-            (0, 1): phi.diff(vz),
-            (0, 2): -phi.diff(vy),
-            (1, 2): phi.diff(vx),
-        },
-    )

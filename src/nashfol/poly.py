@@ -727,18 +727,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding
+# JSON documents
 # ---------------------------------------------------------------------------
-
-
-def poly_to_doc(p: MultiPoly) -> dict:
-    """Term-list JSON form, terms in descending graded-lex order."""
-    return {
-        "vars": list(p.vars),
-        "terms": [
-            {"coeff": str(c), "exps": list(e)} for e, c in p.sorted_terms()
-        ],
-    }
 
 
 def poly_from_doc(doc: object, variables: Sequence[str] | None = None) -> MultiPoly:

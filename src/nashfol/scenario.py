@@ -16,7 +16,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from importlib import resources
 from typing import Callable
 
 from .algebroid import (
@@ -56,18 +55,6 @@ from .poly import MultiPoly, RatFunc, parse_poly, parse_rational
 
 class ScenarioError(ValueError):
     """A scenario references something undefined or is structurally invalid."""
-
-
-def corpus_names() -> list[str]:
-    """Names of the scenario files shipped with the package."""
-    root = resources.files("nashfol") / "scenarios"
-    return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
-
-
-def load_corpus_scenario(name: str) -> "Scenario":
-    path = resources.files("nashfol") / "scenarios" / f"{name}.json"
-    with path.open(encoding="utf-8") as handle:
-        return load_scenario(json.load(handle))
 
 
 class EngineError(RuntimeError):
@@ -294,16 +281,26 @@ def _ratfuncs(doc, _, ring_vars) -> list[list[RatFunc]]:
     return [[RatFunc(p) for p in col] for col in _polys(doc, None, ring_vars)]
 
 
+_RELATION_KEYS = ("index", "basis", "coefficients", "polynomial")
+
+
 def _relations(doc, _, ring_vars) -> list[tuple]:
-    return [
-        (
+    """Each relation object carries exactly the keys of ``_RELATION_KEYS``."""
+    relations = []
+    for rel in _json(list, doc):
+        unknown = [key for key in _json(dict, rel) if key not in _RELATION_KEYS]
+        if unknown:
+            raise ScenarioError(f"relation has no key {unknown[0]!r}")
+        missing = [key for key in _RELATION_KEYS if key not in rel]
+        if missing:
+            raise ScenarioError(f"relation is missing {missing[0]!r}")
+        relations.append((
             _int(rel["index"]),
             tuple(_ints(rel["basis"])),
-            [RatFunc(parse_poly(c, ring_vars)) for c in rel["coefficients"]],
-            _bool(rel.get("polynomial", True)),
-        )
-        for rel in _json(list, doc)
-    ]
+            [RatFunc(parse_poly(c, ring_vars)) for c in _json(list, rel["coefficients"])],
+            _bool(rel["polynomial"]),
+        ))
+    return relations
 
 
 def _pole(doc, _, ring_vars) -> str | None:
@@ -345,6 +342,8 @@ class _Runner:
         s = self.scenario
         if step.get("source") != "bivector" and isinstance(s.algebroid, AlmostLieAlgebroid):
             return s.algebroid
+        if step.get("source") == "algebroid":
+            raise ScenarioError("step asks for the algebroid's brackets; its algebroid has none")
         if self.cotangent is not None:
             return self.cotangent
         raise ScenarioError("step needs bracket data; scenario has none")
@@ -384,13 +383,14 @@ class _Runner:
         for key in step:
             if key not in ("op", "expect", op.ref, *op.keys):
                 raise ScenarioError(f"step {name!r} has no key {key!r}")
-        source = step.get("source", "algebroid")
-        if source not in ("algebroid", "bivector"):
-            raise ScenarioError(
-                f"step {name!r} has source {source!r}, not \"algebroid\" or \"bivector\""
-            )
-        if source == "bivector" and self.cotangent is None:
-            raise ScenarioError("step asks for the bivector; scenario has none")
+        if "source" in step:  # without one, a step reads the algebroid if there is one
+            source = step["source"]
+            if source not in ("algebroid", "bivector"):
+                raise ScenarioError(
+                    f"step {name!r} has source {source!r}, not \"algebroid\" or \"bivector\""
+                )
+            if {"algebroid": self.scenario.algebroid, "bivector": self.cotangent}[source] is None:
+                raise ScenarioError(f"step asks for the {source}; scenario has none")
         single = callable(op.expect)
         if single:
             parsers, expect = {name: op.expect}, {name: step["expect"]} if "expect" in step else {}

@@ -1,18 +1,25 @@
-"""Constructors for the worked models the test corpus revolves around.
+"""The worked models, standard charts and shipped corpus that tests build on.
 
-Each function builds an algebroid (or bivector) from scratch; the scenario
-JSON files in nashfol/scenarios mirror these and a corpus test keeps the two
-in sync.
+Each model function builds an algebroid (or bivector) from scratch; the
+scenario JSON files in nashfol/scenarios mirror these and a corpus test keeps
+the two in sync.  No command reaches this module: commands read documents.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+from importlib import resources
 from itertools import combinations_with_replacement
+from typing import Iterable, Sequence
 
-from .algebroid import AlmostLieAlgebroid, AnchoredBundle, Section
-from .poisson import Bivector, jacobian_bivector
-from .poly import MultiPoly, grlex_key, parse_poly
+from nashfol.algebroid import AlmostLieAlgebroid, AnchoredBundle, Section
+from nashfol.charts import ChartMap
+from nashfol.grassmann import Subspace
+from nashfol.nash import CURVE_VAR, CurveGerm
+from nashfol.poisson import Bivector
+from nashfol.poly import ArityMismatchError, MultiPoly, grlex_key, parse_poly
+from nashfol.scenario import Scenario, load_scenario
 
 
 def _polys(variables, rows):
@@ -187,6 +194,25 @@ def linear_poisson_so3() -> Bivector:
     )
 
 
+def jacobian_bivector(phi: MultiPoly) -> Bivector:
+    """The exact bivector attached to a function of three coordinates.
+
+    Components follow the alternating pattern (d_z phi, -d_y phi, d_x phi) on
+    the upper triangle, making phi itself a global conserved quantity.
+    """
+    if len(phi.vars) != 3:
+        raise ArityMismatchError("jacobian bivector needs exactly three coordinates")
+    vx, vy, vz = phi.vars
+    return Bivector.from_upper_entries(
+        phi.vars,
+        {
+            (0, 1): phi.diff(vz),
+            (0, 2): -phi.diff(vy),
+            (1, 2): phi.diff(vx),
+        },
+    )
+
+
 def surface_function(n: int) -> MultiPoly:
     """xy - z^(n+1)/(n+1), the family of isolated surface singularities."""
     vs = ("x", "y", "z")
@@ -196,3 +222,65 @@ def surface_function(n: int) -> MultiPoly:
 def surface_bivector(n: int) -> Bivector:
     """Exact bivector of the surface singularity family."""
     return jacobian_bivector(surface_function(n))
+
+
+def basis_section(bundle: AnchoredBundle, i: int) -> Section:
+    one = MultiPoly.constant(bundle.base_vars, 1)
+    return [one if j == i else bundle.zero_poly() for j in range(bundle.fiber_rank)]
+
+
+def reparametrize(curve: CurveGerm, scale: Fraction) -> CurveGerm:
+    scaled = []
+    for comp in curve.components:
+        scaled.append(
+            MultiPoly(
+                CURVE_VAR,
+                {e: c * scale ** e[0] for e, c in comp.terms.items()},
+            )
+        )
+    return CurveGerm(curve.target, tuple(scaled))
+
+
+def span_of_integer_vectors(n: int, vectors: Iterable[Sequence[int]]) -> Subspace:
+    return Subspace(n, [[Fraction(x) for x in v] for v in vectors])
+
+
+def identity_chart(variables: Sequence[str]) -> ChartMap:
+    vs = tuple(variables)
+    return ChartMap(vs, vs, [MultiPoly.variable(vs, v) for v in vs])
+
+
+def blowup(
+    target_vars: Sequence[str],
+    index: int,
+    chart_vars: Sequence[str] | None = None,
+) -> ChartMap:
+    """The standard chart of the blow-up at the origin in which the given
+    coordinate is the exceptional parameter: that coordinate maps to
+    itself and every other one to (it times the matching chart variable).
+    """
+    tvs = tuple(target_vars)
+    d = len(tvs)
+    if not 0 <= index < d:
+        raise ValueError(f"chart index {index} out of range for dimension {d}")
+    cvs = tuple(chart_vars) if chart_vars is not None else tvs
+    if len(cvs) != d:
+        raise ArityMismatchError("chart_vars must match the target dimension")
+    pivot = MultiPoly.variable(cvs, cvs[index])
+    phi = [
+        pivot if j == index else pivot * MultiPoly.variable(cvs, cvs[j])
+        for j in range(d)
+    ]
+    return ChartMap(cvs, tvs, phi, exceptional=pivot)
+
+
+def corpus_names() -> list[str]:
+    """Names of the scenario files shipped with the package."""
+    root = resources.files("nashfol") / "scenarios"
+    return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
+
+
+def load_corpus_scenario(name: str) -> Scenario:
+    path = resources.files("nashfol") / "scenarios" / f"{name}.json"
+    with path.open(encoding="utf-8") as handle:
+        return load_scenario(json.load(handle))

@@ -16,11 +16,9 @@ from nashfol.algebroid import (
     anchor_rank_generic,
     generic_kernel_sections,
     is_lie_algebroid,
-    is_regular_point,
     kernel_at,
     lie_derivative,
     morphism_defect_pairs,
-    rank_at,
     section_bracket,
     singular_locus,
     validate_anchor_morphism,
@@ -42,8 +40,30 @@ from nashfol.grassmann import (
     unpluecker,
 )
 from nashfol.linalg import frac_kernel, frac_rank
-from nashfol.models import (
+from nashfol.nash import (
+    CurveGerm,
+    CurveInSingularLocusError,
+    check_flag,
+    default_arcs,
+    kernel_curve,
+    limit_subspace,
+    nash_fiber_sample,
+)
+from nashfol.poisson import cotangent_algebroid, gradient, pi_sharp
+from nashfol.poly import MultiPoly, RatFunc, divides, parse_poly
+from checks import (
+    annihilator_duality_check,
+    check_limit_subalgebra,
+    convergence_errors,
+    is_regular_point,
+    isotropy_image,
+    rank_at,
+)
+from models import (
+    blowup,
+    corpus_names,
     degree_monomials,
+    load_corpus_scenario,
     matrix_action_algebroid,
     rotation_action_algebroid,
     special_linear_2_algebroid,
@@ -52,26 +72,6 @@ from nashfol.models import (
     surface_function,
     vanishing_order_bundle,
 )
-from nashfol.nash import (
-    CurveGerm,
-    CurveInSingularLocusError,
-    check_flag,
-    check_limit_subalgebra,
-    convergence_errors,
-    default_arcs,
-    isotropy_image,
-    kernel_curve,
-    limit_subspace,
-    nash_fiber_sample,
-)
-from nashfol.poisson import (
-    annihilator_duality_check,
-    cotangent_algebroid,
-    gradient,
-    pi_sharp,
-)
-from nashfol.poly import MultiPoly, RatFunc, divides, parse_poly
-from nashfol.scenario import corpus_names, load_corpus_scenario
 
 ORACLE_TIMES = [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)]
 
@@ -154,7 +154,7 @@ def test_criterion_2_so3_chart_reproduction():
         RatFunc(parse_poly("-z", vs)),
     ]
 
-    from nashfol.models import linear_poisson_so3
+    from models import linear_poisson_so3
 
     mat, pole = pullback_bivector(chart, linear_poisson_so3())
     assert pole is not None and pole.primitive() == parse_poly("x", vs)
@@ -174,7 +174,7 @@ def test_criterion_3_gl_chart_membership_and_singular_locus():
         vs = a.bundle.base_vars
         cvs = tuple(f"y{k + 1}" for k in range(d))
         for i in range(d):
-            chart = ChartMap.blowup(vs, i, chart_vars=cvs)
+            chart = blowup(vs, i, chart_vars=cvs)
             pivot = parse_poly(cvs[i], cvs)
             for pb in _pullback_strings(chart, a.bundle):
                 comps = pb.polynomial_components()

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -22,30 +23,26 @@ from nashfol.algebroid import (
     isotropy_algebra_at,
     jacobiator,
     kernel_at,
-    linear_lift,
     morphism_defect_pairs,
-    pointwise_kernel_bracket,
-    rank_at,
     section_bracket,
     singular_locus,
     strong_kernel_at,
     validate_anchor_morphism,
     vf_bracket,
 )
-from nashfol.documents import algebroid_to_doc
 from nashfol.grassmann import Subspace
-from nashfol.models import (
+from nashfol.nash import CurveGerm, kernel_curve
+from nashfol.poly import MultiPoly, parse_poly
+from nashfol.scenario import load_scenario, run_scenario
+from checks import linear_lift, pointwise_kernel_bracket, rank_at
+from encoders import algebroid_to_doc
+from models import (
+    basis_section,
+    corpus_names,
+    load_corpus_scenario,
     matrix_action_algebroid,
     special_linear_2_algebroid,
     sphere_generators_algebroid,
-)
-from nashfol.nash import CurveGerm, kernel_curve
-from nashfol.poly import MultiPoly, parse_poly
-from nashfol.scenario import (
-    corpus_names,
-    load_corpus_scenario,
-    load_scenario,
-    run_scenario,
 )
 
 XYZ = ("x", "y", "z")
@@ -65,7 +62,7 @@ def test_vf_bracket_basics():
 
 def test_section_bracket_on_basis_gives_structure():
     alg = special_linear_2_algebroid()
-    e = alg.bundle.basis_section
+    e = partial(basis_section, alg.bundle)
     assert section_bracket(alg, e(0), e(1)) == alg.structure_section(0, 1)
     # [h, e] = 2e in the frame order (h, e, f)
     assert section_bracket(alg, e(0), e(1)) == V(("x", "y"), "0", "2", "0")
@@ -366,7 +363,7 @@ def test_isotropy_well_definedness_guard():
 
 def test_linear_lift_of_constant_sections():
     gl2 = matrix_action_algebroid(2)
-    e = gl2.bundle.basis_section
+    e = partial(basis_section, gl2.bundle)
     x_field, b = linear_lift(gl2, e(0))
     assert x_field == gl2.bundle.anchor_of_section(e(0))
     # B is the negative adjoint: entry (k, j) = -coeff_k([e_0, e_j])
@@ -456,7 +453,7 @@ def _algebroid_and_section(draw):
 def test_bracket_with_basis_matches_leibniz(case):
     alg, section = case
     for c in range(alg.bundle.fiber_rank):
-        expected = section_bracket(alg, section, alg.bundle.basis_section(c))
+        expected = section_bracket(alg, section, basis_section(alg.bundle, c))
         assert bracket_with_basis(alg, section, c) == expected
 
 
@@ -469,14 +466,14 @@ def test_bracket_with_basis_matches_leibniz_on_corpus_structure():
         for a, b in alg.structure:
             sec = alg.structure_section(a, b)
             for c in range(alg.bundle.fiber_rank):
-                expected = section_bracket(alg, sec, alg.bundle.basis_section(c))
+                expected = section_bracket(alg, sec, basis_section(alg.bundle, c))
                 assert bracket_with_basis(alg, sec, c) == expected
 
 
 def test_bracket_with_basis_checks_its_arguments():
     sl2 = special_linear_2_algebroid()
     with pytest.raises(IndexError):
-        bracket_with_basis(sl2, sl2.bundle.basis_section(0), 3)
+        bracket_with_basis(sl2, basis_section(sl2.bundle, 0), 3)
     # the jacobiator's indices are range-checked as the basis side of a term
     for triple, bad in (((5, 0, 1), 5), ((0, 5, 1), 5), ((0, 1, 5), 5), ((-1, 0, 1), -1)):
         with pytest.raises(IndexError, match=f"basis index {bad} out of range"):

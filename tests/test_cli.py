@@ -14,7 +14,8 @@ import nashfol
 import nashfol.linalg as linalg
 from nashfol.cli import _build_parser, main
 from nashfol.poly import MultiPoly
-from nashfol.scenario import OPS, corpus_names
+from nashfol.scenario import OPS
+from models import corpus_names
 
 
 def corpus_path(name: str) -> str:
@@ -316,6 +317,9 @@ def test_chart_report_text_when_chart_does_not_resolve(tmp_path, capsys):
     )
 
 
+_SO3_ANCHOR = [["0", "z", "y"], ["z", "0", "-x"], ["-y", "-x", "0"]]
+
+
 @pytest.mark.parametrize(
     "changes, named",
     [
@@ -338,11 +342,25 @@ def test_chart_report_text_when_chart_does_not_resolve(tmp_path, capsys):
         ({"steps": [{"op": "validate", "expect": {"lie": "false"}}]}, 'not "false"'),
         ({"steps": [{"op": "rank", "expct": 3}]}, "'expct'"),
         ({"steps": [{"op": "rank", "source": "bivectr", "expect": 2}]}, "'bivectr'"),
+        (
+            {
+                "algebroid": {"vars": ["x", "y", "z"], "rank": 3, "anchor": _SO3_ANCHOR},
+                "steps": [{"op": "isotropy", "point": "origin", "source": "algebroid"}],
+            },
+            "algebroid's brackets",
+        ),
+        (
+            {"steps": [{"op": "relations", "chart": "x-chart", "expect": [{
+                "index": 0, "basis": [1, 2], "coefficients": ["y", "-z"], "polynomal": False,
+            }]}]},
+            "'polynomal'",
+        ),
     ],
     ids=[
         "op-list", "expect-dim-list", "expect-string", "expect-unknown-key", "expect-missing-key",
         "charts-list", "curves-list", "points-string", "expect-rank-float", "expect-dim-float",
-        "expect-lie-string", "step-unknown-key", "source-misspelt",
+        "expect-lie-string", "step-unknown-key", "source-misspelt", "source-without-brackets",
+        "relation-key-misspelt",
     ],
 )
 def test_malformed_scenario_exits_2(changes, named, tmp_path, capsys):
@@ -355,6 +373,19 @@ def test_malformed_scenario_exits_2(changes, named, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     assert named in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("name, source", [("duval2", "algebroid"), ("sl2", "bivector")])
+def test_explicit_source_the_scenario_lacks_exits_2(name, source, tmp_path, capsys):
+    """A step naming a source its scenario lacks fails closed instead of
+    falling back to the other source."""
+    doc = json.loads(Path(corpus_path(name)).read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(doc, steps=[{"op": "rank", "source": source, "expect": 2}])))
+    assert main(["run-scenario", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: step asks for the {source}; scenario has none\n"
 
 
 _BUNDLE = {"vars": ["x", "y"], "rank": 2, "anchor": [["x", "0"], ["0", "y"]]}

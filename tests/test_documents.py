@@ -7,19 +7,17 @@ import pytest
 from nashfol.documents import (
     DocumentError,
     algebroid_from_doc,
-    algebroid_to_doc,
     bivector_from_doc,
-    bivector_to_doc,
     chart_from_doc,
     curve_from_doc,
-    curve_to_doc,
     load_json,
     parse_point,
     point_from_doc,
     point_to_doc,
 )
 from nashfol.algebroid import AlmostLieAlgebroid, AnchoredBundle
-from nashfol.models import (
+from encoders import algebroid_to_doc, bivector_to_doc, curve_to_doc
+from models import (
     matrix_action_algebroid,
     sphere_generators_algebroid,
     surface_bivector,

@@ -3,13 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from nashfol.grassmann import (
-    NotDecomposableError,
-    PlueckerVector,
-    Subspace,
-    span_of_integer_vectors,
-    unpluecker,
-)
+from nashfol.grassmann import NotDecomposableError, PlueckerVector, Subspace, unpluecker
+from checks import affine_chart
+from models import span_of_integer_vectors
 
 
 def F(*xs):
@@ -82,7 +78,7 @@ def test_zero_dimensional_subspace():
 def test_affine_chart():
     pv = PlueckerVector(3, 1, [2, 4, -6])
     assert pv.coords == (1, 2, -3)
-    assert pv.affine_chart(1) == (Fraction(1, 2), 1, Fraction(-3, 2))
+    assert affine_chart(pv, 1) == (Fraction(1, 2), 1, Fraction(-3, 2))
     with pytest.raises(ValueError):
         PlueckerVector(3, 1, [0, 0, 0])
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from nashfol.algebroid import _assert_jacobi_numeric, isotropy_algebra_at
 from nashfol.grassmann import Subspace
-from nashfol.models import matrix_action_algebroid
-from nashfol.nash import _assert_quotient_subalgebra
 from nashfol.poly import InternalInvariantError
+from checks import _assert_quotient_subalgebra
+from models import matrix_action_algebroid
 
 
 def _dense_table(structure, dim):

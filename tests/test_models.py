@@ -10,7 +10,9 @@ from nashfol.algebroid import (
     singular_locus,
 )
 from nashfol.grassmann import Subspace
-from nashfol.models import (
+from nashfol.poisson import cotangent_algebroid
+from nashfol.poly import parse_poly
+from models import (
     degree_monomials,
     linear_poisson_so3,
     matrix_action_algebroid,
@@ -21,8 +23,6 @@ from nashfol.models import (
     vanishing_order_algebroid,
     vanishing_order_bundle,
 )
-from nashfol.poisson import cotangent_algebroid
-from nashfol.poly import parse_poly
 
 XYZ = ("x", "y", "z")
 

@@ -11,28 +11,27 @@ from nashfol.algebroid import (
 )
 from nashfol.grassmann import Subspace, ZeroDimError, pluecker
 from nashfol.linalg import poly_mat_mul
-from nashfol.models import (
-    linear_poisson_so3,
-    matrix_action_algebroid,
-    sphere_generators_algebroid,
-    surface_bivector,
-    vanishing_order_bundle,
-)
 from nashfol.nash import (
     AllCurvesSingularError,
     CurveGerm,
     CurveInSingularLocusError,
     check_flag,
-    check_limit_subalgebra,
-    convergence_errors,
     default_arcs,
-    isotropy_image,
     kernel_curve,
     limit_subspace,
     nash_fiber_sample,
 )
 from nashfol.poisson import pi_sharp
 from nashfol.poly import MultiPoly, parse_poly
+from checks import check_limit_subalgebra, convergence_errors, isotropy_image
+from models import (
+    linear_poisson_so3,
+    matrix_action_algebroid,
+    reparametrize,
+    sphere_generators_algebroid,
+    surface_bivector,
+    vanishing_order_bundle,
+)
 
 T = ("t",)
 ORIGIN2 = (Fraction(0), Fraction(0))
@@ -213,7 +212,7 @@ def test_isotropy_image_rotation():
 def test_scaling_invariance():
     bundle = pi_sharp(linear_poisson_so3())
     curve = ray([0, 0, 0], [2, -3, 1])
-    scaled = curve.reparametrize(Fraction(3, 2))
+    scaled = reparametrize(curve, Fraction(3, 2))
     a = limit_subspace(kernel_curve(bundle, curve))
     b = limit_subspace(kernel_curve(bundle, scaled))
     assert a == b

@@ -12,10 +12,11 @@ from nashfol.algebroid import (
     _quotient_basis,
     anchor_rank_generic,
 )
-from nashfol.charts import ChartMap, debord_generators
+from nashfol.charts import debord_generators
 from nashfol.grassmann import Subspace, unpluecker
 from nashfol.nash import CurveGerm, CurveInSingularLocusError, kernel_curve, limit_along
 from nashfol.poly import MultiPoly
+from models import identity_chart
 from oracles import (
     frac_solve,
     greedy_representatives,
@@ -207,7 +208,7 @@ def _anchor_columns(draw):
 @given(_anchor_columns())
 def test_debord_relations_match_per_target_solve(columns):
     bundle = AnchoredBundle(_XYZ, [[col[i] for col in columns] for i in range(3)])
-    pullbacks, relations = debord_generators(bundle, ChartMap.identity(_XYZ))
+    pullbacks, relations = debord_generators(bundle, identity_chart(_XYZ))
     pulled = [pb.polynomial_components() for pb in pullbacks]
     expected = relations_by_solve(pulled)
     assert [(rel.index, rel.basis) for rel in relations] == [

@@ -11,20 +11,17 @@ from nashfol.algebroid import (
     vf_bracket,
 )
 from nashfol.grassmann import Subspace
-from nashfol.models import linear_poisson_so3, surface_bivector, surface_function
 from nashfol.poisson import (
     Bivector,
     NotSkewError,
-    annihilator_duality_check,
     cotangent_algebroid,
-    hamiltonian_vf,
     is_poisson,
-    jacobian_bivector,
     pi_sharp,
-    poisson_bracket,
     schouten_self_bracket,
 )
 from nashfol.poly import MultiPoly, parse_poly
+from checks import annihilator_duality_check, hamiltonian_vf, poisson_bracket
+from models import jacobian_bivector, linear_poisson_so3, surface_bivector, surface_function
 
 XYZ = ("x", "y", "z")
 

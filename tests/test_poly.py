@@ -17,8 +17,8 @@ from nashfol.poly import (
     parse_poly,
     parse_rational,
     poly_from_doc,
-    poly_to_doc,
 )
+from encoders import poly_to_doc
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")

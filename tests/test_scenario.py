@@ -16,27 +16,27 @@ from pathlib import Path
 import pytest
 
 import nashfol
-from nashfol.documents import algebroid_to_doc, bivector_to_doc
-from nashfol.models import (
-    linear_poisson_so3,
-    matrix_action_algebroid,
-    rotation_action_algebroid,
-    special_linear_2_algebroid,
-    sphere_generators_algebroid,
-    surface_bivector,
-    vanishing_order_bundle,
-)
 from nashfol.scenario import (
     EngineError,
     ScenarioError,
-    corpus_names,
-    load_corpus_scenario,
     load_scenario,
     render_report_json,
     render_report_text,
     report_to_doc,
     run_scenario,
     run_single_step,
+)
+from encoders import algebroid_to_doc, bivector_to_doc
+from models import (
+    corpus_names,
+    linear_poisson_so3,
+    load_corpus_scenario,
+    matrix_action_algebroid,
+    rotation_action_algebroid,
+    special_linear_2_algebroid,
+    sphere_generators_algebroid,
+    surface_bivector,
+    vanishing_order_bundle,
 )
 
 SO3_DOC = {
@@ -156,8 +156,8 @@ def test_corpus_reports_identical_under_optimize():
     """Stripping asserts (python -O) must not change a single report byte."""
     child = (
         "import json, sys\n"
-        "from nashfol.scenario import (corpus_names, load_corpus_scenario,\n"
-        "    render_report_json, render_report_text, run_scenario)\n"
+        "from models import corpus_names, load_corpus_scenario\n"
+        "from nashfol.scenario import render_report_json, render_report_text, run_scenario\n"
         "reports = {}\n"
         "for name in corpus_names():\n"
         "    report = run_scenario(load_corpus_scenario(name), seed=0)\n"
@@ -165,8 +165,9 @@ def test_corpus_reports_identical_under_optimize():
         "json.dump({'optimize': sys.flags.optimize, 'reports': reports}, sys.stdout)\n"
     )
     src = str(Path(nashfol.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, inherited])))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, tests, inherited])))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", child], capture_output=True, text=True, env=env
     )

@@ -1,7 +1,9 @@
-"""The package runs on the standard library alone."""
+"""The package runs on the standard library alone, and every import and
+definition in it is reached."""
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import nashfol
@@ -45,3 +47,59 @@ def _unused_imports(path: Path) -> set[str]:
 def test_every_imported_name_is_used():
     unused = {f"{path.name}: {name}" for path in SOURCES for name in _unused_imports(path)}
     assert not unused
+
+
+# Definitions that only code outside src/ calls, each with the file calling it.
+ENTRY_POINTS = {"check_flag": "benchmarks/workloads.py"}
+
+
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the non-dunder methods of the classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not (
+                    sub.name.startswith("__") and sub.name.endswith("__")
+                ):
+                    yield sub
+
+
+def _names(node: ast.AST):
+    """Every name the code under ``node`` mentions: read, as an attribute, or as a string."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield sub.value
+
+
+def _unreferenced(paths) -> set[str]:
+    """Names of the definitions in ``paths`` that no code in ``paths`` mentions
+    outside the definition itself."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    mentions = Counter(name for tree in trees for name in _names(tree))
+    return {
+        node.name
+        for tree in trees
+        for node in _definitions(tree)
+        if mentions[node.name] == sum(name == node.name for name in _names(node))
+    }
+
+
+def test_every_definition_is_reached():
+    assert not _unreferenced(SOURCES) - set(ENTRY_POINTS)
+
+
+def test_entry_points_are_defined_and_called_from_outside():
+    """The exemptions stay exact: each one is defined in src/, reached from
+    nowhere else in src/, and still named by the file that calls it."""
+    unreferenced = _unreferenced(SOURCES)
+    root = Path(__file__).resolve().parents[1]
+    for name, caller in ENTRY_POINTS.items():
+        assert name in unreferenced, f"{name} is not defined in src/, or src/ reaches it"
+        named = set(_names(ast.parse((root / caller).read_text(encoding="utf-8"))))
+        assert name in named, f"{caller} no longer names {name}"
