@@ -213,34 +213,21 @@ def bracket_with_basis(algebroid: AlmostLieAlgebroid, s: Sequence[MultiPoly], c:
     return out
 
 
-def validate_anchor_morphism(algebroid: AlmostLieAlgebroid) -> list[VectorField]:
-    """Defect R*c_ij - [rho(e_i), rho(e_j)] for each pair i < j, in pair order.
-
-    All-zero defects mean the anchor is a bracket morphism on the frame (and
-    then, by Leibniz, on all sections).
-    """
-    bundle = algebroid.bundle
-    cols = [
-        [bundle.anchor[row][col] for row in range(bundle.base_dim)]
-        for col in range(bundle.fiber_rank)
-    ]
-    defects = []
-    for i in range(bundle.fiber_rank):
-        for j in range(i + 1, bundle.fiber_rank):
-            lhs = bundle.anchor_of_section(algebroid.structure_section(i, j))
-            rhs = vf_bracket(cols[i], cols[j])
-            defects.append([p - q for p, q in zip(lhs, rhs)])
-    return defects
-
-
 def morphism_defect_pairs(algebroid: AlmostLieAlgebroid) -> list[tuple[int, int]]:
-    """Index pairs whose morphism defect is nonzero (scanned once per instance)."""
+    """Pairs i < j, in pair order, whose morphism defect R*c_ij - [rho(e_i),
+    rho(e_j)] is nonzero (scanned once per instance).
+
+    No pair means the anchor is a bracket morphism on the frame (and then, by
+    Leibniz, on all sections).
+    """
     if algebroid._defect_pairs is None:
-        pairs = combinations(range(algebroid.bundle.fiber_rank), 2)
+        bundle = algebroid.bundle
+        cols = [[row[c] for row in bundle.anchor] for c in range(bundle.fiber_rank)]
         algebroid._defect_pairs = [
-            pair
-            for pair, defect in zip(pairs, validate_anchor_morphism(algebroid))
-            if any(not p.is_zero() for p in defect)
+            (i, j)
+            for i, j in combinations(range(bundle.fiber_rank), 2)
+            if bundle.anchor_of_section(algebroid.structure_section(i, j))
+            != vf_bracket(cols[i], cols[j])
         ]
     return list(algebroid._defect_pairs)
 

@@ -37,6 +37,7 @@ from .linalg import (
     det,
     frac_kernel,
     frac_rank,
+    integer_row,
     kernel_basis,
     poly_mat_mul,
     poly_mat_vec,
@@ -454,8 +455,7 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
             return frame
         u0, m = deficient
         relation = frac_kernel(m, k)[0]
-        scale = math.lcm(*(c.denominator for c in relation))
-        ints = [int(c * scale) for c in relation]
+        ints = integer_row(relation)
         involved = [idx for idx, c in enumerate(ints) if c]
         leader = involved[-1]
         combo = [MultiPoly.zero(chart.chart_vars) for _ in range(n)]

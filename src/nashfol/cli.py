@@ -15,9 +15,7 @@ from typing import Sequence
 from .documents import DocumentError, load_json, parse_point, point_to_doc
 from .scenario import (
     OPS,
-    EngineError,
     Scenario,
-    ScenarioError,
     load_scenario,
     render_report_json,
     render_report_text,
@@ -126,9 +124,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         scenario = _load_input_scenario(args)
         result = run_single_step(scenario, _single_step(args, scenario), seed=args.seed)
         return _emit_single(args, result)
-    except (DocumentError, ScenarioError, EngineError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # DocumentError and ScenarioError are ValueErrors, EngineError a RuntimeError
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

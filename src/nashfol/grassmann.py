@@ -11,18 +11,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 from typing import Iterable, Sequence
 
-from .linalg import frac_det, frac_rref
+from .linalg import frac_det, frac_rref, integer_row
 
 
 class NotDecomposableError(ValueError):
     """The given Pluecker coordinates do not describe any subspace."""
-
-
-class ZeroDimError(ValueError):
-    """Pluecker coordinates were requested for the zero subspace."""
 
 
 class Subspace:
@@ -70,16 +66,13 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return self.n == other.n and all(self.contains(r) for r in other.rows)
 
-    def basis(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.rows]
-
     def pluecker(self) -> "PlueckerVector":
         if self._pluecker is None:
             coords = [
                 frac_det([[row[c] for c in cols] for row in self.rows])
                 for cols in combinations(range(self.n), self.dim)
             ]
-            self._pluecker = PlueckerVector.from_fractions(self.n, self.dim, coords)
+            self._pluecker = PlueckerVector(self.n, self.dim, coords)
         return self._pluecker
 
 
@@ -87,37 +80,25 @@ class PlueckerVector:
     """Projective Pluecker coordinates of a k-plane in Q^n.
 
     ``coords`` lists the k-by-k minors over column subsets in lexicographic
-    order, scaled to coprime integers with the first nonzero entry positive.
+    order; they are given as rationals and kept as their integer row
+    (``linalg.integer_row``) with the first nonzero entry made positive.
     """
 
     __slots__ = ("n", "k", "coords")
 
-    def __init__(self, n: int, k: int, coords: Sequence[int]):
+    def __init__(self, n: int, k: int, coords: Sequence[Fraction]):
         expected = comb(n, k)
         if len(coords) != expected:
             raise ValueError(
                 f"expected {expected} coordinates for Gr({k}, {n}), got {len(coords)}"
             )
-        if not any(coords):
+        ints = integer_row(coords)
+        if not any(ints):
             raise ValueError("a Pluecker vector cannot be identically zero")
-        g = 0
-        for c in coords:
-            g = gcd(g, abs(int(c)))
-        first = next(c for c in coords if c)
-        sign = 1 if first > 0 else -1
+        sign = 1 if next(c for c in ints if c) > 0 else -1
         self.n = n
         self.k = k
-        self.coords = tuple(sign * int(c) // g for c in coords)
-
-    @classmethod
-    def from_fractions(
-        cls, n: int, k: int, coords: Sequence[Fraction]
-    ) -> "PlueckerVector":
-        den = 1
-        for c in coords:
-            f = Fraction(c)
-            den = den * f.denominator // gcd(den, f.denominator)
-        return cls(n, k, [int(Fraction(c) * den) for c in coords])
+        self.coords = tuple(sign * c for c in ints)
 
     def column_sets(self) -> list[tuple[int, ...]]:
         return list(combinations(range(self.n), self.k))
@@ -138,19 +119,6 @@ class PlueckerVector:
 
     def __repr__(self) -> str:
         return f"PlueckerVector({self.n}, {self.k}, {list(self.coords)})"
-
-
-def pluecker(v: Subspace) -> PlueckerVector:
-    """Pluecker coordinates of a positive-dimensional subspace.
-
-    The Subspace method itself is total (the zero subspace gets the single
-    coordinate [1], which the fiber sampler relies on for full-rank anchors);
-    this entry point enforces dim >= 1 for callers that need a genuine
-    projective point.
-    """
-    if v.dim == 0:
-        raise ZeroDimError("the zero subspace has no projective coordinates")
-    return v.pluecker()
 
 
 def unpluecker(pv: PlueckerVector) -> Subspace:

@@ -64,6 +64,16 @@ def eval_matrix(m: Sequence[Sequence[MultiPoly]], point: Sequence) -> list[list[
     return [[entry.eval(point) for entry in row] for row in m]
 
 
+def integer_row(values: Sequence[Fraction]) -> list[int]:
+    """The primitive integer multiple of a rational vector: denominators
+    cleared by their lcm, then divided by the gcd.  The sign is kept, and a
+    zero (or empty) vector stays as it is."""
+    scale = math.lcm(*(c.denominator for c in values))
+    ints = [int(c * scale) for c in values]
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints]
+
+
 def _reduce_row(
     row: PolyVector, pivot_row: Sequence[MultiPoly], c: int, prev: MultiPoly | None
 ) -> None:

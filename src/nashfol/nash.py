@@ -73,9 +73,6 @@ class CurveGerm:
             )
         return cls(tuple(Fraction(c) for c in target), tuple(comps))
 
-    def eval(self, t0: Fraction) -> list[Fraction]:
-        return [c.eval([t0]) for c in self.components]
-
 
 def kernel_curve(a, curve: CurveGerm) -> list[list[MultiPoly]]:
     """Kernel basis of the anchor along the arc, as vectors over Q[t].
@@ -133,7 +130,7 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
         p.shift_down((valuation,)) if not p.is_zero() else p for p in coords
     ]
     at_zero = [p.eval([Fraction(0)]) for p in shifted]
-    return unpluecker(PlueckerVector.from_fractions(n, k, at_zero))
+    return unpluecker(PlueckerVector(n, k, at_zero))
 
 
 def limit_along(a, curve: CurveGerm) -> Subspace:

@@ -25,24 +25,16 @@ class NotSkewError(ValueError):
 class Bivector:
     """A polynomial bivector as its d-by-d antisymmetric component matrix."""
 
-    def __init__(
-        self,
-        variables: Sequence[str],
-        matrix: Sequence[Sequence[MultiPoly]],
-        validate: bool = True,
-    ):
+    def __init__(self, variables: Sequence[str], matrix: Sequence[Sequence[MultiPoly]]):
         vs = tuple(variables)
         rows = [list(r) for r in matrix]
         d = len(vs)
         if len(rows) != d or any(len(r) != d for r in rows):
             raise ArityMismatchError(f"bivector matrix must be {d}x{d}")
-        if validate:
-            for i in range(d):
-                for j in range(d):
-                    if not (rows[i][j] + rows[j][i]).is_zero():
-                        raise NotSkewError(
-                            f"entries ({i},{j}) and ({j},{i}) are not opposite"
-                        )
+        for i in range(d):
+            for j in range(d):
+                if not (rows[i][j] + rows[j][i]).is_zero():
+                    raise NotSkewError(f"entries ({i},{j}) and ({j},{i}) are not opposite")
         self.vars = vs
         self.matrix = rows
 
@@ -79,30 +71,14 @@ def gradient(p: MultiPoly) -> list[MultiPoly]:
 
 
 def cotangent_algebroid(pi: Bivector) -> AlmostLieAlgebroid:
-    """The algebroid on coordinate differentials induced by the bivector."""
+    """The algebroid on coordinate differentials induced by the bivector.
+
+    Its anchor is a bracket morphism exactly when [pi, pi] = 0, so the
+    bivector is Poisson iff ``morphism_defect_pairs`` finds no pair.
+    """
     bundle = pi_sharp(pi)
     structure = {}
     for i in range(pi.dim):
         for j in range(i + 1, pi.dim):
             structure[(i, j)] = [-p for p in gradient(pi.entry(i, j))]
     return AlmostLieAlgebroid(bundle, structure)
-
-
-def schouten_self_bracket(pi: Bivector) -> dict[tuple[int, int, int], MultiPoly]:
-    """Components (i<j<k) of the self-bracket; identically zero iff Poisson."""
-    out = {}
-    d = pi.dim
-    for i in range(d):
-        for j in range(i + 1, d):
-            for k in range(j + 1, d):
-                acc = MultiPoly.zero(pi.vars)
-                for l, vl in enumerate(pi.vars):
-                    acc = acc + pi.entry(i, l) * pi.entry(j, k).diff(vl)
-                    acc = acc + pi.entry(j, l) * (-pi.entry(i, k)).diff(vl)
-                    acc = acc + pi.entry(k, l) * pi.entry(i, j).diff(vl)
-                out[(i, j, k)] = acc
-    return out
-
-
-def is_poisson(pi: Bivector) -> bool:
-    return all(p.is_zero() for p in schouten_self_bracket(pi).values())

@@ -606,8 +606,10 @@ class _Parser:
 
     Whitespace is insignificant.  A leading '-' (on any term) is accepted as a
     superset of the strict grammar so that negative leading coefficients have
-    a printable form.  A '*' or '^' whose result may exceed MAX_TERMS terms
-    is refused before it is expanded.
+    a printable form.  A '^' directly after a 'p/q' literal is refused: the
+    usual reading of "3/4^2" is 3/16, this grammar's would be 9/16, so the
+    power of a fraction is written "(3/4)^2".  A '*' or '^' whose result may
+    exceed MAX_TERMS terms is refused before it is expanded.
     """
 
     def __init__(self, text: str, variables: Sequence[str]):
@@ -693,6 +695,8 @@ class _Parser:
                 if int(dtok[1]) == 0:
                     raise PolySyntaxError("zero denominator", dtok[2])
                 value = Fraction(int(tok[1]), int(dtok[1]))
+                if self.peek()[0] == "^":
+                    raise PolySyntaxError("'^' after a fraction; write (p/q)^e", self.peek()[2])
             return MultiPoly.constant(self.vars, value)
         if tok[0] == "IDENT":
             self.advance()

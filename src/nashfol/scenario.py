@@ -12,7 +12,6 @@ scenario + seed must produce identical report bytes.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -48,8 +47,9 @@ from .documents import (
     point_from_doc,
 )
 from .grassmann import PlueckerVector, Subspace
+from .linalg import integer_row
 from .nash import default_arcs, limit_along, nash_fiber_sample
-from .poisson import cotangent_algebroid, is_poisson
+from .poisson import cotangent_algebroid
 from .poly import MultiPoly, RatFunc, parse_poly, parse_rational
 
 
@@ -185,25 +185,13 @@ def _base_vars(algebroid, bivector):
 # ---------------------------------------------------------------------------
 
 
-def _norm(p: MultiPoly) -> MultiPoly:
-    return MultiPoly.zero(p.vars) if p.is_zero() else p.primitive()
-
-
 def _poly_set(polys) -> list[str]:
     """Sign-normalized distinct nonzero generators, sorted canonically."""
-    return sorted({str(_norm(p)) for p in polys if not p.is_zero()})
-
-
-def _int_row(row) -> list[int]:
-    """Scale a rational basis row to its primitive integer representative."""
-    scale = math.lcm(*(c.denominator for c in row)) if row else 1
-    ints = [int(c * scale) for c in row]
-    g = math.gcd(*ints) if any(ints) else 1
-    return [c // g for c in ints]
+    return sorted({str(p.primitive()) for p in polys if not p.is_zero()})
 
 
 def _basis_rows(sub: Subspace) -> list[list[int]]:
-    return [_int_row(row) for row in sub.rows]
+    return [integer_row(row) for row in sub.rows]
 
 
 def _check(label: str, expected, actual) -> Check:
@@ -254,7 +242,7 @@ _ints, _bools = _each(_int), _each(_bool)
 
 
 def _generators(doc, _, ring_vars) -> list[str]:
-    return sorted(str(_norm(parse_poly(e, ring_vars))) for e in _json(list, doc))
+    return sorted(str(parse_poly(e, ring_vars).primitive()) for e in _json(list, doc))
 
 
 def _subspace(doc, actual: Subspace, _) -> Subspace:
@@ -304,7 +292,7 @@ def _relations(doc, _, ring_vars) -> list[tuple]:
 
 
 def _pole(doc, _, ring_vars) -> str | None:
-    return None if doc is None else str(_norm(parse_poly(doc, ring_vars)))
+    return None if doc is None else str(parse_poly(doc, ring_vars).primitive())
 
 
 def _entries(doc, _, ring_vars) -> dict:
@@ -425,7 +413,7 @@ class _Runner:
 
     def step_validate(self, step, _):
         if step.get("source") == "bivector" or self.scenario.algebroid is None:
-            poisson = is_poisson(self.scenario.bivector)
+            poisson = not morphism_defect_pairs(self.cotangent)
             summary = f"bivector: {'Poisson' if poisson else 'not Poisson'}"
             details = {"kind": "bivector", "poisson": poisson}
             return StepResult(summary, details), {"poisson": poisson}
@@ -433,7 +421,7 @@ class _Runner:
         if not isinstance(a, AlmostLieAlgebroid):
             return StepResult("anchored bundle: no bracket data", {"kind": "anchored-bundle"}), {}
         defects = morphism_defect_pairs(a)
-        lie = not defects and is_lie_algebroid(a)
+        lie = is_lie_algebroid(a)
         details = {
             "kind": "algebroid",
             "anchor_morphism": not defects,
@@ -659,7 +647,7 @@ class _Runner:
             + [f"  pi[{key}] = {value}" for key, value in sorted(details["entries"].items())]
         )
         return StepResult(summary, details, text=text), {
-            "pole": None if pole is None else str(_norm(pole)),
+            "pole": None if pole is None else str(pole.primitive()),
             "entries": {f"entry {i},{j}": matrix[i][j] for i in range(d) for j in range(d)},
         }
 

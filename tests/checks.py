@@ -89,12 +89,34 @@ def poisson_bracket(pi: Bivector, f: MultiPoly, g: MultiPoly) -> MultiPoly:
     return acc
 
 
-def annihilator_duality_check(pi: Bivector, x: Point):
-    """Whether ker of the evaluated sharp map equals the annihilator of its
-    image.  Returns (flag, certificate) with both canonical bases; skewness
-    makes the flag true at every point."""
+def schouten_self_bracket(pi: Bivector) -> dict[tuple[int, int, int], MultiPoly]:
+    """Components (i<j<k) of the self-bracket [pi, pi]; identically zero iff
+    pi is Poisson.  The oracle for the engine's verdict, which reads it from
+    the cotangent algebroid's anchor-morphism scan instead."""
+    out = {}
     d = pi.dim
-    mat = [[entry.eval(x) for entry in row] for row in pi.matrix]
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                acc = MultiPoly.zero(pi.vars)
+                for l, vl in enumerate(pi.vars):
+                    acc = acc + pi.entry(i, l) * pi.entry(j, k).diff(vl)
+                    acc = acc + pi.entry(j, l) * (-pi.entry(i, k)).diff(vl)
+                    acc = acc + pi.entry(k, l) * pi.entry(i, j).diff(vl)
+                out[(i, j, k)] = acc
+    return out
+
+
+def is_poisson(pi: Bivector) -> bool:
+    return all(p.is_zero() for p in schouten_self_bracket(pi).values())
+
+
+def annihilator_duality_check(matrix: Sequence[Sequence[MultiPoly]], x: Point):
+    """Whether ker of the evaluated square matrix (a bivector's sharp map)
+    equals the annihilator of its image.  Returns (flag, certificate) with
+    both canonical bases; skewness makes the flag true at every point."""
+    d = len(matrix)
+    mat = [[entry.eval(x) for entry in row] for row in matrix]
     kernel = Subspace(d, frac_kernel(mat, d))
     transpose = [[mat[j][i] for j in range(d)] for i in range(d)]
     annihilator = Subspace(d, frac_kernel(transpose, d))
@@ -181,7 +203,7 @@ def convergence_errors(
     reference = affine_chart(target, anchor_index)
     errors = []
     for t0 in times:
-        point = curve.eval(Fraction(t0))
+        point = [c.eval([Fraction(t0)]) for c in curve.components]
         sampled = kernel_at(bundle, point).pluecker()
         chart = affine_chart(sampled, anchor_index)
         errors.append(max(abs(p - q) for p, q in zip(chart, reference)))

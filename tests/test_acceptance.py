@@ -21,7 +21,6 @@ from nashfol.algebroid import (
     morphism_defect_pairs,
     section_bracket,
     singular_locus,
-    validate_anchor_morphism,
 )
 from nashfol.charts import (
     ChartMap,
@@ -281,7 +280,7 @@ def test_criterion_6_property_suite():
         if sc.bivector is not None:
             for _ in range(20):
                 pt = [Fraction(rng.randint(-8, 8)) for _ in sc.bivector.vars]
-                flag, _ = annihilator_duality_check(sc.bivector, pt)
+                flag, _ = annihilator_duality_check(sc.bivector.matrix, pt)
                 assert flag, name
 
         _assert_frame_change_invariance(rng, bundle, x, name)
@@ -367,8 +366,6 @@ def test_criterion_9_negative_controls():
     bad_structure = dict(good.structure)
     bad_structure[(0, 1)] = _polys(vs, "x", "0", "0")
     corrupted = AlmostLieAlgebroid(good.bundle, bad_structure)
-    defects = validate_anchor_morphism(corrupted)
-    assert any(any(not c.is_zero() for c in defect) for defect in defects)
     assert morphism_defect_pairs(corrupted) != []
 
     with pytest.raises(NotDecomposableError):

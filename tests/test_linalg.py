@@ -15,6 +15,7 @@ from nashfol.linalg import (
     frac_kernel,
     frac_rank,
     frac_rref,
+    integer_row,
     kernel_basis,
     minors,
     poly_mat_mul,
@@ -86,6 +87,22 @@ def test_kernel_vectors_are_primitive():
     for vec in ker:
         assert all(p.content().denominator == 1 for p in vec if not p.is_zero())
     assert ker[0] == [parse_poly("-y", XYZ), parse_poly("x", XYZ), MultiPoly.zero(XYZ)]
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        ([Fraction(-4), Fraction(6), Fraction(0), Fraction(10)], [-2, 3, 0, 5]),
+        ([Fraction(-1, 2), Fraction(1, 3), Fraction(5, 6)], [-3, 2, 5]),
+        ([Fraction(2, 3), Fraction(-4, 9)], [3, -2]),
+        ([Fraction(0), Fraction(0)], [0, 0]),
+        ([], []),
+    ],
+)
+def test_integer_row(values, expected):
+    """Denominators cleared by their lcm, then the gcd divided out; the
+    sign is kept, and a zero or empty vector stays as it is."""
+    assert integer_row(values) == expected
 
 
 def test_solve_cramer():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,16 +12,16 @@ from nashfol.algebroid import (
     vf_bracket,
 )
 from nashfol.grassmann import Subspace
-from nashfol.poisson import (
-    Bivector,
-    NotSkewError,
-    cotangent_algebroid,
+from nashfol.poisson import Bivector, NotSkewError, cotangent_algebroid, pi_sharp
+from nashfol.poly import MultiPoly, parse_poly
+from nashfol.scenario import load_scenario, run_single_step
+from checks import (
+    annihilator_duality_check,
+    hamiltonian_vf,
     is_poisson,
-    pi_sharp,
+    poisson_bracket,
     schouten_self_bracket,
 )
-from nashfol.poly import MultiPoly, parse_poly
-from checks import annihilator_duality_check, hamiltonian_vf, poisson_bracket
 from models import jacobian_bivector, linear_poisson_so3, surface_bivector, surface_function
 
 XYZ = ("x", "y", "z")
@@ -152,7 +153,7 @@ def test_kernel_of_surface_sharp_map_is_gradient_line():
 
 def test_annihilator_duality():
     pi = linear_poisson_so3()
-    ok, cert = annihilator_duality_check(pi, [Fraction(1), Fraction(1), Fraction(1)])
+    ok, cert = annihilator_duality_check(pi.matrix, [Fraction(1), Fraction(1), Fraction(1)])
     assert ok
     assert cert["kernel"] == cert["image_annihilator"]
     rng = random.Random(31)
@@ -166,33 +167,21 @@ def test_annihilator_duality():
         }
         pi = Bivector.from_upper_entries(XYZ, entries)
         pt = [Fraction(rng.randrange(-3, 4)) for _ in range(3)]
-        assert annihilator_duality_check(pi, pt)[0]
+        assert annihilator_duality_check(pi.matrix, pt)[0]
 
 
 def test_duality_negative_control_symmetric_matrix():
     x = parse_poly("x", XYZ)
     zero = MultiPoly.zero(XYZ)
     one = MultiPoly.constant(XYZ, 1)
-    sym = Bivector(
-        XYZ,
-        [[zero, one, zero], [one, zero, zero], [zero, zero, x]],
-        validate=False,
-    )
+    sym = [[zero, one, zero], [one, zero, zero], [zero, zero, x]]
     ok, _ = annihilator_duality_check(sym, [Fraction(1), Fraction(2), Fraction(0)])
     # kernel is the z-axis, image is the xy-plane whose annihilator is also
     # the z-axis: symmetric matrices can pass; pick one that cannot
-    skewless = Bivector(
-        XYZ,
-        [[one, zero, zero], [zero, zero, zero], [zero, zero, zero]],
-        validate=False,
-    )
+    skewless = [[one, zero, zero], [zero, zero, zero], [zero, zero, zero]]
     ok2, _ = annihilator_duality_check(skewless, [Fraction(1), Fraction(1), Fraction(1)])
     assert ok2  # rank-1 symmetric still self-dual here
-    asym = Bivector(
-        XYZ,
-        [[zero, one, zero], [zero, zero, zero], [zero, zero, zero]],
-        validate=False,
-    )
+    asym = [[zero, one, zero], [zero, zero, zero], [zero, zero, zero]]
     ok3, _ = annihilator_duality_check(asym, [Fraction(1), Fraction(1), Fraction(1)])
     assert not ok3
 
@@ -203,3 +192,30 @@ def test_jacobian_bivector_shape():
     assert pi.entry(0, 1) == parse_poly("-z^2", XYZ)
     assert pi.entry(0, 2) == parse_poly("-x", XYZ)
     assert pi.entry(1, 2) == parse_poly("y", XYZ)
+
+
+def _random_bivector_doc(rng: random.Random) -> dict:
+    """Upper entries of degree at most 2 over 2-4 variables, sparse enough
+    that both verdicts occur."""
+    names = ("x", "y", "z", "w")[: rng.randrange(2, 5)]
+    monomials = [e for e in itertools.product(range(3), repeat=len(names)) if sum(e) <= 2]
+    pi = {}
+    for i, j in itertools.combinations(range(len(names)), 2):
+        if rng.random() < 0.4:
+            continue
+        terms = {rng.choice(monomials): Fraction(rng.choice([-2, -1, 1, 2])) for _ in range(2)}
+        pi[f"{i},{j}"] = str(MultiPoly(names, terms))
+    return {"vars": list(names), "pi": pi}
+
+
+def test_validate_verdict_matches_the_schouten_oracle():
+    rng = random.Random(20241018)
+    verdicts = set()
+    for _ in range(600):
+        doc = _random_bivector_doc(rng)
+        scenario = load_scenario({"name": "random", "bivector": doc})
+        poisson = run_single_step(scenario, {"op": "validate"}).details["poisson"]
+        assert poisson is is_poisson(scenario.bivector), doc
+        if len(doc["vars"]) > 2:  # every bivector in two variables is Poisson
+            verdicts.add(poisson)
+    assert verdicts == {True, False}

@@ -131,6 +131,15 @@ def test_syntax_error_carries_byte_offset():
     assert exc.value.offset == 2
 
 
+@pytest.mark.parametrize("text, offset", [("3/4^2", 3), ("-3/4^2", 4)])
+def test_power_right_after_a_fraction_is_refused(text, offset):
+    # the usual reading is 3/(4^2) = 3/16; the grammar's would be (3/4)^2
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly(text, ("x",))
+    assert exc.value.offset == offset
+    assert parse_poly("(3/4)^2", ("x",)) == MultiPoly.constant(("x",), Fraction(9, 16))
+
+
 def test_exponent_cap():
     assert parse_poly("x^64", XY) == MultiPoly(XY, {(64, 0): Fraction(1)})
     with pytest.raises(PolySyntaxError) as exc:
