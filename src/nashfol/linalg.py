@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .poly import InternalInvariantError, MultiPoly, RatFunc, exact_div, exact_quotients
+from .poly import InternalInvariantError, MultiPoly, RatFunc, _div, exact_div, exact_quotients
 
 PolyMatrix = list[list[MultiPoly]]
 PolyVector = list[MultiPoly]
@@ -238,7 +238,7 @@ def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
     )
     if content != 1:
         polys = [
-            MultiPoly(vs, {e: v / content for e, v in p.terms.items()}) for p in polys
+            MultiPoly(vs, {e: _div(v, content) for e, v in p.terms.items()}) for p in polys
         ]
     return polys
 

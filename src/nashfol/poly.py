@@ -1,12 +1,16 @@
 """Exact multivariate polynomials and rational functions over the rationals.
 
-Coefficients are `fractions.Fraction` throughout; nothing in this module (or
-the package) ever touches floating point.  A polynomial is a sparse map from
-exponent vectors to nonzero coefficients, tagged with an ordered tuple of
-variable names.  The canonical term order everywhere is graded lexicographic
-(total degree first, then lexicographic on the exponent vector, earlier
-variables weighing more), and printing/serialization lists terms in descending
-graded-lex order, so equal polynomials always print identically.
+A coefficient is an `int` when it is an integer and a `fractions.Fraction`
+otherwise; every coefficient division goes through `_div`, so nothing in this
+module (or the package) ever touches floating point.  `3` and `Fraction(3)`
+print, compare and hash alike, so the representation never shows in output.
+
+A polynomial is a sparse map from exponent vectors to nonzero coefficients,
+tagged with an ordered tuple of variable names.  The canonical term order
+everywhere is graded lexicographic (total degree first, then lexicographic on
+the exponent vector, earlier variables weighing more), and printing/
+serialization lists terms in descending graded-lex order, so equal polynomials
+always print identically.
 
 Rational functions are reduced only by rational content and a common monomial
 factor (plus a full gcd in the univariate case); in several variables two
@@ -73,28 +77,60 @@ def grlex_key(exps: Exponents) -> tuple[int, Exponents]:
     return (sum(exps), exps)
 
 
-def _as_fraction(value: Scalar) -> Fraction:
+def _coeff(value: Scalar) -> Scalar:
+    """A scalar in coefficient form: an int when it is an integer (a bool
+    becomes 0 or 1), otherwise a Fraction."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
 
 
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """The coefficient a / b: an int when the quotient is an integer, otherwise
+    a Fraction, and never a float, even when both are ints."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _coeff(Fraction(a, b))
+
+
+def _result(variables: tuple[str, ...], terms: dict[Exponents, Scalar]) -> "MultiPoly":
+    """Wrap the terms an arithmetic loop built from validated operands.
+
+    The loops that call this keep exponent vectors of the right length and
+    never negative, and drop every zero coefficient, so only the coefficient
+    form is restored here: a sum or product of Fractions may be an integer.
+    The public constructor's checks are skipped, not weakened.
+    """
+    for e, c in terms.items():
+        if c.__class__ is Fraction and c.denominator == 1:
+            terms[e] = c.numerator
+    p = object.__new__(MultiPoly)
+    p.vars = variables
+    p.terms = terms
+    return p
+
+
 class MultiPoly:
-    """A polynomial in ``vars`` with Fraction coefficients.
+    """A polynomial in ``vars`` with rational coefficients.
 
     ``terms`` maps exponent tuples (one entry per variable, all >= 0) to
-    nonzero coefficients.  Instances are treated as immutable; all arithmetic
-    returns new objects.  Operations between polynomials require identical
-    ``vars`` tuples; variable sets are never silently merged.
+    nonzero coefficients, each an int when it is an integer and a Fraction
+    otherwise.  The constructor validates and normalizes what it is given;
+    arithmetic results are built by `_result`, which skips that validation.
+    Instances are treated as immutable; all arithmetic returns new objects.
+    Operations between polynomials require identical ``vars`` tuples;
+    variable sets are never silently merged.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, variables: Sequence[str], terms: dict[Exponents, Scalar]):
         vs = tuple(variables)
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, Scalar] = {}
         for exps, coeff in terms.items():
             e = tuple(int(x) for x in exps)
             if len(e) != len(vs):
@@ -103,7 +139,7 @@ class MultiPoly:
                 )
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
-            c = _as_fraction(coeff)
+            c = _coeff(coeff)
             if c:
                 clean[e] = c
         self.vars = vs
@@ -117,7 +153,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, variables: Sequence[str], value: Scalar) -> "MultiPoly":
-        return cls(variables, {(0,) * len(tuple(variables)): _as_fraction(value)})
+        return cls(variables, {(0,) * len(tuple(variables)): value})
 
     @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "MultiPoly":
@@ -125,7 +161,7 @@ class MultiPoly:
         if name not in vs:
             raise UnknownVariableError(name, 0)
         exps = tuple(1 if v == name else 0 for v in vs)
-        return cls(vs, {exps: Fraction(1)})
+        return cls(vs, {exps: 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -135,10 +171,10 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> Scalar:
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return self.terms.get((0,) * len(self.vars), 0)
 
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
@@ -146,11 +182,11 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in descending graded-lex order (the canonical listing)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
-    def leading(self) -> tuple[Exponents, Fraction]:
+    def leading(self) -> tuple[Exponents, Scalar]:
         """Leading (graded-lex greatest) term of a nonzero polynomial."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
@@ -189,17 +225,17 @@ class MultiPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
+            s = terms.get(e, 0) + c
             if s:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        return MultiPoly(self.vars, terms)
+        return _result(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return _result(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -209,16 +245,16 @@ class MultiPoly:
 
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         other = self._coerce(other)
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
+                s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        return MultiPoly(self.vars, terms)
+        return _result(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -242,7 +278,7 @@ class MultiPoly:
             raise ArityMismatchError(
                 f"point has {len(point)} coordinates, expected {len(self.vars)}"
             )
-        vals = [_as_fraction(v) for v in point]
+        vals = [_coeff(v) for v in point]
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             acc = coeff
@@ -257,7 +293,7 @@ class MultiPoly:
         if var not in self.vars:
             raise UnknownVariableError(var, 0)
         i = self.vars.index(var)
-        terms: dict[Exponents, Fraction] = {}
+        terms: dict[Exponents, Scalar] = {}
         for exps, coeff in self.terms.items():
             if exps[i] == 0:
                 continue
@@ -320,7 +356,7 @@ class MultiPoly:
         c = self.content()
         if c == 1:
             return self
-        return MultiPoly(self.vars, {e: v / c for e, v in self.terms.items()})
+        return MultiPoly(self.vars, {e: _div(v, c) for e, v in self.terms.items()})
 
     def monomial_content(self) -> Exponents:
         """Componentwise minimum exponent vector across all terms."""
@@ -384,14 +420,14 @@ def _divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     q_exps, q_coeff = q.leading()
-    quotient: dict[Exponents, Fraction] = {}
+    quotient: dict[Exponents, Scalar] = {}
     rem = dict(p.terms)
     while rem:
         r_exps = max(rem, key=grlex_key)
         t = tuple(a - b for a, b in zip(r_exps, q_exps))
         if any(x < 0 for x in t):
             break
-        c = rem[r_exps] / q_coeff
+        c = _div(rem[r_exps], q_coeff)
         quotient[t] = c
         for e, v in q.terms.items():
             e = tuple(a + b for a, b in zip(t, e))
@@ -400,7 +436,7 @@ def _divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
                 rem[e] = s
             else:
                 del rem[e]
-    return MultiPoly(p.vars, quotient), MultiPoly(p.vars, rem)
+    return _result(p.vars, quotient), _result(p.vars, rem)
 
 
 def exact_div(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -470,8 +506,8 @@ class RatFunc:
                     num, den = exact_div(num, g), exact_div(den, g)
         c = den.content()
         if c != 1:
-            den = MultiPoly(den.vars, {e: v / c for e, v in den.terms.items()})
-            num = MultiPoly(num.vars, {e: v / c for e, v in num.terms.items()})
+            den = MultiPoly(den.vars, {e: _div(v, c) for e, v in den.terms.items()})
+            num = MultiPoly(num.vars, {e: _div(v, c) for e, v in num.terms.items()})
         self.num = num
         self.den = den
 
@@ -492,7 +528,7 @@ class RatFunc:
         if self.den.is_constant():
             c = self.den.constant_value()
             return MultiPoly(
-                self.num.vars, {e: v / c for e, v in self.num.terms.items()}
+                self.num.vars, {e: _div(v, c) for e, v in self.num.terms.items()}
             )
         return exact_div(self.num, self.den)
 
@@ -741,7 +777,9 @@ def poly_from_doc(doc: object, variables: Sequence[str] | None = None) -> MultiP
         if variables is None:
             raise ValueError("polynomial text requires a variable list")
         return parse_poly(doc, variables)
-    if isinstance(doc, (int,)):
+    if isinstance(doc, bool):
+        raise ValueError(f"a polynomial is text, an integer or a term list, not {doc!r}")
+    if isinstance(doc, int):
         if variables is None:
             raise ValueError("a bare constant requires a variable list")
         return MultiPoly.constant(variables, doc)
@@ -753,7 +791,10 @@ def poly_from_doc(doc: object, variables: Sequence[str] | None = None) -> MultiP
             )
         terms: dict[Exponents, Fraction] = {}
         for item in doc["terms"]:
-            exps = tuple(int(x) for x in item["exps"])
+            exps = tuple(item["exps"])
+            for x in exps:
+                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+                    raise ValueError(f"an exponent must be a non-negative integer, not {x!r}")
             if any(x > MAX_EXPONENT for x in exps):
                 raise ValueError(f"exponent above {MAX_EXPONENT} in term {list(exps)}")
             coeff = parse_rational(str(item["coeff"]))

@@ -391,6 +391,11 @@ def test_explicit_source_the_scenario_lacks_exits_2(name, source, tmp_path, caps
 _BUNDLE = {"vars": ["x", "y"], "rank": 2, "anchor": [["x", "0"], ["0", "y"]]}
 
 
+def _term_list(exps):
+    """A one-term polynomial document over x, y with the given exponents."""
+    return {"vars": ["x", "y"], "terms": [{"exps": exps, "coeff": "1"}]}
+
+
 @pytest.mark.parametrize(
     "doc, point",
     [
@@ -411,12 +416,17 @@ _BUNDLE = {"vars": ["x", "y"], "rank": 2, "anchor": [["x", "0"], ["0", "y"]]}
         ({"vars": ["x", 1], "rank": 1, "anchor": [["x"], ["x"]]}, "1,2"),
         ({"vars": ["x", "x"], "pi": {"0,1": "x"}}, "1,2"),
         ({"algebroid": _BUNDLE, "charts": {"c": {"chart_vars": ["u", "u"], "phi": ["u", "u"]}}}, "1,2"),
+        (dict(_BUNDLE, anchor=[[True, "0"], ["0", "y"]]), "1,2"),
+        (dict(_BUNDLE, anchor=[[_term_list([1.7, 0]), "0"], ["0", "y"]]), "1,2"),
+        (dict(_BUNDLE, anchor=[[_term_list([True, 0]), "0"], ["0", "y"]]), "1,2"),
+        (dict(_BUNDLE, anchor=[[_term_list([-1, 0]), "0"], ["0", "y"]]), "1,2"),
     ],
     ids=[
         "brackets-list", "anchor-int", "bracket-section-int", "pi-list", "vars-int",
         "kernel-gens-int", "kernel-gen-int", "point-inner-blank", "point-trailing-comma",
         "rank-float", "rank-bool", "rank-string", "rank-negative", "vars-repeated",
-        "vars-not-string", "bivector-vars-repeated", "chart-vars-repeated",
+        "vars-not-string", "bivector-vars-repeated", "chart-vars-repeated", "entry-bool",
+        "exponent-float", "exponent-bool", "exponent-negative",
     ],
 )
 def test_wrongly_shaped_input_exits_2(doc, point, tmp_path, capsys):

@@ -99,3 +99,22 @@ def test_load_json_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(DocumentError):
         load_json(str(bad))
+
+
+@pytest.mark.parametrize("entry, value", [(True, "True"), (False, "False")])
+def test_boolean_polynomial_is_refused(entry, value):
+    """A JSON boolean is not read as the integer 1 or 0."""
+    doc = {"vars": ["x", "y"], "rank": 2, "anchor": [[entry, "0"], ["0", "y"]]}
+    with pytest.raises(DocumentError) as exc:
+        algebroid_from_doc(doc)
+    assert str(exc.value).endswith(f"not {value}")
+
+
+@pytest.mark.parametrize("exponent", [1.7, 1.0, True, -1, "1"], ids=repr)
+def test_term_list_exponent_must_be_a_non_negative_integer(exponent):
+    """No exponent is truncated or coerced: 1.7 and true are not read as 1."""
+    term_list = {"vars": ["x", "y"], "terms": [{"exps": [exponent, 0], "coeff": "1"}]}
+    doc = {"vars": ["x", "y"], "rank": 2, "anchor": [[term_list, "0"], ["0", "y"]]}
+    with pytest.raises(DocumentError) as exc:
+        algebroid_from_doc(doc)
+    assert str(exc.value).endswith(f"not {exponent!r}")

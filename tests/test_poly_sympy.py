@@ -2,19 +2,27 @@
 determinants, ranks and kernels of polynomial matrices, against sympy, on
 generated inputs.
 
+Every polynomial an operation returns is also checked for the coefficient
+form: each coefficient a nonzero int, or a Fraction that is not an integer,
+and never a float or a bool.  Arithmetic builds its results without the
+public constructor's validation, so each result must also come back
+unchanged through ``MultiPoly(p.vars, p.terms)``.
+
 sympy is a test-time oracle only; the module is skipped when it is absent.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nashfol.linalg import det, kernel_basis, rank
+from nashfol.linalg import clear_denominators, det, kernel_basis, rank
 from nashfol.poly import (
     ExactDivisionError,
     MultiPoly,
+    RatFunc,
     divides,
     exact_div,
     parse_poly,
@@ -28,10 +36,14 @@ XY = ("x", "y")
 T = ("t",)
 
 
+# Small rationals, half of them integers, so that sums and products of
+# Fractions often come out integral.
+_COEFFS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([1, 1, 2, 3]))
+
+
 def _polys(variables, max_exponent, max_size):
     exps = st.tuples(*[st.integers(0, max_exponent) for _ in variables])
-    coeffs = st.integers(-4, 4).filter(bool).map(Fraction)
-    return st.dictionaries(exps, coeffs, max_size=max_size).map(
+    return st.dictionaries(exps, _COEFFS, max_size=max_size).map(
         lambda terms: MultiPoly(variables, terms)
     )
 
@@ -51,6 +63,21 @@ def _sympy_poly(p: MultiPoly):
     return sympy.Poly(_to_sympy(p), *sympy.symbols(p.vars), domain="QQ")
 
 
+def _assert_form(p: MultiPoly) -> None:
+    """Every coefficient is a nonzero int or a non-integral Fraction, and the
+    polynomial passes the public constructor's validation unchanged."""
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
+        assert c != 0
+    assert p == MultiPoly(p.vars, p.terms)
+
+
+def _agrees(p: MultiPoly, expected) -> None:
+    """``p`` has the coefficient form and equals the sympy expression."""
+    _assert_form(p)
+    assert _sympy_poly(p) == sympy.Poly(expected, *sympy.symbols(p.vars), domain="QQ")
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     _polys(XY, 2, 4).filter(bool),
@@ -63,7 +90,7 @@ def test_division_matches_sympy(q, f, noise, divisible):
     quotient, remainder = _sympy_poly(p).div(_sympy_poly(q))
     assert divides(q, p) == remainder.is_zero
     if remainder.is_zero:
-        assert _sympy_poly(exact_div(p, q)) == quotient
+        _agrees(exact_div(p, q), quotient.as_expr())
     else:
         with pytest.raises(ExactDivisionError):
             exact_div(p, q)
@@ -73,7 +100,9 @@ def test_division_matches_sympy(q, f, noise, divisible):
 @given(_polys(T, 3, 3), _polys(T, 3, 3), _polys(T, 3, 3))
 def test_univariate_gcd_matches_sympy_up_to_a_rational_factor(g, f1, f2):
     a, b = g * f1, g * f2
-    ours = _sympy_poly(poly_gcd_univariate(a, b))
+    gcd = poly_gcd_univariate(a, b)
+    _assert_form(gcd)
+    ours = _sympy_poly(gcd)
     theirs = sympy.gcd(_sympy_poly(a), _sympy_poly(b))
     if theirs.is_zero:
         assert ours.is_zero
@@ -145,7 +174,97 @@ def test_subst_matches_sympy(p, fx, fy):
     mentioning x is not substituted again."""
     x, y = sympy.symbols(XY)
     expected = _to_sympy(p).subs({x: _to_sympy(fx), y: _to_sympy(fy)}, simultaneous=True)
-    assert _sympy_poly(p.subst(XY, [fx, fy])) == sympy.Poly(expected, x, y, domain="QQ")
+    _agrees(p.subst(XY, [fx, fy]), expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys(XY, 2, 4), _polys(XY, 2, 4), st.integers(0, 3))
+def test_ring_operations_keep_the_coefficient_form(p, q, n):
+    x, y = sympy.symbols(XY)
+    sp, sq = _to_sympy(p), _to_sympy(q)
+    _agrees(p + q, sp + sq)
+    _agrees(p - q, sp - sq)
+    _agrees(p + 1, sp + 1)
+    _agrees(-p, -sp)
+    _agrees(p * q, sp * sq)
+    _agrees(p * Fraction(3, 2), sp * sympy.Rational(3, 2))
+    _agrees(p**n, sp**n)
+    _agrees(p.diff("x"), sympy.diff(sp, x))
+    _agrees((p * parse_poly("x*y^2", XY)).shift_down((1, 2)), sp)
+    c = p.content()
+    primitive = p.primitive()
+    _agrees(primitive, sp / sympy.Rational(c.numerator, c.denominator))
+    assert all(type(v) is int for v in primitive.terms.values())
+
+
+def test_integral_sums_and_products_of_fractions_are_ints():
+    half_x = MultiPoly(XY, {(1, 0): Fraction(1, 2)})
+    assert (half_x + half_x).terms == {(1, 0): 1}
+    assert type((half_x + half_x).terms[(1, 0)]) is int
+    assert type((half_x * 2).terms[(1, 0)]) is int
+    assert type((half_x * half_x * 4).terms[(2, 0)]) is int
+    assert type(exact_div(half_x, half_x).terms[(0, 0)]) is int
+    assert (half_x - half_x).terms == {}
+
+
+def test_as_poly_by_an_int_that_does_not_divide_the_numerator():
+    """int / int is a float in Python; the quotient must be the Fraction 1/2."""
+    x = parse_poly("x", XY)
+    p = RatFunc(x, MultiPoly.constant(XY, 2)).as_poly()
+    assert p.terms == {(1, 0): Fraction(1, 2)}
+    assert type(p.terms[(1, 0)]) is Fraction
+    _assert_form(p)
+
+
+@st.composite
+def _ratfunc_operands(draw):
+    """Two fractions over one variable tuple: (x, y), or (t,), where
+    construction also cancels a univariate gcd."""
+    variables = draw(st.sampled_from([XY, T]))
+    a, c = draw(_polys(variables, 2, 3)), draw(_polys(variables, 2, 3))
+    b, d = draw(_polys(variables, 2, 3).filter(bool)), draw(_polys(variables, 2, 3).filter(bool))
+    return a, b, c, d
+
+
+def _assert_fraction(r: RatFunc, expected) -> None:
+    _assert_form(r.num)
+    _assert_form(r.den)
+    assert sympy.cancel(_to_sympy(r.num) / _to_sympy(r.den) - expected) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ratfunc_operands())
+def test_ratfunc_arithmetic_keeps_the_coefficient_form(operands):
+    a, b, c, d = operands
+    r, s = RatFunc(a, b), RatFunc(c, d)
+    sr, ss = _to_sympy(a) / _to_sympy(b), _to_sympy(c) / _to_sympy(d)
+    _assert_fraction(r, sr)
+    _assert_fraction(r + s, sr + ss)
+    _assert_fraction(r - s, sr - ss)
+    _assert_fraction(-r, -sr)
+    _assert_fraction(r * s, sr * ss)
+    if c:
+        _assert_fraction(r / s, sr / ss)
+    _agrees(RatFunc(a * b, b).as_poly(), _to_sympy(a))
+    _agrees(RatFunc(a, MultiPoly.constant(a.vars, 3)).as_poly(), _to_sympy(a) / 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_polys(XY, 2, 3), _polys(XY, 1, 2).filter(bool)), min_size=1, max_size=3))
+def test_clear_denominators_gives_a_primitive_integer_multiple(pairs):
+    entries = [RatFunc(n, d) for n, d in pairs]
+    polys = clear_denominators(entries)
+    for p in polys:
+        _assert_form(p)
+    values = [_to_sympy(n) / _to_sympy(d) for n, d in pairs]
+    live = [k for k, e in enumerate(entries) if not e.is_zero()]
+    if not live:
+        assert not any(polys)
+        return
+    coeffs = [c for p in polys for c in p.terms.values()]
+    assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1
+    ratio = _to_sympy(polys[live[0]]) / values[live[0]]
+    assert all(sympy.cancel(_to_sympy(p) - ratio * v) == 0 for p, v in zip(polys, values))
 
 
 # Expression trees rendered with the fewest parentheses the grammar needs, so
