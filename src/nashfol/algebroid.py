@@ -143,15 +143,6 @@ class AlmostLieAlgebroid:
             return list(sec) if sec else [self.bundle.zero_poly()] * n
         return [-p for p in self.structure_section(j, i)]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AlmostLieAlgebroid):
-            return NotImplemented
-        return self.bundle == other.bundle and self.structure == other.structure
-
-
-def _bundle_of(a) -> AnchoredBundle:
-    return a.bundle if isinstance(a, AlmostLieAlgebroid) else a
-
 
 def vf_bracket(x_field: Sequence[MultiPoly], y_field: Sequence[MultiPoly]) -> VectorField:
     """Commutator of vector fields: [X,Y]^k = sum_i X^i d_i Y^k - Y^i d_i X^k."""
@@ -254,55 +245,52 @@ def is_lie_algebroid(algebroid: AlmostLieAlgebroid) -> bool:
     return algebroid._lie
 
 
-def anchor_rank_generic(a) -> int:
+def anchor_rank_generic(bundle: AnchoredBundle) -> int:
     """Rank of the anchor over the fraction field of the base (computed once
     per bundle)."""
-    bundle = _bundle_of(a)
     if bundle._generic_rank is None:
         bundle._generic_rank = rank(bundle.anchor) if bundle.fiber_rank else 0
     return bundle._generic_rank
 
 
-def kernel_at(a, x: Point) -> Subspace:
+def kernel_at(bundle: AnchoredBundle, x: Point) -> Subspace:
     """Kernel of the anchor evaluated at a rational point, in canonical form."""
-    bundle = _bundle_of(a)
     vectors = frac_kernel(bundle.anchor_at(x), bundle.fiber_rank)
     return Subspace(bundle.fiber_rank, vectors)
 
 
-def singular_locus(a) -> list[MultiPoly]:
+def singular_locus(bundle: AnchoredBundle) -> list[MultiPoly]:
     """The r-by-r minors of the anchor, r its generic rank.
 
     A point is singular exactly when every returned minor vanishes there.
     """
-    bundle = _bundle_of(a)
     r = anchor_rank_generic(bundle)
     if r == 0:
         return []
     return minors(bundle.anchor, r)
 
 
-def generic_kernel_sections(a) -> list[Section]:
+def generic_kernel_sections(bundle: AnchoredBundle) -> list[Section]:
     """Polynomial sections spanning ker(anchor) over the fraction field.
 
     These generate the kernel at every regular point; at singular points they
     may span less than the pointwise kernel (that gap is the whole story of
     the strong kernel).
     """
-    bundle = _bundle_of(a)
     if anchor_rank_generic(bundle) == bundle.fiber_rank:
         return []
     return kernel_basis(bundle.anchor)
 
 
-def strong_kernel_at(a, kernel_gens: Sequence[Sequence[MultiPoly]], x: Point) -> Subspace:
+def strong_kernel_at(
+    bundle: AnchoredBundle, kernel_gens: Sequence[Sequence[MultiPoly]], x: Point
+) -> Subspace:
     """Span of the values at x of validated kernel-module generators.
 
     Every generator must satisfy R*g = 0 identically (NotInKernelModuleError
     names the first offender).  Completeness of the generator set is the
     caller's responsibility.
     """
-    bundle = _bundle_of(a)
     for idx, g in enumerate(kernel_gens):
         if any(not p.is_zero() for p in bundle.anchor_of_section(list(g))):
             raise NotInKernelModuleError(idx)

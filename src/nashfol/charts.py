@@ -23,7 +23,6 @@ from .algebroid import (
     AlmostLieAlgebroid,
     AnchoredBundle,
     Section,
-    _bundle_of,
     anchor_rank_generic,
     bracket_with_basis,
     morphism_defect_pairs,
@@ -225,6 +224,7 @@ def pullback_bivector(
     return out, pole
 
 
+@dataclass(frozen=True)
 class NashChartAlgebroid:
     """The pulled-back algebroid on one chart.
 
@@ -232,17 +232,9 @@ class NashChartAlgebroid:
     basis pullbacks and structure sections composed with the chart map.
     """
 
-    def __init__(
-        self,
-        source: AlmostLieAlgebroid,
-        chart: ChartMap,
-        pullbacks: list[PulledBackField],
-        algebroid: AlmostLieAlgebroid,
-    ):
-        self.source = source
-        self.chart = chart
-        self.pullbacks = pullbacks
-        self.algebroid = algebroid
+    source: AlmostLieAlgebroid
+    chart: ChartMap
+    algebroid: AlmostLieAlgebroid
 
 
 def pullback_anchor(bundle: AnchoredBundle, chart: ChartMap) -> list[PulledBackField]:
@@ -273,8 +265,7 @@ def nash_anchor_on_chart(
         raise ArityMismatchError("algebroid and chart live over different base variables")
     n = bundle.fiber_rank
     d = bundle.base_dim
-    pullbacks = pullback_anchor(bundle, chart)
-    columns = _resolved_columns(pullbacks)
+    columns = _resolved_columns(pullback_anchor(bundle, chart))
     anchor = [[columns[j][i] for j in range(n)] for i in range(d)]
     structure = {
         pair: [chart.compose(p) for p in section]
@@ -289,7 +280,7 @@ def nash_anchor_on_chart(
             raise InternalInvariantError(
                 f"chart bracket lost the anchor morphism on pairs {bad}"
             )
-    return NashChartAlgebroid(algebroid, chart, pullbacks, chart_algebroid)
+    return NashChartAlgebroid(algebroid, chart, chart_algebroid)
 
 
 class ChartFrame:
@@ -433,7 +424,7 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
     bundle = nca.algebroid.bundle
     frame = ChartFrame(nca, kernel_basis(bundle.anchor), seed)
     # rank + nullity = n: P's rank is read from its kernel
-    if bundle.fiber_rank - frame.width != anchor_rank_generic(nca.source):
+    if bundle.fiber_rank - frame.width != anchor_rank_generic(nca.source.bundle):
         raise ValueError("chart does not resolve: substituted anchor dropped rank")
     cols = frame.columns  # repaired in place before any cached quantity reads them
     k = frame.width
@@ -525,8 +516,8 @@ class Relation:
     polynomial: bool
 
 
-def debord_generators(a, chart: ChartMap) -> tuple[list[PulledBackField], list[Relation]]:
-    """Basis pullbacks plus relations over a maximal independent subset.
+def debord_generators(bundle: AnchoredBundle, chart: ChartMap) -> list[Relation]:
+    """Relations among the basis pullbacks over a maximal independent subset.
 
     Subsets are scanned in lexicographic index order; the first one whose
     relation coefficients all reduce to polynomials wins.  When no subset
@@ -534,11 +525,9 @@ def debord_generators(a, chart: ChartMap) -> tuple[list[PulledBackField], list[R
     relations are reported with polynomial = False (not fatal).  The
     pullback keeps the source's generic rank, since det J != 0.
     """
-    bundle = _bundle_of(a)
     n = bundle.fiber_rank
     d = bundle.base_dim
-    pullbacks = pullback_anchor(bundle, chart)
-    columns = _resolved_columns(pullbacks)
+    columns = _resolved_columns(pullback_anchor(bundle, chart))
     r = anchor_rank_generic(bundle)
     fallback: list[Relation] | None = None
     for subset in itertools.combinations(range(n), r):
@@ -559,10 +548,10 @@ def debord_generators(a, chart: ChartMap) -> tuple[list[PulledBackField], list[R
         if fallback is None:
             fallback = relations
         if all(rel.polynomial for rel in relations):
-            return pullbacks, relations
+            return relations
     if fallback is None:
         raise InternalInvariantError("anchor pullback matrix has no independent subset")
-    return pullbacks, fallback
+    return fallback
 
 
 def check_debord_on_chart(frame: ChartFrame) -> tuple[bool, dict]:
@@ -574,8 +563,8 @@ def check_debord_on_chart(frame: ChartFrame) -> tuple[bool, dict]:
     """
     nca = frame.nca
     n = nca.source.bundle.fiber_rank
-    quotient_rank = anchor_rank_generic(nca.algebroid)
-    r = anchor_rank_generic(nca.source)
+    quotient_rank = anchor_rank_generic(nca.algebroid.bundle)
+    r = anchor_rank_generic(nca.source.bundle)
     kernel_ok = not frame.outside_kernel
     frame_rank = len(frame.echelon.pivot_cols)
     certificate = {

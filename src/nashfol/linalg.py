@@ -213,7 +213,7 @@ def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
     dens: list[MultiPoly] = []
     for e in entries:
         d = e.den
-        if not (d.is_constant() and d.constant_value() == 1) and d not in dens:
+        if not d.is_constant() and d not in dens:
             dens.append(d)
     scale = MultiPoly.constant(vs, 1)
     for d in dens:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .algebroid import Point, _bundle_of, anchor_rank_generic, kernel_at, strong_kernel_at
+from .algebroid import AnchoredBundle, Point, anchor_rank_generic, kernel_at, strong_kernel_at
 from .grassmann import PlueckerVector, Subspace, unpluecker
 from .linalg import kernel_basis, minors, rank
 from .poly import MultiPoly
@@ -74,7 +74,7 @@ class CurveGerm:
         return cls(tuple(Fraction(c) for c in target), tuple(comps))
 
 
-def kernel_curve(a, curve: CurveGerm) -> list[list[MultiPoly]]:
+def kernel_curve(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPoly]]:
     """Kernel basis of the anchor along the arc, as vectors over Q[t].
 
     Requires the substituted anchor to keep the generic rank over Q(t);
@@ -82,7 +82,6 @@ def kernel_curve(a, curve: CurveGerm) -> list[list[MultiPoly]]:
     A rank-deficient anchor is eliminated once: rank + nullity = n, so the
     arc's rank is read from the kernel's size.
     """
-    bundle = _bundle_of(a)
     if len(curve.components) != bundle.base_dim:
         raise ValueError("curve dimension does not match the base")
     images = list(curve.components)
@@ -133,12 +132,12 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
     return unpluecker(PlueckerVector(n, k, at_zero))
 
 
-def limit_along(a, curve: CurveGerm) -> Subspace:
+def limit_along(bundle: AnchoredBundle, curve: CurveGerm) -> Subspace:
     """The t -> 0 limit of the anchor kernel along the arc: the one arc-limit
     path.  A full-rank anchor has the zero subspace as its limit."""
-    basis = kernel_curve(a, curve)
+    basis = kernel_curve(bundle, curve)
     if not basis:
-        return Subspace(_bundle_of(a).fiber_rank, [])
+        return Subspace(bundle.fiber_rank, [])
     return limit_subspace(basis)
 
 
@@ -160,14 +159,15 @@ class NashFiberSample:
     curve_status: tuple[str, ...]
 
 
-def nash_fiber_sample(a, x: Point, curves: Sequence[CurveGerm]) -> NashFiberSample:
+def nash_fiber_sample(
+    bundle: AnchoredBundle, x: Point, curves: Sequence[CurveGerm]
+) -> NashFiberSample:
     """Probe the fiber over x with the given arcs.
 
     Arcs stuck in the singular locus are recorded and skipped; if none
     survive, AllCurvesSingularError.  Limits are deduplicated by Pluecker
     vector and sorted by it, so the result is independent of arc order.
     """
-    bundle = _bundle_of(a)
     point = tuple(Fraction(c) for c in x)
     for curve in curves:
         if curve.target != point:
@@ -235,9 +235,8 @@ def default_arcs(
     return arcs
 
 
-def check_flag(a, kernel_gens, v: Subspace, x: Point) -> bool:
+def check_flag(bundle: AnchoredBundle, kernel_gens, v: Subspace, x: Point) -> bool:
     """Strong kernel inside the limit inside the kernel, all at x."""
-    bundle = _bundle_of(a)
     sker = strong_kernel_at(bundle, kernel_gens, x)
     ker = kernel_at(bundle, x)
     return v.contains_subspace(sker) and ker.contains_subspace(v)

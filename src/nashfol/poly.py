@@ -171,11 +171,6 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Scalar:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.terms.get((0,) * len(self.vars), 0)
-
     def total_degree(self) -> int:
         """Total degree; the zero polynomial reports -1."""
         if not self.terms:
@@ -524,12 +519,10 @@ class RatFunc:
         return divides(self.den, self.num)
 
     def as_poly(self) -> MultiPoly:
-        """The polynomial this fraction reduces to (raises if it does not)."""
+        """The polynomial this fraction reduces to (raises if it does not).
+        A constant denominator is 1: the constructor divides out its content."""
         if self.den.is_constant():
-            c = self.den.constant_value()
-            return MultiPoly(
-                self.num.vars, {e: _div(v, c) for e, v in self.num.terms.items()}
-            )
+            return self.num
         return exact_div(self.num, self.den)
 
     def _coerce(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
@@ -586,7 +579,7 @@ class RatFunc:
         return self.num.eval(point) / d
 
     def __str__(self) -> str:
-        if self.den.is_constant() and self.den.constant_value() == 1:
+        if self.den.is_constant():
             return str(self.num)
         return f"({self.num}) / ({self.den})"
 
@@ -797,7 +790,9 @@ def poly_from_doc(doc: object, variables: Sequence[str] | None = None) -> MultiP
                     raise ValueError(f"an exponent must be a non-negative integer, not {x!r}")
             if any(x > MAX_EXPONENT for x in exps):
                 raise ValueError(f"exponent above {MAX_EXPONENT} in term {list(exps)}")
-            coeff = parse_rational(str(item["coeff"]))
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            coeff = item["coeff"]
+            if isinstance(coeff, float):  # JSON 1e-400 reads as 0.0
+                raise ValueError(f"a coefficient is an integer or rational text, not {coeff!r}")
+            terms[exps] = terms.get(exps, Fraction(0)) + parse_rational(str(coeff))
         return MultiPoly(vs, terms)
     raise ValueError(f"cannot read a polynomial from {type(doc).__name__}")

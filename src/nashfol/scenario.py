@@ -14,11 +14,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable
 
 from .algebroid import (
     AlmostLieAlgebroid,
+    AnchoredBundle,
     anchor_rank_generic,
     generic_kernel_sections,
     isotropy_algebra_at,
@@ -61,12 +62,35 @@ class EngineError(RuntimeError):
     """An engine failure, annotated with the step that triggered it."""
 
 
+@dataclass(frozen=True)
+class Source:
+    """What a step reads from one input: its anchored bundle, the algebroid
+    that carries its brackets (None for an algebroid given without
+    "brackets"), and its kernel generators, computed on first use when the
+    scenario gives none."""
+
+    kind: str
+    bundle: AnchoredBundle
+    algebroid: AlmostLieAlgebroid | None
+    given_gens: list | None = None
+
+    @cached_property
+    def kernel_gens(self) -> list:
+        if self.given_gens is not None:
+            return self.given_gens
+        return generic_kernel_sections(self.bundle)
+
+
 @dataclass
 class Scenario:
+    """A loaded scenario.  ``sources`` maps "algebroid" and "bivector" to the
+    Source each input gives; both share the base variables."""
+
     name: str
     algebroid: object | None
     bivector: object | None
     kernel_gens: list | None
+    sources: dict[str, Source]
     charts: dict
     curves: dict
     points: dict
@@ -132,15 +156,26 @@ def load_scenario(doc) -> Scenario:
         bivector = bivector_from_doc(doc["bivector"])
     if algebroid is None and bivector is None:
         raise ScenarioError(f"scenario {name!r} has neither an algebroid nor a bivector")
-    base_vars = _base_vars(algebroid, bivector)
     kernel_gens = None
-    if "kernel_gens" in doc:
-        if algebroid is None:
-            raise ScenarioError("kernel_gens given without an algebroid")
-        kernel_gens = kernel_gens_from_doc(
-            doc["kernel_gens"], base_vars, algebroid.bundle.fiber_rank
-            if isinstance(algebroid, AlmostLieAlgebroid)
-            else algebroid.fiber_rank,
+    sources = {}
+    if algebroid is not None:
+        brackets = algebroid if isinstance(algebroid, AlmostLieAlgebroid) else None
+        bundle = algebroid if brackets is None else brackets.bundle
+        if "kernel_gens" in doc:
+            kernel_gens = kernel_gens_from_doc(
+                doc["kernel_gens"], bundle.base_vars, bundle.fiber_rank
+            )
+        sources["algebroid"] = Source("algebroid", bundle, brackets, kernel_gens)
+    elif "kernel_gens" in doc:
+        raise ScenarioError("kernel_gens given without an algebroid")
+    if bivector is not None:
+        cotangent = cotangent_algebroid(bivector)
+        sources["bivector"] = Source("bivector", cotangent.bundle, cotangent)
+    base_vars = next(iter(sources.values())).bundle.base_vars
+    if bivector is not None and bivector.vars != base_vars:
+        raise ScenarioError(
+            f"the algebroid is over {base_vars} and the bivector over {bivector.vars}; "
+            "both must share the base variables"
         )
     tables = {}
     for table, from_doc in _REFERENCES.values():
@@ -156,6 +191,7 @@ def load_scenario(doc) -> Scenario:
         algebroid=algebroid,
         bivector=bivector,
         kernel_gens=kernel_gens,
+        sources=sources,
         charts=tables["charts"],
         curves=tables["curves"],
         points=tables["points"],
@@ -171,13 +207,6 @@ _REFERENCES: dict[str, tuple[str, Callable]] = {
     "curve": ("curves", lambda doc, base_vars: curve_from_doc(doc)),
     "point": ("points", lambda doc, base_vars: point_from_doc(doc)),
 }
-
-
-def _base_vars(algebroid, bivector):
-    if algebroid is not None:
-        bundle = algebroid.bundle if isinstance(algebroid, AlmostLieAlgebroid) else algebroid
-        return bundle.base_vars
-    return bivector.vars
 
 
 # ---------------------------------------------------------------------------
@@ -315,31 +344,32 @@ class _Runner:
     def __init__(self, scenario: Scenario, seed: int):
         self.scenario = scenario
         self.seed = seed
-        # its bundle, the sharp map, anchors every bivector step: ranked once per run
-        bivector = scenario.bivector
-        self.cotangent = None if bivector is None else cotangent_algebroid(bivector)
+        self.base_vars = next(iter(scenario.sources.values())).bundle.base_vars
 
     # -- input resolution ---------------------------------------------------
 
-    def anchor_source(self, step):
-        if step.get("source") == "bivector" or self.scenario.algebroid is None:
-            return self.cotangent.bundle
-        return self.scenario.algebroid
-
-    def bracket_source(self, step):
-        s = self.scenario
-        if step.get("source") != "bivector" and isinstance(s.algebroid, AlmostLieAlgebroid):
-            return s.algebroid
-        if step.get("source") == "algebroid":
+    def source(self, step) -> Source:
+        """The source the step names, else the algebroid's, else the
+        bivector's; an isotropy step that names none reads the bivector when
+        the algebroid has no brackets.  A source named but missing (or, for
+        isotropy, without brackets) is refused rather than replaced."""
+        sources = self.scenario.sources
+        name = step.get("source")
+        if name is None:
+            name = "algebroid" if "algebroid" in sources else "bivector"
+            if step["op"] == "isotropy" and sources[name].algebroid is None:
+                if "bivector" not in sources:
+                    raise ScenarioError("step needs bracket data; scenario has none")
+                name = "bivector"
+        elif name not in ("algebroid", "bivector"):
+            raise ScenarioError(
+                f"step {step['op']!r} has source {name!r}, not \"algebroid\" or \"bivector\""
+            )
+        elif name not in sources:
+            raise ScenarioError(f"step asks for the {name}; scenario has none")
+        elif step["op"] == "isotropy" and sources[name].algebroid is None:
             raise ScenarioError("step asks for the algebroid's brackets; its algebroid has none")
-        if self.cotangent is not None:
-            return self.cotangent
-        raise ScenarioError("step needs bracket data; scenario has none")
-
-    def kernel_gens(self, algebroid):
-        if self.scenario.kernel_gens is not None:
-            return self.scenario.kernel_gens
-        return generic_kernel_sections(algebroid)
+        return sources[name]
 
     def resolve(self, step, key: str):
         """The step's "point", "curve" or "chart": a string names an entry of
@@ -353,17 +383,15 @@ class _Runner:
             if ref not in entries:
                 raise ScenarioError(f"unknown {key} {ref!r}")
             return entries[ref]
-        return from_doc(ref, self.base_vars())
-
-    def base_vars(self):
-        return _base_vars(self.scenario.algebroid, self.scenario.bivector)
+        return from_doc(ref, self.base_vars)
 
     # -- steps ----------------------------------------------------------------
 
     def run_step(self, step) -> StepResult:
-        """Refuse keys the op does not read, resolve its reference, run its
-        handler and check what it observed against the step's expectations:
-        computed keys first, then those it could not compute, in table order."""
+        """Refuse keys the op does not read, resolve its source and reference,
+        run its handler and check what it observed against the step's
+        expectations: computed keys first, then those it could not compute,
+        in table order."""
         name = step.get("op")
         op = OPS.get(name) if isinstance(name, str) else None
         if op is None:
@@ -371,14 +399,7 @@ class _Runner:
         for key in step:
             if key not in ("op", "expect", op.ref, *op.keys):
                 raise ScenarioError(f"step {name!r} has no key {key!r}")
-        if "source" in step:  # without one, a step reads the algebroid if there is one
-            source = step["source"]
-            if source not in ("algebroid", "bivector"):
-                raise ScenarioError(
-                    f"step {name!r} has source {source!r}, not \"algebroid\" or \"bivector\""
-                )
-            if {"algebroid": self.scenario.algebroid, "bivector": self.cotangent}[source] is None:
-                raise ScenarioError(f"step asks for the {source}; scenario has none")
+        src = self.source(step)
         single = callable(op.expect)
         if single:
             parsers, expect = {name: op.expect}, {name: step["expect"]} if "expect" in step else {}
@@ -393,9 +414,9 @@ class _Runner:
                         f"(it checks {', '.join(parsers)})"
                     )
         ref = None if op.ref is None else self.resolve(step, op.ref)
-        result, observed = op.handler(self, step, ref)
+        result, observed = op.handler(self, src, step, ref)
         observed = {name: observed} if single else observed
-        ring_vars = ref.chart_vars if op.ref == "chart" else self.base_vars()
+        ring_vars = ref.chart_vars if op.ref == "chart" else self.base_vars
         computed, missing = [], []
         for key in (key for key in parsers if key in expect):
             try:
@@ -411,14 +432,14 @@ class _Runner:
         result.op, result.checks = name, computed + missing
         return result
 
-    def step_validate(self, step, _):
-        if step.get("source") == "bivector" or self.scenario.algebroid is None:
-            poisson = not morphism_defect_pairs(self.cotangent)
+    def step_validate(self, src, step, _):
+        a = src.algebroid
+        if src.kind == "bivector":
+            poisson = not morphism_defect_pairs(a)
             summary = f"bivector: {'Poisson' if poisson else 'not Poisson'}"
             details = {"kind": "bivector", "poisson": poisson}
             return StepResult(summary, details), {"poisson": poisson}
-        a = self.scenario.algebroid
-        if not isinstance(a, AlmostLieAlgebroid):
+        if a is None:
             return StepResult("anchored bundle: no bracket data", {"kind": "anchored-bundle"}), {}
         defects = morphism_defect_pairs(a)
         lie = is_lie_algebroid(a)
@@ -436,26 +457,25 @@ class _Runner:
         )
         return StepResult(summary, details), {"anchor_morphism": not defects, "lie": lie}
 
-    def step_rank(self, step, _):
-        r = anchor_rank_generic(self.anchor_source(step))
+    def step_rank(self, src, step, _):
+        r = anchor_rank_generic(src.bundle)
         return StepResult(f"generic rank: {r}", {"rank": r}), r
 
-    def step_singular_locus(self, step, _):
-        gens = _poly_set(singular_locus(self.anchor_source(step)))
+    def step_singular_locus(self, src, step, _):
+        gens = _poly_set(singular_locus(src.bundle))
         summary = "singular locus: " + (", ".join(gens) if gens else "(empty)")
         return StepResult(summary, {"generators": gens}), gens
 
-    def step_kernel_at(self, step, x):
-        sub = kernel_at(self.anchor_source(step), x)
+    def step_kernel_at(self, src, step, x):
+        sub = kernel_at(src.bundle, x)
         basis = _basis_rows(sub)
         details = {"point": [str(c) for c in x], "dim": sub.dim, "basis": basis}
         summary = f"kernel at point: {_render_value(sub)}"
         text = f"kernel basis: [{_rows_text(basis)}] (dim {sub.dim})"
         return StepResult(summary, details, text=text), sub
 
-    def step_isotropy(self, step, x):
-        a = self.bracket_source(step)
-        iso = isotropy_algebra_at(a, self.kernel_gens(a), x)
+    def step_isotropy(self, src, step, x):
+        iso = isotropy_algebra_at(src.algebroid, src.kernel_gens, x)
         abelian = all(
             all(c == 0 for c in coeffs) for coeffs in iso.structure.values()
         )
@@ -473,8 +493,8 @@ class _Runner:
         )
         return StepResult(summary, details, text=text), {"dim": iso.dim, "abelian": abelian}
 
-    def step_nash_limit(self, step, curve):
-        limit = limit_along(self.anchor_source(step), curve)
+    def step_nash_limit(self, src, step, curve):
+        limit = limit_along(src.bundle, curve)
         pv = limit.pluecker()
         basis = _basis_rows(limit)
         details = {"dim": limit.dim, "pluecker": list(pv.coords), "basis": basis}
@@ -485,14 +505,14 @@ class _Runner:
         summary = f"limit: {_render_value(limit)}"
         return StepResult(summary, details, text=text), {"pluecker": pv, "basis": limit}
 
-    def step_nash_fiber(self, step, x):
+    def step_nash_fiber(self, src, step, x):
         if "curves" in step:
             curves = [
                 self.resolve({"op": step["op"], "curve": c}, "curve") for c in step["curves"]
             ]
         else:
             curves = default_arcs(x, self.seed)
-        sample = nash_fiber_sample(self.anchor_source(step), x, curves)
+        sample = nash_fiber_sample(src.bundle, x, curves)
         ok_count = sum(1 for s in sample.curve_status if s == "ok")
         details = {
             "point": [str(c) for c in x],
@@ -520,10 +540,8 @@ class _Runner:
         plueckers = [rec.pluecker for rec in sample.limits]
         return result, {"count": len(sample.limits), "plueckers": plueckers}
 
-    def step_pullback_chart(self, step, chart):
-        a = self.anchor_source(step)
-        bundle = a.bundle if isinstance(a, AlmostLieAlgebroid) else a
-        pullbacks = pullback_anchor(bundle, chart)
+    def step_pullback_chart(self, src, step, chart):
+        pullbacks = pullback_anchor(src.bundle, chart)
         details = {
             "pullbacks": [
                 {
@@ -535,7 +553,7 @@ class _Runner:
             ]
         }
         flags = sum(1 for pb in pullbacks if pb.polynomial_flag)
-        summary = f"pullbacks: {flags}/{bundle.fiber_rank} polynomial"
+        summary = f"pullbacks: {flags}/{src.bundle.fiber_rank} polynomial"
         text = "\n".join(
             f"e_{idx}: ({', '.join(pb['components'])})  ["
             + ("polynomial" if pb["polynomial"] else f"denominator {pb['denominator']}")
@@ -547,8 +565,8 @@ class _Runner:
             "polynomial": [pb.polynomial_flag for pb in pullbacks],
         }
 
-    def step_relations(self, step, chart):
-        _, relations = debord_generators(self.anchor_source(step), chart)
+    def step_relations(self, src, step, chart):
+        relations = debord_generators(src.bundle, chart)
         details = {
             "relations": [
                 {
@@ -567,9 +585,11 @@ class _Runner:
             (rel.index, rel.basis, list(rel.coefficients), rel.polynomial) for rel in relations
         ]
 
-    def step_chart_report(self, step, chart):
+    def step_chart_report(self, src, step, chart):
+        # an algebroid given without brackets is reported with zero brackets
+        algebroid = src.algebroid or AlmostLieAlgebroid(src.bundle, {})
         try:
-            nca = nash_anchor_on_chart(_as_algebroid(self.anchor_source(step)), chart)
+            nca = nash_anchor_on_chart(algebroid, chart)
         except NotResolvedByChartError as err:
             details = {
                 "resolved": False,
@@ -627,7 +647,7 @@ class _Runner:
             "quotient_rank": cert["quotient_rank"],
         }
 
-    def step_poisson_pullback(self, step, chart):
+    def step_poisson_pullback(self, src, step, chart):
         if self.scenario.bivector is None:
             raise ScenarioError("poisson-pullback needs a bivector in the scenario")
         matrix, pole = pullback_bivector(chart, self.scenario.bivector)
@@ -652,21 +672,17 @@ class _Runner:
         }
 
 
-def _as_algebroid(a) -> AlmostLieAlgebroid:
-    return a if isinstance(a, AlmostLieAlgebroid) else AlmostLieAlgebroid(a, {})
-
-
 @dataclass(frozen=True)
 class Op:
     """One step op, which is also the command ``nashfol <op>``.
 
-    ``handler(runner, step, ref)`` gets the step's resolved ``ref`` ("point",
-    "curve" or "chart"; None if the op reads none) and returns its StepResult
-    and what it observed: expectation key -> actual value.  ``expect`` maps
-    each expectation key, in check order, to the parser of its expected
-    document; it is a bare parser when the step's "expect" value is itself
-    the one check, labelled with the op, and the handler observes one bare
-    value.  A dict observed is checked entry by entry, for each entry the
+    ``handler(runner, src, step, ref)`` gets the step's resolved Source and
+    ``ref`` ("point", "curve" or "chart"; None if the op reads none), and
+    returns its StepResult and what it observed: expectation key -> actual
+    value.  ``expect`` maps each expectation key, in check order, to the
+    parser of its expected document; it is a bare parser when the step's
+    "expect" value is itself the one check, labelled with the op, and the
+    handler observes one bare value.  A dict observed is checked entry by entry, for each entry the
     parser returns.  ``keys`` are the other step keys the op reads.
     """
 

@@ -14,9 +14,9 @@ from typing import Sequence
 
 from nashfol.algebroid import (
     AlmostLieAlgebroid,
+    AnchoredBundle,
     Point,
     VectorField,
-    _bundle_of,
     _constant_table,
     _kernel_bracket_at,
     anchor_rank_generic,
@@ -32,13 +32,11 @@ from nashfol.poisson import Bivector, gradient
 from nashfol.poly import ArityMismatchError, InternalInvariantError, MultiPoly
 
 
-def rank_at(a, x: Point) -> int:
-    bundle = _bundle_of(a)
+def rank_at(bundle: AnchoredBundle, x: Point) -> int:
     return frac_rank(bundle.anchor_at(x))
 
 
-def is_regular_point(a, x: Point) -> bool:
-    bundle = _bundle_of(a)
+def is_regular_point(bundle: AnchoredBundle, x: Point) -> bool:
     return rank_at(bundle, x) == anchor_rank_generic(bundle)
 
 
@@ -155,7 +153,7 @@ def isotropy_image(
     image = Subspace(iso.dim, image_vectors)
     codim = iso.dim - image.dim
     # the rank at x is n - dim ker(A(x)), read off the kernel isotropy computed
-    expected = anchor_rank_generic(algebroid) - algebroid.bundle.fiber_rank + iso.kernel.dim
+    expected = anchor_rank_generic(algebroid.bundle) - algebroid.bundle.fiber_rank + iso.kernel.dim
     if codim != expected:
         raise InternalInvariantError("codimension defies the rank bookkeeping")
     _assert_quotient_subalgebra(iso, image)
@@ -186,7 +184,7 @@ def affine_chart(pv: PlueckerVector, index: int) -> tuple[Fraction, ...]:
 
 
 def convergence_errors(
-    a,
+    bundle: AnchoredBundle,
     curve: CurveGerm,
     limit: Subspace,
     times: Sequence[Fraction],
@@ -197,7 +195,6 @@ def convergence_errors(
     at the limit's first nonvanishing coordinate; the error is the largest
     absolute coordinate difference.  Exact zeros mean the kernel is constant.
     """
-    bundle = _bundle_of(a)
     target = limit.pluecker()
     anchor_index = target.first_nonzero()
     reference = affine_chart(target, anchor_index)

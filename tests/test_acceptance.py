@@ -125,7 +125,7 @@ def test_criterion_1_sl2_chart_reproduction():
         _polys(cvs, "0", "1"),
         _polys(cvs, "x*y", "-y^2"),
     ]
-    _, relations = debord_generators(a, chart)
+    relations = debord_generators(a.bundle, chart)
     assert len(relations) == 1
     rel = relations[0]
     assert (rel.index, rel.basis, rel.polynomial) == (2, (0, 1), True)
@@ -145,7 +145,7 @@ def test_criterion_2_so3_chart_reproduction():
         _polys(vs, "x*z", "-y*z", "-z^2 - 1"),
         _polys(vs, "x*y", "-y^2 - 1", "-y*z"),
     ]
-    _, relations = debord_generators(a, chart)
+    relations = debord_generators(a.bundle, chart)
     rel = relations[0]
     assert (rel.index, rel.basis, rel.polynomial) == (0, (1, 2), True)
     assert list(rel.coefficients) == [
@@ -184,7 +184,7 @@ def test_criterion_3_gl_chart_membership_and_singular_locus():
         monomials = {
             str(MultiPoly(vs, {e: Fraction(1)})) for e in degree_monomials(vs, d)
         }
-        locus = {str(p.primitive()) for p in singular_locus(a) if not p.is_zero()}
+        locus = {str(p.primitive()) for p in singular_locus(a.bundle) if not p.is_zero()}
         assert locus == monomials
 
 
@@ -348,10 +348,10 @@ def test_criterion_8_su2_abelian_limits():
     a = rotation_action_algebroid()
     origin = (Fraction(0), Fraction(0), Fraction(0))
     arcs = default_arcs(origin, seed=8, rays=16, quadratics=8)
-    sample = nash_fiber_sample(a, origin, arcs)
+    sample = nash_fiber_sample(a.bundle, origin, arcs)
     assert len(sample.limits) > 1
-    gens = generic_kernel_sections(a)
-    assert anchor_rank_generic(a) - rank_at(a, origin) == 2
+    gens = generic_kernel_sections(a.bundle)
+    assert anchor_rank_generic(a.bundle) - rank_at(a.bundle, origin) == 2
     for rec in sample.limits:
         v = rec.subspace
         assert v.dim == 1

@@ -171,7 +171,8 @@ def _broken_jacobi_algebroid():
 def test_equal_algebroids_each_compute_their_own_verdict(monkeypatch):
     calls = _count_calls(monkeypatch, algebroid_module, "jacobiator")
     first, second = matrix_action_algebroid(2), matrix_action_algebroid(2)
-    assert first == second and first is not second
+    assert first is not second
+    assert (first.bundle, first.structure) == (second.bundle, second.structure)
     one_scan = math.comb(first.bundle.fiber_rank, 3)
     assert is_lie_algebroid(first) and is_lie_algebroid(first)
     assert len(calls) == one_scan
@@ -232,11 +233,11 @@ def test_defect_pairs_are_returned_as_copies():
 def test_generic_rank_is_ranked_once_per_bundle(monkeypatch):
     calls = _count_calls(monkeypatch, algebroid_module, "rank")
     sl2 = special_linear_2_algebroid()
-    assert anchor_rank_generic(sl2) == 2
     assert anchor_rank_generic(sl2.bundle) == 2
-    assert generic_kernel_sections(sl2)
+    assert anchor_rank_generic(sl2.bundle) == 2
+    assert generic_kernel_sections(sl2.bundle)
     assert len(calls) == 1
-    assert anchor_rank_generic(special_linear_2_algebroid()) == 2
+    assert anchor_rank_generic(special_linear_2_algebroid().bundle) == 2
     assert len(calls) == 2
 
 
@@ -250,63 +251,63 @@ def test_bivector_run_ranks_the_sharp_map_once(monkeypatch):
 
 def test_kernel_curve_on_a_rank_deficient_anchor_skips_rank(monkeypatch):
     calls = _count_calls(monkeypatch, nash_module, "rank")
-    gl2 = matrix_action_algebroid(2)
-    assert anchor_rank_generic(gl2) < gl2.bundle.fiber_rank
+    gl2 = matrix_action_algebroid(2).bundle
+    assert anchor_rank_generic(gl2) < gl2.fiber_rank
     ray = CurveGerm.ray([Fraction(0)] * 2, [Fraction(1), Fraction(2)])
-    assert len(kernel_curve(gl2, ray)) == gl2.bundle.fiber_rank - anchor_rank_generic(gl2)
+    assert len(kernel_curve(gl2, ray)) == gl2.fiber_rank - anchor_rank_generic(gl2)
     assert calls == []
 
 
 def test_generic_rank_and_singular_locus():
     sl2 = special_linear_2_algebroid()
-    assert anchor_rank_generic(sl2) == 2
-    locus = singular_locus(sl2)
+    assert anchor_rank_generic(sl2.bundle) == 2
+    locus = singular_locus(sl2.bundle)
     vs = ("x", "y")
     assert locus == [parse_poly(t, vs) for t in ("x^2", "y^2", "-x*y")]
 
     gl2 = matrix_action_algebroid(2)
-    assert anchor_rank_generic(gl2) == 2
-    nonzero = sorted(str(p) for p in singular_locus(gl2) if not p.is_zero())
+    assert anchor_rank_generic(gl2.bundle) == 2
+    nonzero = sorted(str(p) for p in singular_locus(gl2.bundle) if not p.is_zero())
     assert nonzero == ["-x1*x2", "x1*x2", "x1^2", "x2^2"]
 
 
 def test_kernel_at_points():
     gl2 = matrix_action_algebroid(2)
-    ker = kernel_at(gl2, [Fraction(1), Fraction(0)])
+    ker = kernel_at(gl2.bundle, [Fraction(1), Fraction(0)])
     assert ker == Subspace(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    assert rank_at(gl2, [Fraction(1), Fraction(0)]) == 2
-    assert kernel_at(gl2, [Fraction(0), Fraction(0)]).dim == 4
+    assert rank_at(gl2.bundle, [Fraction(1), Fraction(0)]) == 2
+    assert kernel_at(gl2.bundle, [Fraction(0), Fraction(0)]).dim == 4
     # semicontinuity: kernel dim is n - r exactly off the singular locus
-    locus = singular_locus(gl2)
+    locus = singular_locus(gl2.bundle)
     for pt in ([1, 2], [3, 0], [0, 0], [0, 5]):
         point = [Fraction(c) for c in pt]
         on_locus = all(p.eval(point) == 0 for p in locus)
-        assert (kernel_at(gl2, point).dim == 2) == (not on_locus)
-        assert kernel_at(gl2, point).dim >= 2
+        assert (kernel_at(gl2.bundle, point).dim == 2) == (not on_locus)
+        assert kernel_at(gl2.bundle, point).dim >= 2
 
 
 def test_generic_kernel_sections():
     gl2 = matrix_action_algebroid(2)
-    gens = generic_kernel_sections(gl2)
+    gens = generic_kernel_sections(gl2.bundle)
     vs = ("x1", "x2")
     assert gens == [
         V(vs, "-x2", "0", "x1", "0"),
         V(vs, "0", "-x2", "0", "x1"),
     ]
     rot = sphere_generators_algebroid()
-    assert generic_kernel_sections(rot) == [V(XYZ, "x", "-y", "z")]
+    assert generic_kernel_sections(rot.bundle) == [V(XYZ, "x", "-y", "z")]
 
 
 def test_strong_kernel_validation_and_span():
     gl2 = matrix_action_algebroid(2)
-    gens = generic_kernel_sections(gl2)
+    gens = generic_kernel_sections(gl2.bundle)
     origin = [Fraction(0), Fraction(0)]
-    assert strong_kernel_at(gl2, gens, origin).dim == 0
-    at_reg = strong_kernel_at(gl2, gens, [Fraction(1), Fraction(0)])
-    assert at_reg == kernel_at(gl2, [Fraction(1), Fraction(0)])
+    assert strong_kernel_at(gl2.bundle, gens, origin).dim == 0
+    at_reg = strong_kernel_at(gl2.bundle, gens, [Fraction(1), Fraction(0)])
+    assert at_reg == kernel_at(gl2.bundle, [Fraction(1), Fraction(0)])
     bad = [V(("x1", "x2"), "1", "0", "0", "0")]
     with pytest.raises(NotInKernelModuleError) as exc:
-        strong_kernel_at(gl2, bad, origin)
+        strong_kernel_at(gl2.bundle, bad, origin)
     assert exc.value.index == 0
 
 
@@ -334,7 +335,7 @@ def test_isotropy_at_origin_is_full_matrix_algebra():
 
 def test_isotropy_trivial_at_regular_points():
     gl2 = matrix_action_algebroid(2)
-    gens = generic_kernel_sections(gl2)
+    gens = generic_kernel_sections(gl2.bundle)
     iso = isotropy_algebra_at(gl2, gens, [Fraction(1), Fraction(0)])
     assert iso.dim == 0
     assert iso.structure == {}

@@ -20,6 +20,7 @@ from nashfol.charts import (
     debord_generators,
     exceptional_samples,
     nash_anchor_on_chart,
+    pullback_anchor,
     pullback_bivector,
     pullback_vector_field,
     tautological_frame,
@@ -84,7 +85,8 @@ def test_identity_chart_is_trivial():
         mat[i][j] == RatFunc(pi.matrix[i][j]) for i in range(3) for j in range(3)
     )
     so3 = sphere_generators_algebroid()
-    assert nash_anchor_on_chart(so3, ch).algebroid == so3
+    chart_alg = nash_anchor_on_chart(so3, ch).algebroid
+    assert (chart_alg.bundle, chart_alg.structure) == (so3.bundle, so3.structure)
     assert exceptional_samples(ch) == []
 
 
@@ -110,10 +112,9 @@ def test_nash_anchor_rejects_unresolved_chart():
 def test_sl2_chart_pullbacks_and_relation():
     sl2 = special_linear_2_algebroid()
     ch = blowup(XY, 0)
-    nca = nash_anchor_on_chart(sl2, ch)
-    got = [[str(c) for c in pb.components] for pb in nca.pullbacks]
+    got = [[str(c) for c in pb.components] for pb in pullback_anchor(sl2.bundle, ch)]
     assert got == [["x", "-2*y"], ["0", "1"], ["x*y", "-y^2"]]
-    _, relations = debord_generators(sl2, ch)
+    relations = debord_generators(sl2.bundle, ch)
     assert len(relations) == 1
     rel = relations[0]
     assert rel.index == 2 and rel.basis == (0, 1) and rel.polynomial
@@ -143,14 +144,13 @@ def test_sl2_chart_algebroid_stays_lie():
 def test_so3_chart_pullbacks_and_relation():
     so3 = sphere_generators_algebroid()
     ch = blowup(XYZ, 0)
-    nca = nash_anchor_on_chart(so3, ch)
-    got = [[str(c) for c in pb.components] for pb in nca.pullbacks]
+    got = [[str(c) for c in pb.components] for pb in pullback_anchor(so3.bundle, ch)]
     assert got == [
         ["0", "z", "-y"],
         ["x*z", "-y*z", "-z^2 - 1"],
         ["x*y", "-y^2 - 1", "-y*z"],
     ]
-    _, relations = debord_generators(so3, ch)
+    relations = debord_generators(so3.bundle, ch)
     assert len(relations) == 1
     rel = relations[0]
     assert rel.index == 0 and rel.basis == (1, 2) and rel.polynomial
@@ -193,7 +193,7 @@ def test_frame_fiber_matches_kernel_at_regular_point():
     u = (Fraction(2), Fraction(1, 2), Fraction(1, 3))
     image = [p.eval(u) for p in ch.phi]
     fiber = Subspace(3, [[col[i].eval(u) for i in range(3)] for col in frame.columns])
-    assert fiber == kernel_at(so3, image)
+    assert fiber == kernel_at(so3.bundle, image)
     assert frame_rank_at(frame, u) == 1
     for sample in exceptional_samples(ch):
         assert frame_rank_at(frame, sample) == 1
@@ -203,9 +203,9 @@ def test_gl2_chart_pullbacks_and_frame():
     gl2 = matrix_action_algebroid(2)
     ch = blowup(("x1", "x2"), 0, chart_vars=("y1", "y2"))
     nca = nash_anchor_on_chart(gl2, ch)
-    got = [[str(c) for c in pb.components] for pb in nca.pullbacks]
+    got = [[str(c) for c in pb.components] for pb in pullback_anchor(gl2.bundle, ch)]
     assert got == [["y1", "-y2"], ["0", "1"], ["y1*y2", "-y2^2"], ["0", "y2"]]
-    _, relations = debord_generators(gl2, ch)
+    relations = debord_generators(gl2.bundle, ch)
     assert [(r.index, r.basis) for r in relations] == [(2, (0, 1)), (3, (0, 1))]
     assert [[str(c) for c in r.coefficients] for r in relations] == [
         ["y2", "0"],
@@ -222,7 +222,7 @@ def test_gl2_chart_pullbacks_and_frame():
 def test_gl3_chart_relations_all_polynomial():
     gl3 = matrix_action_algebroid(3)
     ch = blowup(("x1", "x2", "x3"), 0, chart_vars=("y1", "y2", "y3"))
-    _, relations = debord_generators(gl3, ch)
+    relations = debord_generators(gl3.bundle, ch)
     assert [r.index for r in relations] == [3, 4, 5, 6, 7, 8]
     assert all(r.basis == (0, 1, 2) and r.polynomial for r in relations)
     coeff_strs = [[str(c) for c in r.coefficients] for r in relations]

@@ -355,12 +355,19 @@ _SO3_ANCHOR = [["0", "z", "y"], ["z", "0", "-x"], ["-y", "-x", "0"]]
             }]}]},
             "'polynomal'",
         ),
+        (
+            {
+                "bivector": {"vars": ["u", "v", "w"], "pi": {"0,1": "-w", "0,2": "v", "1,2": "-u"}},
+                "steps": [{"op": "singular-locus", "source": "bivector", "expect": ["u", "v", "w"]}],
+            },
+            "over ('x', 'y', 'z') and the bivector over ('u', 'v', 'w')",
+        ),
     ],
     ids=[
         "op-list", "expect-dim-list", "expect-string", "expect-unknown-key", "expect-missing-key",
         "charts-list", "curves-list", "points-string", "expect-rank-float", "expect-dim-float",
         "expect-lie-string", "step-unknown-key", "source-misspelt", "source-without-brackets",
-        "relation-key-misspelt",
+        "relation-key-misspelt", "bivector-other-base",
     ],
 )
 def test_malformed_scenario_exits_2(changes, named, tmp_path, capsys):
@@ -388,12 +395,42 @@ def test_explicit_source_the_scenario_lacks_exits_2(name, source, tmp_path, caps
     assert captured.err == f"error: step asks for the {source}; scenario has none\n"
 
 
+def test_bivector_step_reads_the_bivectors_kernel_sections(tmp_path, capsys):
+    """kernel_gens belong to the algebroid: a bivector step reads the cotangent
+    algebroid's anchor, brackets and generic kernel sections, so it reports
+    what the bivector alone gives."""
+    doc = json.loads(Path(corpus_path("so3")).read_text())
+    step = {"op": "isotropy", "point": "origin", "source": "bivector"}
+    both = dict(doc, kernel_gens=[["x", "-y", "z"]], steps=[step])
+    alone = {key: doc[key] for key in ("name", "bivector", "points")}
+    outputs = []
+    for scenario in (both, dict(alone, steps=[step])):
+        path = tmp_path / "iso.json"
+        path.write_text(json.dumps(scenario))
+        assert main(["run-scenario", "--json", "--input", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["steps"][0]["summary"] == "isotropy: dim 3"
+
+
+def test_bivector_chart_report_reads_the_cotangent_brackets(tmp_path, capsys):
+    """A bivector step's chart report brackets with the cotangent algebroid:
+    on so3's x-chart its frame is an ideal, as the algebroid's is."""
+    doc = json.loads(Path(corpus_path("so3")).read_text())
+    expect = {"ideal": True, "debord": True}
+    step = {"op": "nash-chart-report", "chart": "x-chart", "source": "bivector", "expect": expect}
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(dict(doc, steps=[step])))
+    assert main(["run-scenario", "--input", str(path)]) == 0
+    assert "ideal: PASS" in capsys.readouterr().out
+
+
 _BUNDLE = {"vars": ["x", "y"], "rank": 2, "anchor": [["x", "0"], ["0", "y"]]}
 
 
-def _term_list(exps):
-    """A one-term polynomial document over x, y with the given exponents."""
-    return {"vars": ["x", "y"], "terms": [{"exps": exps, "coeff": "1"}]}
+def _term_list(exps, coeff="1"):
+    """A one-term polynomial document over x, y."""
+    return {"vars": ["x", "y"], "terms": [{"exps": exps, "coeff": coeff}]}
 
 
 @pytest.mark.parametrize(
@@ -420,13 +457,14 @@ def _term_list(exps):
         (dict(_BUNDLE, anchor=[[_term_list([1.7, 0]), "0"], ["0", "y"]]), "1,2"),
         (dict(_BUNDLE, anchor=[[_term_list([True, 0]), "0"], ["0", "y"]]), "1,2"),
         (dict(_BUNDLE, anchor=[[_term_list([-1, 0]), "0"], ["0", "y"]]), "1,2"),
+        (dict(_BUNDLE, anchor=[[_term_list([1, 0], coeff=2.5), "0"], ["0", "y"]]), "1,2"),
     ],
     ids=[
         "brackets-list", "anchor-int", "bracket-section-int", "pi-list", "vars-int",
         "kernel-gens-int", "kernel-gen-int", "point-inner-blank", "point-trailing-comma",
         "rank-float", "rank-bool", "rank-string", "rank-negative", "vars-repeated",
         "vars-not-string", "bivector-vars-repeated", "chart-vars-repeated", "entry-bool",
-        "exponent-float", "exponent-bool", "exponent-negative",
+        "exponent-float", "exponent-bool", "exponent-negative", "coeff-float",
     ],
 )
 def test_wrongly_shaped_input_exits_2(doc, point, tmp_path, capsys):

@@ -59,7 +59,7 @@ def test_kernel_curve_rotation_axis():
 
 def test_kernel_curve_gl2_diagonal():
     gl2 = matrix_action_algebroid(2)
-    basis = kernel_curve(gl2, ray([0, 0], [1, 1]))
+    basis = kernel_curve(gl2.bundle, ray([0, 0], [1, 1]))
     assert len(basis) == 2
     # spans the fixed subspace a11 + a21 = 0, a12 + a22 = 0
     sub = Subspace(4, [[p.eval([Fraction(1)]) for p in vec] for vec in basis])
@@ -70,7 +70,7 @@ def test_kernel_curve_singular_arc():
     gl2 = matrix_action_algebroid(2)
     constant = CurveGerm(ORIGIN2, (MultiPoly.zero(T), MultiPoly.zero(T)))
     with pytest.raises(CurveInSingularLocusError):
-        kernel_curve(gl2, constant)
+        kernel_curve(gl2.bundle, constant)
 
 
 def test_limit_subspace_constant_kernel():
@@ -113,9 +113,9 @@ def test_nash_fiber_axes_give_coordinate_lines():
 def test_nash_fiber_at_regular_point_is_single():
     gl2 = matrix_action_algebroid(2)
     x = (Fraction(1), Fraction(0))
-    sample = nash_fiber_sample(gl2, x, default_arcs(x, seed=5))
+    sample = nash_fiber_sample(gl2.bundle, x, default_arcs(x, seed=5))
     assert len(sample.limits) == 1
-    assert sample.limits[0].subspace == kernel_at(gl2, x)
+    assert sample.limits[0].subspace == kernel_at(gl2.bundle, x)
     assert sample.limits[0].subspace == Subspace(4, [[0, 0, 1, 0], [0, 0, 0, 1]])
 
 
@@ -137,7 +137,7 @@ def test_nash_fiber_all_singular():
     gl2 = matrix_action_algebroid(2)
     constant = CurveGerm(ORIGIN2, (MultiPoly.zero(T), MultiPoly.zero(T)))
     with pytest.raises(AllCurvesSingularError):
-        nash_fiber_sample(gl2, ORIGIN2, [constant])
+        nash_fiber_sample(gl2.bundle, ORIGIN2, [constant])
 
 
 def test_full_rank_anchor_gives_zero_dimensional_fiber():
@@ -154,14 +154,14 @@ def test_full_rank_anchor_gives_zero_dimensional_fiber():
 
 def test_check_flag():
     gl2 = matrix_action_algebroid(2)
-    gens = generic_kernel_sections(gl2)
+    gens = generic_kernel_sections(gl2.bundle)
     v = Subspace(4, [[1, 0, -1, 0], [0, 1, 0, -1]])
-    assert check_flag(gl2, gens, v, ORIGIN2)
+    assert check_flag(gl2.bundle, gens, v, ORIGIN2)
     not_in_kernel = Subspace(4, [[1, 0, 0, 0]])
-    assert check_flag(gl2, gens, not_in_kernel, ORIGIN2)  # ker at 0 is everything
+    assert check_flag(gl2.bundle, gens, not_in_kernel, ORIGIN2)  # ker at 0 is everything
     x = (Fraction(1), Fraction(0))
-    assert not check_flag(gl2, gens, not_in_kernel, x)
-    assert check_flag(gl2, gens, kernel_at(gl2, x), x)
+    assert not check_flag(gl2.bundle, gens, not_in_kernel, x)
+    assert check_flag(gl2.bundle, gens, kernel_at(gl2.bundle, x), x)
 
 
 def test_check_limit_subalgebra():
@@ -180,7 +180,7 @@ def test_check_limit_subalgebra():
 
 def test_isotropy_image_gl2():
     gl2 = matrix_action_algebroid(2)
-    gens = generic_kernel_sections(gl2)
+    gens = generic_kernel_sections(gl2.bundle)
     v = Subspace(4, [[1, 0, -1, 0], [0, 1, 0, -1]])
     image, codim = isotropy_image(gl2, gens, v, ORIGIN2)
     assert image.dim == 2
@@ -191,17 +191,17 @@ def test_isotropy_image_gl2():
 
 def test_isotropy_image_at_regular_point():
     gl2 = matrix_action_algebroid(2)
-    gens = generic_kernel_sections(gl2)
+    gens = generic_kernel_sections(gl2.bundle)
     x = (Fraction(1), Fraction(0))
-    image, codim = isotropy_image(gl2, gens, kernel_at(gl2, x), x)
+    image, codim = isotropy_image(gl2, gens, kernel_at(gl2.bundle, x), x)
     assert image.dim == 0
     assert codim == 0
 
 
 def test_isotropy_image_rotation():
     alg = sphere_generators_algebroid()
-    gens = generic_kernel_sections(alg)
-    sample = nash_fiber_sample(alg, ORIGIN3, default_arcs(ORIGIN3, seed=7))
+    gens = generic_kernel_sections(alg.bundle)
+    sample = nash_fiber_sample(alg.bundle, ORIGIN3, default_arcs(ORIGIN3, seed=7))
     for rec in sample.limits:
         image, codim = isotropy_image(alg, gens, rec.subspace, ORIGIN3)
         assert image.dim == 1

@@ -12,7 +12,7 @@ from nashfol.algebroid import (
     _quotient_basis,
     anchor_rank_generic,
 )
-from nashfol.charts import debord_generators
+from nashfol.charts import debord_generators, pullback_anchor
 from nashfol.grassmann import Subspace, unpluecker
 from nashfol.nash import CurveGerm, CurveInSingularLocusError, kernel_curve, limit_along
 from nashfol.poly import MultiPoly
@@ -208,8 +208,9 @@ def _anchor_columns(draw):
 @given(_anchor_columns())
 def test_debord_relations_match_per_target_solve(columns):
     bundle = AnchoredBundle(_XYZ, [[col[i] for col in columns] for i in range(3)])
-    pullbacks, relations = debord_generators(bundle, identity_chart(_XYZ))
-    pulled = [pb.polynomial_components() for pb in pullbacks]
+    chart = identity_chart(_XYZ)
+    relations = debord_generators(bundle, chart)
+    pulled = [pb.polynomial_components() for pb in pullback_anchor(bundle, chart)]
     expected = relations_by_solve(pulled)
     assert [(rel.index, rel.basis) for rel in relations] == [
         (j, basis) for j, basis, _ in expected
