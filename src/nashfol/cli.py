@@ -12,7 +12,7 @@ import json
 import sys
 from typing import Sequence
 
-from .documents import DocumentError, load_json, parse_point, point_to_doc
+from .documents import DocumentError, json_value, load_json
 from .scenario import (
     OPS,
     Scenario,
@@ -57,12 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_input_scenario(args) -> Scenario:
     """Read whatever --input holds (algebroid, bivector, or scenario doc) as a
     Scenario so single commands share the step runner."""
-    doc = load_json(args.input)
-    if not isinstance(doc, dict):
-        raise DocumentError("input document must be a JSON object")
+    doc = json_value(dict, load_json(args.input), "input document")
     if "anchor" in doc or "pi" in doc:
-        wrap = (("algebroid", "anchor"), ("bivector", "pi"))
-        doc = {key: doc for key, mark in wrap if mark in doc}
+        doc = {"algebroid" if "anchor" in doc else "bivector": doc}
     elif "algebroid" not in doc and "bivector" not in doc:
         raise DocumentError(
             "input is neither an algebroid/bivector document nor a scenario"
@@ -76,7 +73,7 @@ def _single_step(args, scenario: Scenario) -> dict:
     step = {"op": args.command}
     key = OPS[args.command].ref
     if key == "point":
-        step["point"] = point_to_doc(parse_point(args.point))
+        step["point"] = args.point.split(",")
     elif key:
         ref = getattr(args, key)
         if ref not in {"curve": scenario.curves, "chart": scenario.charts}[key]:

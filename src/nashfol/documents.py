@@ -1,86 +1,141 @@
-"""JSON document readers for the CLI and the scenario corpus.
+"""JSON documents: the one module that reads them.
 
-Polynomials inside documents are grammar strings; the term-list object that
-``poly.poly_from_doc`` reads is also accepted anywhere a polynomial is
-expected.  Bracket and bivector entry keys are "i,j" with 0-based indices.
+Every document and expected value is read with three readers: ``json_value``
+(one JSON type, matched exactly), ``keyed`` (an object's keys) and
+``rational`` (a JSON integer or rational text).  A polynomial is grammar
+text, a JSON integer or a term list
+``{"vars": [...], "terms": [{"coeff": "3/4", "exps": [...]}]}``.  Bracket
+and bivector entry keys are "i,j" with 0-based indices.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from .algebroid import AlmostLieAlgebroid, AnchoredBundle
 from .charts import ChartMap
 from .nash import CURVE_VAR, CurveGerm
 from .poisson import Bivector
-from .poly import MultiPoly, parse_rational, poly_from_doc
+from .poly import MAX_EXPONENT, MultiPoly, parse_poly, parse_rational
 
 
 class DocumentError(ValueError):
     """A JSON document is malformed or references something undefined."""
 
 
-def parse_point(text: str) -> tuple[Fraction, ...]:
-    """Comma-separated rationals, e.g. "1,2,-1/3"."""
-    parts = text.split(",")
-    if not any(s.strip() for s in parts):
-        raise DocumentError(f"empty point {text!r}")
-    if not all(s.strip() for s in parts):
-        raise DocumentError(f"empty coordinate in point {text!r}")
-    try:
-        return tuple(parse_rational(s) for s in parts)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+_KINDS = {int: "integer", bool: "boolean", str: "string", list: "list", dict: "object"}
+_text = partial(json.dumps, default=repr)  # a value JSON cannot hold, such as a Fraction, by repr
 
 
-def point_from_doc(doc) -> tuple[Fraction, ...]:
-    if not isinstance(doc, list) or not doc:
-        raise DocumentError("a point is a non-empty list of rationals")
-    try:
-        return tuple(parse_rational(str(c)) for c in doc)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-
-
-def point_to_doc(point: Sequence[Fraction]) -> list[str]:
-    return [str(c) for c in point]
-
-
-def _shaped(doc, kind: type, what: str):
-    """The document itself when it is a JSON list or object, as ``kind`` asks."""
-    if not isinstance(doc, kind):
-        raise DocumentError(f"{what} must be {'a list' if kind is list else 'an object'}")
+def json_value(kind: type, doc, what: str):
+    """``doc`` itself when it is a JSON value of ``kind``: a boolean is no
+    integer, and neither is 2.9 or "3"."""
+    if type(doc) is not kind:
+        raise DocumentError(f"{what} must be a JSON {_KINDS[kind]}, not {_text(doc)}")
     return doc
+
+
+def keyed(doc, required: Sequence[str], optional: Sequence[str], what: str) -> dict:
+    """``doc`` itself when it is a JSON object with every key of ``required``
+    and no other key outside ``optional``; the first unknown key, else the
+    first missing one, is named."""
+    for key in json_value(dict, doc, what):
+        if key not in required and key not in optional:
+            raise DocumentError(
+                f"{what} has no key {key!r} (it takes {', '.join((*required, *optional))})"
+            )
+    for key in required:
+        if key not in doc:
+            raise DocumentError(f"{what} is missing {key!r}")
+    return doc
+
+
+def rational(doc, what: str) -> Fraction:
+    """A JSON integer or rational text such as "-3/4".  Any other JSON number
+    is refused: 1e-400 reads as 0.0 and 1.0000000000000000001 as 1.0."""
+    if type(doc) is int:
+        return Fraction(doc)
+    if type(doc) is not str:
+        raise DocumentError(
+            f"{what} must be a JSON integer or rational text, not {_text(doc)}"
+        )
+    try:
+        return parse_rational(doc)
+    except ValueError as exc:
+        raise DocumentError(f"{what}: {exc}") from exc
 
 
 def _names(doc, what: str) -> tuple[str, ...]:
     """A JSON list of distinct strings, such as a document's variable names."""
-    names = _shaped(doc, list, what)
-    if not all(isinstance(v, str) for v in names) or len(set(names)) != len(names):
-        raise DocumentError(f"{what} must hold distinct strings, not {names!r}")
+    names = json_value(list, doc, what)
+    if not all(type(v) is str for v in names) or len(set(names)) != len(names):
+        raise DocumentError(f"{what} must hold distinct strings, not {_text(names)}")
     return tuple(names)
 
 
-def _poly(doc, variables) -> MultiPoly:
-    try:
-        return poly_from_doc(doc, variables)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise DocumentError(f"bad polynomial {doc!r}: {exc}") from exc
+def poly_from_doc(doc, variables: Sequence[str]) -> MultiPoly:
+    """Polynomial text, a JSON integer or a term list over ``variables``."""
+    if type(doc) is str:
+        try:
+            return parse_poly(doc, variables)
+        except ValueError as exc:
+            raise DocumentError(f"bad polynomial {doc!r}: {exc}") from exc
+    if type(doc) is int:
+        return MultiPoly.constant(variables, doc)
+    if type(doc) is not dict:
+        raise DocumentError(f"a polynomial is text, an integer or a term list, not {doc!r}")
+    keyed(doc, ("vars", "terms"), (), "a term list")
+    if _names(doc["vars"], '"vars"') != tuple(variables):
+        raise DocumentError(f"a term list over {doc['vars']}, expected {list(variables)}")
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for term in json_value(list, doc["terms"], '"terms"'):
+        keyed(term, ("coeff", "exps"), (), "a term")
+        exps = tuple(json_value(list, term["exps"], '"exps"'))
+        for x in exps:
+            if json_value(int, x, "an exponent") < 0:
+                raise DocumentError(f"an exponent must be non-negative, not {x}")
+        if len(exps) != len(variables):
+            raise DocumentError(f"a term has {len(exps)} exponents for {len(variables)} variables")
+        if any(x > MAX_EXPONENT for x in exps):
+            raise DocumentError(f"exponent above {MAX_EXPONENT} in term {list(exps)}")
+        terms[exps] = terms.get(exps, Fraction(0)) + rational(term["coeff"], "a coefficient")
+    return MultiPoly(variables, terms)
 
 
-def _pair_key(key: str, bound: int) -> tuple[int, int]:
-    try:
-        i_text, j_text = key.split(",")
-        i, j = int(i_text), int(j_text)
-    except ValueError as exc:
-        raise DocumentError(f"bad index pair {key!r}, expected \"i,j\"") from exc
-    if not (0 <= i < bound and 0 <= j < bound):
-        raise DocumentError(f"index pair {key!r} out of range (0-based, < {bound})")
-    if i == j:
-        raise DocumentError(f"diagonal index pair {key!r}")
-    return i, j
+def _section(doc, n: int, what: str, variables) -> list[MultiPoly]:
+    """A JSON list of ``n`` polynomials: an anchor row or a section."""
+    if len(json_value(list, doc, what)) != n:
+        raise DocumentError(f"{what} has {len(doc)} entries, expected {n}")
+    return [poly_from_doc(e, variables) for e in doc]
+
+
+def index_pairs(doc, bound: int, what: str) -> dict[tuple[int, int], object]:
+    """The values of a JSON object keyed by "i,j" (0-based, below ``bound``)
+    by pair; a pair named by two keys, such as "0,1" and "0, 1", is refused
+    with both keys named."""
+    keys: dict[tuple[int, int], str] = {}
+    for key in json_value(dict, doc, what):
+        try:
+            i, j = (int(text) for text in key.split(","))
+        except ValueError as exc:
+            raise DocumentError(f"bad index pair {key!r}, expected \"i,j\"") from exc
+        if not (0 <= i < bound and 0 <= j < bound):
+            raise DocumentError(f"index pair {key!r} out of range (0-based, < {bound})")
+        if (i, j) in keys:
+            raise DocumentError(
+                f"{what} names the pair {i},{j} twice: {keys[(i, j)]!r} and {key!r}"
+            )
+        keys[(i, j)] = key
+    return {pair: doc[key] for pair, key in keys.items()}
+
+
+def point_from_doc(doc) -> tuple[Fraction, ...]:
+    if not json_value(list, doc, "a point"):
+        raise DocumentError("a point is a non-empty list of rationals")
+    return tuple(rational(c, "a coordinate") for c in doc)
 
 
 def algebroid_from_doc(doc):
@@ -89,70 +144,47 @@ def algebroid_from_doc(doc):
     Returns an AlmostLieAlgebroid when "brackets" is present, otherwise the
     bare AnchoredBundle.
     """
-    _shaped(doc, dict, "algebroid document")
-    try:
-        variables = _names(doc["vars"], '"vars"')
-        n = doc["rank"]
-        anchor_doc = _shaped(doc["anchor"], list, '"anchor"')
-    except KeyError as exc:
-        raise DocumentError(f"algebroid document missing {exc}") from exc
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise DocumentError(f'"rank" must be a non-negative integer, not {n!r}')
+    keyed(doc, ("vars", "rank", "anchor"), ("brackets",), "algebroid document")
+    variables = _names(doc["vars"], '"vars"')
+    n = json_value(int, doc["rank"], '"rank"')
+    if n < 0:
+        raise DocumentError(f'"rank" must be non-negative, not {n}')
+    anchor_doc = json_value(list, doc["anchor"], '"anchor"')
     if len(anchor_doc) != len(variables):
         raise DocumentError(
             f"anchor has {len(anchor_doc)} rows for {len(variables)} variables"
         )
-    anchor = []
-    for row in anchor_doc:
-        if len(_shaped(row, list, "an anchor row")) != n:
-            raise DocumentError(f"anchor row of width {len(row)}, expected {n}")
-        anchor.append([_poly(e, variables) for e in row])
+    anchor = [_section(row, n, "an anchor row", variables) for row in anchor_doc]
+    structure = None
+    if "brackets" in doc:
+        structure = {
+            (i, j): _section(section, n, f"bracket {i},{j}", variables)
+            for (i, j), section in index_pairs(doc["brackets"], n, '"brackets"').items()
+        }
     try:
         bundle = AnchoredBundle(variables, anchor)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-    if "brackets" not in doc:
-        return bundle
-    structure = {}
-    for key, section in _shaped(doc["brackets"], dict, '"brackets"').items():
-        pair = _pair_key(key, n)
-        if len(_shaped(section, list, f"bracket {key!r}")) != n:
-            raise DocumentError(f"bracket {key!r} has {len(section)} components")
-        structure[pair] = [_poly(e, variables) for e in section]
-    try:
-        return AlmostLieAlgebroid(bundle, structure)
+        return bundle if structure is None else AlmostLieAlgebroid(bundle, structure)
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
 
 
 def bivector_from_doc(doc) -> Bivector:
-    _shaped(doc, dict, "bivector document")
-    try:
-        variables = _names(doc["vars"], '"vars"')
-        entries_doc = _shaped(doc["pi"], dict, '"pi"')
-    except KeyError as exc:
-        raise DocumentError(f"bivector document missing {exc}") from exc
-    d = len(variables)
+    keyed(doc, ("vars", "pi"), (), "bivector document")
+    variables = _names(doc["vars"], '"vars"')
     entries = {}
-    for key, value in entries_doc.items():
-        i, j = _pair_key(key, d)
-        if i > j:
-            raise DocumentError(f"entry {key!r} must use i < j (lower half is implied)")
-        entries[(i, j)] = _poly(value, variables)
+    for (i, j), value in index_pairs(doc["pi"], len(variables), '"pi"').items():
+        if i >= j:
+            raise DocumentError(f"entry {i},{j} must have i < j (the lower half is implied)")
+        entries[(i, j)] = poly_from_doc(value, variables)
     return Bivector.from_upper_entries(variables, entries)
 
 
 def curve_from_doc(doc) -> CurveGerm:
-    _shaped(doc, dict, "curve document")
-    try:
-        target_doc = _shaped(doc["target"], list, '"target"')
-        target = tuple(parse_rational(str(c)) for c in target_doc)
-        components_doc = _shaped(doc["components"], list, '"components"')
-        components = tuple(_poly(c, CURVE_VAR) for c in components_doc)
-    except KeyError as exc:
-        raise DocumentError(f"curve document missing {exc}") from exc
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
+    keyed(doc, ("target", "components"), (), "curve document")
+    target_doc = json_value(list, doc["target"], '"target"')
+    target = tuple(rational(c, "a target coordinate") for c in target_doc)
+    components_doc = json_value(list, doc["components"], '"components"')
+    components = tuple(poly_from_doc(c, CURVE_VAR) for c in components_doc)
     try:
         return CurveGerm(target, components)
     except ValueError as exc:
@@ -162,15 +194,12 @@ def curve_from_doc(doc) -> CurveGerm:
 def chart_from_doc(doc, target_vars: Sequence[str]) -> ChartMap:
     """Read a chart document; the target variables come from the input it
     will be applied to."""
-    _shaped(doc, dict, "chart document")
-    try:
-        chart_vars = _names(doc["chart_vars"], '"chart_vars"')
-        phi = [_poly(p, chart_vars) for p in _shaped(doc["phi"], list, '"phi"')]
-    except KeyError as exc:
-        raise DocumentError(f"chart document missing {exc}") from exc
-    exceptional = None
-    if doc.get("exceptional") is not None:
-        exceptional = _poly(doc["exceptional"], chart_vars)
+    keyed(doc, ("chart_vars", "phi"), ("exceptional",), "chart document")
+    chart_vars = _names(doc["chart_vars"], '"chart_vars"')
+    phi = [poly_from_doc(p, chart_vars) for p in json_value(list, doc["phi"], '"phi"')]
+    exceptional = doc.get("exceptional")
+    if exceptional is not None:
+        exceptional = poly_from_doc(exceptional, chart_vars)
     try:
         return ChartMap(chart_vars, tuple(target_vars), phi, exceptional=exceptional)
     except ValueError as exc:
@@ -178,14 +207,8 @@ def chart_from_doc(doc, target_vars: Sequence[str]) -> ChartMap:
 
 
 def kernel_gens_from_doc(doc, variables: Sequence[str], n: int) -> list[list[MultiPoly]]:
-    gens = []
-    for idx, section in enumerate(_shaped(doc, list, '"kernel_gens"')):
-        if len(_shaped(section, list, f"kernel generator {idx}")) != n:
-            raise DocumentError(
-                f"kernel generator {idx} has {len(section)} components, expected {n}"
-            )
-        gens.append([_poly(e, variables) for e in section])
-    return gens
+    gens = json_value(list, doc, '"kernel_gens"')
+    return [_section(gen, n, f"kernel generator {idx}", variables) for idx, gen in enumerate(gens)]
 
 
 def load_json(path: str):

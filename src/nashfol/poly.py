@@ -758,41 +758,3 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}") from exc
 
-
-# ---------------------------------------------------------------------------
-# JSON documents
-# ---------------------------------------------------------------------------
-
-
-def poly_from_doc(doc: object, variables: Sequence[str] | None = None) -> MultiPoly:
-    """Accept either grammar text (needs ``variables``) or the term-list form."""
-    if isinstance(doc, str):
-        if variables is None:
-            raise ValueError("polynomial text requires a variable list")
-        return parse_poly(doc, variables)
-    if isinstance(doc, bool):
-        raise ValueError(f"a polynomial is text, an integer or a term list, not {doc!r}")
-    if isinstance(doc, int):
-        if variables is None:
-            raise ValueError("a bare constant requires a variable list")
-        return MultiPoly.constant(variables, doc)
-    if isinstance(doc, dict):
-        vs = tuple(doc["vars"])
-        if variables is not None and tuple(variables) != vs:
-            raise ArityMismatchError(
-                f"document variables {vs} do not match expected {tuple(variables)}"
-            )
-        terms: dict[Exponents, Fraction] = {}
-        for item in doc["terms"]:
-            exps = tuple(item["exps"])
-            for x in exps:
-                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
-                    raise ValueError(f"an exponent must be a non-negative integer, not {x!r}")
-            if any(x > MAX_EXPONENT for x in exps):
-                raise ValueError(f"exponent above {MAX_EXPONENT} in term {list(exps)}")
-            coeff = item["coeff"]
-            if isinstance(coeff, float):  # JSON 1e-400 reads as 0.0
-                raise ValueError(f"a coefficient is an integer or rational text, not {coeff!r}")
-            terms[exps] = terms.get(exps, Fraction(0)) + parse_rational(str(coeff))
-        return MultiPoly(vs, terms)
-    raise ValueError(f"cannot read a polynomial from {type(doc).__name__}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable
 
 from .algebroid import (
@@ -44,14 +44,19 @@ from .documents import (
     bivector_from_doc,
     chart_from_doc,
     curve_from_doc,
+    index_pairs,
+    json_value,
+    keyed,
     kernel_gens_from_doc,
     point_from_doc,
+    poly_from_doc,
+    rational,
 )
 from .grassmann import PlueckerVector, Subspace
 from .linalg import integer_row
 from .nash import default_arcs, limit_along, nash_fiber_sample
 from .poisson import cotangent_algebroid
-from .poly import MultiPoly, RatFunc, parse_poly, parse_rational
+from .poly import MultiPoly, RatFunc
 
 
 class ScenarioError(ValueError):
@@ -142,9 +147,14 @@ class Report:
         return sum(1 for c in checks if c.passed), len(checks)
 
 
+_SCENARIO_KEYS = (
+    "name", "commentary", "algebroid", "bivector", "kernel_gens", "charts", "curves", "points",
+    "steps",
+)
+
+
 def load_scenario(doc) -> Scenario:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be an object")
+    keyed(doc, (), _SCENARIO_KEYS, "scenario document")
     name = doc.get("name")
     if not isinstance(name, str) or not name:
         raise ScenarioError("scenario needs a non-empty \"name\"")
@@ -179,13 +189,9 @@ def load_scenario(doc) -> Scenario:
         )
     tables = {}
     for table, from_doc in _REFERENCES.values():
-        entries = doc.get(table, {})
-        if not isinstance(entries, dict):
-            raise ScenarioError(f"\"{table}\" must be an object")
+        entries = json_value(dict, doc.get(table, {}), f'"{table}"')
         tables[table] = {key: from_doc(value, base_vars) for key, value in entries.items()}
-    steps = doc.get("steps", [])
-    if not isinstance(steps, list):
-        raise ScenarioError("\"steps\" must be a list")
+    steps = json_value(list, doc.get("steps", []), '"steps"')
     return Scenario(
         name=name,
         algebroid=algebroid,
@@ -250,32 +256,35 @@ def _render_value(value) -> str:
 # value the step observed (None when it computed none), and ``ring_vars`` are
 # the chart variables for a chart op, else the base variables.
 
-_JSON_TYPES = {int: "integer", bool: "boolean", list: "list", dict: "object"}
+
+def _expected(kind: type, doc):
+    return json_value(kind, doc, "an expected value")
 
 
-def _json(kind: type, doc, *_):
-    """``doc`` itself when it is a JSON value of ``kind``: a boolean is no
-    integer, and neither is 2.9 or "3"."""
-    if type(doc) is not kind:
-        raise ScenarioError(f"expected a JSON {_JSON_TYPES[kind]}, not {json.dumps(doc)}")
-    return doc
+def _int(doc, *_) -> int:
+    return _expected(int, doc)
 
 
-def _each(parse):
-    """The parser of a JSON list whose items ``parse`` reads."""
-    return lambda doc, *_: [parse(item) for item in _json(list, doc)]
+def _bool(doc, *_) -> bool:
+    return _expected(bool, doc)
 
 
-_int, _bool = partial(_json, int), partial(_json, bool)
-_ints, _bools = _each(_int), _each(_bool)
+def _ints(doc, *_) -> list[int]:
+    return [_int(item) for item in _expected(list, doc)]
+
+
+def _bools(doc, *_) -> list[bool]:
+    return [_bool(item) for item in _expected(list, doc)]
 
 
 def _generators(doc, _, ring_vars) -> list[str]:
-    return sorted(str(parse_poly(e, ring_vars).primitive()) for e in _json(list, doc))
+    return sorted(str(poly_from_doc(e, ring_vars).primitive()) for e in _expected(list, doc))
 
 
 def _subspace(doc, actual: Subspace, _) -> Subspace:
-    return Subspace(actual.n, [[parse_rational(str(c)) for c in row] for row in _json(list, doc)])
+    rows = [[rational(c, "a kernel row entry") for c in _expected(list, row)]
+            for row in _expected(list, doc)]
+    return Subspace(actual.n, rows)
 
 
 def _pluecker(doc, actual: PlueckerVector, _) -> PlueckerVector:
@@ -286,12 +295,13 @@ def _plueckers(doc, actual: list, _) -> list:
     """Sorted like the sample's limits; raw lists when there is no limit."""
     return sorted(
         PlueckerVector(actual[0].n, actual[0].k, _ints(coords)) if actual else _ints(coords)
-        for coords in _json(list, doc)
+        for coords in _expected(list, doc)
     )
 
 
 def _polys(doc, _, ring_vars) -> list[list[MultiPoly]]:
-    return [[parse_poly(c, ring_vars) for c in col] for col in _json(list, doc)]
+    return [[poly_from_doc(c, ring_vars) for c in _expected(list, col)]
+            for col in _expected(list, doc)]
 
 
 def _ratfuncs(doc, _, ring_vars) -> list[list[RatFunc]]:
@@ -304,35 +314,31 @@ _RELATION_KEYS = ("index", "basis", "coefficients", "polynomial")
 def _relations(doc, _, ring_vars) -> list[tuple]:
     """Each relation object carries exactly the keys of ``_RELATION_KEYS``."""
     relations = []
-    for rel in _json(list, doc):
-        unknown = [key for key in _json(dict, rel) if key not in _RELATION_KEYS]
-        if unknown:
-            raise ScenarioError(f"relation has no key {unknown[0]!r}")
-        missing = [key for key in _RELATION_KEYS if key not in rel]
-        if missing:
-            raise ScenarioError(f"relation is missing {missing[0]!r}")
+    for rel in _expected(list, doc):
+        keyed(rel, _RELATION_KEYS, (), "a relation")
         relations.append((
             _int(rel["index"]),
             tuple(_ints(rel["basis"])),
-            [RatFunc(parse_poly(c, ring_vars)) for c in _json(list, rel["coefficients"])],
+            [RatFunc(poly_from_doc(c, ring_vars)) for c in _expected(list, rel["coefficients"])],
             _bool(rel["polynomial"]),
         ))
     return relations
 
 
 def _pole(doc, _, ring_vars) -> str | None:
-    return None if doc is None else str(parse_poly(doc, ring_vars).primitive())
+    return None if doc is None else str(poly_from_doc(doc, ring_vars).primitive())
 
 
 def _entries(doc, _, ring_vars) -> dict:
-    """Expected bivector entries by "i,j" key, in key order, each labelled
-    as its own check."""
+    """Expected bivector entries, each a list of a numerator and an optional
+    denominator, in "i,j" order, each labelled as its own check."""
     expected = {}
-    for key, value in sorted(_json(dict, doc).items()):
-        i, j = (int(text) for text in key.split(","))
-        den = parse_poly(value[1], ring_vars) if len(value) > 1 else None
-        expected[f"entry {i},{j}"] = RatFunc(parse_poly(value[0], ring_vars), den)
-    return expected
+    for (i, j), value in index_pairs(doc, len(ring_vars), "an expected value").items():
+        if not 1 <= len(_expected(list, value)) <= 2:
+            raise DocumentError(f"entry {i},{j} is [numerator] or [numerator, denominator], "
+                                f"not {json.dumps(value)}")
+        expected[f"entry {i},{j}"] = RatFunc(*(poly_from_doc(p, ring_vars) for p in value))
+    return dict(sorted(expected.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +377,9 @@ class _Runner:
             raise ScenarioError("step asks for the algebroid's brackets; its algebroid has none")
         return sources[name]
 
-    def resolve(self, step, key: str):
-        """The step's "point", "curve" or "chart": a string names an entry of
-        the scenario's table, any other value is an inline document."""
-        ref = step.get(key)
-        if ref is None:
-            raise ScenarioError(f"step {step.get('op')!r} needs a \"{key}\"")
+    def resolve(self, key: str, ref):
+        """A step's "point", "curve" or "chart" ``ref``: a string names an
+        entry of the scenario's table, any other value is an inline document."""
         table, from_doc = _REFERENCES[key]
         if isinstance(ref, str):
             entries = getattr(self.scenario, table)
@@ -388,32 +391,23 @@ class _Runner:
     # -- steps ----------------------------------------------------------------
 
     def run_step(self, step) -> StepResult:
-        """Refuse keys the op does not read, resolve its source and reference,
-        run its handler and check what it observed against the step's
-        expectations: computed keys first, then those it could not compute,
-        in table order."""
+        """Refuse keys the op does not read and a missing reference, resolve
+        its source and reference, run its handler and check what it observed
+        against the step's expectations: computed keys first, then those it
+        could not compute, in table order."""
         name = step.get("op")
         op = OPS.get(name) if isinstance(name, str) else None
         if op is None:
             raise ScenarioError(f"unknown step op {name!r}")
-        for key in step:
-            if key not in ("op", "expect", op.ref, *op.keys):
-                raise ScenarioError(f"step {name!r} has no key {key!r}")
+        keyed(step, (op.ref,) if op.ref else (), ("op", "expect", *op.keys), f"step {name!r}")
         src = self.source(step)
         single = callable(op.expect)
         if single:
             parsers, expect = {name: op.expect}, {name: step["expect"]} if "expect" in step else {}
         else:
-            parsers, expect = op.expect, step.get("expect", {})
-            if not isinstance(expect, dict):
-                raise ScenarioError(f"step {name!r} needs an object as \"expect\"")
-            for key in expect:
-                if key not in parsers:
-                    raise ScenarioError(
-                        f"step {name!r} has no expectation {key!r} "
-                        f"(it checks {', '.join(parsers)})"
-                    )
-        ref = None if op.ref is None else self.resolve(step, op.ref)
+            parsers = op.expect
+            expect = keyed(step.get("expect", {}), (), tuple(parsers), f'step {name!r} "expect"')
+        ref = None if op.ref is None else self.resolve(op.ref, step[op.ref])
         result, observed = op.handler(self, src, step, ref)
         observed = {name: observed} if single else observed
         ring_vars = ref.chart_vars if op.ref == "chart" else self.base_vars
@@ -421,8 +415,8 @@ class _Runner:
         for key in (key for key in parsers if key in expect):
             try:
                 expected = parsers[key](expect[key], observed.get(key), ring_vars)
-            except ScenarioError as exc:
-                raise ScenarioError(f"step {name!r} expectation {key!r}: {exc}") from None
+            except DocumentError as exc:
+                raise DocumentError(f"step {name!r} expectation {key!r}: {exc}") from None
             if key not in observed:
                 missing.append(Check(key, False, _render_value(expect[key]), "not computed"))
             elif isinstance(expected, dict):  # one check per expected entry
@@ -508,7 +502,7 @@ class _Runner:
     def step_nash_fiber(self, src, step, x):
         if "curves" in step:
             curves = [
-                self.resolve({"op": step["op"], "curve": c}, "curve") for c in step["curves"]
+                self.resolve("curve", c) for c in json_value(list, step["curves"], '"curves"')
             ]
         else:
             curves = default_arcs(x, self.seed)
@@ -746,8 +740,7 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> Report:
     runner = _Runner(scenario, seed)
     steps = []
     for idx, step in enumerate(scenario.steps):
-        if not isinstance(step, dict):
-            raise ScenarioError(f"step {idx} is not an object")
+        json_value(dict, step, f"step {idx}")
         try:
             steps.append(runner.run_step(step))
         except (ScenarioError, DocumentError):

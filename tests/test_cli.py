@@ -318,6 +318,13 @@ def test_chart_report_text_when_chart_does_not_resolve(tmp_path, capsys):
 
 
 _SO3_ANCHOR = [["0", "z", "y"], ["z", "0", "-x"], ["-y", "-x", "0"]]
+_SO3_CHART = {"chart_vars": ["x", "y", "z"], "phi": ["x", "x*y", "x*z"], "exceptional": "x"}
+
+
+def _expected_entries(entries):
+    """A step that checks so3's x-chart pullback against ``entries``."""
+    step = {"op": "poisson-pullback", "chart": "x-chart", "expect": {"entries": entries}}
+    return {"steps": [step]}
 
 
 @pytest.mark.parametrize(
@@ -362,12 +369,18 @@ _SO3_ANCHOR = [["0", "z", "y"], ["z", "0", "-x"], ["-y", "-x", "0"]]
             },
             "over ('x', 'y', 'z') and the bivector over ('u', 'v', 'w')",
         ),
+        ({"stepz": []}, "'stepz'"),
+        ({"charts": {"x-chart": dict(_SO3_CHART, exceptonal="x^5 + 123")}}, "'exceptonal'"),
+        (_expected_entries({"0,1": ["-z", "1", "junk"]}), '"junk"'),
+        (_expected_entries({"0,1": "yx"}), '"yx"'),
+        (_expected_entries({"0,1": ["-z"], "0, 1": ["-z"]}), "'0,1' and '0, 1'"),
     ],
     ids=[
         "op-list", "expect-dim-list", "expect-string", "expect-unknown-key", "expect-missing-key",
         "charts-list", "curves-list", "points-string", "expect-rank-float", "expect-dim-float",
         "expect-lie-string", "step-unknown-key", "source-misspelt", "source-without-brackets",
-        "relation-key-misspelt", "bivector-other-base",
+        "relation-key-misspelt", "bivector-other-base", "scenario-key-misspelt",
+        "chart-key-misspelt", "entry-three-items", "entry-text", "entry-pair-twice",
     ],
 )
 def test_malformed_scenario_exits_2(changes, named, tmp_path, capsys):
@@ -458,13 +471,17 @@ def _term_list(exps, coeff="1"):
         (dict(_BUNDLE, anchor=[[_term_list([True, 0]), "0"], ["0", "y"]]), "1,2"),
         (dict(_BUNDLE, anchor=[[_term_list([-1, 0]), "0"], ["0", "y"]]), "1,2"),
         (dict(_BUNDLE, anchor=[[_term_list([1, 0], coeff=2.5), "0"], ["0", "y"]]), "1,2"),
+        (
+            {"vars": ["x", "y", "z"], "pi": {"0,1": "-z", "0, 1": "7", "0,2": "y", "1,2": "-x"}},
+            "1,2,3",
+        ),
     ],
     ids=[
         "brackets-list", "anchor-int", "bracket-section-int", "pi-list", "vars-int",
         "kernel-gens-int", "kernel-gen-int", "point-inner-blank", "point-trailing-comma",
         "rank-float", "rank-bool", "rank-string", "rank-negative", "vars-repeated",
         "vars-not-string", "bivector-vars-repeated", "chart-vars-repeated", "entry-bool",
-        "exponent-float", "exponent-bool", "exponent-negative", "coeff-float",
+        "exponent-float", "exponent-bool", "exponent-negative", "coeff-float", "pi-pair-twice",
     ],
 )
 def test_wrongly_shaped_input_exits_2(doc, point, tmp_path, capsys):
@@ -475,6 +492,54 @@ def test_wrongly_shaped_input_exits_2(doc, point, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+_KERNEL_Q3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+
+
+@pytest.mark.parametrize(
+    "name, changes, argv, number",
+    [
+        (
+            "so3",
+            {
+                "points": {"p": ["NUMBER", 0, 0]},
+                "steps": [
+                    {"op": "kernel-at", "point": "p", "source": "bivector", "expect": _KERNEL_Q3}
+                ],
+            },
+            ["run-scenario"],
+            "1e-400",
+        ),
+        (
+            "so3",
+            {"curves": {"c": {"target": ["NUMBER", 0, 0], "components": ["t", "0", "0"]}}},
+            ["nash-limit", "--curve", "c"],
+            "1e-400",
+        ),
+        (
+            "duval2",
+            {"steps": [{"op": "kernel-at", "point": "probe", "expect": [[2, 1, "NUMBER"]]}]},
+            ["run-scenario"],
+            "-1.0000000000000000001",
+        ),
+    ],
+    ids=["point", "curve-target", "kernel-row"],
+)
+def test_json_float_where_a_rational_is_read_exits_2(
+    name, changes, argv, number, tmp_path, capsys
+):
+    """A coordinate, a curve target or an expected kernel row is a JSON
+    integer or rational text: 1e-400 would read as 0 and
+    -1.0000000000000000001 as -1."""
+    doc = dict(json.loads(Path(corpus_path(name)).read_text()), **changes)
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(doc).replace('"NUMBER"', number))
+    assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "must be a JSON integer or rational text, not" in captured.err
 
 
 def test_non_document_input_rejected(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Round-trips and error paths for the JSON document codecs."""
 
+import json
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -11,9 +13,8 @@ from nashfol.documents import (
     chart_from_doc,
     curve_from_doc,
     load_json,
-    parse_point,
     point_from_doc,
-    point_to_doc,
+    poly_from_doc,
 )
 from nashfol.algebroid import AlmostLieAlgebroid, AnchoredBundle
 from encoders import algebroid_to_doc, bivector_to_doc, curve_to_doc
@@ -26,11 +27,11 @@ from models import (
 
 
 def test_point_parsing():
-    assert parse_point("1,2,1") == (1, 2, 1)
-    assert parse_point("1/2, -3") == (Fraction(1, 2), -3)
+    assert point_from_doc("1,2,1".split(",")) == (1, 2, 1)
+    assert point_from_doc("1/2, -3".split(",")) == (Fraction(1, 2), -3)
     with pytest.raises(DocumentError):
-        parse_point("1,two")
-    assert point_from_doc(point_to_doc([Fraction(1, 2), 3])) == (Fraction(1, 2), 3)
+        point_from_doc("1,two".split(","))
+    assert point_from_doc(["1/2", 3]) == (Fraction(1, 2), 3)
 
 
 def test_algebroid_roundtrip_with_brackets():
@@ -117,4 +118,71 @@ def test_term_list_exponent_must_be_a_non_negative_integer(exponent):
     doc = {"vars": ["x", "y"], "rank": 2, "anchor": [[term_list, "0"], ["0", "y"]]}
     with pytest.raises(DocumentError) as exc:
         algebroid_from_doc(doc)
-    assert str(exc.value).endswith(f"not {exponent!r}")
+    assert str(exc.value).endswith(f"not {json.dumps(exponent)}")
+
+
+_TERM = {"coeff": "1", "exps": [1, 0]}
+
+
+@pytest.mark.parametrize(
+    "read, doc, key",
+    [
+        (
+            algebroid_from_doc,
+            {"vars": ["x"], "rank": 1, "anchor": [["x"]], "bracket": {}},
+            "bracket",
+        ),
+        (bivector_from_doc, {"vars": ["x", "y"], "pi": {}, "pie": {}}, "pie"),
+        (curve_from_doc, {"target": ["0"], "components": ["t"], "start": ["0"]}, "start"),
+        (
+            partial(chart_from_doc, target_vars=("x",)),
+            {"chart_vars": ["u"], "phi": ["u"], "exceptonal": "u"},
+            "exceptonal",
+        ),
+        (
+            partial(poly_from_doc, variables=("x", "y")),
+            {"vars": ["x", "y"], "terms": [_TERM], "term": []},
+            "term",
+        ),
+        (
+            partial(poly_from_doc, variables=("x", "y")),
+            {"vars": ["x", "y"], "terms": [dict(_TERM, coef="2")]},
+            "coef",
+        ),
+    ],
+    ids=["algebroid", "bivector", "curve", "chart", "term-list", "term"],
+)
+def test_unknown_key_is_refused(read, doc, key):
+    with pytest.raises(DocumentError, match=f"has no key {key!r}"):
+        read(doc)
+
+
+@pytest.mark.parametrize(
+    "read, doc",
+    [
+        (
+            algebroid_from_doc,
+            {
+                "vars": ["x", "y"], "rank": 2, "anchor": [["x", "0"], ["0", "y"]],
+                "brackets": {"0,1": ["0", "0"], "0, 1": ["1", "0"]},
+            },
+        ),
+        (bivector_from_doc, {"vars": ["x", "y", "z"], "pi": {"0,1": "-z", "0, 1": "7"}}),
+    ],
+    ids=["brackets", "pi"],
+)
+def test_pair_named_twice_is_refused(read, doc):
+    """"0,1" and "0, 1" name one pair: neither silently wins."""
+    with pytest.raises(DocumentError, match="pair 0,1 twice: '0,1' and '0, 1'"):
+        read(doc)
+
+
+@pytest.mark.parametrize("number", ["1e-400", "0.5", "true"])
+def test_a_coordinate_is_an_integer_or_rational_text(number):
+    """A JSON number other than an integer is not read as a rational: 1e-400
+    would be 0."""
+    doc = json.loads(f'{{"target": [{number}], "components": ["t"]}}')
+    with pytest.raises(DocumentError, match="a target coordinate must be a JSON integer"):
+        curve_from_doc(doc)
+    with pytest.raises(DocumentError, match="a coordinate must be a JSON integer"):
+        point_from_doc(doc["target"])

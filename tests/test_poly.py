@@ -16,8 +16,8 @@ from nashfol.poly import (
     exact_div,
     parse_poly,
     parse_rational,
-    poly_from_doc,
 )
+from nashfol.documents import poly_from_doc
 from encoders import poly_to_doc
 
 XY = ("x", "y")
@@ -274,7 +274,7 @@ def test_json_document_roundtrip():
     doc = poly_to_doc(p)
     assert doc["vars"] == ["x", "y"]
     assert doc["terms"][0] == {"coeff": "1", "exps": [2, 0]}
-    assert poly_from_doc(doc) == p
+    assert poly_from_doc(doc, XY) == p
     assert poly_from_doc("x^2 - 1/3*x*y + 5", XY) == p
 
 
@@ -282,10 +282,10 @@ def test_term_list_exponent_cap():
     def doc(exps):
         return {"vars": ["x", "y"], "terms": [{"coeff": "1", "exps": exps}]}
 
-    assert poly_from_doc(doc([64, 0])) == MultiPoly(XY, {(64, 0): Fraction(1)})
+    assert poly_from_doc(doc([64, 0]), XY) == MultiPoly(XY, {(64, 0): Fraction(1)})
     for exps in ([65, 0], [0, 65], [100000, 0]):
         with pytest.raises(ValueError, match="exponent above 64"):
-            poly_from_doc(doc(exps))
+            poly_from_doc(doc(exps), XY)
 
 
 def test_pow_edge_cases():

@@ -9,6 +9,7 @@ drift apart silently.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ import pytest
 
 import nashfol
 from nashfol.scenario import (
+    OPS,
     EngineError,
     ScenarioError,
     load_scenario,
@@ -256,3 +258,30 @@ def test_subspace_expectations_compare_canonically():
     )
     report = run_scenario(load_scenario(doc))
     assert report.passed
+
+
+def _readme_step_table() -> dict[str, list[str]]:
+    """README's step-op table: op -> its row's step-key and ``expect`` cells."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| op | step keys | `expect` |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        op, keys, expect = (cell.strip() for cell in line.strip("|").split("|"))
+        assert op.strip("`") not in rows, f"two rows for {op}"
+        rows[op.strip("`")] = [keys, expect]
+    return rows
+
+
+def test_readme_step_table_matches_the_op_table():
+    """Every op has one row, naming the step keys the op reads and, for an
+    op that checks named keys, those keys in check order."""
+    rows = _readme_step_table()
+    assert list(rows) == list(OPS)
+    for name, op in OPS.items():
+        keys, expect = (re.findall(r"`([^`]+)`", cell) for cell in rows[name])
+        assert set(keys) == {op.ref, *op.keys} - {None}, name
+        if isinstance(op.expect, dict):
+            assert expect == list(op.expect), name
