@@ -284,17 +284,24 @@ def nash_anchor_on_chart(
 
 
 class ChartFrame:
-    """Polynomial kernel columns of the pulled-back anchor, full rank pointwise.
+    """Polynomial kernel columns of the pulled-back anchor P and the
+    exceptional samples they are full rank at, built once by
+    tautological_frame.
 
-    The echelon form, the seeded exceptional samples and the kernel test are
-    computed once, on first use, so the columns must not change after that.
+    J * P = A o phi with det J != 0, so P decides kernel membership without
+    A o phi; a column that P does not kill is refused here, once.
     """
 
-    def __init__(self, nca: NashChartAlgebroid, columns: Sequence[Section], seed: int = 0):
+    def __init__(
+        self, nca: NashChartAlgebroid, columns: Sequence[Section], samples: Sequence[Point]
+    ):
+        anchor = nca.algebroid.bundle.anchor
+        for idx, col in enumerate(columns):
+            if not all(p.is_zero() for p in poly_mat_vec(anchor, col)):
+                raise InternalInvariantError(f"frame column {idx} is not a kernel section")
         self.nca = nca
-        self.chart = nca.chart
         self.columns = [list(c) for c in columns]
-        self.seed = seed
+        self.samples = list(samples)
 
     @property
     def width(self) -> int:
@@ -305,25 +312,6 @@ class ChartFrame:
         """The columns eliminated once; its pivot count is the frame rank over
         the fraction field."""
         return RowEchelon(self.columns)
-
-    @cached_property
-    def samples(self) -> list[Point]:
-        return exceptional_samples(self.chart, seed=self.seed)
-
-    @cached_property
-    def outside_kernel(self) -> list[int]:
-        """Indices of the columns that the chart anchor P does not kill (J * P =
-        A o phi with det J != 0, so P decides kernel membership without A o phi)."""
-        anchor = self.nca.algebroid.bundle.anchor
-        return [
-            idx
-            for idx, col in enumerate(self.columns)
-            if not all(p.is_zero() for p in poly_mat_vec(anchor, col))
-        ]
-
-    def eval_at(self, point: Point) -> list[list[Fraction]]:
-        n = len(self.columns[0]) if self.columns else 0
-        return [[col[i].eval(point) for col in self.columns] for i in range(n)]
 
 
 # Largest constant or leading coefficient whose divisors _rational_roots tries;
@@ -422,29 +410,21 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
     """
     chart = nca.chart
     bundle = nca.algebroid.bundle
-    frame = ChartFrame(nca, kernel_basis(bundle.anchor), seed)
-    # rank + nullity = n: P's rank is read from its kernel
-    if bundle.fiber_rank - frame.width != anchor_rank_generic(nca.source.bundle):
-        raise ValueError("chart does not resolve: substituted anchor dropped rank")
-    cols = frame.columns  # repaired in place before any cached quantity reads them
-    k = frame.width
-    if k == 0:
-        return frame
-    e_poly = chart.exceptional_poly()
+    cols = kernel_basis(bundle.anchor)
+    k = len(cols)
     n = bundle.fiber_rank
-    deficient = None
+    # rank + nullity = n: P's rank is read from its kernel
+    if n - k != anchor_rank_generic(nca.source.bundle):
+        raise ValueError("chart does not resolve: substituted anchor dropped rank")
+    samples = exceptional_samples(chart, seed=seed)
+    e_poly = chart.exceptional_poly()
     for _ in range(4 * n + 1):
-        deficient = None
-        for u0 in frame.samples:
-            m = frame.eval_at(u0)
+        for u0 in samples:
+            m = [[col[i].eval(u0) for col in cols] for i in range(n)]
             if frac_rank(m) < k:
-                deficient = (u0, m)
                 break
-        if deficient is None:
-            if frame.outside_kernel:
-                raise InternalInvariantError("frame column left the kernel")
-            return frame
-        u0, m = deficient
+        else:
+            return ChartFrame(nca, cols, samples)
         relation = frac_kernel(m, k)[0]
         ints = integer_row(relation)
         involved = [idx for idx, c in enumerate(ints) if c]
@@ -459,7 +439,7 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
         if same:
             raise FrameReductionFailedError([u0])
         cols[leader] = combo
-    raise FrameReductionFailedError([deficient[0]] if deficient else frame.samples)
+    raise FrameReductionFailedError([u0])
 
 
 def check_ideal(frame: ChartFrame) -> tuple[bool, dict]:
@@ -471,9 +451,6 @@ def check_ideal(frame: ChartFrame) -> tuple[bool, dict]:
     labeled "generic + sampled": true module membership is not decided here.
     """
     chart_alg = frame.nca.algebroid
-    outside = frame.outside_kernel
-    if outside:
-        return False, {"precondition": f"frame column {outside[0]} is not a kernel section"}
     n = chart_alg.bundle.fiber_rank
     report = {
         "label": "generic + sampled",
@@ -557,27 +534,21 @@ def debord_generators(bundle: AnchoredBundle, chart: ChartMap) -> list[Relation]
 def check_debord_on_chart(frame: ChartFrame) -> tuple[bool, dict]:
     """Certify the exact-sequence ranks: frame + quotient = ambient.
 
-    True when the pullback matrix keeps the generic anchor rank and the frame
-    columns span its kernel generically, so the induced quotient anchor is
+    The frame's columns lie in the kernel of the pullback matrix (its
+    constructor checks them), and tautological_frame sizes the frame by rank
+    + nullity, so the quotient rank is the ambient rank less the frame width.
+    True when the columns are independent over the fraction field and the
+    quotient keeps the generic anchor rank, so the induced quotient anchor is
     injective on a dense open subset of the chart.
     """
     nca = frame.nca
     n = nca.source.bundle.fiber_rank
-    quotient_rank = anchor_rank_generic(nca.algebroid.bundle)
-    r = anchor_rank_generic(nca.source.bundle)
-    kernel_ok = not frame.outside_kernel
+    quotient_rank = n - frame.width
     frame_rank = len(frame.echelon.pivot_cols)
     certificate = {
         "ambient_rank": n,
         "quotient_rank": quotient_rank,
         "frame_rank": frame_rank,
-        "frame_in_kernel": kernel_ok,
-        "sum_matches": frame_rank + quotient_rank == n,
     }
-    ok = (
-        quotient_rank == r
-        and kernel_ok
-        and frame_rank == n - r
-        and certificate["sum_matches"]
-    )
+    ok = frame_rank == frame.width and quotient_rank == anchor_rank_generic(nca.source.bundle)
     return ok, certificate

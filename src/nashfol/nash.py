@@ -206,14 +206,9 @@ def _random_direction(rng: Random, d: int) -> list[Fraction]:
     ]
 
 
-def default_arcs(
-    x: Point,
-    seed: int,
-    rays: int = 16,
-    quadratics: int = 8,
-) -> list[CurveGerm]:
-    """The standard arc budget at a point: signed coordinate rays, seeded
-    random rays, seeded quadratic arcs.  Deterministic for a given seed."""
+def default_arcs(x: Point, seed: int) -> list[CurveGerm]:
+    """The standard arc budget at a point: signed coordinate rays, 16 seeded
+    random rays, 8 seeded quadratic arcs.  Deterministic for a given seed."""
     d = len(x)
     point = [Fraction(c) for c in x]
     arcs = []
@@ -223,10 +218,10 @@ def default_arcs(
             direction[i] = Fraction(sign)
             arcs.append(CurveGerm.ray(point, direction))
     rng = _seeded_rng(seed, "nash-rays")
-    for _ in range(rays):
+    for _ in range(16):
         arcs.append(CurveGerm.ray(point, _random_direction(rng, d)))
     rng = _seeded_rng(seed, "nash-quadratics")
-    for _ in range(quadratics):
+    for _ in range(8):
         arcs.append(
             CurveGerm.quadratic(
                 point, _random_direction(rng, d), _random_direction(rng, d)

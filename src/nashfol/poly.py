@@ -235,9 +235,6 @@ class MultiPoly:
     def __sub__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other: Scalar) -> "MultiPoly":
-        return self._coerce(other) - self
-
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         other = self._coerce(other)
         terms: dict[Exponents, Scalar] = {}
@@ -544,9 +541,6 @@ class RatFunc:
     def __sub__(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other: Union[MultiPoly, Scalar]) -> "RatFunc":
-        return self._coerce(other) - self
-
     def __mul__(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
         o = self._coerce(other)
         return RatFunc(self.num * o.num, self.den * o.den)
@@ -559,9 +553,6 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other: Union[MultiPoly, Scalar]) -> "RatFunc":
-        return self._coerce(other) / self
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (MultiPoly, int, Fraction)):
             other = self._coerce(other)
@@ -571,12 +562,6 @@ class RatFunc:
 
     def __hash__(self) -> int:  # pragma: no cover - not used as dict keys
         raise TypeError("RatFunc is unhashable (equality is cross-multiplicative)")
-
-    def eval(self, point: Sequence[Scalar]) -> Fraction:
-        d = self.den.eval(point)
-        if d == 0:
-            raise ZeroDivisionError(f"denominator {self.den} vanishes at {point}")
-        return self.num.eval(point) / d
 
     def __str__(self) -> str:
         if self.den.is_constant():

@@ -100,7 +100,6 @@ class Scenario:
     curves: dict
     points: dict
     steps: list
-    commentary: str | None = None
 
 
 @dataclass
@@ -192,6 +191,8 @@ def load_scenario(doc) -> Scenario:
         entries = json_value(dict, doc.get(table, {}), f'"{table}"')
         tables[table] = {key: from_doc(value, base_vars) for key, value in entries.items()}
     steps = json_value(list, doc.get("steps", []), '"steps"')
+    if "commentary" in doc:
+        json_value(str, doc["commentary"], '"commentary"')
     return Scenario(
         name=name,
         algebroid=algebroid,
@@ -202,7 +203,6 @@ def load_scenario(doc) -> Scenario:
         curves=tables["curves"],
         points=tables["points"],
         steps=steps,
-        commentary=doc.get("commentary"),
     )
 
 
@@ -607,7 +607,7 @@ class _Runner:
             "resolved": True,
             "frame": [[str(p) for p in col] for col in frame.columns],
             "ideal": ideal_ok,
-            "ideal_label": ideal_report.get("label"),
+            "ideal_label": ideal_report["label"],
             "debord": debord_ok,
             "ranks": {
                 "ambient": cert["ambient_rank"],

@@ -41,9 +41,8 @@ def is_regular_point(bundle: AnchoredBundle, x: Point) -> bool:
 
 
 def frame_rank_at(frame: ChartFrame, point: Point) -> int:
-    if not frame.columns:
-        return 0
-    return frac_rank(frame.eval_at(point))
+    n = frame.nca.algebroid.bundle.fiber_rank
+    return frac_rank([[col[i].eval(point) for col in frame.columns] for i in range(n)])
 
 
 def pointwise_kernel_bracket(algebroid: AlmostLieAlgebroid, x: Point, u, v) -> list[Fraction]:

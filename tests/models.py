@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from nashfol.algebroid import AlmostLieAlgebroid, AnchoredBundle, Section
 from nashfol.charts import ChartMap
 from nashfol.grassmann import Subspace
-from nashfol.nash import CURVE_VAR, CurveGerm
+from nashfol.nash import CURVE_VAR, CurveGerm, default_arcs
 from nashfol.poisson import Bivector
 from nashfol.poly import ArityMismatchError, MultiPoly, grlex_key, parse_poly
 from nashfol.scenario import Scenario, load_scenario
@@ -239,6 +239,16 @@ def reparametrize(curve: CurveGerm, scale: Fraction) -> CurveGerm:
             )
         )
     return CurveGerm(curve.target, tuple(scaled))
+
+
+def smaller_arc_budget(x, seed: int, rays: int, quadratics: int) -> list[CurveGerm]:
+    """The coordinate rays of default_arcs(x, seed), its first ``rays``
+    random rays and its first ``quadratics`` quadratic arcs.  It draws its 16
+    rays and 8 quadratics from separate seeded streams, so each prefix is
+    what a smaller budget draws."""
+    arcs = default_arcs(x, seed)
+    coordinate = 2 * len(x)
+    return arcs[: coordinate + rays] + arcs[coordinate + 16 : coordinate + 16 + quadratics]
 
 
 def span_of_integer_vectors(n: int, vectors: Iterable[Sequence[int]]) -> Subspace:

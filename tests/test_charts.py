@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import nashfol.algebroid as algebroid_module
 import nashfol.charts as charts_module
 from nashfol.algebroid import (
     AlmostLieAlgebroid,
@@ -27,7 +28,13 @@ from nashfol.charts import (
 )
 from nashfol.grassmann import Subspace
 from nashfol.poisson import Bivector
-from nashfol.poly import ArityMismatchError, MultiPoly, RatFunc, parse_poly
+from nashfol.poly import (
+    ArityMismatchError,
+    InternalInvariantError,
+    MultiPoly,
+    RatFunc,
+    parse_poly,
+)
 from nashfol.scenario import run_scenario
 from checks import frame_rank_at
 from models import (
@@ -132,7 +139,7 @@ def test_sl2_chart_frame_and_quotient():
     ok, cert = check_debord_on_chart(frame)
     assert ok
     assert cert["frame_rank"] == 1 and cert["quotient_rank"] == 2
-    assert cert["ambient_rank"] == 3 and cert["sum_matches"]
+    assert cert["ambient_rank"] == 3
 
 
 def test_sl2_chart_algebroid_stays_lie():
@@ -257,13 +264,9 @@ def test_check_ideal_rejects_corrupted_frame():
     ch = blowup(XY, 0)
     nca = nash_anchor_on_chart(sl2, ch)
     good = tautological_frame(nca)
-    frame = ChartFrame(nca, [[parse_poly("1", XY)] + good.columns[0][1:]])
-    ok, report = check_ideal(frame)
-    assert not ok
-    assert "precondition" in report
-    ok, cert = check_debord_on_chart(frame)
-    assert not ok
-    assert cert["frame_in_kernel"] is False
+    corrupted = [parse_poly("1", XY)] + good.columns[0][1:]
+    with pytest.raises(InternalInvariantError, match="frame column 1 is not a kernel section"):
+        ChartFrame(nca, [good.columns[0], corrupted], good.samples)
 
 
 def test_exceptional_samples_refuse_coefficients_above_the_cap():
@@ -286,7 +289,7 @@ def test_check_ideal_fails_only_pointwise():
     bundle = AnchoredBundle(XY, [polys(XY, "0", "0"), polys(XY, "0", "x")])
     ch = blowup(XY, 0)
     nca = nash_anchor_on_chart(AlmostLieAlgebroid(bundle, {}), ch)
-    frame = ChartFrame(nca, [polys(XY, "y", "0")])
+    frame = ChartFrame(nca, [polys(XY, "y", "0")], exceptional_samples(ch))
     ok, report = check_ideal(frame)
     assert not ok
     assert report["generic"] is True
@@ -316,19 +319,22 @@ def test_pullback_bivector_through_linear_chart():
 
 
 def test_chart_report_samples_and_kernel_test_once(monkeypatch):
-    counts = {"exceptional_samples": 0, "poly_mat_vec": 0}
+    counts = {"exceptional_samples": 0, "poly_mat_vec": 0, "rank": 0}
     for name in counts:
-        original = getattr(charts_module, name)
+        module = algebroid_module if name == "rank" else charts_module
+        original = getattr(module, name)
 
         def counting(*args, _original=original, _name=name, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(charts_module, name, counting)
+        monkeypatch.setattr(module, name, counting)
     sc = load_corpus_scenario("sl2")
     sc.steps = [s for s in sc.steps if s["op"] == "nash-chart-report"]
     report = run_scenario(sc, seed=0)
     assert [step.op for step in report.steps] == ["nash-chart-report"]
     assert report.passed
-    # one sample search, and one anchor product for the frame's single column
-    assert counts == {"exceptional_samples": 1, "poly_mat_vec": 1}
+    # one sample search, one anchor product for the frame's single column,
+    # and one elimination of an anchor: the source's generic rank, since the
+    # chart anchor's rank is read from its kernel
+    assert counts == {"exceptional_samples": 1, "poly_mat_vec": 1, "rank": 1}

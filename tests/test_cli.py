@@ -317,6 +317,75 @@ def test_chart_report_text_when_chart_does_not_resolve(tmp_path, capsys):
     )
 
 
+def _chart_report_args(tmp_path, bundle, chart, seed):
+    paths = []
+    for name, doc in (("bundle", bundle), ("chart", chart)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return ["nash-chart-report", "--input", paths[0], "--chart", paths[1], "--seed", str(seed)]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize(
+    "bundle, chart, frame, ideal, ranks",
+    [
+        # the kernel (-1, u, 0), (-1, 0, u) is parallel at u = 0, so the
+        # frame is repaired: their difference divided by u replaces the second
+        (
+            {"vars": ["x", "y"], "rank": 3, "anchor": [["x^2", "x", "x"], ["x*y", "y", "y"]]},
+            {"chart_vars": ["u", "v"], "phi": ["u", "u*v"]},
+            [["-1", "u", "0"], ["0", "-1", "1"]],
+            False,
+            {"ambient": 3, "frame": 2, "quotient": 1},
+        ),
+        # an injective anchor has an empty frame
+        (
+            {"vars": ["x", "y"], "rank": 1, "anchor": [["x"], ["y"]]},
+            {"chart_vars": ["x", "y"], "phi": ["x", "x*y"]},
+            [],
+            True,
+            {"ambient": 1, "frame": 0, "quotient": 1},
+        ),
+    ],
+    ids=["repaired", "empty"],
+)
+def test_chart_report_frames(bundle, chart, frame, ideal, ranks, seed, tmp_path, capsys):
+    args = _chart_report_args(tmp_path, bundle, chart, seed)
+    assert main(args) == 0
+    rows = ", ".join("(" + ", ".join(col) + ")" for col in frame)
+    assert capsys.readouterr().out == (
+        f"seed: {seed}\nchart resolves the foliation\nframe columns: [{rows}]\n"
+        f"ideal check: {'ok' if ideal else 'FAILED'} (generic + sampled)\n"
+        f"debord check: ok\nranks: frame {ranks['frame']} + quotient {ranks['quotient']} "
+        f"= ambient {ranks['ambient']}\n"
+    )
+    assert main(args + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "debord": True,
+        "frame": frame,
+        "ideal": ideal,
+        "ideal_label": "generic + sampled",
+        "ranks": ranks,
+        "resolved": True,
+        "seed": seed,
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_chart_report_exits_2_when_the_frame_repair_fails(seed, json_flag, tmp_path, capsys):
+    bundle = {"vars": ["x1", "x2"], "rank": 2, "anchor": [["x1^2", "-x2"], ["0", "0"]]}
+    chart = {"chart_vars": ["y1", "y2"], "phi": ["y1", "y1*y2"]}
+    assert main(_chart_report_args(tmp_path, bundle, chart, seed) + json_flag) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: frame stays rank-deficient at (0, 0): either no polynomial frame "
+        "exists on this chart, or the column-reduction heuristic failed to find one\n"
+    )
+
+
 _SO3_ANCHOR = [["0", "z", "y"], ["z", "0", "-x"], ["-y", "-x", "0"]]
 _SO3_CHART = {"chart_vars": ["x", "y", "z"], "phi": ["x", "x*y", "x*z"], "exceptional": "x"}
 
@@ -374,6 +443,7 @@ def _expected_entries(entries):
         (_expected_entries({"0,1": ["-z", "1", "junk"]}), '"junk"'),
         (_expected_entries({"0,1": "yx"}), '"yx"'),
         (_expected_entries({"0,1": ["-z"], "0, 1": ["-z"]}), "'0,1' and '0, 1'"),
+        ({"commentary": ["x"]}, '"commentary"'),
     ],
     ids=[
         "op-list", "expect-dim-list", "expect-string", "expect-unknown-key", "expect-missing-key",
@@ -381,6 +451,7 @@ def _expected_entries(entries):
         "expect-lie-string", "step-unknown-key", "source-misspelt", "source-without-brackets",
         "relation-key-misspelt", "bivector-other-base", "scenario-key-misspelt",
         "chart-key-misspelt", "entry-three-items", "entry-text", "entry-pair-twice",
+        "commentary-list",
     ],
 )
 def test_malformed_scenario_exits_2(changes, named, tmp_path, capsys):

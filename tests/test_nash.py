@@ -28,6 +28,7 @@ from models import (
     linear_poisson_so3,
     matrix_action_algebroid,
     reparametrize,
+    smaller_arc_budget,
     sphere_generators_algebroid,
     surface_bivector,
     vanishing_order_bundle,
@@ -146,7 +147,7 @@ def test_full_rank_anchor_gives_zero_dimensional_fiber():
     zero = MultiPoly.zero(vs)
     bundle = AnchoredBundle(vs, [[one, zero], [zero, one]])
     x = (Fraction(2), Fraction(3))
-    sample = nash_fiber_sample(bundle, x, default_arcs(x, seed=1, rays=2, quadratics=0))
+    sample = nash_fiber_sample(bundle, x, smaller_arc_budget(x, 1, rays=2, quadratics=0))
     assert len(sample.limits) == 1
     assert sample.limits[0].subspace.dim == 0
     assert sample.limits[0].pluecker.coords == (1,)
@@ -223,7 +224,7 @@ def test_frame_change_invariance_basic():
     g_rows = [[2, 1, 0], [0, 1, 0], [1, 0, 1]]
     g = [[MultiPoly.constant(vs, e) for e in row] for row in g_rows]
     changed = AnchoredBundle(vs, poly_mat_mul(alg.bundle.anchor, g))
-    curves = default_arcs(ORIGIN3, seed=3, rays=4, quadratics=2)
+    curves = smaller_arc_budget(ORIGIN3, 3, rays=4, quadratics=2)
     before = nash_fiber_sample(alg.bundle, ORIGIN3, curves)
     after = nash_fiber_sample(changed, ORIGIN3, curves)
     # G^{-1} maps original limits onto transformed ones

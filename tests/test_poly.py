@@ -255,13 +255,6 @@ def test_ratfunc_arithmetic():
         x / (y - y)
 
 
-def test_ratfunc_eval_pole():
-    r = RatFunc(P("x + y"), P("x"))
-    assert r.eval([2, 3]) == Fraction(5, 2)
-    with pytest.raises(ZeroDivisionError):
-        r.eval([0, 1])
-
-
 def test_parse_rational():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("7") == 7
