@@ -124,9 +124,10 @@ class ChartMap:
         if exceptional is not None:
             if exceptional.vars != cvs:
                 raise ArityMismatchError("exceptional polynomial over the wrong variables")
-            if not divides(exceptional, self.jac_det ** len(cvs)):
+            # 0 divides no nonzero power; divides() would divide by it
+            if exceptional.is_zero() or not divides(exceptional, self.jac_det ** len(cvs)):
                 raise ValueError(
-                    "exceptional polynomial does not divide a power of det(jac)"
+                    f"exceptional polynomial {exceptional} does not divide a power of det(jac)"
                 )
         self.exceptional = exceptional
 
@@ -152,11 +153,6 @@ class PulledBackField:
     polynomial_flag: bool
     denominator: MultiPoly | None
 
-    def polynomial_components(self) -> list[MultiPoly]:
-        if not self.polynomial_flag:
-            raise ValueError(f"pullback is not polynomial (denominator {self.denominator})")
-        return [c.as_poly() for c in self.components]
-
 
 def _den_lcm(dens: Sequence[MultiPoly]) -> MultiPoly:
     """Least common denominator under a divisibility fold.
@@ -178,7 +174,8 @@ def pullback_vector_field(chart: ChartMap, field: Sequence[MultiPoly]) -> Pulled
     """Solve (Jacobian of phi) * Y = X o phi over the fraction field.
 
     By construction the result is phi-related to X; the defining identity is
-    re-checked symbolically before returning.
+    re-checked symbolically before returning.  Polynomial components are
+    kept reduced: a multivariate RatFunc cancels only monomial factors.
     """
     rhs = [chart.compose(p) for p in field]
     comps = solve(chart.jac, rhs)
@@ -189,6 +186,7 @@ def pullback_vector_field(chart: ChartMap, field: Sequence[MultiPoly]) -> Pulled
         if acc != rhs[i]:
             raise InternalInvariantError("pullback does not satisfy its defining equation")
     poly_flags = [c.is_polynomial() for c in comps]
+    comps = [RatFunc(c.as_poly()) if f else c for c, f in zip(comps, poly_flags)]
     if all(poly_flags):
         return PulledBackField(tuple(comps), True, None)
     dens = [c.den for c, f in zip(comps, poly_flags) if not f]
@@ -224,63 +222,58 @@ def pullback_bivector(
     return out, pole
 
 
+class ChartPullback:
+    """A bundle's anchor pulled back to a chart once: ``fields`` holds each
+    anchor column's pullback, ``anchor`` the chart anchor P, J * P = A o phi."""
+
+    def __init__(self, bundle: AnchoredBundle, chart: ChartMap):
+        if bundle.base_vars != chart.target_vars:
+            raise ArityMismatchError("algebroid and chart live over different base variables")
+        self.bundle = bundle
+        self.chart = chart
+        self.fields = [pullback_vector_field(chart, list(col)) for col in zip(*bundle.anchor)]
+
+    @cached_property
+    def anchor(self) -> AnchoredBundle:
+        """P over the chart variables; refuses every column with a pole."""
+        failures = [(j, f.denominator) for j, f in enumerate(self.fields) if not f.polynomial_flag]
+        if failures:
+            raise NotResolvedByChartError(failures)
+        rows = [[f.components[i].as_poly() for f in self.fields] for i in range(self.chart.dim)]
+        return AnchoredBundle(self.chart.chart_vars, rows)
+
+
 @dataclass(frozen=True)
 class NashChartAlgebroid:
     """The pulled-back algebroid on one chart.
 
-    ``algebroid`` lives over the chart variables with anchor columns the
-    basis pullbacks and structure sections composed with the chart map.
+    ``algebroid`` lives over the chart variables with the pullback's anchor
+    P and structure sections composed with the chart map.
     """
 
-    source: AlmostLieAlgebroid
-    chart: ChartMap
+    pullback: ChartPullback
     algebroid: AlmostLieAlgebroid
 
 
-def pullback_anchor(bundle: AnchoredBundle, chart: ChartMap) -> list[PulledBackField]:
-    """The pullback of every anchor column (basis section image) to the chart."""
-    d = bundle.base_dim
-    return [
-        pullback_vector_field(chart, [bundle.anchor[i][j] for i in range(d)])
-        for j in range(bundle.fiber_rank)
-    ]
-
-
-def _resolved_columns(pullbacks: Sequence[PulledBackField]) -> list[list[MultiPoly]]:
-    """Polynomial components of every pullback; raises if any has a pole."""
-    failures = [
-        (j, pb.denominator) for j, pb in enumerate(pullbacks) if not pb.polynomial_flag
-    ]
-    if failures:
-        raise NotResolvedByChartError(failures)
-    return [pb.polynomial_components() for pb in pullbacks]
-
-
 def nash_anchor_on_chart(
-    algebroid: AlmostLieAlgebroid, chart: ChartMap
+    algebroid: AlmostLieAlgebroid, pullback: ChartPullback
 ) -> NashChartAlgebroid:
     """Pull the algebroid back to the chart; every basis pullback must be polynomial."""
-    bundle = algebroid.bundle
-    if bundle.base_vars != chart.target_vars:
-        raise ArityMismatchError("algebroid and chart live over different base variables")
-    n = bundle.fiber_rank
-    d = bundle.base_dim
-    columns = _resolved_columns(pullback_anchor(bundle, chart))
-    anchor = [[columns[j][i] for j in range(n)] for i in range(d)]
+    if algebroid.bundle != pullback.bundle:
+        raise ValueError("the chart pullback is of another anchor than the algebroid's")
+    chart = pullback.chart
     structure = {
         pair: [chart.compose(p) for p in section]
         for pair, section in algebroid.structure.items()
     }
-    chart_algebroid = AlmostLieAlgebroid(
-        AnchoredBundle(chart.chart_vars, anchor), structure
-    )
+    chart_algebroid = AlmostLieAlgebroid(pullback.anchor, structure)
     if not morphism_defect_pairs(algebroid):
         bad = morphism_defect_pairs(chart_algebroid)
         if bad:
             raise InternalInvariantError(
                 f"chart bracket lost the anchor morphism on pairs {bad}"
             )
-    return NashChartAlgebroid(algebroid, chart, chart_algebroid)
+    return NashChartAlgebroid(pullback, chart_algebroid)
 
 
 class ChartFrame:
@@ -408,13 +401,13 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
     J * P = A o phi with det J != 0, so P has the kernel and the rank of the
     substituted anchor without substituting A.
     """
-    chart = nca.chart
+    chart = nca.pullback.chart
     bundle = nca.algebroid.bundle
     cols = kernel_basis(bundle.anchor)
     k = len(cols)
     n = bundle.fiber_rank
     # rank + nullity = n: P's rank is read from its kernel
-    if n - k != anchor_rank_generic(nca.source.bundle):
+    if n - k != anchor_rank_generic(nca.pullback.bundle):
         raise ValueError("chart does not resolve: substituted anchor dropped rank")
     samples = exceptional_samples(chart, seed=seed)
     e_poly = chart.exceptional_poly()
@@ -493,7 +486,7 @@ class Relation:
     polynomial: bool
 
 
-def debord_generators(bundle: AnchoredBundle, chart: ChartMap) -> list[Relation]:
+def debord_generators(pullback: ChartPullback) -> list[Relation]:
     """Relations among the basis pullbacks over a maximal independent subset.
 
     Subsets are scanned in lexicographic index order; the first one whose
@@ -502,17 +495,16 @@ def debord_generators(bundle: AnchoredBundle, chart: ChartMap) -> list[Relation]
     relations are reported with polynomial = False (not fatal).  The
     pullback keeps the source's generic rank, since det J != 0.
     """
-    n = bundle.fiber_rank
-    d = bundle.base_dim
-    columns = _resolved_columns(pullback_anchor(bundle, chart))
-    r = anchor_rank_generic(bundle)
+    anchor = pullback.anchor.anchor
+    n = pullback.bundle.fiber_rank
+    r = anchor_rank_generic(pullback.bundle)
     fallback: list[Relation] | None = None
     for subset in itertools.combinations(range(n), r):
         rest = [j for j in range(n) if j not in subset]
         order = list(subset) + rest
         # the subset is independent iff its columns are the first r pivots;
         # rref column r+i then holds the coefficients of rest[i] over it
-        rows, pivots = rref([[columns[j][i] for j in order] for i in range(d)])
+        rows, pivots = rref([[row[j] for j in order] for row in anchor])
         if pivots[:r] != list(range(r)):
             continue
         if len(pivots) > r:
@@ -541,8 +533,8 @@ def check_debord_on_chart(frame: ChartFrame) -> tuple[bool, dict]:
     quotient keeps the generic anchor rank, so the induced quotient anchor is
     injective on a dense open subset of the chart.
     """
-    nca = frame.nca
-    n = nca.source.bundle.fiber_rank
+    source = frame.nca.pullback.bundle
+    n = source.fiber_rank
     quotient_rank = n - frame.width
     frame_rank = len(frame.echelon.pivot_cols)
     certificate = {
@@ -550,5 +542,5 @@ def check_debord_on_chart(frame: ChartFrame) -> tuple[bool, dict]:
         "quotient_rank": quotient_rank,
         "frame_rank": frame_rank,
     }
-    ok = frame_rank == frame.width and quotient_rank == anchor_rank_generic(nca.source.bundle)
+    ok = frame_rank == frame.width and quotient_rank == anchor_rank_generic(source)
     return ok, certificate

@@ -146,6 +146,8 @@ def algebroid_from_doc(doc):
     """
     keyed(doc, ("vars", "rank", "anchor"), ("brackets",), "algebroid document")
     variables = _names(doc["vars"], '"vars"')
+    if not variables:  # with no anchor rows the bundle would lose its rank
+        raise DocumentError('"vars" must name at least one variable')
     n = json_value(int, doc["rank"], '"rank"')
     if n < 0:
         raise DocumentError(f'"rank" must be non-negative, not {n}')

@@ -29,12 +29,12 @@ from .algebroid import (
     singular_locus,
 )
 from .charts import (
+    ChartPullback,
     NotResolvedByChartError,
     check_debord_on_chart,
     check_ideal,
     debord_generators,
     nash_anchor_on_chart,
-    pullback_anchor,
     pullback_bivector,
     tautological_frame,
 )
@@ -351,6 +351,7 @@ class _Runner:
         self.scenario = scenario
         self.seed = seed
         self.base_vars = next(iter(scenario.sources.values())).bundle.base_vars
+        self.pullbacks = {}  # (source kind, chart) -> ChartPullback
 
     # -- input resolution ---------------------------------------------------
 
@@ -387,6 +388,13 @@ class _Runner:
                 raise ScenarioError(f"unknown {key} {ref!r}")
             return entries[ref]
         return from_doc(ref, self.base_vars)
+
+    def pullback(self, src: Source, chart) -> ChartPullback:
+        """The source's anchor pulled back to the chart, once per run: a
+        named chart is one ChartMap for the scenario, an inline one its own."""
+        if (src.kind, chart) not in self.pullbacks:
+            self.pullbacks[src.kind, chart] = ChartPullback(src.bundle, chart)
+        return self.pullbacks[src.kind, chart]
 
     # -- steps ----------------------------------------------------------------
 
@@ -535,7 +543,7 @@ class _Runner:
         return result, {"count": len(sample.limits), "plueckers": plueckers}
 
     def step_pullback_chart(self, src, step, chart):
-        pullbacks = pullback_anchor(src.bundle, chart)
+        pullbacks = self.pullback(src, chart).fields
         details = {
             "pullbacks": [
                 {
@@ -560,7 +568,7 @@ class _Runner:
         }
 
     def step_relations(self, src, step, chart):
-        relations = debord_generators(src.bundle, chart)
+        relations = debord_generators(self.pullback(src, chart))
         details = {
             "relations": [
                 {
@@ -583,7 +591,7 @@ class _Runner:
         # an algebroid given without brackets is reported with zero brackets
         algebroid = src.algebroid or AlmostLieAlgebroid(src.bundle, {})
         try:
-            nca = nash_anchor_on_chart(algebroid, chart)
+            nca = nash_anchor_on_chart(algebroid, self.pullback(src, chart))
         except NotResolvedByChartError as err:
             details = {
                 "resolved": False,

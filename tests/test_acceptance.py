@@ -24,12 +24,12 @@ from nashfol.algebroid import (
 )
 from nashfol.charts import (
     ChartMap,
+    ChartPullback,
     check_debord_on_chart,
     check_ideal,
     debord_generators,
     nash_anchor_on_chart,
     pullback_bivector,
-    pullback_vector_field,
     tautological_frame,
 )
 from nashfol.grassmann import (
@@ -80,13 +80,8 @@ def _polys(variables, *texts):
     return [parse_poly(t, variables) for t in texts]
 
 
-def _pullback_strings(chart, bundle):
-    d, n = bundle.base_dim, bundle.fiber_rank
-    out = []
-    for j in range(n):
-        pb = pullback_vector_field(chart, [bundle.anchor[i][j] for i in range(d)])
-        out.append(pb)
-    return out
+def _pullback_columns(pullback):
+    return [[c.as_poly() for c in pb.components] for pb in pullback.fields]
 
 
 def _scenarios():
@@ -119,14 +114,14 @@ def test_criterion_1_sl2_chart_reproduction():
     chart = ChartMap(
         ("x", "y"), ("x", "y"), _polys(("x", "y"), "x", "x*y"), parse_poly("x", ("x", "y"))
     )
-    pullbacks = _pullback_strings(chart, a.bundle)
+    pullback = ChartPullback(a.bundle, chart)
     cvs = chart.chart_vars
-    assert [pb.polynomial_components() for pb in pullbacks] == [
+    assert _pullback_columns(pullback) == [
         _polys(cvs, "x", "-2*y"),
         _polys(cvs, "0", "1"),
         _polys(cvs, "x*y", "-y^2"),
     ]
-    relations = debord_generators(a.bundle, chart)
+    relations = debord_generators(pullback)
     assert len(relations) == 1
     rel = relations[0]
     assert (rel.index, rel.basis, rel.polynomial) == (2, (0, 1), True)
@@ -140,13 +135,13 @@ def test_criterion_2_so3_chart_reproduction():
     a = sphere_generators_algebroid()
     vs = ("x", "y", "z")
     chart = ChartMap(vs, vs, _polys(vs, "x", "x*y", "x*z"), parse_poly("x", vs))
-    pullbacks = _pullback_strings(chart, a.bundle)
-    assert [pb.polynomial_components() for pb in pullbacks] == [
+    pullback = ChartPullback(a.bundle, chart)
+    assert _pullback_columns(pullback) == [
         _polys(vs, "0", "z", "-y"),
         _polys(vs, "x*z", "-y*z", "-z^2 - 1"),
         _polys(vs, "x*y", "-y^2 - 1", "-y*z"),
     ]
-    relations = debord_generators(a.bundle, chart)
+    relations = debord_generators(pullback)
     rel = relations[0]
     assert (rel.index, rel.basis, rel.polynomial) == (0, (1, 2), True)
     assert list(rel.coefficients) == [
@@ -160,7 +155,7 @@ def test_criterion_2_so3_chart_reproduction():
     assert pole is not None and pole.primitive() == parse_poly("x", vs)
     assert mat[1][2] == RatFunc(parse_poly("-1 - y^2 - z^2", vs), parse_poly("x", vs))
 
-    nca = nash_anchor_on_chart(a, chart)
+    nca = nash_anchor_on_chart(a, pullback)
     frame = tautological_frame(nca)
     ideal_ok, _ = check_ideal(frame)
     debord_ok, cert = check_debord_on_chart(frame)
@@ -176,8 +171,7 @@ def test_criterion_3_gl_chart_membership_and_singular_locus():
         for i in range(d):
             chart = blowup(vs, i, chart_vars=cvs)
             pivot = parse_poly(cvs[i], cvs)
-            for pb in _pullback_strings(chart, a.bundle):
-                comps = pb.polynomial_components()
+            for comps in _pullback_columns(ChartPullback(a.bundle, chart)):
                 # membership in the module spanned by y_i d/dy_i and the
                 # other coordinate fields: the pivot component must carry a
                 # factor of the pivot variable, the rest may be anything

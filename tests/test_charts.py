@@ -1,6 +1,9 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nashfol.algebroid as algebroid_module
 import nashfol.charts as charts_module
@@ -14,6 +17,7 @@ from nashfol.charts import (
     MAX_ROOT_COEFFICIENT,
     ChartFrame,
     ChartMap,
+    ChartPullback,
     FrameReductionFailedError,
     NotResolvedByChartError,
     check_debord_on_chart,
@@ -21,12 +25,12 @@ from nashfol.charts import (
     debord_generators,
     exceptional_samples,
     nash_anchor_on_chart,
-    pullback_anchor,
     pullback_bivector,
     pullback_vector_field,
     tautological_frame,
 )
 from nashfol.grassmann import Subspace
+from nashfol.nash import CURVE_VAR, CurveGerm, limit_along
 from nashfol.poisson import Bivector
 from nashfol.poly import (
     ArityMismatchError,
@@ -43,6 +47,7 @@ from models import (
     linear_poisson_so3,
     load_corpus_scenario,
     matrix_action_algebroid,
+    rotation_action_algebroid,
     special_linear_2_algebroid,
     sphere_generators_algebroid,
 )
@@ -57,6 +62,14 @@ def polys(variables, *texts):
 
 def col_strs(frame):
     return [[str(p) for p in col] for col in frame.columns]
+
+
+def on_chart(algebroid, chart):
+    return nash_anchor_on_chart(algebroid, ChartPullback(algebroid.bundle, chart))
+
+
+def field_strs(bundle, chart):
+    return [[str(c) for c in pb.components] for pb in ChartPullback(bundle, chart).fields]
 
 
 def test_blowup_preset_shape():
@@ -84,7 +97,7 @@ def test_identity_chart_is_trivial():
     field = polys(XYZ, "x*y", "z^2 - 1", "3")
     pb = pullback_vector_field(ch, field)
     assert pb.polynomial_flag and pb.denominator is None
-    assert pb.polynomial_components() == field
+    assert [c.as_poly() for c in pb.components] == field
     pi = linear_poisson_so3()
     mat, pole = pullback_bivector(ch, pi)
     assert pole is None
@@ -92,7 +105,7 @@ def test_identity_chart_is_trivial():
         mat[i][j] == RatFunc(pi.matrix[i][j]) for i in range(3) for j in range(3)
     )
     so3 = sphere_generators_algebroid()
-    chart_alg = nash_anchor_on_chart(so3, ch).algebroid
+    chart_alg = on_chart(so3, ch).algebroid
     assert (chart_alg.bundle, chart_alg.structure) == (so3.bundle, so3.structure)
     assert exceptional_samples(ch) == []
 
@@ -103,8 +116,9 @@ def test_pullback_of_constant_field_is_not_liftable():
     assert not pb.polynomial_flag
     assert str(pb.denominator) == "u"
     assert [str(c) for c in pb.components] == ["0", "(1) / (u)"]
-    with pytest.raises(ValueError):
-        pb.polynomial_components()
+    bundle = AnchoredBundle(("a", "b"), [polys(("a", "b"), "0"), polys(("a", "b"), "1")])
+    with pytest.raises(NotResolvedByChartError, match="e_0 has denominator u"):
+        ChartPullback(bundle, ch).anchor
 
 
 def test_nash_anchor_rejects_unresolved_chart():
@@ -112,16 +126,24 @@ def test_nash_anchor_rejects_unresolved_chart():
     bundle = AnchoredBundle(vs, [polys(vs, "0"), polys(vs, "1")])
     ch = blowup(vs, 0, chart_vars=("u", "v"))
     with pytest.raises(NotResolvedByChartError) as err:
-        nash_anchor_on_chart(AlmostLieAlgebroid(bundle, {}), ch)
+        on_chart(AlmostLieAlgebroid(bundle, {}), ch)
     assert [(i, str(d)) for i, d in err.value.failures] == [(0, "u")]
+
+
+def test_chart_pullback_refuses_another_base_and_another_anchor():
+    sl2 = special_linear_2_algebroid()
+    with pytest.raises(ArityMismatchError, match="different base variables"):
+        ChartPullback(sl2.bundle, blowup(("a", "b"), 0))
+    other = ChartPullback(rotation_action_algebroid().bundle, blowup(XYZ, 0))
+    with pytest.raises(ValueError, match="another anchor"):
+        nash_anchor_on_chart(sphere_generators_algebroid(), other)
 
 
 def test_sl2_chart_pullbacks_and_relation():
     sl2 = special_linear_2_algebroid()
     ch = blowup(XY, 0)
-    got = [[str(c) for c in pb.components] for pb in pullback_anchor(sl2.bundle, ch)]
-    assert got == [["x", "-2*y"], ["0", "1"], ["x*y", "-y^2"]]
-    relations = debord_generators(sl2.bundle, ch)
+    assert field_strs(sl2.bundle, ch) == [["x", "-2*y"], ["0", "1"], ["x*y", "-y^2"]]
+    relations = debord_generators(ChartPullback(sl2.bundle, ch))
     assert len(relations) == 1
     rel = relations[0]
     assert rel.index == 2 and rel.basis == (0, 1) and rel.polynomial
@@ -131,7 +153,7 @@ def test_sl2_chart_pullbacks_and_relation():
 def test_sl2_chart_frame_and_quotient():
     sl2 = special_linear_2_algebroid()
     ch = blowup(XY, 0)
-    nca = nash_anchor_on_chart(sl2, ch)
+    nca = on_chart(sl2, ch)
     frame = tautological_frame(nca)
     assert col_strs(frame) == [["-y", "-y^2", "1"]]
     ok, report = check_ideal(frame)
@@ -144,20 +166,19 @@ def test_sl2_chart_frame_and_quotient():
 
 def test_sl2_chart_algebroid_stays_lie():
     sl2 = special_linear_2_algebroid()
-    chart_alg = nash_anchor_on_chart(sl2, blowup(XY, 0)).algebroid
+    chart_alg = on_chart(sl2, blowup(XY, 0)).algebroid
     assert is_lie_algebroid(chart_alg)
 
 
 def test_so3_chart_pullbacks_and_relation():
     so3 = sphere_generators_algebroid()
     ch = blowup(XYZ, 0)
-    got = [[str(c) for c in pb.components] for pb in pullback_anchor(so3.bundle, ch)]
-    assert got == [
+    assert field_strs(so3.bundle, ch) == [
         ["0", "z", "-y"],
         ["x*z", "-y*z", "-z^2 - 1"],
         ["x*y", "-y^2 - 1", "-y*z"],
     ]
-    relations = debord_generators(so3.bundle, ch)
+    relations = debord_generators(ChartPullback(so3.bundle, ch))
     assert len(relations) == 1
     rel = relations[0]
     assert rel.index == 0 and rel.basis == (1, 2) and rel.polynomial
@@ -167,7 +188,7 @@ def test_so3_chart_pullbacks_and_relation():
 def test_so3_chart_frame_and_quotient():
     so3 = sphere_generators_algebroid()
     ch = blowup(XYZ, 0)
-    nca = nash_anchor_on_chart(so3, ch)
+    nca = on_chart(so3, ch)
     frame = tautological_frame(nca)
     assert col_strs(frame) == [["1", "-y", "z"]]
     ok, _ = check_ideal(frame)
@@ -196,7 +217,7 @@ def test_so3_bivector_pullback_pole():
 def test_frame_fiber_matches_kernel_at_regular_point():
     so3 = sphere_generators_algebroid()
     ch = blowup(XYZ, 0)
-    frame = tautological_frame(nash_anchor_on_chart(so3, ch))
+    frame = tautological_frame(on_chart(so3, ch))
     u = (Fraction(2), Fraction(1, 2), Fraction(1, 3))
     image = [p.eval(u) for p in ch.phi]
     fiber = Subspace(3, [[col[i].eval(u) for i in range(3)] for col in frame.columns])
@@ -209,10 +230,11 @@ def test_frame_fiber_matches_kernel_at_regular_point():
 def test_gl2_chart_pullbacks_and_frame():
     gl2 = matrix_action_algebroid(2)
     ch = blowup(("x1", "x2"), 0, chart_vars=("y1", "y2"))
-    nca = nash_anchor_on_chart(gl2, ch)
-    got = [[str(c) for c in pb.components] for pb in pullback_anchor(gl2.bundle, ch)]
+    pullback = ChartPullback(gl2.bundle, ch)
+    nca = nash_anchor_on_chart(gl2, pullback)
+    got = [[str(c) for c in pb.components] for pb in pullback.fields]
     assert got == [["y1", "-y2"], ["0", "1"], ["y1*y2", "-y2^2"], ["0", "y2"]]
-    relations = debord_generators(gl2.bundle, ch)
+    relations = debord_generators(pullback)
     assert [(r.index, r.basis) for r in relations] == [(2, (0, 1)), (3, (0, 1))]
     assert [[str(c) for c in r.coefficients] for r in relations] == [
         ["y2", "0"],
@@ -229,7 +251,8 @@ def test_gl2_chart_pullbacks_and_frame():
 def test_gl3_chart_relations_all_polynomial():
     gl3 = matrix_action_algebroid(3)
     ch = blowup(("x1", "x2", "x3"), 0, chart_vars=("y1", "y2", "y3"))
-    relations = debord_generators(gl3.bundle, ch)
+    pullback = ChartPullback(gl3.bundle, ch)
+    relations = debord_generators(pullback)
     assert [r.index for r in relations] == [3, 4, 5, 6, 7, 8]
     assert all(r.basis == (0, 1, 2) and r.polynomial for r in relations)
     coeff_strs = [[str(c) for c in r.coefficients] for r in relations]
@@ -241,7 +264,7 @@ def test_gl3_chart_relations_all_polynomial():
         ["0", "y3", "0"],
         ["0", "0", "y3"],
     ]
-    nca = nash_anchor_on_chart(gl3, ch)
+    nca = nash_anchor_on_chart(gl3, pullback)
     frame = tautological_frame(nca)
     assert frame.width == 6
     ok, cert = check_debord_on_chart(frame)
@@ -252,7 +275,7 @@ def test_frame_reduction_failure_is_reported():
     vs = ("x1", "x2")
     bundle = AnchoredBundle(vs, [polys(vs, "x1^2", "-x2"), polys(vs, "0", "0")])
     ch = blowup(vs, 0, chart_vars=("y1", "y2"))
-    nca = nash_anchor_on_chart(AlmostLieAlgebroid(bundle, {}), ch)
+    nca = on_chart(AlmostLieAlgebroid(bundle, {}), ch)
     with pytest.raises(FrameReductionFailedError) as err:
         tautological_frame(nca)
     assert (Fraction(0), Fraction(0)) in err.value.samples
@@ -262,7 +285,7 @@ def test_frame_reduction_failure_is_reported():
 def test_check_ideal_rejects_corrupted_frame():
     sl2 = special_linear_2_algebroid()
     ch = blowup(XY, 0)
-    nca = nash_anchor_on_chart(sl2, ch)
+    nca = on_chart(sl2, ch)
     good = tautological_frame(nca)
     corrupted = [parse_poly("1", XY)] + good.columns[0][1:]
     with pytest.raises(InternalInvariantError, match="frame column 1 is not a kernel section"):
@@ -288,7 +311,7 @@ def test_check_ideal_fails_only_pointwise():
     # exceptional sample (0, 0), where the frame vanishes.
     bundle = AnchoredBundle(XY, [polys(XY, "0", "0"), polys(XY, "0", "x")])
     ch = blowup(XY, 0)
-    nca = nash_anchor_on_chart(AlmostLieAlgebroid(bundle, {}), ch)
+    nca = on_chart(AlmostLieAlgebroid(bundle, {}), ch)
     frame = ChartFrame(nca, [polys(XY, "y", "0")], exceptional_samples(ch))
     ok, report = check_ideal(frame)
     assert not ok
@@ -338,3 +361,75 @@ def test_chart_report_samples_and_kernel_test_once(monkeypatch):
     # and one elimination of an anchor: the source's generic rank, since the
     # chart anchor's rank is read from its kernel
     assert counts == {"exceptional_samples": 1, "poly_mat_vec": 1, "rank": 1}
+
+
+# ---------------------------------------------------------------------------
+# the chart layer against the Nash-limit layer
+# ---------------------------------------------------------------------------
+# J * P = A o phi with det J != 0 off the exceptional locus, so along the arc
+# phi(u0 + t*w) of a line leaving det J = 0 the kernel of A is the kernel of
+# P, spanned by the frame F.  Where F has full rank at u0 the kernel limit of
+# A along that arc is span F(u0).
+
+
+def _chart_arc(chart, u0, w):
+    """phi(u0 + t*w), or None when the line stays inside det J = 0."""
+    t = MultiPoly.variable(CURVE_VAR, "t")
+    line = [MultiPoly.constant(CURVE_VAR, a) + t * b for a, b in zip(u0, w)]
+    if chart.jac_det.subst(CURVE_VAR, line).is_zero():
+        return None
+    target = tuple(p.eval(u0) for p in chart.phi)
+    return CurveGerm(target, tuple(p.subst(CURVE_VAR, line) for p in chart.phi))
+
+
+def _frame_and_bundle(name):
+    sc = load_corpus_scenario(name)
+    step = next(s for s in sc.steps if s["op"] == "nash-chart-report")
+    bundle = sc.sources["algebroid"].bundle
+    chart = sc.charts[step["chart"]]
+    return tautological_frame(on_chart(AlmostLieAlgebroid(bundle, {}), chart)), bundle
+
+
+def _assert_limit_is_frame_span(frame, bundle, u0, w):
+    chart = frame.nca.pullback.chart
+    arc = _chart_arc(chart, u0, w)
+    assert arc is not None
+    n = bundle.fiber_rank
+    assert frame_rank_at(frame, u0) == frame.width
+    span = Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns])
+    assert limit_along(bundle, arc) == span
+
+
+@pytest.mark.parametrize("name", ["gl2", "gl3", "sl2", "so3"])
+def test_chart_frame_is_the_kernel_limit_along_chart_arcs(name):
+    frame, bundle = _frame_and_bundle(name)
+    d = frame.nca.pullback.chart.dim
+    rng = Random(f"chart-arcs-{name}")
+    seeded = [tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(d))
+              for _ in range(2)]
+    assert frame.samples
+    for u0 in frame.samples + seeded:
+        while True:
+            w = [rng.randint(-2, 2) for _ in range(d)]
+            if _chart_arc(frame.nca.pullback.chart, u0, w) is not None:
+                break
+        _assert_limit_is_frame_span(frame, bundle, u0, w)
+
+
+_COORD = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_CHART_FRAMES = {name: _frame_and_bundle(name) for name in ("sl2", "so3")}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.sampled_from(["sl2", "so3"]),
+    st.lists(_COORD, min_size=3, max_size=3),
+    st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+)
+def test_chart_frame_is_the_kernel_limit_at_generated_points(name, point, direction):
+    frame, bundle = _CHART_FRAMES[name]
+    d = frame.nca.pullback.chart.dim
+    u0, w = tuple(point[:d]), direction[:d]
+    assume(_chart_arc(frame.nca.pullback.chart, u0, w) is not None)
+    _assert_limit_is_frame_span(frame, bundle, u0, w)
+

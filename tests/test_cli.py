@@ -386,8 +386,38 @@ def test_chart_report_exits_2_when_the_frame_repair_fails(seed, json_flag, tmp_p
     )
 
 
+def test_pullback_chart_prints_polynomial_components_reduced(tmp_path, capsys):
+    """det J = v + 1 is not a monomial, and a multivariate RatFunc cancels
+    only monomial factors: a component flagged polynomial must print as its
+    polynomial, not as (u*v + u) / (v + 1)."""
+    bundle = {"vars": ["x", "y"], "rank": 2, "anchor": [["x", "y"], ["0", "x"]]}
+    chart = {"chart_vars": ["u", "v"], "phi": ["u + u*v", "v"]}
+    paths = [tmp_path / "bundle.json", tmp_path / "chart.json"]
+    for path, doc in zip(paths, (bundle, chart)):
+        path.write_text(json.dumps(doc))
+    args = ["pullback-chart", "--input", str(paths[0]), "--chart", str(paths[1])]
+    assert main(args) == 0
+    assert capsys.readouterr().out == (
+        "e_0: (u, 0)  [polynomial]\n"
+        "e_1: ((-u^2*v - u^2 + v) / (v + 1), u*v + u)  [denominator v + 1]\n"
+    )
+    assert main(args + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "pullbacks": [
+            {"components": ["u", "0"], "denominator": None, "polynomial": True},
+            {
+                "components": ["(-u^2*v - u^2 + v) / (v + 1)", "u*v + u"],
+                "denominator": "v + 1",
+                "polynomial": False,
+            },
+        ]
+    }
+
+
 _SO3_ANCHOR = [["0", "z", "y"], ["z", "0", "-x"], ["-y", "-x", "0"]]
 _SO3_CHART = {"chart_vars": ["x", "y", "z"], "phi": ["x", "x*y", "x*z"], "exceptional": "x"}
+# no anchor rows: the bundle would read fiber rank 0 whatever "rank" says
+_NO_VARS = {"vars": [], "rank": 3, "anchor": []}
 
 
 def _expected_entries(entries):
@@ -444,6 +474,12 @@ def _expected_entries(entries):
         (_expected_entries({"0,1": "yx"}), '"yx"'),
         (_expected_entries({"0,1": ["-z"], "0, 1": ["-z"]}), "'0,1' and '0, 1'"),
         ({"commentary": ["x"]}, '"commentary"'),
+        (
+            {"charts": {"x-chart": dict(_SO3_CHART, exceptional="0")}},
+            "exceptional polynomial 0 does not divide",
+        ),
+        ({"algebroid": _NO_VARS}, '"vars" must name'),
+        ({"algebroid": dict(_NO_VARS, brackets={"0,1": ["0", "0", "1"]})}, '"vars" must name'),
     ],
     ids=[
         "op-list", "expect-dim-list", "expect-string", "expect-unknown-key", "expect-missing-key",
@@ -451,7 +487,7 @@ def _expected_entries(entries):
         "expect-lie-string", "step-unknown-key", "source-misspelt", "source-without-brackets",
         "relation-key-misspelt", "bivector-other-base", "scenario-key-misspelt",
         "chart-key-misspelt", "entry-three-items", "entry-text", "entry-pair-twice",
-        "commentary-list",
+        "commentary-list", "exceptional-zero", "algebroid-no-vars", "algebroid-no-vars-brackets",
     ],
 )
 def test_malformed_scenario_exits_2(changes, named, tmp_path, capsys):

@@ -12,7 +12,7 @@ from nashfol.algebroid import (
     _quotient_basis,
     anchor_rank_generic,
 )
-from nashfol.charts import debord_generators, pullback_anchor
+from nashfol.charts import ChartPullback, debord_generators
 from nashfol.grassmann import Subspace, unpluecker
 from nashfol.nash import CurveGerm, CurveInSingularLocusError, kernel_curve, limit_along
 from nashfol.poly import MultiPoly
@@ -208,9 +208,9 @@ def _anchor_columns(draw):
 @given(_anchor_columns())
 def test_debord_relations_match_per_target_solve(columns):
     bundle = AnchoredBundle(_XYZ, [[col[i] for col in columns] for i in range(3)])
-    chart = identity_chart(_XYZ)
-    relations = debord_generators(bundle, chart)
-    pulled = [pb.polynomial_components() for pb in pullback_anchor(bundle, chart)]
+    pullback = ChartPullback(bundle, identity_chart(_XYZ))
+    relations = debord_generators(pullback)
+    pulled = [[c.as_poly() for c in pb.components] for pb in pullback.fields]
     expected = relations_by_solve(pulled)
     assert [(rel.index, rel.basis) for rel in relations] == [
         (j, basis) for j, basis, _ in expected

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import nashfol
+import nashfol.charts as charts_module
 from nashfol.scenario import (
     OPS,
     EngineError,
@@ -74,6 +75,62 @@ def test_corpus_scenario_passes(name):
     assert failed == []
     passed, total = report.check_counts
     assert passed == total > 0
+
+
+def _spy_on_pullbacks(monkeypatch) -> list:
+    """Record the chart of every charts.pullback_vector_field call."""
+    seen = []
+    original = charts_module.pullback_vector_field
+
+    def spy(chart, field):
+        seen.append(chart)
+        return original(chart, field)
+
+    monkeypatch.setattr(charts_module, "pullback_vector_field", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, calls", [("duval2", 0), ("gl2", 4), ("gl3", 9), ("sl2", 3), ("so3", 3)]
+)
+def test_each_chart_is_pulled_back_once_per_run(name, calls, monkeypatch):
+    """The pullback-chart, relations and nash-chart-report steps on one named
+    chart share one pullback: one field per anchor column (48 calls per
+    corpus pass when each step pulled the anchor back itself)."""
+    seen = _spy_on_pullbacks(monkeypatch)
+    assert run_scenario(load_corpus_scenario(name), seed=0).passed
+    assert len(seen) == calls
+
+
+def test_each_inline_chart_is_its_own_pullback(monkeypatch):
+    seen = _spy_on_pullbacks(monkeypatch)
+    doc = json.loads((Path(nashfol.__file__).parent / "scenarios" / "so3.json").read_text())
+    steps = [dict(step, chart=doc["charts"]["x-chart"]) for step in doc["steps"]
+             if step["op"] in ("pullback-chart", "relations")]
+    assert run_scenario(load_scenario(dict(doc, steps=steps)), seed=0).passed
+    assert len(seen) == 2 * 3
+
+
+def test_unresolved_chart_fails_every_step_that_needs_its_anchor():
+    doc = json.loads((Path(nashfol.__file__).parent / "scenarios" / "sl2.json").read_text())
+    fold = {"chart_vars": ["x", "y"], "phi": ["x^2", "y"]}
+    steps = [
+        {"op": "pullback-chart", "chart": "fold", "expect": {"polynomial": [True, True, False]}},
+        {"op": "nash-chart-report", "chart": "fold", "expect": {"resolved": False}},
+        {"op": "relations", "chart": "fold"},
+    ]
+    sc = load_scenario(dict(doc, charts={"fold": fold}, steps=steps[:2]))
+    report = run_scenario(sc)
+    assert report.passed
+    assert report.steps[0].details["pullbacks"][2]["denominator"] == "x"
+    assert report.steps[1].details["failures"] == [{"index": 2, "denominator": "x"}]
+    sc.steps = steps
+    with pytest.raises(EngineError) as err:
+        run_scenario(sc)
+    assert str(err.value) == (
+        "step 2 ('relations') failed: "
+        "chart does not resolve the foliation: e_2 has denominator x"
+    )
 
 
 def test_corpus_models_agree():
