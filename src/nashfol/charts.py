@@ -201,6 +201,7 @@ def pullback_bivector(
 
     Returns the rational chart bivector and its pole: the least common
     denominator of the entries, or None when all of them are polynomial.
+    Polynomial entries are kept reduced, as in `pullback_vector_field`.
     """
     if pi.vars != chart.target_vars:
         raise ArityMismatchError(f"bivector over {pi.vars}, expected {chart.target_vars}")
@@ -212,11 +213,12 @@ def pullback_bivector(
     if any(congruent[i][j] + congruent[j][i] for i in range(d) for j in range(d)):
         raise InternalInvariantError("pullback lost skew-symmetry")
     out = [[RatFunc(entry, det_sq) for entry in row] for row in congruent]
+    out = [[RatFunc(e.as_poly()) if e.is_polynomial() else e for e in row] for row in out]
     dens = [
         out[i][j].den
         for i in range(d)
         for j in range(i + 1, d)
-        if not out[i][j].is_polynomial()
+        if not out[i][j].den.is_constant()
     ]
     pole = _den_lcm(dens) if dens else None
     return out, pole

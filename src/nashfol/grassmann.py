@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .linalg import frac_det, frac_rref, integer_row
+from .linalg import _laplace_minors, _laplace_pays, frac_det, frac_rref, integer_row
 
 
 class NotDecomposableError(ValueError):
@@ -67,11 +67,19 @@ class Subspace:
         return self.n == other.n and all(self.contains(r) for r in other.rows)
 
     def pluecker(self) -> "PlueckerVector":
+        """The maximal minors of the RREF rows.  Where the Laplace table pays,
+        they are taken over the integers from each row's primitive integer
+        multiple: that scales every minor by one positive factor, which the
+        PlueckerVector normalization removes."""
         if self._pluecker is None:
-            coords = [
-                frac_det([[row[c] for c in cols] for row in self.rows])
-                for cols in combinations(range(self.n), self.dim)
-            ]
+            if self.dim and _laplace_pays(self.dim, self.n, self.dim):
+                ints = [integer_row(row) for row in self.rows]
+                coords = _laplace_minors(ints, self.dim, 0)
+            else:
+                coords = [
+                    frac_det([[row[c] for c in cols] for row in self.rows])
+                    for cols in combinations(range(self.n), self.dim)
+                ]
             self._pluecker = PlueckerVector(self.n, self.dim, coords)
         return self._pluecker
 

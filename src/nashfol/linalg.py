@@ -9,6 +9,13 @@ Bareiss with column skipping: when a column has no nonzero entry at or below
 the current pivot row it is recorded as free and skipped; the two-by-two
 update never touches columns left of the current pivot, so skipped columns
 stay zero and the exact-division invariant is preserved.
+
+All the minors of one size come from one shared Laplace table: the s-by-s
+minors are expanded along their last row over the (s-1)-by-(s-1) minors
+already in the table, with no division.  The table is used when its
+multiplication count does not exceed the bound count * size^3 on one
+elimination per minor; a shape whose table would be larger (a k-by-n basis
+with k close to n) takes one `det` per minor instead.
 """
 
 from __future__ import annotations
@@ -162,8 +169,64 @@ def det(m: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     return d if sign == 1 else -d
 
 
+def _laplace_pays(nrows: int, ncols: int, size: int) -> bool:
+    """Whether the Laplace table for the size-by-size minors of an nrows-by-
+    ncols matrix needs at most count * size^3 multiplications, the most that
+    one elimination per minor needs."""
+    count = math.comb(nrows, size) * math.comb(ncols, size)
+    table = sum(
+        s * math.comb(nrows - size + s, s) * math.comb(ncols, s) for s in range(2, size + 1)
+    )
+    return table <= count * size**3
+
+
+def _laplace_minors(m: Sequence[Sequence], size: int, zero) -> list:
+    """All size-by-size minors of m over the ring whose zero is ``zero``, in
+    the order of `minors`, from one table of sub-minors.
+
+    Level s holds every s-by-s minor T[R, C], with R an s-subset of the first
+    nrows - size + s rows (the heads of the row sets asked for) and C any
+    s-subset of the columns.  Each entry is the Laplace expansion along R's
+    last row, sum_q (-1)^(s-1+q) m[R_last][C_q] T[R minus R_last, C minus
+    C_q]; zero factors are skipped.  Only the last level is kept.
+    """
+    nrows, ncols = len(m), len(m[0])
+    rows_at = nrows - size
+    level = {(i,): m[i] for i in range(rows_at + 1)}
+    index = {(j,): j for j in range(ncols)}
+    for s in range(2, size + 1):
+        csets = list(combinations(range(ncols), s))
+        faces = [
+            [
+                (c, (s - 1 + q) % 2 == 0, index[cset[:q] + cset[q + 1 :]])
+                for q, c in enumerate(cset)
+            ]
+            for cset in csets
+        ]
+        nxt = {}
+        for rset in combinations(range(rows_at + s), s):
+            head, last = level[rset[:-1]], m[rset[-1]]
+            entries = []
+            for face in faces:
+                acc = zero
+                for c, plus, sub in face:
+                    if last[c] and head[sub]:
+                        term = last[c] * head[sub]
+                        acc = acc + term if plus else acc - term
+                entries.append(acc)
+            nxt[rset] = entries
+        level = nxt
+        index = {cset: i for i, cset in enumerate(csets)}
+    return [entry for rset in combinations(range(nrows), size) for entry in level[rset]]
+
+
 def minors(m: Sequence[Sequence[MultiPoly]], size: int) -> list[MultiPoly]:
-    """All size-by-size minors, row/column index sets in lexicographic order."""
+    """All size-by-size minors, row/column index sets in lexicographic order.
+
+    The size and the MAX_MINORS bound are checked before any work.  The
+    minors then come from one Laplace table when it pays (`_laplace_pays`),
+    and otherwise from one `det` per minor.
+    """
     nrows, ncols = len(m), len(m[0]) if m else 0
     if size < 1 or size > min(nrows, ncols):
         raise SizeError(f"no {size}x{size} minors in a {nrows}x{ncols} matrix")
@@ -172,6 +235,8 @@ def minors(m: Sequence[Sequence[MultiPoly]], size: int) -> list[MultiPoly]:
         raise SizeError(
             f"{count} {size}x{size} minors of a {nrows}x{ncols} matrix exceed {MAX_MINORS}"
         )
+    if _laplace_pays(nrows, ncols, size):
+        return _laplace_minors(m, size, MultiPoly.zero(m[0][0].vars))
     out = []
     for rset in combinations(range(nrows), size):
         for cset in combinations(range(ncols), size):

@@ -306,6 +306,52 @@ def test_singular_locus_over_the_minor_cap_exits_2(tmp_path, monkeypatch, capsys
     )
 
 
+def _spy_on_det_from_minors(monkeypatch) -> list[int]:
+    """Record the size of every determinant that `linalg.minors` takes."""
+    sizes = []
+    original = linalg.det
+
+    def spy(m):
+        if sys._getframe(1).f_code is linalg.minors.__code__:
+            sizes.append(len(m))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "det", spy)
+    return sizes
+
+
+def test_gl3_fiber_takes_every_minor_from_the_table(monkeypatch, capsys):
+    sizes = _spy_on_det_from_minors(monkeypatch)
+    assert main(["nash-fiber", "--input", corpus_path("gl3"), "--point", "0,0,0"]) == 0
+    assert "distinct limits: 25\n" in capsys.readouterr().out
+    assert sizes == []
+
+
+def test_nash_limit_of_a_near_square_basis_takes_one_det_per_minor(
+    tmp_path, monkeypatch, capsys
+):
+    # a rank-1 anchor with 24 columns has a 23x24 kernel basis, whose table
+    # would hold about 2^24 sub-minors; the 24 maximal minors are 24 dets
+    bundle = tmp_path / "rank1.json"
+    row = [f"x^{j % 3 + 1}" for j in range(24)]
+    bundle.write_text(json.dumps({"vars": ["x"], "rank": 24, "anchor": [row]}))
+    curve = tmp_path / "ray.json"
+    curve.write_text(json.dumps({"target": ["0"], "components": ["t"]}))
+    sizes = _spy_on_det_from_minors(monkeypatch)
+    assert main(["nash-limit", "--input", str(bundle), "--curve", str(curve)]) == 0
+    assert sizes == [23] * 24
+    # the limit is the hyperplane where the x-linear columns sum to zero
+    rows = []
+    for i in range(24):
+        if i != 21:
+            rows.append([1 if j == i else -1 if j == 21 and i % 3 == 0 else 0 for j in range(24)])
+    coords = [(-1) ** (i // 3) if i % 3 == 2 else 0 for i in range(24)]
+    basis = ", ".join("(" + ", ".join(map(str, r)) + ")" for r in rows)
+    assert capsys.readouterr().out == (
+        f"limit: dim 23, basis [{basis}], pluecker ({', '.join(map(str, coords))})\n"
+    )
+
+
 def test_chart_report_text_when_chart_does_not_resolve(tmp_path, capsys):
     chart = tmp_path / "fold.json"
     chart.write_text(json.dumps({"chart_vars": ["x", "y"], "phi": ["x^2", "y"]}))
@@ -412,6 +458,22 @@ def test_pullback_chart_prints_polynomial_components_reduced(tmp_path, capsys):
             },
         ]
     }
+
+
+def test_poisson_pullback_prints_polynomial_entries_reduced(tmp_path, capsys):
+    """det J = v + 1 is not a monomial: the entry x * det(J) / det(J)^2 of
+    pi = x d/dx ^ d/dy is the polynomial u and must print as u, not as
+    (u*v^2 + 2*u*v + u) / (v^2 + 2*v + 1)."""
+    bivector = {"vars": ["x", "y"], "pi": {"0,1": "x"}}
+    chart = {"chart_vars": ["u", "v"], "phi": ["u + u*v", "v"]}
+    paths = [tmp_path / "bivector.json", tmp_path / "chart.json"]
+    for path, doc in zip(paths, (bivector, chart)):
+        path.write_text(json.dumps(doc))
+    args = ["poisson-pullback", "--input", str(paths[0]), "--chart", str(paths[1])]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "pullback pole: none (polynomial)\n  pi[0,1] = u\n"
+    assert main(args + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"entries": {"0,1": "u"}, "pole": None}
 
 
 _SO3_ANCHOR = [["0", "z", "y"], ["z", "0", "-x"], ["-y", "-x", "0"]]

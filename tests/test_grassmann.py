@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nashfol.grassmann import NotDecomposableError, PlueckerVector, Subspace, unpluecker
+from nashfol.linalg import frac_det
 from checks import affine_chart
 from models import span_of_integer_vectors
 
@@ -58,6 +62,33 @@ def test_pluecker_roundtrip_random_subspaces():
         ]
         s = Subspace(n, vecs)
         assert unpluecker(s.pluecker()) == s
+
+
+_entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def _spanning_vectors(draw):
+    """Up to n vectors in Q^n, n <= 7: dim 0 and dim n occur, and dim 7 in
+    Q^7 is the one shape here that takes frac_det instead of the table."""
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(0, n))
+    return n, [[draw(_entry) for _ in range(n)] for _ in range(k)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spanning_vectors())
+@example((3, []))
+@example((7, [[Fraction(int(i == j or j == 0), i + 1) for j in range(7)] for i in range(7)]))
+@example((4, [[Fraction(1, 2), 0, Fraction(-3, 4), 2], [0, 0, Fraction(1, 3), 1]]))
+def test_pluecker_matches_frac_det_of_the_rref(case):
+    n, vectors = case
+    s = Subspace(n, vectors)
+    coords = [
+        frac_det([[row[c] for c in cols] for row in s.rows])
+        for cols in combinations(range(n), s.dim)
+    ]
+    assert s.pluecker() == PlueckerVector(n, s.dim, coords)
 
 
 def test_not_decomposable():

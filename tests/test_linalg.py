@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nashfol.linalg as linalg
@@ -141,6 +142,55 @@ def test_minors_count_cap(nrows, ncols, monkeypatch):
     monkeypatch.setattr(linalg, "det", lambda m: pytest.fail("a minor was expanded"))
     with pytest.raises(SizeError, match="10001 1x1 minors"):
         minors(m, 1)
+
+
+# (nrows, ncols, size) that the benchmark workloads reach: kernel bases along
+# arcs and the RREF rows of their limits, and anchors' generic-rank minors
+# (3x3 at size 2 for a singular locus)
+WORKLOAD_SHAPES = [(1, 3, 1), (2, 3, 2), (2, 4, 2), (2, 6, 2), (3, 3, 2), (4, 6, 4), (6, 9, 6)]
+
+
+@pytest.mark.parametrize("nrows, ncols, size", WORKLOAD_SHAPES)
+def test_workload_shapes_take_the_laplace_table(nrows, ncols, size):
+    assert linalg._laplace_pays(nrows, ncols, size)
+
+
+@pytest.mark.parametrize("nrows, ncols, size", [(7, 7, 7), (23, 24, 23)])
+def test_near_square_shapes_take_one_det_per_minor(nrows, ncols, size):
+    assert not linalg._laplace_pays(nrows, ncols, size)
+
+
+_xy_poly = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1)), st.integers(-3, 3), max_size=3
+).map(lambda terms: MultiPoly(("x", "y"), terms))
+
+
+@st.composite
+def _matrix_and_size(draw):
+    """A sparse polynomial matrix and a minor size, both sides of the shape
+    rule: up to 4x6 at any size (the table), or 7x7 at size 7 (the loop)."""
+    if draw(st.booleans()):
+        nrows, ncols, size = 7, 7, 7
+    else:
+        nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+        size = draw(st.integers(1, min(nrows, ncols)))
+    m = [[draw(_xy_poly) for _ in range(ncols)] for _ in range(nrows)]
+    return m, size
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrix_and_size())
+@example((M([["x", "0", "y"], ["-y", "x", "0"], ["0", "y", "x"]], ("x", "y")), 2))
+def test_minors_match_one_det_per_minor(case):
+    m, size = case
+    nrows, ncols = len(m), len(m[0])
+    want = [
+        det([[m[i][j] for j in cset] for i in rset])
+        for rset in combinations(range(nrows), size)
+        for cset in combinations(range(ncols), size)
+    ]
+    assert minors(m, size) == want
+    assert linalg._laplace_minors(m, size, MultiPoly.zero(("x", "y"))) == want
 
 
 def test_rref_rank_triple():
