@@ -193,6 +193,17 @@ def pullback_vector_field(chart: ChartMap, field: Sequence[MultiPoly]) -> Pulled
     return PulledBackField(tuple(comps), False, _den_lcm(dens))
 
 
+def _cancel_factor(e: RatFunc, factor: MultiPoly) -> RatFunc:
+    """e reduced to a polynomial when it is one, and otherwise with its
+    numerator and denominator divided by ``factor`` while it divides both."""
+    if e.is_polynomial():
+        return RatFunc(e.as_poly())
+    num, den = e.num, e.den
+    while factor.total_degree() > 0 and (q := exact_quotients([num, den], factor)) is not None:
+        num, den = q
+    return RatFunc(num, den)
+
+
 def pullback_bivector(
     chart: ChartMap, pi: Bivector
 ) -> tuple[list[list[RatFunc]], MultiPoly | None]:
@@ -201,7 +212,10 @@ def pullback_bivector(
 
     Returns the rational chart bivector and its pole: the least common
     denominator of the entries, or None when all of them are polynomial.
-    Polynomial entries are kept reduced, as in `pullback_vector_field`.
+    Polynomial entries are kept reduced, as in `pullback_vector_field`.  A
+    multivariate RatFunc cancels only monomial factors, so every other entry
+    has its numerator and denominator divided by det(J)'s non-monomial part
+    while that divides both.
     """
     if pi.vars != chart.target_vars:
         raise ArityMismatchError(f"bivector over {pi.vars}, expected {chart.target_vars}")
@@ -212,8 +226,8 @@ def pullback_bivector(
     det_sq = chart.jac_det * chart.jac_det
     if any(congruent[i][j] + congruent[j][i] for i in range(d) for j in range(d)):
         raise InternalInvariantError("pullback lost skew-symmetry")
-    out = [[RatFunc(entry, det_sq) for entry in row] for row in congruent]
-    out = [[RatFunc(e.as_poly()) if e.is_polynomial() else e for e in row] for row in out]
+    factor = chart.jac_det.shift_down(chart.jac_det.monomial_content())
+    out = [[_cancel_factor(RatFunc(entry, det_sq), factor) for entry in row] for row in congruent]
     dens = [
         out[i][j].den
         for i in range(d)

@@ -16,6 +16,12 @@ already in the table, with no division.  The table is used when its
 multiplication count does not exceed the bound count * size^3 on one
 elimination per minor; a shape whose table would be larger (a k-by-n basis
 with k close to n) takes one `det` per minor instead.
+
+Kernels over Q(t), in one variable, are fraction-free too: each basis vector
+is back-substituted from the Bareiss echelon form and divided by the gcd of
+its entries, so it is primitive over Q[t].  In several variables the kernel
+is read off the reduced echelon form over the fraction field and only its
+denominators, common monomial factor and rational content are cleared.
 """
 
 from __future__ import annotations
@@ -25,7 +31,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .poly import InternalInvariantError, MultiPoly, RatFunc, _div, exact_div, exact_quotients
+from .poly import (
+    InternalInvariantError,
+    MultiPoly,
+    RatFunc,
+    _div,
+    exact_div,
+    exact_quotients,
+    poly_gcd_univariate,
+)
 
 PolyMatrix = list[list[MultiPoly]]
 PolyVector = list[MultiPoly]
@@ -267,12 +281,27 @@ def rref(m: Sequence[Sequence[MultiPoly]]):
     return rat_rows, pivots
 
 
-def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
-    """Scale a rational vector to a primitive polynomial vector.
+def _strip_rational_content(polys: PolyVector) -> PolyVector:
+    """Divide a nonzero vector by the positive rational content of all its
+    coefficients together."""
+    coeffs = [c for p in polys for c in p.terms.values()]
+    content = Fraction(
+        math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs))
+    )
+    if content == 1:
+        return polys
+    vs = polys[0].vars
+    return [MultiPoly(vs, {e: _div(v, content) for e, v in p.terms.items()}) for p in polys]
 
-    Multiplies by the product of the distinct denominators, strips any
-    denominator that still divides every entry, then removes the common
-    monomial factor and the rational content.
+
+def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
+    """Scale a rational vector to a polynomial vector.
+
+    Multiplies each entry's numerator by the product of the distinct
+    denominators, exactly divided by its own, strips any denominator that
+    still divides every entry, then removes the common monomial factor and
+    the rational content.  Another common factor of the entries, which only
+    several variables leave behind, is kept.
     """
     vs = entries[0].vars
     dens: list[MultiPoly] = []
@@ -283,7 +312,7 @@ def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
     scale = MultiPoly.constant(vs, 1)
     for d in dens:
         scale = scale * d
-    polys = [(e * scale).as_poly() for e in entries]
+    polys = [e.num * (scale if e.den.is_constant() else exact_div(scale, e.den)) for e in entries]
     for d in dens:
         while d.total_degree() > 0 and any(polys):
             if (quotients := exact_quotients(polys, d)) is None:
@@ -297,39 +326,74 @@ def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
         mono = tuple(map(min, mono, p.monomial_content()))
     if any(mono):
         polys = [p.shift_down(mono) if p else p for p in polys]
-    coeffs = [c for p in live for c in p.terms.values()]
-    content = Fraction(
-        math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs))
-    )
-    if content != 1:
-        polys = [
-            MultiPoly(vs, {e: _div(v, content) for e, v in p.terms.items()}) for p in polys
-        ]
-    return polys
+    return _strip_rational_content(polys)
+
+
+def _primitive_kernel_vector(
+    rows: Sequence[Sequence[MultiPoly]], pivots: Sequence[int], f: int
+) -> PolyVector:
+    """The kernel vector of free column f over Q[t], from a fraction-free
+    echelon form, made primitive.
+
+    w_f is the last pivot D, the r-by-r pivot minor, and each pivot entry is
+    back-substituted as w_c = -(sum_{j > c} E[a][j] w_j) / E[a][c].  That is
+    the Cramer vector, whose entries are r-by-r minors, so every division is
+    exact.  w is then divided by the gcd of its entries and by its positive
+    rational content.
+    """
+    ncols = len(rows[0])
+    zero = MultiPoly.zero(rows[0][0].vars)
+    w = [zero] * ncols
+    w[f] = rows[len(pivots) - 1][pivots[-1]] if pivots else MultiPoly.constant(zero.vars, 1)
+    for a in range(len(pivots) - 1, -1, -1):
+        c, row = pivots[a], rows[a]
+        acc = zero
+        for j in range(c + 1, ncols):
+            if row[j] and w[j]:
+                acc = acc + row[j] * w[j]
+        w[c] = exact_div(-acc, row[c]) if acc else zero
+    g = zero
+    for p in w:
+        if p:
+            g = poly_gcd_univariate(g, p)
+    if g.total_degree() > 0:
+        w = exact_quotients(w, g)
+    return _strip_rational_content(w)
 
 
 def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:
     """Basis of the right kernel over the fraction field.
 
-    One vector per free column, in ascending column order.  Each vector is
-    cleared to a primitive polynomial vector whose entry at its free column
-    has positive leading coefficient.
+    One vector per free column, in ascending column order, whose entry at
+    its free column has positive leading coefficient.  In one variable each
+    vector is primitive over Q[t]: it is back-substituted from the
+    fraction-free echelon form and divided by the gcd of its entries, with
+    no rational-function arithmetic.  In several variables it comes from
+    `rref` and `clear_denominators`, which clear denominators, the common
+    monomial factor and the rational content, but not every common factor.
     """
     if not m or not m[0]:
         raise ValueError("kernel of an empty matrix")
     ncols = len(m[0])
     vs = m[0][0].vars
-    rat_rows, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    if len(vs) == 1:
+        rows, pivots, _ = _bareiss(m)
+        free = [c for c in range(ncols) if c not in pivots]
+        vectors = [_primitive_kernel_vector(rows, pivots, f) for f in free]
+    else:
+        rat_rows, pivots = rref(m)
+        free = [c for c in range(ncols) if c not in pivots]
+        one = RatFunc(MultiPoly.constant(vs, 1))
+        zero = RatFunc(MultiPoly.zero(vs))
+        vectors = []
+        for f in free:
+            vec = [zero] * ncols
+            vec[f] = one
+            for a, c in enumerate(pivots):
+                vec[c] = -rat_rows[a][f]
+            vectors.append(clear_denominators(vec))
     basis = []
-    one = RatFunc(MultiPoly.constant(vs, 1))
-    zero = RatFunc(MultiPoly.zero(vs))
-    for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
-        for a, c in enumerate(pivots):
-            vec[c] = -rat_rows[a][f]
-        polys = clear_denominators(vec)
+    for f, polys in zip(free, vectors):
         if polys[f].leading()[1] < 0:
             polys = [-p for p in polys]
         residual = poly_mat_vec(m, polys)

@@ -114,6 +114,23 @@ def _result(variables: tuple[str, ...], terms: dict[Exponents, Scalar]) -> "Mult
     return p
 
 
+def _mul_terms(
+    left: dict[Exponents, Scalar], right: dict[Exponents, Scalar]
+) -> dict[Exponents, Scalar]:
+    """The term dict of a product, zero coefficients dropped; the coefficient
+    form is left for `_result` to restore."""
+    terms: dict[Exponents, Scalar] = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(e, 0) + c1 * c2
+            if s:
+                terms[e] = s
+            else:
+                terms.pop(e, None)
+    return terms
+
+
 class MultiPoly:
     """A polynomial in ``vars`` with rational coefficients.
 
@@ -237,16 +254,7 @@ class MultiPoly:
 
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         other = self._coerce(other)
-        terms: dict[Exponents, Scalar] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, 0) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return _result(self.vars, terms)
+        return _result(self.vars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -308,24 +316,31 @@ class MultiPoly:
                 raise ArityMismatchError(
                     f"substitution image over {img.vars}, expected {vs}"
                 )
-        result = MultiPoly.zero(vs)
-        # cache powers of each image since exponent vectors repeat them a lot
-        powers: list[dict[int, MultiPoly]] = [
-            {0: MultiPoly.constant(vs, 1)} for _ in images
-        ]
-        for exps, coeff in self.sorted_terms():
-            term = MultiPoly.constant(vs, coeff)
+        # one power table per call, as term dicts, since exponent vectors
+        # repeat powers a lot; terms are summed into one dict and wrapped once
+        unit = (0,) * len(vs)
+        powers: list[dict[int, dict[Exponents, Scalar]]] = [{0: {unit: 1}} for _ in images]
+        result: dict[Exponents, Scalar] = {}
+        for exps, coeff in self.terms.items():
+            term = {unit: coeff}
             for i, e in enumerate(exps):
-                if e not in powers[i]:
-                    prev = max(k for k in powers[i] if k <= e)
-                    acc = powers[i][prev]
+                if not e:
+                    continue
+                table = powers[i]
+                if e not in table:
+                    prev = max(k for k in table if k <= e)
+                    acc = table[prev]
                     for _ in range(e - prev):
-                        acc = acc * images[i]
-                    powers[i][e] = acc
-                if e:
-                    term = term * powers[i][e]
-            result = result + term
-        return result
+                        acc = _mul_terms(acc, images[i].terms)
+                    table[e] = acc
+                term = _mul_terms(term, table[e])
+            for e, c in term.items():
+                s = result.get(e, 0) + c
+                if s:
+                    result[e] = s
+                else:
+                    result.pop(e, None)
+        return _result(vs, result)
 
     # -- content and divisibility -------------------------------------------
 

@@ -9,9 +9,17 @@ from itertools import combinations
 from typing import Sequence
 
 from nashfol.algebroid import anchor_rank_generic
-from nashfol.linalg import frac_rank, frac_rref, kernel_basis, rank, rref
+from nashfol.linalg import (
+    clear_denominators,
+    frac_rank,
+    frac_rref,
+    kernel_basis,
+    poly_mat_vec,
+    rank,
+    rref,
+)
 from nashfol.nash import CURVE_VAR, CurveInSingularLocusError
-from nashfol.poly import MultiPoly, RatFunc
+from nashfol.poly import InternalInvariantError, MultiPoly, RatFunc
 
 
 def frac_solve(
@@ -107,3 +115,31 @@ def kernel_curve_by_rank(bundle, curve) -> list[list[MultiPoly]]:
     if r == bundle.fiber_rank:
         return []
     return kernel_basis(substituted)
+
+
+def kernel_basis_by_rref(m: Sequence[Sequence[MultiPoly]]) -> list[list[MultiPoly]]:
+    """The right kernel as ``linalg.kernel_basis`` computed it in every arity
+    before one variable took the fraction-free path: one vector per free
+    column of ``rref``, read off over the fraction field and scaled by
+    ``clear_denominators``, with positive leading coefficient at its free
+    column."""
+    ncols = len(m[0])
+    vs = m[0][0].vars
+    rat_rows, pivots = rref(m)
+    one = RatFunc(MultiPoly.constant(vs, 1))
+    zero = RatFunc(MultiPoly.zero(vs))
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [zero] * ncols
+        vec[f] = one
+        for a, c in enumerate(pivots):
+            vec[c] = -rat_rows[a][f]
+        polys = clear_denominators(vec)
+        if polys[f].leading()[1] < 0:
+            polys = [-p for p in polys]
+        if any(poly_mat_vec(m, polys)):
+            raise InternalInvariantError("kernel vector fails M*v = 0")
+        basis.append(polys)
+    return basis

@@ -476,6 +476,25 @@ def test_poisson_pullback_prints_polynomial_entries_reduced(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"entries": {"0,1": "u"}, "pole": None}
 
 
+def test_poisson_pullback_cancels_det_j_from_rational_entries(tmp_path, capsys):
+    """The entry y * det(J) / det(J)^2 of pi = y d/dx ^ d/dy through
+    det J = v + 1 is v / (v + 1): det J is cancelled once, and the pole is
+    v + 1, not (v + 1)^2."""
+    bivector = {"vars": ["x", "y"], "pi": {"0,1": "y"}}
+    chart = {"chart_vars": ["u", "v"], "phi": ["u + u*v", "v"]}
+    paths = [tmp_path / "bivector.json", tmp_path / "chart.json"]
+    for path, doc in zip(paths, (bivector, chart)):
+        path.write_text(json.dumps(doc))
+    args = ["poisson-pullback", "--input", str(paths[0]), "--chart", str(paths[1])]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "pullback pole: v + 1\n  pi[0,1] = (v) / (v + 1)\n"
+    assert main(args + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "entries": {"0,1": "(v) / (v + 1)"},
+        "pole": "v + 1",
+    }
+
+
 _SO3_ANCHOR = [["0", "z", "y"], ["z", "0", "-x"], ["-y", "-x", "0"]]
 _SO3_CHART = {"chart_vars": ["x", "y", "z"], "phi": ["x", "x*y", "x*z"], "exceptional": "x"}
 # no anchor rows: the bundle would read fiber rank 0 whatever "rank" says

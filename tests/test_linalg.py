@@ -25,8 +25,9 @@ from nashfol.linalg import (
     rref,
     solve,
 )
-from nashfol.poly import MultiPoly, parse_poly
-from oracles import ratfunc_solve
+from nashfol.nash import limit_subspace
+from nashfol.poly import MultiPoly, RatFunc, exact_quotients, parse_poly, poly_gcd_univariate
+from oracles import kernel_basis_by_rref, ratfunc_solve
 
 XYZ = ("x", "y", "z")
 X12 = ("x1", "x2")
@@ -88,6 +89,69 @@ def test_kernel_vectors_are_primitive():
     for vec in ker:
         assert all(p.content().denominator == 1 for p in vec if not p.is_zero())
     assert ker[0] == [parse_poly("-y", XYZ), parse_poly("x", XYZ), MultiPoly.zero(XYZ)]
+
+
+T = ("t",)
+# (t+1)(t+2) and (t+1)(t+3) share t + 1: clearing the denominators of the
+# rref kernel over Q(t) kept it in every entry
+SHARED_FACTOR = M([["(t+1)*(t+2)", "0", "-1"], ["0", "(t+1)*(t+3)", "-1"]], T)
+
+
+def test_one_variable_kernel_vector_is_primitive():
+    assert kernel_basis(SHARED_FACTOR) == [
+        [parse_poly(e, T) for e in ("t + 3", "t + 2", "t^3 + 6*t^2 + 11*t + 6")]
+    ]
+
+
+def test_one_variable_kernel_builds_no_ratfunc(monkeypatch):
+    built = []
+    init = RatFunc.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RatFunc, "__init__", spy)
+    rank_one = M([["t", "t^2", "0", "1 - t"], ["2*t", "2*t^2", "0", "2 - 2*t"]], T)
+    assert len(kernel_basis(rank_one)) == 3
+    assert len(kernel_basis(SHARED_FACTOR)) == 1
+    assert kernel_basis(M([["0", "0"]], T)) == [M([["1", "0"]], T)[0], M([["0", "1"]], T)[0]]
+    assert built == []
+
+
+_t_poly = st.dictionaries(
+    st.tuples(st.integers(0, 2)), st.integers(-3, 3), max_size=3
+).map(lambda terms: MultiPoly(T, terms))
+
+
+@st.composite
+def _t_matrix(draw):
+    """A polynomial matrix over Q[t] up to 4x6 whose entries often share a
+    factor, the case where the rref kernel was not primitive."""
+    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    shared = parse_poly(draw(st.sampled_from(["1", "t + 1", "t^2 - 2"])), T)
+    return [
+        [draw(_t_poly) * (shared if draw(st.booleans()) else 1) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_t_matrix())
+@example(SHARED_FACTOR)
+def test_one_variable_kernel_is_the_primitive_rref_kernel(m):
+    got = kernel_basis(m)
+    want = kernel_basis_by_rref(m)
+    assert len(got) == len(want)
+    for vec, old in zip(got, want):
+        g = MultiPoly.zero(T)
+        for p in old:
+            g = poly_gcd_univariate(g, p)
+        assert vec == exact_quotients(old, g)
+        if g.total_degree() == 0:
+            assert vec == old
+    if got:
+        assert limit_subspace(got) == limit_subspace(want)
 
 
 @pytest.mark.parametrize(
