@@ -36,6 +36,7 @@ from .linalg import (
     det,
     frac_kernel,
     frac_rank,
+    frac_rref,
     integer_row,
     kernel_basis,
     poly_mat_mul,
@@ -52,6 +53,7 @@ from .poly import (
     RatFunc,
     divides,
     exact_quotients,
+    poly_gcd_univariate,
 )
 
 Point = Sequence[Fraction]
@@ -195,12 +197,25 @@ def pullback_vector_field(chart: ChartMap, field: Sequence[MultiPoly]) -> Pulled
 
 def _cancel_factor(e: RatFunc, factor: MultiPoly) -> RatFunc:
     """e reduced to a polynomial when it is one, and otherwise with its
-    numerator and denominator divided by ``factor`` while it divides both."""
+    numerator and denominator divided by ``factor`` while it divides both,
+    then by their gcd when both involve one and the same variable only."""
     if e.is_polynomial():
         return RatFunc(e.as_poly())
     num, den = e.num, e.den
     while factor.total_degree() > 0 and (q := exact_quotients([num, den], factor)) is not None:
         num, den = q
+    used = {num.vars[v] for p in (num, den) for exps in p.terms for v, x in enumerate(exps) if x}
+    if len(used) == 1:
+        # both live on one coordinate line, where Euclid finds the whole gcd
+        (name,) = used
+        line = [
+            MultiPoly.variable((name,), name) if v == name else MultiPoly.zero((name,))
+            for v in num.vars
+        ]
+        g = poly_gcd_univariate(num.subst((name,), line), den.subst((name,), line))
+        if g.total_degree() > 0:
+            g = g.subst(num.vars, [MultiPoly.variable(num.vars, name)])
+            num, den = exact_quotients([num, den], g)
     return RatFunc(num, den)
 
 
@@ -292,6 +307,15 @@ def nash_anchor_on_chart(
     return NashChartAlgebroid(pullback, chart_algebroid)
 
 
+@dataclass(frozen=True)
+class FrameCertificate:
+    """A constant invertible maximal minor of a chart frame: its ``rows``
+    and the inverse of the frame's block on them, over Q."""
+
+    rows: tuple[int, ...]
+    inverse: tuple[tuple[Fraction, ...], ...]
+
+
 class ChartFrame:
     """Polynomial kernel columns of the pulled-back anchor P and the
     exceptional samples they are full rank at, built once by
@@ -321,6 +345,53 @@ class ChartFrame:
         """The columns eliminated once; its pivot count is the frame rank over
         the fraction field."""
         return RowEchelon(self.columns)
+
+    @cached_property
+    def certificate(self) -> FrameCertificate | None:
+        """Rows I of the n x k frame F whose block F_I is constant and
+        invertible, with F_I^-1 over Q, or None when the all-constant rows
+        of F have rank below k.  Of those rows, the first independent ones
+        are taken; no other minor is searched.  The empty frame is certified
+        by I = ().
+
+        A constant invertible F_I gives F rank k at every point of the chart,
+        and every polynomial section s in F's span over the fraction field
+        is F * (F_I^-1 s_I), with polynomial coefficients (W. C. Brown,
+        Matrices over Commutative Rings, 1993)."""
+        k = self.width
+        n = self.nca.algebroid.bundle.fiber_rank
+        origin = [0] * self.nca.pullback.chart.dim
+        constant = [i for i in range(n) if all(col[i].is_constant() for col in self.columns)]
+        # the transposed constant block: its pivot columns are the first
+        # independent constant rows of F
+        block = [[col[i].eval(origin) for i in constant] for col in self.columns]
+        _, pivots = frac_rref(block)
+        if len(pivots) < k:
+            return None
+        square = [[block[a][p] for a in range(k)] for p in pivots]
+        reduced, _ = frac_rref([row + [int(r == s) for s in range(k)] for r, row in enumerate(square)])
+        return FrameCertificate(
+            tuple(constant[p] for p in pivots), tuple(tuple(row[k:]) for row in reduced)
+        )
+
+    def spans(self, section: Section) -> bool:
+        """Whether the section lies in the columns' span over the fraction
+        field: by the certificate's residual F * (F_I^-1 s_I) - s when the
+        frame has one, else by replaying the echelon form on it."""
+        cert = self.certificate
+        if cert is None:
+            return self.echelon.contains(section)
+        zero = MultiPoly.zero(self.nca.pullback.chart.chart_vars)
+        coeffs = [
+            sum((section[i] * c for i, c in zip(cert.rows, row) if c), zero)
+            for row in cert.inverse
+        ]
+        return all(
+            sum((col[i] * c for col, c in zip(self.columns, coeffs) if col[i] and c), zero)
+            == section[i]
+            for i in range(len(section))
+            if i not in cert.rows
+        )
 
 
 # Largest constant or leading coefficient whose divisors _rational_roots tries;
@@ -456,8 +527,15 @@ def check_ideal(frame: ChartFrame) -> tuple[bool, dict]:
 
     Brackets of frame columns against basis sections (and against each other)
     must stay in the frame's column span, generically over the fraction field
-    and pointwise at the frame's seeded exceptional samples.  Results are
-    labeled "generic + sampled": true module membership is not decided here.
+    and pointwise at the frame's seeded exceptional samples.
+
+    On a certified frame (``ChartFrame.certificate``) span membership is
+    module membership and holds at every chart point, so it is decided
+    exactly and only a bracket outside the span is evaluated at the samples.
+    Other frames test every bracket generically and at each sample, and true
+    module membership is not decided for them.  Both report the label
+    "generic + sampled", which stays until the goldens that pin it are
+    re-captured.
     """
     chart_alg = frame.nca.algebroid
     n = chart_alg.bundle.fiber_rank
@@ -478,13 +556,18 @@ def check_ideal(frame: ChartFrame) -> tuple[bool, dict]:
                 section_bracket(chart_alg, frame.columns[a_idx], frame.columns[b_idx])
             )
     report["pairs_checked"] = len(to_check)
-    fibers = [
-        Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns])
-        for u0 in frame.samples
-    ]
+    fibers = None
     for bracket in to_check:
-        if not frame.echelon.contains(bracket):
+        inside = frame.spans(bracket)
+        if not inside:
             report["generic"] = False
+        elif frame.certificate is not None:
+            continue
+        if fibers is None:
+            fibers = [
+                Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns])
+                for u0 in frame.samples
+            ]
         for fiber, u0 in zip(fibers, frame.samples):
             if not fiber.contains([v.eval(u0) for v in bracket]):
                 report["pointwise"] = False

@@ -8,7 +8,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from nashfol.algebroid import anchor_rank_generic
+from nashfol.algebroid import anchor_rank_generic, bracket_with_basis, section_bracket
+from nashfol.grassmann import Subspace
 from nashfol.linalg import (
     clear_denominators,
     frac_rank,
@@ -143,3 +144,40 @@ def kernel_basis_by_rref(m: Sequence[Sequence[MultiPoly]]) -> list[list[MultiPol
             raise InternalInvariantError("kernel vector fails M*v = 0")
         basis.append(polys)
     return basis
+
+
+def check_ideal_sampled(frame) -> tuple[bool, dict]:
+    """The report ``charts.check_ideal`` gives, with no certificate: every
+    bracket tested against the frame's echelon form over the fraction field
+    and at each of the frame's exceptional samples."""
+    chart_alg = frame.nca.algebroid
+    n = chart_alg.bundle.fiber_rank
+    report = {
+        "label": "generic + sampled",
+        "samples": [[str(c) for c in u0] for u0 in frame.samples],
+        "pairs_checked": 0,
+        "generic": True,
+        "pointwise": True,
+    }
+    to_check = []
+    for kappa in frame.columns:
+        for j in range(n):
+            to_check.append(bracket_with_basis(chart_alg, kappa, j))
+    for a_idx in range(frame.width):
+        for b_idx in range(a_idx + 1, frame.width):
+            to_check.append(
+                section_bracket(chart_alg, frame.columns[a_idx], frame.columns[b_idx])
+            )
+    report["pairs_checked"] = len(to_check)
+    fibers = [
+        Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns])
+        for u0 in frame.samples
+    ]
+    for bracket in to_check:
+        if not frame.echelon.contains(bracket):
+            report["generic"] = False
+        for fiber, u0 in zip(fibers, frame.samples):
+            if not fiber.contains([v.eval(u0) for v in bracket]):
+                report["pointwise"] = False
+    ok = report["generic"] and report["pointwise"]
+    return ok, report

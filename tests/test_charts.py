@@ -18,6 +18,7 @@ from nashfol.charts import (
     ChartFrame,
     ChartMap,
     ChartPullback,
+    FrameCertificate,
     FrameReductionFailedError,
     NotResolvedByChartError,
     check_debord_on_chart,
@@ -41,6 +42,7 @@ from nashfol.poly import (
 )
 from nashfol.scenario import run_scenario
 from checks import frame_rank_at
+from oracles import check_ideal_sampled
 from models import (
     blowup,
     identity_chart,
@@ -313,11 +315,13 @@ def test_check_ideal_fails_only_pointwise():
     ch = blowup(XY, 0)
     nca = on_chart(AlmostLieAlgebroid(bundle, {}), ch)
     frame = ChartFrame(nca, [polys(XY, "y", "0")], exceptional_samples(ch))
+    assert frame.certificate is None
     ok, report = check_ideal(frame)
     assert not ok
     assert report["generic"] is True
     assert report["pointwise"] is False
     assert report["pairs_checked"] == 2
+    assert (ok, report) == check_ideal_sampled(frame)
 
 
 def test_exceptional_samples_are_deterministic():
@@ -433,3 +437,124 @@ def test_chart_frame_is_the_kernel_limit_at_generated_points(name, point, direct
     assume(_chart_arc(frame.nca.pullback.chart, u0, w) is not None)
     _assert_limit_is_frame_span(frame, bundle, u0, w)
 
+
+# ---------------------------------------------------------------------------
+# certified frames: a constant invertible maximal minor decides check_ideal
+# ---------------------------------------------------------------------------
+
+
+def _corpus_frame(name):
+    """The frame of the scenario's chart report, on its bracketed algebroid."""
+    sc = load_corpus_scenario(name)
+    step = next(s for s in sc.steps if s["op"] == "nash-chart-report")
+    algebroid = sc.sources["algebroid"].algebroid
+    assert algebroid is not None
+    return tautological_frame(on_chart(algebroid, sc.charts[step["chart"]]))
+
+
+_CORPUS_FRAMES = {name: _corpus_frame(name) for name in ("gl2", "gl3", "sl2", "so3")}
+# the same frames with zero brackets, whose brackets leave the span
+_UNBRACKETED_FRAMES = {name: _frame_and_bundle(name)[0] for name in _CORPUS_FRAMES}
+_CERTIFIED_ROWS = {"gl2": (2, 3), "gl3": (3, 4, 5, 6, 7, 8), "sl2": (2,), "so3": (0,)}
+
+
+@pytest.mark.parametrize("name", sorted(_CORPUS_FRAMES))
+def test_corpus_frames_are_certified_and_check_ideal_builds_no_subspace(name, monkeypatch):
+    frame = _CORPUS_FRAMES[name]
+    cert = frame.certificate
+    assert cert is not None and cert.rows == _CERTIFIED_ROWS[name]
+    # the certified rows are the identity block of every corpus frame
+    k = frame.width
+    assert cert.inverse == tuple(tuple(Fraction(int(a == b)) for b in range(k)) for a in range(k))
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return Subspace(*args)
+
+    monkeypatch.setattr(charts_module, "Subspace", spy)
+    ok, report = check_ideal(frame)
+    assert built == []
+    assert ok
+    assert (ok, report) == check_ideal_sampled(frame)
+
+
+def test_empty_frame_is_certified():
+    vs = ("x", "y")
+    bundle = AnchoredBundle(vs, [polys(vs, "x"), polys(vs, "y")])
+    frame = tautological_frame(on_chart(AlmostLieAlgebroid(bundle, {}), blowup(vs, 0)))
+    assert frame.width == 0
+    assert frame.certificate == FrameCertificate((), ())
+    ok, report = check_ideal(frame)
+    assert ok and report["pairs_checked"] == 0
+    assert (ok, report) == check_ideal_sampled(frame)
+
+
+def test_certified_frame_reports_a_bracket_outside_its_span():
+    # the repaired frame of the CLI chart report: rows 0 and 2 are constant,
+    # and with zero brackets [kappa, e_j] = -rho(e_j)(kappa) leaves the span
+    vs, uv = ("x", "y"), ("u", "v")
+    bundle = AnchoredBundle(vs, [polys(vs, "x^2", "x", "x"), polys(vs, "x*y", "y", "y")])
+    chart = ChartMap(uv, vs, polys(uv, "u", "u*v"))
+    for seed in (0, 3):
+        frame = tautological_frame(on_chart(AlmostLieAlgebroid(bundle, {}), chart), seed=seed)
+        assert col_strs(frame) == [["-1", "u", "0"], ["0", "-1", "1"]]
+        assert frame.certificate.rows == (0, 2)
+        ok, report = check_ideal(frame)
+        assert not ok and report["generic"] is False
+        assert (ok, report) == check_ideal_sampled(frame)
+
+
+def _unimodular(draw, k):
+    """A product of integer elementary column operations and sign flips."""
+    u = [[int(a == b) for b in range(k)] for a in range(k)]
+    for _ in range(draw(st.integers(0, 3)) if k > 1 else 0):
+        a, b = draw(st.sampled_from([(a, b) for a in range(k) for b in range(k) if a != b]))
+        m = draw(st.integers(-2, 2))
+        for row in u:
+            row[b] += m * row[a]
+    if k:
+        flip = draw(st.integers(0, k - 1))
+        for row in u:
+            row[flip] = -row[flip]
+    return u
+
+
+def _reframed(frame, columns):
+    return ChartFrame(frame.nca, columns, frame.samples)
+
+
+_FRAMES = st.builds(
+    lambda name, bracketed: (_CORPUS_FRAMES if bracketed else _UNBRACKETED_FRAMES)[name],
+    st.sampled_from(sorted(_CORPUS_FRAMES)),
+    st.booleans(),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_FRAMES, st.data())
+def test_check_ideal_matches_the_sampled_oracle_on_mixed_columns(frame, data):
+    k, cols = frame.width, frame.columns
+    u = _unimodular(data.draw, k)
+    zero = MultiPoly.zero(frame.nca.pullback.chart.chart_vars)
+    mixed = [
+        [sum((cols[a][i] * u[a][b] for a in range(k)), zero) for i in range(len(cols[0]))]
+        for b in range(k)
+    ]
+    mixed_frame = _reframed(frame, mixed)
+    assert mixed_frame.certificate is not None
+    assert check_ideal(mixed_frame) == check_ideal_sampled(mixed_frame)
+
+
+_FACTORS = ["{0}", "{0} + 1", "{1} - 2", "{0}*{1} + 3"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(_FRAMES, st.data())
+def test_check_ideal_matches_the_sampled_oracle_on_a_scaled_column(frame, data):
+    chart_vars = frame.nca.pullback.chart.chart_vars
+    factor = parse_poly(data.draw(st.sampled_from(_FACTORS)).format(*chart_vars), chart_vars)
+    j = data.draw(st.integers(0, frame.width - 1))
+    columns = [[p * factor for p in col] if a == j else col for a, col in enumerate(frame.columns)]
+    scaled = _reframed(frame, columns)
+    assert check_ideal(scaled) == check_ideal_sampled(scaled)

@@ -495,6 +495,25 @@ def test_poisson_pullback_cancels_det_j_from_rational_entries(tmp_path, capsys):
     }
 
 
+def test_poisson_pullback_cancels_a_single_factor_of_det_j(tmp_path, capsys):
+    """Through det J = (v + 1)(v + 2) the entry of pi = (y + 1) d/dx ^ d/dy
+    is (v + 1) / ((v + 1)(v + 2)) once det J is cancelled; numerator and
+    denominator live on the v-line only, so their gcd v + 1 goes too."""
+    bivector = {"vars": ["x", "y"], "pi": {"0,1": "y + 1"}}
+    chart = {"chart_vars": ["u", "v"], "phi": ["u*(1 + v)*(2 + v)", "v"]}
+    paths = [tmp_path / "bivector.json", tmp_path / "chart.json"]
+    for path, doc in zip(paths, (bivector, chart)):
+        path.write_text(json.dumps(doc))
+    args = ["poisson-pullback", "--input", str(paths[0]), "--chart", str(paths[1])]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "pullback pole: v + 2\n  pi[0,1] = (1) / (v + 2)\n"
+    assert main(args + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "entries": {"0,1": "(1) / (v + 2)"},
+        "pole": "v + 2",
+    }
+
+
 _SO3_ANCHOR = [["0", "z", "y"], ["z", "0", "-x"], ["-y", "-x", "0"]]
 _SO3_CHART = {"chart_vars": ["x", "y", "z"], "phi": ["x", "x*y", "x*z"], "exceptional": "x"}
 # no anchor rows: the bundle would read fiber rank 0 whatever "rank" says
