@@ -206,7 +206,7 @@ def _cancel_factor(e: RatFunc, factor: MultiPoly) -> RatFunc:
         num, den = q
     used = {num.vars[v] for p in (num, den) for exps in p.terms for v, x in enumerate(exps) if x}
     if len(used) == 1:
-        # both live on one coordinate line, where Euclid finds the whole gcd
+        # both live on one coordinate line, where the univariate gcd is the whole gcd
         (name,) = used
         line = [
             MultiPoly.variable((name,), name) if v == name else MultiPoly.zero((name,))
@@ -635,7 +635,8 @@ def check_debord_on_chart(frame: ChartFrame) -> tuple[bool, dict]:
     source = frame.nca.pullback.bundle
     n = source.fiber_rank
     quotient_rank = n - frame.width
-    frame_rank = len(frame.echelon.pivot_cols)
+    # a certificate's rows I have det F_I a nonzero constant, so the rank is k
+    frame_rank = frame.width if frame.certificate is not None else len(frame.echelon.pivot_cols)
     certificate = {
         "ambient_rank": n,
         "quotient_rank": quotient_rank,

@@ -1,4 +1,4 @@
-"""Fraction-free linear algebra over polynomial rings.
+"""Integer rows, then fraction-free linear algebra over polynomial rings.
 
 Matrices are plain lists of lists.  Entries are MultiPoly over a shared
 variable tuple; generic-rank questions are answered over the fraction field
@@ -17,11 +17,13 @@ multiplication count does not exceed the bound count * size^3 on one
 elimination per minor; a shape whose table would be larger (a k-by-n basis
 with k close to n) takes one `det` per minor instead.
 
-Kernels over Q(t), in one variable, are fraction-free too: each basis vector
-is back-substituted from the Bareiss echelon form and divided by the gcd of
-its entries, so it is primitive over Q[t].  In several variables the kernel
-is read off the reduced echelon form over the fraction field and only its
-denominators, common monomial factor and rational content are cleared.
+Kernels over Q(t), in one variable, take integer rows, then are fraction-free
+too: each row is scaled by the lcm of its coefficients' denominators, so the
+elimination runs over Z[t], and each basis vector is back-substituted from the
+Bareiss echelon form and divided by the gcd of its entries, so it is primitive
+over Q[t].  In several variables the kernel is read off the reduced echelon
+form over the fraction field and only its denominators, common monomial
+factor and rational content are cleared.
 """
 
 from __future__ import annotations
@@ -35,7 +37,9 @@ from .poly import (
     InternalInvariantError,
     MultiPoly,
     RatFunc,
+    _coeff,
     _div,
+    _result,
     exact_div,
     exact_quotients,
     poly_gcd_univariate,
@@ -90,7 +94,7 @@ def integer_row(values: Sequence[Fraction]) -> list[int]:
     cleared by their lcm, then divided by the gcd.  The sign is kept, and a
     zero (or empty) vector stays as it is."""
     scale = math.lcm(*(c.denominator for c in values))
-    ints = [int(c * scale) for c in values]
+    ints = [c.numerator * (scale // c.denominator) for c in values]
     g = math.gcd(*ints) or 1
     return [c // g for c in ints]
 
@@ -285,9 +289,8 @@ def _strip_rational_content(polys: PolyVector) -> PolyVector:
     """Divide a nonzero vector by the positive rational content of all its
     coefficients together."""
     coeffs = [c for p in polys for c in p.terms.values()]
-    content = Fraction(
-        math.gcd(*(c.numerator for c in coeffs)), math.lcm(*(c.denominator for c in coeffs))
-    )
+    num = math.gcd(*(c.numerator for c in coeffs))
+    content = _coeff(Fraction(num, math.lcm(*(c.denominator for c in coeffs))))
     if content == 1:
         return polys
     vs = polys[0].vars
@@ -361,14 +364,27 @@ def _primitive_kernel_vector(
     return _strip_rational_content(w)
 
 
+def _integer_poly_row(row: Sequence[MultiPoly]) -> PolyVector:
+    """The row times the lcm of its coefficients' denominators: every
+    coefficient becomes an int, and the kernel over Q(t) is unchanged."""
+    scale = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
+    if scale == 1:
+        return list(row)
+    return [
+        _result(p.vars, {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()})
+        for p in row
+    ]
+
+
 def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:
     """Basis of the right kernel over the fraction field.
 
     One vector per free column, in ascending column order, whose entry at
     its free column has positive leading coefficient.  In one variable each
-    vector is primitive over Q[t]: it is back-substituted from the
-    fraction-free echelon form and divided by the gcd of its entries, with
-    no rational-function arithmetic.  In several variables it comes from
+    vector is primitive over Q[t]: each row is first scaled to integer
+    coefficients, and the vector is back-substituted from the fraction-free
+    echelon form over Z[t] and divided by the gcd of its entries, with no
+    rational-function arithmetic.  In several variables it comes from
     `rref` and `clear_denominators`, which clear denominators, the common
     monomial factor and the rational content, but not every common factor.
     """
@@ -377,7 +393,7 @@ def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:
     ncols = len(m[0])
     vs = m[0][0].vars
     if len(vs) == 1:
-        rows, pivots, _ = _bareiss(m)
+        rows, pivots, _ = _bareiss([_integer_poly_row(row) for row in m])
         free = [c for c in range(ncols) if c not in pivots]
         vectors = [_primitive_kernel_vector(rows, pivots, f) for f in free]
     else:

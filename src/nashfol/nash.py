@@ -106,10 +106,10 @@ def kernel_curve(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPol
 def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
     """The t -> 0 limit of the span of polynomial-in-t basis vectors.
 
-    Computed in Pluecker coordinates: take maximal minors over Q[t], strip
-    the common power of t, evaluate at 0, reconstruct.  The reconstruction
-    is round-trip verified, and the returned subspace keeps the Pluecker
-    vector that check computed.
+    Computed in Pluecker coordinates: take maximal minors over Q[t], find
+    the least power t^v they carry, read each minor's t^v coefficient,
+    reconstruct.  The reconstruction is round-trip verified, and the
+    returned subspace keeps the Pluecker vector that check computed.
     """
     k = len(basis_over_t)
     if k == 0:
@@ -125,10 +125,7 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
         valuation = v if valuation is None else min(valuation, v)
     if valuation is None:
         raise ValueError("basis is degenerate over Q(t)")
-    shifted = [
-        p.shift_down((valuation,)) if not p.is_zero() else p for p in coords
-    ]
-    at_zero = [p.eval([Fraction(0)]) for p in shifted]
+    at_zero = [p.terms.get((valuation,), 0) for p in coords]
     return unpluecker(PlueckerVector(n, k, at_zero))
 
 

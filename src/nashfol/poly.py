@@ -360,7 +360,7 @@ class MultiPoly:
         return c
 
     def primitive(self) -> "MultiPoly":
-        c = self.content()
+        c = _coeff(self.content())
         if c == 1:
             return self
         return MultiPoly(self.vars, {e: _div(v, c) for e, v in self.terms.items()})
@@ -416,7 +416,8 @@ class MultiPoly:
 
 
 def _divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """Quotient and remainder of p by q, the only polynomial division loop.
+    """Quotient and remainder of p by q, the division loop of every exact
+    quotient and divisibility test.
 
     Cancels the graded-lex leading term while q's leading monomial divides it
     and stops at the first one it does not divide.  The remainder is zero
@@ -472,12 +473,32 @@ def exact_quotients(polys: Iterable[MultiPoly], q: MultiPoly) -> list[MultiPoly]
 
 
 def poly_gcd_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Primitive gcd of two univariate polynomials (Euclid over Q)."""
+    """Primitive gcd of two univariate polynomials (primitive PRS over Z).
+
+    Both inputs are made primitive; each pseudo-remainder is the remainder of
+    an integer multiple, with the gcd of its integer coefficients divided
+    out, so the loop builds no Fraction.
+    """
     if len(a.vars) != 1 or a.vars != b.vars:
         raise ArityMismatchError("univariate gcd needs matching single variables")
-    while not b.is_zero():
-        a, b = b, _divmod(a, b)[1]
-    return a.primitive()
+    if not a or not b:
+        return (a or b).primitive()
+    f, g = a.primitive().terms, b.primitive().terms
+    while g:
+        (dg,) = top = max(g)
+        lg, r = g[top], dict(f)
+        while r and (dr := max(r)[0]) >= dg:
+            lr = r[(dr,)]
+            r = {e: lg * c for e, c in r.items()}
+            for (e,), c in g.items():
+                k = (e + dr - dg,)
+                if s := r.get(k, 0) - lr * c:
+                    r[k] = s
+                else:
+                    del r[k]
+        content = math.gcd(*r.values())
+        f, g = g, {e: c // content for e, c in r.items()}
+    return _result(a.vars, dict(f)).primitive()
 
 
 class RatFunc:

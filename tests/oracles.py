@@ -20,7 +20,7 @@ from nashfol.linalg import (
     rref,
 )
 from nashfol.nash import CURVE_VAR, CurveInSingularLocusError
-from nashfol.poly import InternalInvariantError, MultiPoly, RatFunc
+from nashfol.poly import ArityMismatchError, InternalInvariantError, MultiPoly, RatFunc, _divmod
 
 
 def frac_solve(
@@ -181,3 +181,12 @@ def check_ideal_sampled(frame) -> tuple[bool, dict]:
                 report["pointwise"] = False
     ok = report["generic"] and report["pointwise"]
     return ok, report
+
+
+def gcd_by_euclid(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """Primitive gcd of two univariate polynomials by Euclid over Q."""
+    if len(a.vars) != 1 or a.vars != b.vars:
+        raise ArityMismatchError("univariate gcd needs matching single variables")
+    while not b.is_zero():
+        a, b = b, _divmod(a, b)[1]
+    return a.primitive()

@@ -505,6 +505,26 @@ def test_certified_frame_reports_a_bracket_outside_its_span():
         assert (ok, report) == check_ideal_sampled(frame)
 
 
+@pytest.mark.parametrize("name", sorted(_CORPUS_FRAMES))
+def test_debord_rank_comes_from_the_certificate_else_the_echelon(name, monkeypatch):
+    frame = _CORPUS_FRAMES[name]
+    chart_vars = frame.nca.pullback.chart.chart_vars
+    # a column and a non-constant multiple of it: no certificate, rank 1
+    factor = MultiPoly.variable(chart_vars, chart_vars[0]) + 1
+    col = frame.columns[0]
+    dependent = _reframed(frame, [col, [p * factor for p in col]])
+    assert dependent.certificate is None
+    ok, cert = check_debord_on_chart(dependent)
+    assert not ok and cert["frame_rank"] == 1
+    # a certified frame's rank is its width, which its echelon form confirms
+    want = check_debord_on_chart(_reframed(frame, frame.columns))
+    assert want[1]["frame_rank"] == frame.width == len(frame.echelon.pivot_cols)
+    built = []
+    monkeypatch.setattr(charts_module, "RowEchelon", lambda *args: built.append(args))
+    assert check_debord_on_chart(_reframed(frame, frame.columns)) == want
+    assert built == []
+
+
 def _unimodular(draw, k):
     """A product of integer elementary column operations and sign flips."""
     u = [[int(a == b) for b in range(k)] for a in range(k)]

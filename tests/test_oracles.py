@@ -148,10 +148,12 @@ def _kernel_curve_verdicts(bundle, ray):
     return outcomes[0]
 
 
-# Rays through small points; a zero direction is a constant arc and a zero
-# component keeps the arc inside a coordinate hyperplane.
-_RAYS = st.tuples(st.tuples(st.integers(0, 1), _UNIT), st.tuples(_UNIT, _UNIT)).map(
-    lambda pd: CurveGerm.ray([Fraction(c) for c in pd[0]], [Fraction(c) for c in pd[1]])
+# Rays through small points with directions of denominator 1, 2 or 3, as the
+# default arcs have; a zero direction is a constant arc and a zero component
+# keeps the arc inside a coordinate hyperplane.
+_SLOPE = st.builds(Fraction, _UNIT, st.sampled_from([1, 2, 3]))
+_RAYS = st.tuples(st.tuples(st.integers(0, 1), _UNIT), st.tuples(_SLOPE, _SLOPE)).map(
+    lambda pd: CurveGerm.ray([Fraction(c) for c in pd[0]], list(pd[1]))
 )
 
 

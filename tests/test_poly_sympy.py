@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nashfol.linalg import clear_denominators, det, kernel_basis, rank
@@ -28,6 +28,8 @@ from nashfol.poly import (
     parse_poly,
     poly_gcd_univariate,
 )
+
+from oracles import gcd_by_euclid
 
 sympy = pytest.importorskip("sympy")
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -108,6 +110,27 @@ def test_univariate_gcd_matches_sympy_up_to_a_rational_factor(g, f1, f2):
         assert ours.is_zero
     else:
         assert ours.monic() == theirs.monic()
+
+
+_ZERO_T = MultiPoly.zero(T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(_polys(T, 3, 3), _polys(T, 0, 1)),
+    st.one_of(_polys(T, 3, 3), _polys(T, 0, 1)),
+    _polys(T, 3, 3),
+)
+@example(_ZERO_T, _ZERO_T, _ZERO_T)
+@example(MultiPoly(T, {(0,): Fraction(-2, 3)}), _ZERO_T, MultiPoly(T, {(2,): 2, (0,): -4}))
+def test_univariate_gcd_is_the_euclid_gcd(f1, f2, g):
+    """The primitive PRS returns exactly Euclid's primitive gcd over Q, with
+    Fraction coefficients, a shared factor g, constants and zero inputs."""
+    for a, b in [(g * f1, g * f2), (f1, f2), (g * f1, _ZERO_T), (_ZERO_T, f2), (-f1, g)]:
+        got = poly_gcd_univariate(a, b)
+        _assert_form(got)
+        assert got == gcd_by_euclid(a, b)
+        assert str(got) == str(gcd_by_euclid(b, a))
 
 
 # Matrices up to 4x4 over Q[x,y] with entries of total degree at most 2.  A
