@@ -31,8 +31,10 @@ from .algebroid import (
 from .grassmann import Subspace
 from .linalg import (
     RowEchelon,
+    _bareiss,
+    _integer_poly_row,
+    _primitive_kernel_vector,
     adjugate,
-    clear_denominators,
     det,
     frac_kernel,
     frac_rank,
@@ -41,7 +43,7 @@ from .linalg import (
     kernel_basis,
     poly_mat_mul,
     poly_mat_vec,
-    rref,
+    primitive_part,
     solve,
 )
 from .nash import _seeded_rng
@@ -52,8 +54,8 @@ from .poly import (
     MultiPoly,
     RatFunc,
     divides,
-    exact_quotients,
-    poly_gcd_univariate,
+    exact_div,
+    poly_gcd,
 )
 
 Point = Sequence[Fraction]
@@ -157,18 +159,10 @@ class PulledBackField:
 
 
 def _den_lcm(dens: Sequence[MultiPoly]) -> MultiPoly:
-    """Least common denominator under a divisibility fold.
-
-    Exact when the denominators share a divisibility chain (the case for
-    blow-up charts, where every denominator is a power of the exceptional
-    polynomial); otherwise the product is a safe common denominator.
-    """
+    """Least common denominator, primitive: the fold of a * b / gcd(a, b)."""
     acc = dens[0]
     for d in dens[1:]:
-        if divides(acc, d):
-            acc = d
-        elif not divides(d, acc):
-            acc = acc * d
+        acc = exact_div(acc * d, poly_gcd(acc, d))
     return acc.primitive()
 
 
@@ -176,8 +170,8 @@ def pullback_vector_field(chart: ChartMap, field: Sequence[MultiPoly]) -> Pulled
     """Solve (Jacobian of phi) * Y = X o phi over the fraction field.
 
     By construction the result is phi-related to X; the defining identity is
-    re-checked symbolically before returning.  Polynomial components are
-    kept reduced: a multivariate RatFunc cancels only monomial factors.
+    re-checked symbolically before returning.  Each component is in lowest
+    terms, so a polynomial one has denominator 1.
     """
     rhs = [chart.compose(p) for p in field]
     comps = solve(chart.jac, rhs)
@@ -187,36 +181,10 @@ def pullback_vector_field(chart: ChartMap, field: Sequence[MultiPoly]) -> Pulled
             acc = acc + comps[j] * chart.jac[i][j]
         if acc != rhs[i]:
             raise InternalInvariantError("pullback does not satisfy its defining equation")
-    poly_flags = [c.is_polynomial() for c in comps]
-    comps = [RatFunc(c.as_poly()) if f else c for c, f in zip(comps, poly_flags)]
-    if all(poly_flags):
+    dens = [c.den for c in comps if not c.is_polynomial()]
+    if not dens:
         return PulledBackField(tuple(comps), True, None)
-    dens = [c.den for c, f in zip(comps, poly_flags) if not f]
     return PulledBackField(tuple(comps), False, _den_lcm(dens))
-
-
-def _cancel_factor(e: RatFunc, factor: MultiPoly) -> RatFunc:
-    """e reduced to a polynomial when it is one, and otherwise with its
-    numerator and denominator divided by ``factor`` while it divides both,
-    then by their gcd when both involve one and the same variable only."""
-    if e.is_polynomial():
-        return RatFunc(e.as_poly())
-    num, den = e.num, e.den
-    while factor.total_degree() > 0 and (q := exact_quotients([num, den], factor)) is not None:
-        num, den = q
-    used = {num.vars[v] for p in (num, den) for exps in p.terms for v, x in enumerate(exps) if x}
-    if len(used) == 1:
-        # both live on one coordinate line, where the univariate gcd is the whole gcd
-        (name,) = used
-        line = [
-            MultiPoly.variable((name,), name) if v == name else MultiPoly.zero((name,))
-            for v in num.vars
-        ]
-        g = poly_gcd_univariate(num.subst((name,), line), den.subst((name,), line))
-        if g.total_degree() > 0:
-            g = g.subst(num.vars, [MultiPoly.variable(num.vars, name)])
-            num, den = exact_quotients([num, den], g)
-    return RatFunc(num, den)
 
 
 def pullback_bivector(
@@ -227,10 +195,8 @@ def pullback_bivector(
 
     Returns the rational chart bivector and its pole: the least common
     denominator of the entries, or None when all of them are polynomial.
-    Polynomial entries are kept reduced, as in `pullback_vector_field`.  A
-    multivariate RatFunc cancels only monomial factors, so every other entry
-    has its numerator and denominator divided by det(J)'s non-monomial part
-    while that divides both.
+    Each entry is in lowest terms, so the pole carries only the factors of
+    det(J) that some entry keeps.
     """
     if pi.vars != chart.target_vars:
         raise ArityMismatchError(f"bivector over {pi.vars}, expected {chart.target_vars}")
@@ -241,8 +207,7 @@ def pullback_bivector(
     det_sq = chart.jac_det * chart.jac_det
     if any(congruent[i][j] + congruent[j][i] for i in range(d) for j in range(d)):
         raise InternalInvariantError("pullback lost skew-symmetry")
-    factor = chart.jac_det.shift_down(chart.jac_det.monomial_content())
-    out = [[_cancel_factor(RatFunc(entry, det_sq), factor) for entry in row] for row in congruent]
+    out = [[RatFunc(entry, det_sq) for entry in row] for row in congruent]
     dens = [
         out[i][j].den
         for i in range(d)
@@ -497,7 +462,6 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
     if n - k != anchor_rank_generic(nca.pullback.bundle):
         raise ValueError("chart does not resolve: substituted anchor dropped rank")
     samples = exceptional_samples(chart, seed=seed)
-    e_poly = chart.exceptional_poly()
     for _ in range(4 * n + 1):
         for u0 in samples:
             m = [[col[i].eval(u0) for col in cols] for i in range(n)]
@@ -512,9 +476,7 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
         combo = [MultiPoly.zero(chart.chart_vars) for _ in range(n)]
         for idx in involved:
             combo = [acc + cols[idx][i] * ints[idx] for i, acc in enumerate(combo)]
-        while (quotients := exact_quotients(combo, e_poly)) is not None:
-            combo = quotients
-        combo = clear_denominators([RatFunc(p) for p in combo])
+        combo = primitive_part(combo)
         same = combo == cols[leader] or combo == [-p for p in cols[leader]]
         if same:
             raise FrameReductionFailedError([u0])
@@ -602,17 +564,18 @@ def debord_generators(pullback: ChartPullback) -> list[Relation]:
         rest = [j for j in range(n) if j not in subset]
         order = list(subset) + rest
         # the subset is independent iff its columns are the first r pivots;
-        # rref column r+i then holds the coefficients of rest[i] over it
-        rows, pivots = rref([[row[j] for j in order] for row in anchor])
+        # the Cramer vector w of free column f = r+i then gives rest[i] as
+        # the sum over c < r of -w[c] / w[f] times column c
+        rows, pivots, _ = _bareiss([_integer_poly_row([row[j] for j in order]) for row in anchor])
         if pivots[:r] != list(range(r)):
             continue
         if len(pivots) > r:
             raise InternalInvariantError("maximal independent subset failed to span")
-        coefficients = [tuple(row[r + i] for row in rows) for i in range(len(rest))]
-        relations = [
-            Relation(j, subset, coeffs, all(c.is_polynomial() for c in coeffs))
-            for j, coeffs in zip(rest, coefficients)
-        ]
+        relations = []
+        for f, j in enumerate(rest, start=r):
+            w = _primitive_kernel_vector(rows, pivots, f)
+            coeffs = tuple(RatFunc(-w[c], w[f]) for c in range(r))
+            relations.append(Relation(j, subset, coeffs, all(c.is_polynomial() for c in coeffs)))
         if fallback is None:
             fallback = relations
         if all(rel.polynomial for rel in relations):

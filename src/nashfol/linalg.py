@@ -17,13 +17,11 @@ multiplication count does not exceed the bound count * size^3 on one
 elimination per minor; a shape whose table would be larger (a k-by-n basis
 with k close to n) takes one `det` per minor instead.
 
-Kernels over Q(t), in one variable, take integer rows, then are fraction-free
-too: each row is scaled by the lcm of its coefficients' denominators, so the
-elimination runs over Z[t], and each basis vector is back-substituted from the
-Bareiss echelon form and divided by the gcd of its entries, so it is primitive
-over Q[t].  In several variables the kernel is read off the reduced echelon
-form over the fraction field and only its denominators, common monomial
-factor and rational content are cleared.
+Kernels take integer rows, then are fraction-free too, in every arity: each
+row is scaled by the lcm of its coefficients' denominators, so the elimination
+runs over the integers, and each basis vector is back-substituted from the
+Bareiss echelon form and divided by the gcd of its entries (`poly_gcd`), so it
+is primitive over the polynomial ring.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .poly import (
     _result,
     exact_div,
     exact_quotients,
-    poly_gcd_univariate,
+    poly_gcd,
 )
 
 PolyMatrix = list[list[MultiPoly]]
@@ -262,87 +260,33 @@ def minors(m: Sequence[Sequence[MultiPoly]], size: int) -> list[MultiPoly]:
     return out
 
 
-def rref(m: Sequence[Sequence[MultiPoly]]):
-    """Reduced echelon form over the fraction field.
-
-    Returns (rows, pivot_cols) where rows are RatFunc with unit pivots and
-    zeros above and below each pivot; zero rows are dropped.
-    """
-    ech, pivots, _ = _bareiss(m)
-    rat_rows = [[RatFunc(entry) for entry in ech[a]] for a in range(len(pivots))]
-    for a, c in enumerate(pivots):
-        inv = rat_rows[a][c]
-        rat_rows[a] = [entry / inv for entry in rat_rows[a]]
-    for a in range(len(pivots) - 1, -1, -1):
-        c = pivots[a]
-        for b in range(a):
-            factor = rat_rows[b][c]
-            if factor.is_zero():
-                continue
-            rat_rows[b] = [
-                rb - factor * ra for rb, ra in zip(rat_rows[b], rat_rows[a])
-            ]
-    return rat_rows, pivots
-
-
-def _strip_rational_content(polys: PolyVector) -> PolyVector:
-    """Divide a nonzero vector by the positive rational content of all its
-    coefficients together."""
+def primitive_part(polys: PolyVector) -> PolyVector:
+    """A nonzero vector divided by the gcd of its entries and by the
+    positive rational content of all its coefficients together."""
+    g = MultiPoly.zero(polys[0].vars)
+    for p in polys:
+        if p:
+            g = poly_gcd(g, p)
+    if not g.is_constant():
+        polys = exact_quotients(polys, g)
     coeffs = [c for p in polys for c in p.terms.values()]
     num = math.gcd(*(c.numerator for c in coeffs))
     content = _coeff(Fraction(num, math.lcm(*(c.denominator for c in coeffs))))
     if content == 1:
         return polys
-    vs = polys[0].vars
-    return [MultiPoly(vs, {e: _div(v, content) for e, v in p.terms.items()}) for p in polys]
-
-
-def clear_denominators(entries: Sequence[RatFunc]) -> PolyVector:
-    """Scale a rational vector to a polynomial vector.
-
-    Multiplies each entry's numerator by the product of the distinct
-    denominators, exactly divided by its own, strips any denominator that
-    still divides every entry, then removes the common monomial factor and
-    the rational content.  Another common factor of the entries, which only
-    several variables leave behind, is kept.
-    """
-    vs = entries[0].vars
-    dens: list[MultiPoly] = []
-    for e in entries:
-        d = e.den
-        if not d.is_constant() and d not in dens:
-            dens.append(d)
-    scale = MultiPoly.constant(vs, 1)
-    for d in dens:
-        scale = scale * d
-    polys = [e.num * (scale if e.den.is_constant() else exact_div(scale, e.den)) for e in entries]
-    for d in dens:
-        while d.total_degree() > 0 and any(polys):
-            if (quotients := exact_quotients(polys, d)) is None:
-                break
-            polys = quotients
-    live = [p for p in polys if not p.is_zero()]
-    if not live:
-        return polys
-    mono = live[0].monomial_content()
-    for p in live[1:]:
-        mono = tuple(map(min, mono, p.monomial_content()))
-    if any(mono):
-        polys = [p.shift_down(mono) if p else p for p in polys]
-    return _strip_rational_content(polys)
+    return [MultiPoly(g.vars, {e: _div(v, content) for e, v in p.terms.items()}) for p in polys]
 
 
 def _primitive_kernel_vector(
     rows: Sequence[Sequence[MultiPoly]], pivots: Sequence[int], f: int
 ) -> PolyVector:
-    """The kernel vector of free column f over Q[t], from a fraction-free
-    echelon form, made primitive.
+    """The kernel vector of free column f, from a fraction-free echelon form,
+    made primitive.
 
     w_f is the last pivot D, the r-by-r pivot minor, and each pivot entry is
     back-substituted as w_c = -(sum_{j > c} E[a][j] w_j) / E[a][c].  That is
     the Cramer vector, whose entries are r-by-r minors, so every division is
-    exact.  w is then divided by the gcd of its entries and by its positive
-    rational content.
+    exact; the other free columns are zero.  w is then its `primitive_part`.
     """
     ncols = len(rows[0])
     zero = MultiPoly.zero(rows[0][0].vars)
@@ -355,18 +299,13 @@ def _primitive_kernel_vector(
             if row[j] and w[j]:
                 acc = acc + row[j] * w[j]
         w[c] = exact_div(-acc, row[c]) if acc else zero
-    g = zero
-    for p in w:
-        if p:
-            g = poly_gcd_univariate(g, p)
-    if g.total_degree() > 0:
-        w = exact_quotients(w, g)
-    return _strip_rational_content(w)
+    return primitive_part(w)
 
 
 def _integer_poly_row(row: Sequence[MultiPoly]) -> PolyVector:
     """The row times the lcm of its coefficients' denominators: every
-    coefficient becomes an int, and the kernel over Q(t) is unchanged."""
+    coefficient becomes an int, and the kernel over the fraction field is
+    unchanged."""
     scale = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
     if scale == 1:
         return list(row)
@@ -380,40 +319,22 @@ def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:
     """Basis of the right kernel over the fraction field.
 
     One vector per free column, in ascending column order, whose entry at
-    its free column has positive leading coefficient.  In one variable each
-    vector is primitive over Q[t]: each row is first scaled to integer
-    coefficients, and the vector is back-substituted from the fraction-free
-    echelon form over Z[t] and divided by the gcd of its entries, with no
-    rational-function arithmetic.  In several variables it comes from
-    `rref` and `clear_denominators`, which clear denominators, the common
-    monomial factor and the rational content, but not every common factor.
+    its free column has positive leading coefficient, and primitive over
+    the polynomial ring: each row is first scaled to integer coefficients,
+    and the vector is back-substituted from the fraction-free echelon form
+    (`_primitive_kernel_vector`), with no rational-function arithmetic.
     """
     if not m or not m[0]:
         raise ValueError("kernel of an empty matrix")
-    ncols = len(m[0])
-    vs = m[0][0].vars
-    if len(vs) == 1:
-        rows, pivots, _ = _bareiss([_integer_poly_row(row) for row in m])
-        free = [c for c in range(ncols) if c not in pivots]
-        vectors = [_primitive_kernel_vector(rows, pivots, f) for f in free]
-    else:
-        rat_rows, pivots = rref(m)
-        free = [c for c in range(ncols) if c not in pivots]
-        one = RatFunc(MultiPoly.constant(vs, 1))
-        zero = RatFunc(MultiPoly.zero(vs))
-        vectors = []
-        for f in free:
-            vec = [zero] * ncols
-            vec[f] = one
-            for a, c in enumerate(pivots):
-                vec[c] = -rat_rows[a][f]
-            vectors.append(clear_denominators(vec))
+    rows, pivots, _ = _bareiss([_integer_poly_row(row) for row in m])
     basis = []
-    for f, polys in zip(free, vectors):
+    for f in range(len(m[0])):
+        if f in pivots:
+            continue
+        polys = _primitive_kernel_vector(rows, pivots, f)
         if polys[f].leading()[1] < 0:
             polys = [-p for p in polys]
-        residual = poly_mat_vec(m, polys)
-        if any(residual):
+        if any(poly_mat_vec(m, polys)):
             raise InternalInvariantError("kernel vector fails M*v = 0")
         basis.append(polys)
     return basis

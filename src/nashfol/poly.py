@@ -12,11 +12,10 @@ the exponent vector, earlier variables weighing more), and printing/
 serialization lists terms in descending graded-lex order, so equal polynomials
 always print identically.
 
-Rational functions are reduced only by rational content and a common monomial
-factor (plus a full gcd in the univariate case); in several variables two
-equal fractions may therefore carry different representations, and equality is
-decided by cross-multiplication.  Canonical-form equality for subspaces and
-report payloads never relies on rational-function normal forms.
+Rational functions are kept in lowest terms: numerator and denominator are
+divided by their gcd (`poly_gcd`, exact in every arity) and the denominator by
+its rational content, so equal fractions have one representation and equality
+is structural.
 """
 
 from __future__ import annotations
@@ -187,12 +186,6 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
-
-    def total_degree(self) -> int:
-        """Total degree; the zero polynomial reports -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def sorted_terms(self) -> list[tuple[Exponents, Scalar]]:
         """Terms in descending graded-lex order (the canonical listing)."""
@@ -472,43 +465,153 @@ def exact_quotients(polys: Iterable[MultiPoly], q: MultiPoly) -> list[MultiPoly]
     return out
 
 
-def poly_gcd_univariate(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    """Primitive gcd of two univariate polynomials (primitive PRS over Z).
+def _primitive_prs(f: dict, g: dict, primitive) -> dict:
+    """The last nonzero remainder of the primitive polynomial remainder
+    sequence of f and g (W. S. Brown, J. ACM 18, 1971).
 
-    Both inputs are made primitive; each pseudo-remainder is the remainder of
-    an integer multiple, with the gcd of its integer coefficients divided
-    out, so the loop builds no Fraction.
+    f and g map degrees to nonzero coefficients, ints or polynomials.  Each
+    pseudo-remainder is the remainder of lc(g)-multiples of f, and
+    ``primitive`` divides it by its content.
     """
-    if len(a.vars) != 1 or a.vars != b.vars:
-        raise ArityMismatchError("univariate gcd needs matching single variables")
-    if not a or not b:
-        return (a or b).primitive()
-    f, g = a.primitive().terms, b.primitive().terms
     while g:
-        (dg,) = top = max(g)
-        lg, r = g[top], dict(f)
-        while r and (dr := max(r)[0]) >= dg:
-            lr = r[(dr,)]
-            r = {e: lg * c for e, c in r.items()}
-            for (e,), c in g.items():
-                k = (e + dr - dg,)
-                if s := r.get(k, 0) - lr * c:
+        dg = max(g)
+        lg, r = g[dg], dict(f)
+        while r and (dr := max(r)) >= dg:
+            lr = r[dr]
+            r = {d: lg * c for d, c in r.items()}
+            for d, c in g.items():
+                k = d + dr - dg
+                s = r[k] - lr * c if k in r else -(lr * c)
+                if s:
                     r[k] = s
                 else:
                     del r[k]
-        content = math.gcd(*r.values())
-        f, g = g, {e: c // content for e, c in r.items()}
-    return _result(a.vars, dict(f)).primitive()
+        f, g = g, primitive(r) if r else {}
+    return f
+
+
+def _integer_primitive(r: dict) -> dict:
+    """An integer coefficient dict divided by the gcd of its coefficients."""
+    content = math.gcd(*r.values())
+    return {d: c // content for d, c in r.items()}
+
+
+# Evaluation points the heuristic gcd tries before the exact fallback.
+GCDHEU_TRIES = 6
+
+
+def _heuristic_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly | None:
+    """GCDHEU (Char, Geddes and Gonnet, J. Symb. Comput. 7, 1989): the gcd
+    of two primitive integer polynomials in two or more variables, or None
+    when none of GCDHEU_TRIES evaluation points gives it.
+
+    The last variable is set to an integer xi > 2N + 2, N the smaller of
+    the max norms |a| and |b|.  The gcd gamma of the two images over Z[the
+    others] is `poly_gcd` times their integer contents' gcd, and h is
+    rebuilt from gamma's symmetric xi-adic digits, so h(xi) = gamma and h's
+    content c, which divides every digit, is at most xi / 2.  pp(h) is
+    accepted when it divides a and b.  Then the true gcd is pp(h) * q with
+    q(xi) dividing c, and q is a unit: the coefficients, in the other
+    variables, of whichever of a and b has norm N are polynomials in the
+    last variable with roots of modulus at most N + 1, so a nonconstant q
+    would have a leading coefficient vanishing at xi, or |q(xi)| >=
+    xi - N - 1 > xi / 2.
+    """
+    inner = a.vars[:-1]
+    norm = min(max(map(abs, a.terms.values())), max(map(abs, b.terms.values())))
+    # + 29, not + 3: on small inputs a small xi makes the cofactors' values
+    # share integer factors, and h's digits overflow, more often
+    xi = 2 * norm + 29
+    for _ in range(GCDHEU_TRIES):
+        images = []
+        for p in (a, b):
+            image: dict[Exponents, int] = {}
+            for e, c in p.terms.items():
+                image[e[:-1]] = image.get(e[:-1], 0) + c * xi ** e[-1]
+            images.append(_result(inner, {e: c for e, c in image.items() if c}))
+        contents = [math.gcd(*p.terms.values()) for p in images]
+        gamma = poly_gcd(*images) * math.gcd(*contents)
+        digits: dict[Exponents, int] = {}
+        power, rest = 0, gamma.terms
+        while rest:
+            carry = {}
+            for e, c in rest.items():
+                d = c % xi
+                if d > xi // 2:
+                    d -= xi
+                if d:
+                    digits[e + (power,)] = d
+                if q := (c - d) // xi:
+                    carry[e] = q
+            power, rest = power + 1, carry
+        h = _result(a.vars, digits).primitive()
+        if divides(h, a) and divides(h, b):
+            return h
+        xi = xi * 73794 // 27011  # about 1 + sqrt(3) times larger
+    return None
+
+
+def _recursive_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The primitive gcd of two nonzero polynomials in two or more variables
+    by the primitive PRS over Z[others][last variable], each content a
+    `poly_gcd` over Z[others]: exact, and the fallback of `_heuristic_gcd`,
+    since its pseudo-remainders can swell."""
+    inner = a.vars[:-1]
+
+    def split(p: MultiPoly) -> dict:
+        parts: dict[int, dict[Exponents, Scalar]] = {}
+        for e, c in p.terms.items():
+            parts.setdefault(e[-1], {})[e[:-1]] = c
+        return {d: _result(inner, t) for d, t in parts.items()}
+
+    def content(f: dict) -> MultiPoly:
+        g = MultiPoly.zero(inner)
+        for c in f.values():
+            g = poly_gcd(g, c)
+        return g
+
+    def primitive(f: dict) -> dict:
+        return dict(zip(f, exact_quotients(f.values(), content(f))))
+
+    f, g = split(a), split(b)
+    common = poly_gcd(content(f), content(g))
+    last = _primitive_prs(primitive(f), primitive(g), primitive)
+    terms = {e + (d,): v for d, c in last.items() for e, v in (c * common).terms.items()}
+    return _result(a.vars, terms).primitive()
+
+
+def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The gcd of two polynomials, primitive: coprime integer coefficients
+    and a positive leading coefficient.  It is zero only for two zeros.
+
+    A monomial's gcd with any polynomial is their common monomial factor.
+    Otherwise one variable takes the primitive PRS over Z, and several take
+    the heuristic gcd over Z, then the recursive PRS if the heuristic finds
+    nothing.
+    """
+    a._check_same_ring(b)
+    if not a or not b:
+        return (a or b).primitive()
+    for p, q in ((a, b), (b, a)):
+        if len(p.terms) == 1:
+            (e,) = p.terms
+            return _result(a.vars, {tuple(map(min, e, q.monomial_content())): 1})
+    a, b = a.primitive(), b.primitive()
+    if len(a.vars) == 1:
+        f, g = ({e: c for (e,), c in p.terms.items()} for p in (a, b))
+        last = _primitive_prs(f, g, _integer_primitive)
+        return _result(a.vars, {(e,): c for e, c in last.items()}).primitive()
+    h = _heuristic_gcd(a, b)
+    return h if h is not None else _recursive_gcd(a, b)
 
 
 class RatFunc:
-    """A quotient of two MultiPolys over the same variables.
+    """A quotient of two MultiPolys over the same variables, in lowest terms.
 
-    Reduction on construction: rational content is pushed into the numerator
-    (the denominator becomes integer-primitive with positive leading
-    coefficient), a common monomial factor is cancelled, and in one variable a
-    full gcd is cancelled.  Equality is decided by cross-multiplication, so
-    unreduced multivariate representations still compare correctly.
+    Construction cancels the gcd of numerator and denominator and pushes the
+    rational content into the numerator, so the denominator is integer-
+    primitive with positive leading coefficient (1 for a polynomial).  Each
+    fraction then has one representation, and equality is structural.
     """
 
     __slots__ = ("num", "den")
@@ -521,17 +624,10 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             den = MultiPoly.constant(num.vars, 1)
-        else:
-            m_num = num.monomial_content()
-            m_den = den.monomial_content()
-            common = tuple(map(min, m_num, m_den))
-            if any(common):
-                num = num.shift_down(common)
-                den = den.shift_down(common)
-            if len(num.vars) == 1 and den.total_degree() > 0:
-                g = poly_gcd_univariate(num, den)
-                if g.total_degree() > 0:
-                    num, den = exact_div(num, g), exact_div(den, g)
+        elif not den.is_constant():
+            g = poly_gcd(num, den)
+            if not g.is_constant():
+                num, den = exact_div(num, g), exact_div(den, g)
         c = den.content()
         if c != 1:
             den = MultiPoly(den.vars, {e: _div(v, c) for e, v in den.terms.items()})
@@ -547,16 +643,14 @@ class RatFunc:
         return self.num.is_zero()
 
     def is_polynomial(self) -> bool:
-        if self.den.is_constant():
-            return True
-        return divides(self.den, self.num)
+        return self.den.is_constant()
 
     def as_poly(self) -> MultiPoly:
-        """The polynomial this fraction reduces to (raises if it does not).
-        A constant denominator is 1: the constructor divides out its content."""
-        if self.den.is_constant():
-            return self.num
-        return exact_div(self.num, self.den)
+        """The polynomial this fraction is (raises if it is not one).  A
+        constant denominator is 1: the constructor divides out its content."""
+        if not self.den.is_constant():
+            raise ExactDivisionError(f"{self} is not a polynomial")
+        return self.num
 
     def _coerce(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
         if isinstance(other, RatFunc):
@@ -594,10 +688,10 @@ class RatFunc:
             other = self._coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:  # pragma: no cover - not used as dict keys
-        raise TypeError("RatFunc is unhashable (equality is cross-multiplicative)")
+        raise TypeError("RatFunc is unhashable (no dict or set is keyed by one)")
 
     def __str__(self) -> str:
         if self.den.is_constant():

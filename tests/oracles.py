@@ -4,23 +4,87 @@ used before each fast path replaced it."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
 from nashfol.algebroid import anchor_rank_generic, bracket_with_basis, section_bracket
 from nashfol.grassmann import Subspace
-from nashfol.linalg import (
-    clear_denominators,
-    frac_rank,
-    frac_rref,
-    kernel_basis,
-    poly_mat_vec,
-    rank,
-    rref,
-)
+from nashfol.linalg import _bareiss, frac_rank, frac_rref, kernel_basis, poly_mat_vec, rank
 from nashfol.nash import CURVE_VAR, CurveInSingularLocusError
-from nashfol.poly import ArityMismatchError, InternalInvariantError, MultiPoly, RatFunc, _divmod
+from nashfol.poly import (
+    ArityMismatchError,
+    InternalInvariantError,
+    MultiPoly,
+    RatFunc,
+    _coeff,
+    _div,
+    _divmod,
+    exact_div,
+    exact_quotients,
+)
+
+
+def rref(m: Sequence[Sequence[MultiPoly]]):
+    """Reduced echelon form over the fraction field.
+
+    Returns (rows, pivot_cols) where rows are RatFunc with unit pivots and
+    zeros above and below each pivot; zero rows are dropped.
+    """
+    ech, pivots, _ = _bareiss(m)
+    rat_rows = [[RatFunc(entry) for entry in ech[a]] for a in range(len(pivots))]
+    for a, c in enumerate(pivots):
+        inv = rat_rows[a][c]
+        rat_rows[a] = [entry / inv for entry in rat_rows[a]]
+    for a in range(len(pivots) - 1, -1, -1):
+        c = pivots[a]
+        for b in range(a):
+            factor = rat_rows[b][c]
+            if factor.is_zero():
+                continue
+            rat_rows[b] = [
+                rb - factor * ra for rb, ra in zip(rat_rows[b], rat_rows[a])
+            ]
+    return rat_rows, pivots
+
+
+def clear_denominators(entries: Sequence[RatFunc]) -> list[MultiPoly]:
+    """Scale a rational vector to a polynomial vector.
+
+    Multiplies each entry's numerator by the product of the distinct
+    denominators, exactly divided by its own, strips any denominator that
+    still divides every entry, then removes the common monomial factor and
+    the rational content.  Another common factor of the entries, which only
+    several variables leave behind, is kept.
+    """
+    vs = entries[0].vars
+    dens: list[MultiPoly] = []
+    for e in entries:
+        d = e.den
+        if not d.is_constant() and d not in dens:
+            dens.append(d)
+    scale = MultiPoly.constant(vs, 1)
+    for d in dens:
+        scale = scale * d
+    polys = [e.num * (scale if e.den.is_constant() else exact_div(scale, e.den)) for e in entries]
+    for d in dens:
+        while not d.is_constant() and any(polys):
+            if (quotients := exact_quotients(polys, d)) is None:
+                break
+            polys = quotients
+    live = [p for p in polys if not p.is_zero()]
+    if not live:
+        return polys
+    mono = live[0].monomial_content()
+    for p in live[1:]:
+        mono = tuple(map(min, mono, p.monomial_content()))
+    if any(mono):
+        polys = [p.shift_down(mono) if p else p for p in polys]
+    coeffs = [c for p in polys for c in p.terms.values()]
+    num = math.gcd(*(c.numerator for c in coeffs))
+    content = _coeff(Fraction(num, math.lcm(*(c.denominator for c in coeffs))))
+    return [MultiPoly(vs, {e: _div(v, content) for e, v in p.terms.items()}) for p in polys]
 
 
 def frac_solve(

@@ -433,9 +433,8 @@ def test_chart_report_exits_2_when_the_frame_repair_fails(seed, json_flag, tmp_p
 
 
 def test_pullback_chart_prints_polynomial_components_reduced(tmp_path, capsys):
-    """det J = v + 1 is not a monomial, and a multivariate RatFunc cancels
-    only monomial factors: a component flagged polynomial must print as its
-    polynomial, not as (u*v + u) / (v + 1)."""
+    """det J = v + 1 is not a monomial: a component flagged polynomial must
+    print as its polynomial, not as (u*v + u) / (v + 1)."""
     bundle = {"vars": ["x", "y"], "rank": 2, "anchor": [["x", "y"], ["0", "x"]]}
     chart = {"chart_vars": ["u", "v"], "phi": ["u + u*v", "v"]}
     paths = [tmp_path / "bundle.json", tmp_path / "chart.json"]
@@ -497,8 +496,8 @@ def test_poisson_pullback_cancels_det_j_from_rational_entries(tmp_path, capsys):
 
 def test_poisson_pullback_cancels_a_single_factor_of_det_j(tmp_path, capsys):
     """Through det J = (v + 1)(v + 2) the entry of pi = (y + 1) d/dx ^ d/dy
-    is (v + 1) / ((v + 1)(v + 2)) once det J is cancelled; numerator and
-    denominator live on the v-line only, so their gcd v + 1 goes too."""
+    is (v + 1) / ((v + 1)(v + 2)) once det J is cancelled, and their gcd
+    v + 1 goes too."""
     bivector = {"vars": ["x", "y"], "pi": {"0,1": "y + 1"}}
     chart = {"chart_vars": ["u", "v"], "phi": ["u*(1 + v)*(2 + v)", "v"]}
     paths = [tmp_path / "bivector.json", tmp_path / "chart.json"]
@@ -511,6 +510,25 @@ def test_poisson_pullback_cancels_a_single_factor_of_det_j(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "entries": {"0,1": "(1) / (v + 2)"},
         "pole": "v + 2",
+    }
+
+
+def test_poisson_pullback_cancels_a_factor_of_det_j_in_two_variables(tmp_path, capsys):
+    """Through det J = (v + 1)(2u + 1) the entry of pi = (y + 1) d/dx ^ d/dy
+    is (v + 1) / ((v + 1)(2u + 1)) once det J is cancelled: the gcd v + 1
+    goes although the denominator involves both chart variables."""
+    bivector = {"vars": ["x", "y"], "pi": {"0,1": "y + 1"}}
+    chart = {"chart_vars": ["u", "v"], "phi": ["(1 + v)*(u + u^2)", "v"]}
+    paths = [tmp_path / "bivector.json", tmp_path / "chart.json"]
+    for path, doc in zip(paths, (bivector, chart)):
+        path.write_text(json.dumps(doc))
+    args = ["poisson-pullback", "--input", str(paths[0]), "--chart", str(paths[1])]
+    assert main(args) == 0
+    assert capsys.readouterr().out == "pullback pole: 2*u + 1\n  pi[0,1] = (1) / (2*u + 1)\n"
+    assert main(args + ["--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "entries": {"0,1": "(1) / (2*u + 1)"},
+        "pole": "2*u + 1",
     }
 
 

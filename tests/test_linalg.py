@@ -22,12 +22,11 @@ from nashfol.linalg import (
     poly_mat_mul,
     poly_mat_vec,
     rank,
-    rref,
     solve,
 )
 from nashfol.nash import limit_subspace
-from nashfol.poly import MultiPoly, RatFunc, exact_quotients, parse_poly, poly_gcd_univariate
-from oracles import kernel_basis_by_rref, ratfunc_solve
+from nashfol.poly import MultiPoly, RatFunc, exact_quotients, parse_poly, poly_gcd
+from oracles import kernel_basis_by_rref, ratfunc_solve, rref
 
 XYZ = ("x", "y", "z")
 X12 = ("x1", "x2")
@@ -92,14 +91,26 @@ def test_kernel_vectors_are_primitive():
 
 
 T = ("t",)
+XY = ("x", "y")
 # (t+1)(t+2) and (t+1)(t+3) share t + 1: clearing the denominators of the
-# rref kernel over Q(t) kept it in every entry
+# rref kernel over Q(t) kept it in every entry; over Q(x, y) the product of
+# the distinct denominators keeps x + 1 the same way
 SHARED_FACTOR = M([["(t+1)*(t+2)", "0", "-1"], ["0", "(t+1)*(t+3)", "-1"]], T)
+SHARED_FACTOR_XY = M([["(x+1)*(x+2)", "0", "-1"], ["0", "(x+1)*(y+3)", "-1"]], XY)
 
 
 def test_one_variable_kernel_vector_is_primitive():
     assert kernel_basis(SHARED_FACTOR) == [
         [parse_poly(e, T) for e in ("t + 3", "t + 2", "t^3 + 6*t^2 + 11*t + 6")]
+    ]
+
+
+def test_two_variable_kernel_vector_is_primitive():
+    assert kernel_basis(SHARED_FACTOR_XY) == [
+        [
+            parse_poly(e, XY)
+            for e in ("y + 3", "x + 2", "x^2*y + 3*x^2 + 3*x*y + 9*x + 2*y + 6")
+        ]
     ]
 
 
@@ -119,42 +130,53 @@ def test_one_variable_kernel_builds_no_ratfunc(monkeypatch):
     assert built == []
 
 
-# Coefficients with denominators 2 and 3, so that the one-variable kernel
-# scales rows to integer coefficients before eliminating.
-_t_poly = st.dictionaries(
-    st.tuples(st.integers(0, 2)),
-    st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
-    max_size=3,
-).map(lambda terms: MultiPoly(T, terms))
+def _fraction_polys(variables):
+    """Up to three terms of degree at most 2 in each variable, with
+    coefficients whose denominators are 2 and 3, so that the kernel scales
+    rows to integer coefficients before eliminating."""
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * len(variables)),
+        st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2, 3])),
+        max_size=3,
+    ).map(lambda terms: MultiPoly(variables, terms))
 
 
 @st.composite
-def _t_matrix(draw):
-    """A polynomial matrix over Q[t] up to 4x6 whose entries often share a
-    factor, the case where the rref kernel was not primitive."""
-    nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
-    shared = parse_poly(draw(st.sampled_from(["1", "t + 1", "t^2 - 2"])), T)
+def _shared_factor_matrix(draw, variables, factors, max_rows, max_cols):
+    """A polynomial matrix whose entries often share a factor, the case
+    where the rref kernel was not primitive."""
+    nrows, ncols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    shared = parse_poly(draw(st.sampled_from(factors)), variables)
+    entry = _fraction_polys(variables)
     return [
-        [draw(_t_poly) * (shared if draw(st.booleans()) else 1) for _ in range(ncols)]
+        [draw(entry) * (shared if draw(st.booleans()) else 1) for _ in range(ncols)]
         for _ in range(nrows)
     ]
 
 
 @settings(max_examples=150, deadline=None)
-@given(_t_matrix())
+@given(
+    st.one_of(
+        _shared_factor_matrix(T, ["1", "t + 1", "t^2 - 2"], 4, 6),
+        _shared_factor_matrix(XY, ["1", "x + 1", "x*y - 2"], 3, 4),
+    )
+)
 @example(SHARED_FACTOR)
+@example(SHARED_FACTOR_XY)
 def test_one_variable_kernel_is_the_primitive_rref_kernel(m):
+    """The kernel is the rref kernel divided by the gcd of its entries, in
+    one variable and in two."""
     got = kernel_basis(m)
     want = kernel_basis_by_rref(m)
     assert len(got) == len(want)
     for vec, old in zip(got, want):
-        g = MultiPoly.zero(T)
+        g = MultiPoly.zero(m[0][0].vars)
         for p in old:
-            g = poly_gcd_univariate(g, p)
+            g = poly_gcd(g, p)
         assert vec == exact_quotients(old, g)
-        if g.total_degree() == 0:
+        if g.is_constant():
             assert vec == old
-    if got:
+    if got and m[0][0].vars == T:
         assert limit_subspace(got) == limit_subspace(want)
 
 

@@ -222,10 +222,11 @@ def test_ratfunc_reduction_and_equality():
     r = RatFunc(x2y, xy)
     assert r.is_polynomial()
     assert r.as_poly() == P("x")
-    # cross-multiplicative equality sees through unreduced forms
+    # the gcd x - y is cancelled, so the fraction is the polynomial x + y
     a = RatFunc(P("x^2 - y^2"), P("x - y"))
     b = RatFunc(P("x + y"))
     assert a == b
+    assert (a.num, a.den) == (P("x + y"), P("1"))
     assert a != RatFunc(P("x - y"))
 
 

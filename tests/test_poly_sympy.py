@@ -1,4 +1,4 @@
-"""Polynomial division, univariate gcd, substitution and parsing, and the
+"""Polynomial division, gcd, substitution and parsing, and the
 determinants, ranks and kernels of polynomial matrices, against sympy, on
 generated inputs.
 
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nashfol.linalg import clear_denominators, det, kernel_basis, rank
+from nashfol.linalg import det, kernel_basis, rank
 from nashfol.poly import (
     ExactDivisionError,
     MultiPoly,
@@ -26,10 +26,11 @@ from nashfol.poly import (
     divides,
     exact_div,
     parse_poly,
-    poly_gcd_univariate,
+    _recursive_gcd,
+    poly_gcd,
 )
 
-from oracles import gcd_by_euclid
+from oracles import clear_denominators, gcd_by_euclid
 
 sympy = pytest.importorskip("sympy")
 DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
@@ -102,7 +103,7 @@ def test_division_matches_sympy(q, f, noise, divisible):
 @given(_polys(T, 3, 3), _polys(T, 3, 3), _polys(T, 3, 3))
 def test_univariate_gcd_matches_sympy_up_to_a_rational_factor(g, f1, f2):
     a, b = g * f1, g * f2
-    gcd = poly_gcd_univariate(a, b)
+    gcd = poly_gcd(a, b)
     _assert_form(gcd)
     ours = _sympy_poly(gcd)
     theirs = sympy.gcd(_sympy_poly(a), _sympy_poly(b))
@@ -127,10 +128,64 @@ def test_univariate_gcd_is_the_euclid_gcd(f1, f2, g):
     """The primitive PRS returns exactly Euclid's primitive gcd over Q, with
     Fraction coefficients, a shared factor g, constants and zero inputs."""
     for a, b in [(g * f1, g * f2), (f1, f2), (g * f1, _ZERO_T), (_ZERO_T, f2), (-f1, g)]:
-        got = poly_gcd_univariate(a, b)
+        got = poly_gcd(a, b)
         _assert_form(got)
         assert got == gcd_by_euclid(a, b)
         assert str(got) == str(gcd_by_euclid(b, a))
+
+
+XYZ = ("x", "y", "z")
+
+
+def _assert_gcd(got: MultiPoly, a: MultiPoly, b: MultiPoly) -> None:
+    """``got`` is primitive with positive leading coefficient, and equals
+    sympy's gcd up to a rational factor."""
+    _assert_form(got)
+    if got:
+        assert got.content() == 1
+    theirs = sympy.gcd(_sympy_poly(a), _sympy_poly(b))
+    if theirs.is_zero:
+        assert not got
+    else:
+        assert _sympy_poly(got).monic() == theirs.monic()
+
+
+@st.composite
+def _gcd_operands(draw):
+    """Two polynomials in two or three variables with Fraction coefficients:
+    a shared factor raised to high multiplicities, two independent (mostly
+    coprime) polynomials, or a constant or zero operand."""
+    variables = draw(st.sampled_from([XY, XYZ]))
+    g = draw(_polys(variables, 1, 3))
+    f1, f2 = draw(_polys(variables, 2, 3)), draw(_polys(variables, 2, 3))
+    kind = draw(st.sampled_from(["shared", "coprime", "constant"]))
+    if kind == "shared":
+        return g ** draw(st.integers(1, 4)) * f1, g ** draw(st.integers(1, 3)) * f2
+    if kind == "coprime":
+        return f1, f2
+    return draw(_polys(variables, 0, 1)), g * f1
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gcd_operands())
+@example((parse_poly("(x + 1)^3*(y - 2)", XY), parse_poly("(x + 1)^2*(y - 2)^2*(x - y)", XY)))
+@example((MultiPoly.zero(XYZ), MultiPoly.zero(XYZ)))
+# the first evaluation point, y = 33, maps both to x + 66, whose digits
+# rebuild x + 2*y: only the division test refuses it
+@example((parse_poly("x + y + 33", XY), parse_poly("x + 2*y", XY)))
+def test_gcd_matches_sympy_in_several_variables(operands):
+    a, b = operands
+    for p, q in [(a, b), (b, a), (-a, b), (a, MultiPoly.zero(a.vars))]:
+        _assert_gcd(poly_gcd(p, q), p, q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_gcd_operands().filter(lambda ab: ab[0] and ab[1]))
+def test_recursive_gcd_fallback_matches_sympy(operands):
+    """The exact fallback, which the heuristic gcd almost never reaches,
+    called directly."""
+    a, b = operands
+    _assert_gcd(_recursive_gcd(a, b), a, b)
 
 
 # Matrices up to 4x4 over Q[x,y] with entries of total degree at most 2.  A
@@ -241,8 +296,7 @@ def test_as_poly_by_an_int_that_does_not_divide_the_numerator():
 
 @st.composite
 def _ratfunc_operands(draw):
-    """Two fractions over one variable tuple: (x, y), or (t,), where
-    construction also cancels a univariate gcd."""
+    """Two fractions over one variable tuple, (x, y) or (t,)."""
     variables = draw(st.sampled_from([XY, T]))
     a, c = draw(_polys(variables, 2, 3)), draw(_polys(variables, 2, 3))
     b, d = draw(_polys(variables, 2, 3).filter(bool)), draw(_polys(variables, 2, 3).filter(bool))
