@@ -14,7 +14,14 @@ from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .linalg import _laplace_minors, _laplace_pays, frac_det, frac_rref, integer_row
+from .linalg import (
+    _column_subsets,
+    _laplace_minors,
+    _laplace_pays,
+    frac_det,
+    frac_rref,
+    integer_row,
+)
 
 
 class NotDecomposableError(ValueError):
@@ -108,9 +115,6 @@ class PlueckerVector:
         self.k = k
         self.coords = tuple(sign * c for c in ints)
 
-    def column_sets(self) -> list[tuple[int, ...]]:
-        return list(combinations(range(self.n), self.k))
-
     def first_nonzero(self) -> int:
         return next(i for i, c in enumerate(self.coords) if c)
 
@@ -138,11 +142,11 @@ def unpluecker(pv: PlueckerVector) -> Subspace:
     (-1)^(a+q) p_J / p_I where J is (I minus i_a) with j inserted and q is the
     position of j inside J.  The result is round-trip verified; coordinates
     failing verification do not lie on the Grassmannian and raise
-    NotDecomposableError.
+    NotDecomposableError.  The column sets and their positions are the
+    shared per-shape index of the Laplace table (`linalg._column_subsets`).
     """
     n, k = pv.n, pv.k
-    sets = pv.column_sets()
-    index_of = {cols: i for i, cols in enumerate(sets)}
+    sets, index_of = _column_subsets(n, k)
     first = pv.first_nonzero()
     icols = sets[first]
     p_i = pv.coords[first]

@@ -12,10 +12,13 @@ stay zero and the exact-division invariant is preserved.
 
 All the minors of one size come from one shared Laplace table: the s-by-s
 minors are expanded along their last row over the (s-1)-by-(s-1) minors
-already in the table, with no division.  The table is used when its
+already in the table, with no division.  The table's index (each s-subset
+of the columns and the positions of its faces) depends only on the number
+of columns and s, so it is built once per shape and kept in a small bounded
+cache; the entries are computed per call.  The table is used when its
 multiplication count does not exceed the bound count * size^3 on one
 elimination per minor; a shape whose table would be larger (a k-by-n basis
-with k close to n) takes one `det` per minor instead.
+with k close to n) takes one `det` per minor instead, and caches nothing.
 
 Kernels take integer rows, then are fraction-free too, in every arity: each
 row is scaled by the lcm of its coefficients' denominators, so the elimination
@@ -28,7 +31,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 from typing import Sequence
 
 from .poly import (
@@ -196,6 +201,31 @@ def _laplace_pays(nrows: int, ncols: int, size: int) -> bool:
     return table <= count * size**3
 
 
+# Column shapes (ncols, s) that each index cache keeps: the maximal minors
+# of a 6x9 matrix read six, nash-fiber at every corpus origin twelve.  A
+# full cache drops the least recently used shape.
+LAPLACE_SHAPES = 64
+
+
+@lru_cache(maxsize=LAPLACE_SHAPES)
+def _column_subsets(ncols: int, s: int):
+    """The s-subsets of range(ncols) in lexicographic order, and the
+    position of each in that order (read-only: every caller shares it)."""
+    sets = tuple(combinations(range(ncols), s))
+    return sets, MappingProxyType({cset: i for i, cset in enumerate(sets)})
+
+
+@lru_cache(maxsize=LAPLACE_SHAPES)
+def _laplace_faces(ncols: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """For each s-subset C of the columns, in `_column_subsets` order, the
+    positions of C minus C_0, ..., C minus C_{s-1} among the (s-1)-subsets."""
+    index = _column_subsets(ncols, s - 1)[1]
+    return tuple(
+        tuple(index[cset[:q] + cset[q + 1 :]] for q in range(s))
+        for cset in _column_subsets(ncols, s)[0]
+    )
+
+
 def _laplace_minors(m: Sequence[Sequence], size: int, zero) -> list:
     """All size-by-size minors of m over the ring whose zero is ``zero``, in
     the order of `minors`, from one table of sub-minors.
@@ -204,35 +234,30 @@ def _laplace_minors(m: Sequence[Sequence], size: int, zero) -> list:
     nrows - size + s rows (the heads of the row sets asked for) and C any
     s-subset of the columns.  Each entry is the Laplace expansion along R's
     last row, sum_q (-1)^(s-1+q) m[R_last][C_q] T[R minus R_last, C minus
-    C_q]; zero factors are skipped.  Only the last level is kept.
+    C_q]; zero factors are skipped.  Only the last level is kept.  The index
+    of each level (`_column_subsets`, `_laplace_faces`) is built once per
+    shape; the entries are computed per call.
     """
     nrows, ncols = len(m), len(m[0])
     rows_at = nrows - size
     level = {(i,): m[i] for i in range(rows_at + 1)}
-    index = {(j,): j for j in range(ncols)}
     for s in range(2, size + 1):
-        csets = list(combinations(range(ncols), s))
-        faces = [
-            [
-                (c, (s - 1 + q) % 2 == 0, index[cset[:q] + cset[q + 1 :]])
-                for q, c in enumerate(cset)
-            ]
-            for cset in csets
-        ]
+        csets = _column_subsets(ncols, s)[0]
+        faces = _laplace_faces(ncols, s)
+        signs = tuple((s - 1 + q) % 2 == 0 for q in range(s))
         nxt = {}
         for rset in combinations(range(rows_at + s), s):
             head, last = level[rset[:-1]], m[rset[-1]]
             entries = []
-            for face in faces:
+            for cset, subs in zip(csets, faces):
                 acc = zero
-                for c, plus, sub in face:
+                for c, sub, plus in zip(cset, subs, signs):
                     if last[c] and head[sub]:
                         term = last[c] * head[sub]
                         acc = acc + term if plus else acc - term
                 entries.append(acc)
             nxt[rset] = entries
         level = nxt
-        index = {cset: i for i, cset in enumerate(csets)}
     return [entry for rset in combinations(range(nrows), size) for entry in level[rset]]
 
 
@@ -323,10 +348,13 @@ def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:
     the polynomial ring: each row is first scaled to integer coefficients,
     and the vector is back-substituted from the fraction-free echelon form
     (`_primitive_kernel_vector`), with no rational-function arithmetic.
+    Each vector is checked against those integer rows: a nonzero scaling of
+    a row keeps its kernel, so (S M) v = 0 exactly when M v = 0.
     """
     if not m or not m[0]:
         raise ValueError("kernel of an empty matrix")
-    rows, pivots, _ = _bareiss([_integer_poly_row(row) for row in m])
+    int_rows = [_integer_poly_row(row) for row in m]
+    rows, pivots, _ = _bareiss(int_rows)
     basis = []
     for f in range(len(m[0])):
         if f in pivots:
@@ -334,7 +362,7 @@ def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:
         polys = _primitive_kernel_vector(rows, pivots, f)
         if polys[f].leading()[1] < 0:
             polys = [-p for p in polys]
-        if any(poly_mat_vec(m, polys)):
+        if any(poly_mat_vec(int_rows, polys)):
             raise InternalInvariantError("kernel vector fails M*v = 0")
         basis.append(polys)
     return basis

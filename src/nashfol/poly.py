@@ -665,23 +665,11 @@ class RatFunc:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
-        return self + (-self._coerce(other))
-
     def __mul__(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
         o = self._coerce(other)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
-        o = self._coerce(other)
-        if o.num.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (MultiPoly, int, Fraction)):

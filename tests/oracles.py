@@ -26,6 +26,16 @@ from nashfol.poly import (
 )
 
 
+def ratfunc_quotient(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a / b, from the numerators and denominators (b is nonzero)."""
+    return RatFunc(a.num * b.den, a.den * b.num)
+
+
+def ratfunc_difference(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a - b, from the numerators and denominators."""
+    return RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)
+
+
 def rref(m: Sequence[Sequence[MultiPoly]]):
     """Reduced echelon form over the fraction field.
 
@@ -36,7 +46,7 @@ def rref(m: Sequence[Sequence[MultiPoly]]):
     rat_rows = [[RatFunc(entry) for entry in ech[a]] for a in range(len(pivots))]
     for a, c in enumerate(pivots):
         inv = rat_rows[a][c]
-        rat_rows[a] = [entry / inv for entry in rat_rows[a]]
+        rat_rows[a] = [ratfunc_quotient(entry, inv) for entry in rat_rows[a]]
     for a in range(len(pivots) - 1, -1, -1):
         c = pivots[a]
         for b in range(a):
@@ -44,7 +54,7 @@ def rref(m: Sequence[Sequence[MultiPoly]]):
             if factor.is_zero():
                 continue
             rat_rows[b] = [
-                rb - factor * ra for rb, ra in zip(rat_rows[b], rat_rows[a])
+                ratfunc_difference(rb, factor * ra) for rb, ra in zip(rat_rows[b], rat_rows[a])
             ]
     return rat_rows, pivots
 
@@ -200,7 +210,7 @@ def kernel_basis_by_rref(m: Sequence[Sequence[MultiPoly]]) -> list[list[MultiPol
         vec = [zero] * ncols
         vec[f] = one
         for a, c in enumerate(pivots):
-            vec[c] = -rat_rows[a][f]
+            vec[c] = RatFunc(-rat_rows[a][f].num, rat_rows[a][f].den)
         polys = clear_denominators(vec)
         if polys[f].leading()[1] < 0:
             polys = [-p for p in polys]

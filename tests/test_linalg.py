@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nashfol.linalg as linalg
+from nashfol.grassmann import Subspace
 from nashfol.linalg import (
     RowEchelon,
     SizeError,
@@ -196,6 +201,31 @@ def test_integer_row(values, expected):
     assert integer_row(values) == expected
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.lists(_fraction_polys(T), min_size=1, max_size=5),
+        st.lists(_fraction_polys(XY), min_size=1, max_size=4),
+    )
+)
+def test_integer_poly_row_is_a_positive_integer_multiple(row):
+    """The row that kernel_basis eliminates, and checks its vectors against,
+    is one positive integer times the given row, with int coefficients: a
+    wrong scaling of the row would change the kernel that is checked."""
+    scaled = linalg._integer_poly_row(row)
+    assert all(type(c) is int for p in scaled for c in p.terms.values())
+    assert [p.terms.keys() for p in scaled] == [p.terms.keys() for p in row]
+    ratios = {
+        Fraction(c) / p.terms[e] for p, q in zip(row, scaled) for e, c in q.terms.items()
+    }
+    assert len(ratios) <= 1
+    if ratios:
+        (scale,) = ratios
+        assert scale.denominator == 1 and scale > 0
+    else:
+        assert scaled == list(row)
+
+
 def test_solve_cramer():
     a = M([["x", "0"], ["0", "y"]])
     b = [parse_poly("x^2", XYZ), parse_poly("x*y", XYZ)]
@@ -281,6 +311,92 @@ def test_minors_match_one_det_per_minor(case):
     ]
     assert minors(m, size) == want
     assert linalg._laplace_minors(m, size, MultiPoly.zero(("x", "y"))) == want
+
+
+def _laplace_caches():
+    return linalg._column_subsets, linalg._laplace_faces
+
+
+@st.composite
+def _shape_sequence(draw):
+    """Several matrices in a row, of the workload shapes and of small random
+    ones, each with int or polynomial entries (mostly zero in the 6x9 one,
+    so that its polynomial determinants stay cheap)."""
+    cases = []
+    for _ in range(draw(st.integers(2, 5))):
+        if draw(st.booleans()):
+            nrows, ncols, size = draw(st.sampled_from(WORKLOAD_SHAPES))
+        else:
+            nrows, ncols = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+            size = draw(st.integers(1, min(nrows, ncols)))
+        if draw(st.booleans()):
+            entry = st.integers(-3, 3)
+        elif ncols > 6:
+            entry = st.one_of(st.just(MultiPoly.zero(("x", "y"))), _xy_poly)
+        else:
+            entry = _xy_poly
+        cases.append(([[draw(entry) for _ in range(ncols)] for _ in range(nrows)], size))
+    return cases
+
+
+@settings(max_examples=60, deadline=None)
+@given(_shape_sequence())
+def test_laplace_minors_across_interleaved_shapes(cases):
+    """The index built for one shape is never read for another: each call,
+    whatever shapes the calls before it built, gives one det per minor."""
+    for m, size in cases:
+        nrows, ncols = len(m), len(m[0])
+        subs = [
+            [[m[i][j] for j in cset] for i in rset]
+            for rset in combinations(range(nrows), size)
+            for cset in combinations(range(ncols), size)
+        ]
+        if isinstance(m[0][0], int):
+            want = [frac_det(sub) for sub in subs]
+            zero = 0
+        else:
+            want = [det(sub) for sub in subs]
+            zero = MultiPoly.zero(("x", "y"))
+        assert linalg._laplace_minors(m, size, zero) == want
+
+
+def test_laplace_index_cache_is_bounded():
+    for cache in _laplace_caches():
+        assert cache.cache_info().maxsize == linalg.LAPLACE_SHAPES
+    linalg._column_subsets.cache_clear()
+    for ncols in range(linalg.LAPLACE_SHAPES + 5):
+        linalg._column_subsets(ncols, 1)
+    assert linalg._column_subsets.cache_info().currsize == linalg.LAPLACE_SHAPES
+
+
+def test_refused_shapes_add_no_cache_entry():
+    """A shape refused by MAX_MINORS or by `_laplace_pays` builds no index,
+    so inputs of any size leave the caches as they were."""
+    for cache in _laplace_caches():
+        cache.cache_clear()
+    zero = MultiPoly.zero(XYZ)
+    with pytest.raises(SizeError):
+        minors([[zero] * 150 for _ in range(2)], 2)
+    assert not linalg._laplace_pays(7, 7, 7)
+    assert minors([[zero] * 7 for _ in range(7)], 7) == [zero]
+    identity = [[Fraction(int(i == j)) for j in range(7)] for i in range(7)]
+    assert Subspace(7, identity).pluecker().coords == (1,)
+    for cache in _laplace_caches():
+        assert cache.cache_info().currsize == 0
+
+
+def test_laplace_index_is_not_built_at_import():
+    child = (
+        "import nashfol.cli, nashfol.linalg as linalg\n"
+        "print(linalg._column_subsets.cache_info().currsize,"
+        " linalg._laplace_faces.cache_info().currsize)\n"
+    )
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", child], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "0 0\n"
 
 
 def test_rref_rank_triple():

@@ -247,13 +247,12 @@ def test_ratfunc_denominator_is_primitive_positive():
 
 
 def test_ratfunc_arithmetic():
-    x = RatFunc(P("x"))
-    y = RatFunc(P("y"))
-    assert (x / y + y / x) == RatFunc(P("x^2 + y^2"), P("x*y"))
-    assert (x / y) * (y / x) == 1
-    assert x - x == 0
+    x_over_y, y_over_x = RatFunc(P("x"), P("y")), RatFunc(P("y"), P("x"))
+    assert x_over_y + y_over_x == RatFunc(P("x^2 + y^2"), P("x*y"))
+    assert x_over_y * y_over_x == 1
+    assert x_over_y + x_over_y * -1 == 0
     with pytest.raises(ZeroDivisionError):
-        x / (y - y)
+        RatFunc(P("x"), P("y - y"))
 
 
 def test_parse_rational():
