@@ -25,7 +25,7 @@ from .linalg import (
     poly_mat_vec,
     rank,
 )
-from .poly import ArityMismatchError, InternalInvariantError, MultiPoly
+from .poly import ArityMismatchError, InternalInvariantError, MultiPoly, point_text
 
 Section = list[MultiPoly]
 VectorField = list[MultiPoly]
@@ -310,7 +310,7 @@ def _kernel_bracket_at(algebroid: AlmostLieAlgebroid, x: Point):
 
     def bracket(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
         if not in_kernel(u) or not in_kernel(v):
-            raise NotInKernelError(f"argument not in the anchor kernel at {list(x)}")
+            raise NotInKernelError(f"argument not in the anchor kernel at {point_text(x)}")
         out = [Fraction(0)] * algebroid.bundle.fiber_rank
         for i, j, c in constants:
             coeff = u[i] * v[j] - u[j] * v[i]
@@ -388,7 +388,7 @@ def isotropy_algebra_at(
         for u in ker.rows:
             if not sker.contains(bracket(s, u)):
                 raise WellDefinednessFailureError(
-                    f"[Sker, ker] leaves Sker at {list(x)}; "
+                    f"[Sker, ker] leaves Sker at {point_text(x)}; "
                     "the kernel generator set is incomplete or wrong"
                 )
     reps, row_coordinates = _quotient_basis(sker, ker)

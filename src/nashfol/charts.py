@@ -170,21 +170,20 @@ def pullback_vector_field(chart: ChartMap, field: Sequence[MultiPoly]) -> Pulled
     """Solve (Jacobian of phi) * Y = X o phi over the fraction field.
 
     By construction the result is phi-related to X; the defining identity is
-    re-checked symbolically before returning.  Each component is in lowest
-    terms, so a polynomial one has denominator 1.
+    re-checked before returning, in Q[u] as J * (L * Y) = L * (X o phi) with
+    L the components' least common denominator: Q[u] is a domain and L is
+    nonzero, so this holds exactly when the identity does.  Each component is
+    in lowest terms, so a polynomial one has denominator 1, and L is 1 when
+    every component is polynomial.
     """
     rhs = [chart.compose(p) for p in field]
     comps = solve(chart.jac, rhs)
-    for i in range(chart.dim):
-        acc = RatFunc(MultiPoly.zero(chart.chart_vars))
-        for j in range(chart.dim):
-            acc = acc + comps[j] * chart.jac[i][j]
-        if acc != rhs[i]:
-            raise InternalInvariantError("pullback does not satisfy its defining equation")
-    dens = [c.den for c in comps if not c.is_polynomial()]
-    if not dens:
-        return PulledBackField(tuple(comps), True, None)
-    return PulledBackField(tuple(comps), False, _den_lcm(dens))
+    lcd = _den_lcm([c.den for c in comps])
+    cleared = [c.num * exact_div(lcd, c.den) for c in comps]
+    if poly_mat_vec(chart.jac, cleared) != [lcd * p for p in rhs]:
+        raise InternalInvariantError("pullback does not satisfy its defining equation")
+    polynomial = lcd.is_constant()
+    return PulledBackField(tuple(comps), polynomial, None if polynomial else lcd)
 
 
 def pullback_bivector(

@@ -5,23 +5,20 @@ equal subspaces are equal objects coordinate by coordinate.  PlueckerVector
 holds the projective embedding as a primitive integer tuple (first nonzero
 entry positive); `unpluecker` inverts the embedding and rejects inputs that
 are not decomposable by round-trip verification.
+
+Every Pluecker vector comes from one Laplace table of size at most n/2, which
+never costs more than one elimination per minor: past n/2 the table is the
+annihilator's, by the duality of Gr(k, n) and Gr(n-k, n) (Hodge and Pedoe,
+Methods of Algebraic Geometry I, ch. VII).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
-from .linalg import (
-    _column_subsets,
-    _laplace_minors,
-    _laplace_pays,
-    frac_det,
-    frac_rref,
-    integer_row,
-)
+from .linalg import _column_subsets, _laplace_minors, frac_kernel, frac_rref, integer_row
 
 
 class NotDecomposableError(ValueError):
@@ -74,20 +71,23 @@ class Subspace:
         return self.n == other.n and all(self.contains(r) for r in other.rows)
 
     def pluecker(self) -> "PlueckerVector":
-        """The maximal minors of the RREF rows.  Where the Laplace table pays,
-        they are taken over the integers from each row's primitive integer
-        multiple: that scales every minor by one positive factor, which the
-        PlueckerVector normalization removes."""
+        """The maximal minors of the RREF rows up to dim n/2, and past it of
+        the annihilator's rows (`frac_kernel`): the minor on column set C is
+        then (-1)^(sum C) times the annihilator's on the complement of C, up
+        to one global sign and scale.  The sign is read from the complement,
+        whose sum differs from sum C by n(n-1)/2; complements run in reverse
+        lexicographic order.  Primitive integer rows scale every minor by one
+        positive factor.  PlueckerVector removes all these global factors."""
         if self._pluecker is None:
-            if self.dim and _laplace_pays(self.dim, self.n, self.dim):
-                ints = [integer_row(row) for row in self.rows]
-                coords = _laplace_minors(ints, self.dim, 0)
-            else:
-                coords = [
-                    frac_det([[row[c] for c in cols] for row in self.rows])
-                    for cols in combinations(range(self.n), self.dim)
-                ]
-            self._pluecker = PlueckerVector(self.n, self.dim, coords)
+            n, k = self.n, self.dim
+            dual = 2 * k > n
+            rows = frac_kernel(self.rows, n) if dual else self.rows
+            s = len(rows)
+            coords = _laplace_minors([integer_row(r) for r in rows], s, 0) if s else [1]
+            if dual:
+                sets = _column_subsets(n, s)[0]
+                coords = [-q if sum(c) % 2 else q for c, q in zip(sets, coords)][::-1]
+            self._pluecker = PlueckerVector(n, k, coords)
         return self._pluecker
 
 

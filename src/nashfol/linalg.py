@@ -15,10 +15,12 @@ minors are expanded along their last row over the (s-1)-by-(s-1) minors
 already in the table, with no division.  The table's index (each s-subset
 of the columns and the positions of its faces) depends only on the number
 of columns and s, so it is built once per shape and kept in a small bounded
-cache; the entries are computed per call.  The table is used when its
-multiplication count does not exceed the bound count * size^3 on one
-elimination per minor; a shape whose table would be larger (a k-by-n basis
-with k close to n) takes one `det` per minor instead, and caches nothing.
+cache; the entries are computed per call.  Only `minors`, which also takes
+non-maximal and polynomial minors, chooses between the table and one `det`
+per minor: it uses the table when the table's multiplication count does not
+exceed the bound count * size^3 on one elimination per minor, and otherwise
+takes the dets and caches nothing.  Pluecker vectors never need that choice
+(`grassmann`).
 
 Kernels take integer rows, then are fraction-free too, in every arity: each
 row is scaled by the lcm of its coefficients' denominators, so the elimination
@@ -405,8 +407,6 @@ def adjugate(m: Sequence[Sequence[MultiPoly]]) -> PolyMatrix:
 # Fraction matrices (pointwise computations)
 # ---------------------------------------------------------------------------
 
-FracMatrix = list[list[Fraction]]
-
 
 def frac_rref(m: Sequence[Sequence[Fraction]]):
     """Canonical reduced row echelon form of a Fraction matrix.
@@ -414,7 +414,7 @@ def frac_rref(m: Sequence[Sequence[Fraction]]):
     Returns (rows, pivot_cols) with zero rows dropped; equal row spaces give
     identical output, so this doubles as a canonical form.
     """
-    rows = [[Fraction(x) for x in row] for row in m]
+    rows = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in m]
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -428,7 +428,8 @@ def frac_rref(m: Sequence[Sequence[Fraction]]):
             continue
         rows[r], rows[p] = rows[p], rows[r]
         inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        if inv != 1:
+            rows[r] = [x / inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
@@ -440,29 +441,6 @@ def frac_rref(m: Sequence[Sequence[Fraction]]):
 
 def frac_rank(m: Sequence[Sequence[Fraction]]) -> int:
     return len(frac_rref(m)[1])
-
-
-def frac_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant of a square Fraction matrix by Gaussian elimination."""
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1)
-    for c in range(n):
-        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
 
 
 def frac_kernel(m: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -19,7 +19,7 @@ from typing import Sequence
 from .algebroid import AnchoredBundle, Point, anchor_rank_generic, kernel_at, strong_kernel_at
 from .grassmann import PlueckerVector, Subspace, unpluecker
 from .linalg import kernel_basis, minors, rank
-from .poly import MultiPoly
+from .poly import MultiPoly, point_text
 
 CURVE_VAR = ("t",)
 
@@ -165,10 +165,14 @@ def nash_fiber_sample(
     survive, AllCurvesSingularError.  Limits are deduplicated by Pluecker
     vector and sorted by it, so the result is independent of arc order.
     """
+    if len(x) != bundle.base_dim:
+        raise ValueError(f"point has {len(x)} coordinates, expected {bundle.base_dim}")
     point = tuple(Fraction(c) for c in x)
     for curve in curves:
         if curve.target != point:
-            raise ValueError(f"curve targets {curve.target}, sampling at {point}")
+            raise ValueError(
+                f"curve targets {point_text(curve.target)}, sampling at {point_text(point)}"
+            )
     seen: dict[PlueckerVector, LimitRecord] = {}
     status = []
     for curve in curves:
@@ -183,7 +187,7 @@ def nash_fiber_sample(
             seen[pv] = LimitRecord(subspace=limit, pluecker=pv, curve=curve)
     if not seen:
         raise AllCurvesSingularError(
-            f"all {len(curves)} arcs stayed in the singular locus at {list(point)}"
+            f"all {len(curves)} arcs stayed in the singular locus at {point_text(point)}"
         )
     records = tuple(seen[pv] for pv in sorted(seen))
     return NashFiberSample(point=point, limits=records, curve_status=tuple(status))

@@ -15,7 +15,9 @@ always print identically.
 Rational functions are kept in lowest terms: numerator and denominator are
 divided by their gcd (`poly_gcd`, exact in every arity) and the denominator by
 its rational content, so equal fractions have one representation and equality
-is structural.
+is structural.  A rational function is constructed, compared and printed, and
+nothing more: arithmetic is done on numerators and denominators as
+polynomials.
 """
 
 from __future__ import annotations
@@ -611,7 +613,9 @@ class RatFunc:
     Construction cancels the gcd of numerator and denominator and pushes the
     rational content into the numerator, so the denominator is integer-
     primitive with positive leading coefficient (1 for a polynomial).  Each
-    fraction then has one representation, and equality is structural.
+    fraction then has one representation, and equality is structural.  A
+    RatFunc is a value that is constructed, compared and printed; it has no
+    arithmetic, so code that needs some works on ``num`` and ``den``.
     """
 
     __slots__ = ("num", "den")
@@ -652,28 +656,7 @@ class RatFunc:
             raise ExactDivisionError(f"{self} is not a polynomial")
         return self.num
 
-    def _coerce(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, MultiPoly):
-            return RatFunc(other)
-        return RatFunc(MultiPoly.constant(self.vars, other))
-
-    def __add__(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
-        o = self._coerce(other)
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __mul__(self, other: Union["RatFunc", MultiPoly, Scalar]) -> "RatFunc":
-        o = self._coerce(other)
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (MultiPoly, int, Fraction)):
-            other = self._coerce(other)
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den
@@ -861,3 +844,7 @@ def parse_rational(text: str) -> Fraction:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed rational {text!r}") from exc
 
+
+def point_text(point: Sequence[Scalar]) -> str:
+    """A rational point as reports print it: (0, 1/2)."""
+    return f"({', '.join(str(c) for c in point)})"

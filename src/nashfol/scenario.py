@@ -56,7 +56,7 @@ from .grassmann import PlueckerVector, Subspace
 from .linalg import integer_row
 from .nash import default_arcs, limit_along, nash_fiber_sample
 from .poisson import cotangent_algebroid
-from .poly import MultiPoly, RatFunc
+from .poly import MultiPoly, RatFunc, point_text
 
 
 class ScenarioError(ValueError):
@@ -512,6 +512,8 @@ class _Runner:
             curves = [
                 self.resolve("curve", c) for c in json_value(list, step["curves"], '"curves"')
             ]
+            if not curves:
+                raise DocumentError('"curves" must name at least one curve')
         else:
             curves = default_arcs(x, self.seed)
         sample = nash_fiber_sample(src.bundle, x, curves)
@@ -530,7 +532,7 @@ class _Runner:
         }
         summary = f"nash fiber: {len(sample.limits)} distinct limit(s) from {ok_count} arc(s)"
         lines = [
-            f"point: ({', '.join(details['point'])})",
+            f"point: {point_text(x)}",
             f"arcs: {ok_count} ok, {details['arcs']['singular']} in singular locus",
             f"distinct limits: {len(sample.limits)}",
         ]

@@ -26,6 +26,16 @@ from nashfol.poly import (
 )
 
 
+def ratfunc_sum(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a + b, from the numerators and denominators."""
+    return RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def ratfunc_product(a: RatFunc, b: RatFunc) -> RatFunc:
+    """a * b, from the numerators and denominators."""
+    return RatFunc(a.num * b.num, a.den * b.den)
+
+
 def ratfunc_quotient(a: RatFunc, b: RatFunc) -> RatFunc:
     """a / b, from the numerators and denominators (b is nonzero)."""
     return RatFunc(a.num * b.den, a.den * b.num)
@@ -54,7 +64,8 @@ def rref(m: Sequence[Sequence[MultiPoly]]):
             if factor.is_zero():
                 continue
             rat_rows[b] = [
-                ratfunc_difference(rb, factor * ra) for rb, ra in zip(rat_rows[b], rat_rows[a])
+                ratfunc_difference(rb, ratfunc_product(factor, ra))
+                for rb, ra in zip(rat_rows[b], rat_rows[a])
             ]
     return rat_rows, pivots
 
@@ -95,6 +106,31 @@ def clear_denominators(entries: Sequence[RatFunc]) -> list[MultiPoly]:
     num = math.gcd(*(c.numerator for c in coeffs))
     content = _coeff(Fraction(num, math.lcm(*(c.denominator for c in coeffs))))
     return [MultiPoly(vs, {e: _div(v, content) for e, v in p.terms.items()}) for p in polys]
+
+
+def frac_det(m: Sequence[Sequence[Fraction]]) -> Fraction:
+    """Determinant of a square Fraction matrix by Gaussian elimination: the
+    reference for every Pluecker coordinate and for `linalg.det` on
+    constant matrices."""
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    rows = [[Fraction(x) for x in row] for row in m]
+    result = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            result = -result
+        result *= rows[c][c]
+        inv = rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return result
 
 
 def frac_solve(

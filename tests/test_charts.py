@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -110,6 +111,24 @@ def test_identity_chart_is_trivial():
     chart_alg = on_chart(so3, ch).algebroid
     assert (chart_alg.bundle, chart_alg.structure) == (so3.bundle, so3.structure)
     assert exceptional_samples(ch) == []
+
+
+@pytest.mark.parametrize("field, polynomial", [(("x", "y", "z"), True), (("0", "1", "x"), False)])
+def test_pullback_identity_check_refuses_a_wrong_solution(field, polynomial, monkeypatch):
+    """J * Y = X o phi is checked in Q[u] after clearing Y's denominators:
+    one perturbed component, polynomial or not, is refused."""
+    ch = blowup(XYZ, 0)
+    original = charts_module.solve
+
+    def perturbed(m, b):
+        comps = original(m, b)
+        comps[-1] = RatFunc(comps[-1].num + comps[-1].den, comps[-1].den)
+        return comps
+
+    assert pullback_vector_field(ch, polys(XYZ, *field)).polynomial_flag is polynomial
+    monkeypatch.setattr(charts_module, "solve", perturbed)
+    with pytest.raises(InternalInvariantError, match="pullback does not satisfy its defining"):
+        pullback_vector_field(ch, polys(XYZ, *field))
 
 
 def test_pullback_of_constant_field_is_not_liftable():
@@ -347,12 +366,16 @@ def test_pullback_bivector_through_linear_chart():
 
 def test_chart_report_samples_and_kernel_test_once(monkeypatch):
     counts = {"exceptional_samples": 0, "poly_mat_vec": 0, "rank": 0}
+    frame_check = charts_module.ChartFrame.__init__.__code__
     for name in counts:
         module = algebroid_module if name == "rank" else charts_module
         original = getattr(module, name)
 
         def counting(*args, _original=original, _name=name, **kwargs):
-            counts[_name] += 1
+            # poly_mat_vec also checks each pullback's identity; only the
+            # frame's kernel check is counted
+            if _name != "poly_mat_vec" or sys._getframe(1).f_code is frame_check:
+                counts[_name] += 1
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)

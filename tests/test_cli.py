@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import nashfol
+import nashfol.charts as charts
 import nashfol.linalg as linalg
 from nashfol.cli import _build_parser, main
-from nashfol.poly import MultiPoly
+from nashfol.poly import MultiPoly, RatFunc
 from nashfol.scenario import OPS
 from models import corpus_names
 
@@ -716,6 +717,61 @@ def test_wrongly_shaped_input_exits_2(doc, point, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+_AXIS_CURVES = {
+    "axis": {"target": ["0", "0"], "components": ["t", "0"]},
+    "off": {"target": ["1", "0"], "components": ["1 + t", "t"]},
+}
+_FIBER_STEP = "step 0 ('nash-fiber') failed: "
+
+
+@pytest.mark.parametrize(
+    "curves, message",
+    [
+        (["axis"], _FIBER_STEP + "all 1 arcs stayed in the singular locus at (0, 0)"),
+        (["off"], _FIBER_STEP + "curve targets (1, 0), sampling at (0, 0)"),
+        ([], '"curves" must name at least one curve'),
+    ],
+    ids=["all-singular", "other-target", "no-curves"],
+)
+def test_nash_fiber_curve_errors_print_points_as_reports_do(curves, message, tmp_path, capsys):
+    doc = {
+        "name": "axes",
+        "algebroid": _BUNDLE,
+        "curves": _AXIS_CURVES,
+        "steps": [{"op": "nash-fiber", "point": ["0", "0"], "curves": curves}],
+    }
+    path = tmp_path / "fiber.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run-scenario", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["kernel-at", "nash-fiber"])
+def test_point_of_the_wrong_arity_exits_2(command, tmp_path, capsys):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(_BUNDLE))
+    assert main([command, "--input", str(path), "--point", "0,0,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: point has 3 coordinates, expected 2\n"
+
+
+def test_pullback_chart_exits_2_when_the_pullback_fails_its_identity(monkeypatch, capsys):
+    original = charts.solve
+
+    def perturbed(m, b):
+        return [RatFunc(c.num + c.den, c.den) for c in original(m, b)]
+
+    monkeypatch.setattr(charts, "solve", perturbed)
+    assert main(["pullback-chart", "--input", corpus_path("so3"), "--chart", "x-chart"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "pullback does not satisfy its defining equation" in captured.err
     assert "Traceback" not in captured.err
 
 

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nashfol.grassmann import NotDecomposableError, PlueckerVector, Subspace, unpluecker
-from nashfol.linalg import frac_det
 from checks import affine_chart
 from models import span_of_integer_vectors
+from oracles import frac_det
 
 
 def F(*xs):
@@ -69,9 +69,10 @@ _entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 @st.composite
 def _spanning_vectors(draw):
-    """Up to n vectors in Q^n, n <= 7: dim 0 and dim n occur, and dim 7 in
-    Q^7 is the one shape here that takes frac_det instead of the table."""
-    n = draw(st.integers(1, 7))
+    """Up to n vectors in Q^n, n <= 9: dim 0 and dim n occur, and so do
+    both sides of n/2, where the table is taken over the rows or over the
+    annihilator (6-of-9 is a gl3 kernel's shape)."""
+    n = draw(st.integers(1, 9))
     k = draw(st.integers(0, n))
     return n, [[draw(_entry) for _ in range(n)] for _ in range(k)]
 
@@ -79,7 +80,11 @@ def _spanning_vectors(draw):
 @settings(max_examples=100, deadline=None)
 @given(_spanning_vectors())
 @example((3, []))
+@example((9, []))
 @example((7, [[Fraction(int(i == j or j == 0), i + 1) for j in range(7)] for i in range(7)]))
+@example((9, [[Fraction(int(i == j or j == 8), i + 1) for j in range(9)] for i in range(9)]))
+@example((9, [[Fraction((i + 2) ** j, i + 1) for j in range(9)] for i in range(6)]))
+@example((9, [[Fraction(int(j in (i, i + 3)), 2 - i % 2) for j in range(9)] for i in range(6)]))
 @example((4, [[Fraction(1, 2), 0, Fraction(-3, 4), 2], [0, 0, Fraction(1, 3), 1]]))
 def test_pluecker_matches_frac_det_of_the_rref(case):
     n, vectors = case

@@ -19,6 +19,7 @@ from nashfol.poly import (
 )
 from nashfol.documents import poly_from_doc
 from encoders import poly_to_doc
+from oracles import ratfunc_product, ratfunc_sum
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -248,11 +249,23 @@ def test_ratfunc_denominator_is_primitive_positive():
 
 def test_ratfunc_arithmetic():
     x_over_y, y_over_x = RatFunc(P("x"), P("y")), RatFunc(P("y"), P("x"))
-    assert x_over_y + y_over_x == RatFunc(P("x^2 + y^2"), P("x*y"))
-    assert x_over_y * y_over_x == 1
-    assert x_over_y + x_over_y * -1 == 0
+    assert ratfunc_sum(x_over_y, y_over_x) == RatFunc(P("x^2 + y^2"), P("x*y"))
+    assert ratfunc_product(x_over_y, y_over_x) == RatFunc(P("1"))
+    minus_one = RatFunc(P("-1"))
+    assert ratfunc_sum(x_over_y, ratfunc_product(x_over_y, minus_one)) == RatFunc(P("0"))
     with pytest.raises(ZeroDivisionError):
         RatFunc(P("x"), P("y - y"))
+
+
+def test_ratfunc_is_a_value_without_arithmetic():
+    """A RatFunc is constructed, compared and printed: it neither adds nor
+    multiplies, and it equals only another RatFunc."""
+    one = RatFunc(P("1"))
+    for op in ("__add__", "__radd__", "__mul__", "__rmul__", "_coerce"):
+        assert not hasattr(RatFunc, op)
+    with pytest.raises(TypeError):
+        one + one
+    assert one != P("1") and one != 1
 
 
 def test_parse_rational():
