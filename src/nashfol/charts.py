@@ -32,14 +32,13 @@ from .grassmann import Subspace
 from .linalg import (
     RowEchelon,
     _bareiss,
-    _integer_poly_row,
+    _integer_coefficients,
     _primitive_kernel_vector,
     adjugate,
     det,
     frac_kernel,
     frac_rank,
     frac_rref,
-    integer_row,
     kernel_basis,
     poly_mat_mul,
     poly_mat_vec,
@@ -55,6 +54,8 @@ from .poly import (
     RatFunc,
     divides,
     exact_div,
+    integer_row,
+    point_text,
     poly_gcd,
 )
 
@@ -81,9 +82,7 @@ class FrameReductionFailedError(RuntimeError):
 
     def __init__(self, samples: Sequence[Point]):
         self.samples = [tuple(s) for s in samples]
-        where = ", ".join(
-            "(" + ", ".join(str(c) for c in s) + ")" for s in self.samples
-        )
+        where = ", ".join(point_text(s) for s in self.samples)
         super().__init__(
             f"frame stays rank-deficient at {where}: either no polynomial "
             "frame exists on this chart, or the column-reduction heuristic "
@@ -565,7 +564,7 @@ def debord_generators(pullback: ChartPullback) -> list[Relation]:
         # the subset is independent iff its columns are the first r pivots;
         # the Cramer vector w of free column f = r+i then gives rest[i] as
         # the sum over c < r of -w[c] / w[f] times column c
-        rows, pivots, _ = _bareiss([_integer_poly_row([row[j] for j in order]) for row in anchor])
+        rows, pivots, _ = _bareiss([_integer_coefficients([row[j] for j in order]) for row in anchor])
         if pivots[:r] != list(range(r)):
             continue
         if len(pivots) > r:

@@ -18,7 +18,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .linalg import _column_subsets, _laplace_minors, frac_kernel, frac_rref, integer_row
+from .linalg import _column_subsets, _laplace_minors, _rref_kernel, frac_rref
+from .poly import integer_row
 
 
 class NotDecomposableError(ValueError):
@@ -72,7 +73,7 @@ class Subspace:
 
     def pluecker(self) -> "PlueckerVector":
         """The maximal minors of the RREF rows up to dim n/2, and past it of
-        the annihilator's rows (`frac_kernel`): the minor on column set C is
+        the annihilator's rows, read off the RREF: the minor on column set C is
         then (-1)^(sum C) times the annihilator's on the complement of C, up
         to one global sign and scale.  The sign is read from the complement,
         whose sum differs from sum C by n(n-1)/2; complements run in reverse
@@ -81,7 +82,7 @@ class Subspace:
         if self._pluecker is None:
             n, k = self.n, self.dim
             dual = 2 * k > n
-            rows = frac_kernel(self.rows, n) if dual else self.rows
+            rows = _rref_kernel(self.rows, self.pivots, n) if dual else self.rows
             s = len(rows)
             coords = _laplace_minors([integer_row(r) for r in rows], s, 0) if s else [1]
             if dual:
@@ -96,7 +97,7 @@ class PlueckerVector:
 
     ``coords`` lists the k-by-k minors over column subsets in lexicographic
     order; they are given as rationals and kept as their integer row
-    (``linalg.integer_row``) with the first nonzero entry made positive.
+    (``poly.integer_row``) with the first nonzero entry made positive.
     """
 
     __slots__ = ("n", "k", "coords")

@@ -1,4 +1,4 @@
-"""Integer rows, then fraction-free linear algebra over polynomial rings.
+"""Fraction-free linear algebra over polynomial rings.
 
 Matrices are plain lists of lists.  Entries are MultiPoly over a shared
 variable tuple; generic-rank questions are answered over the fraction field
@@ -23,9 +23,10 @@ takes the dets and caches nothing.  Pluecker vectors never need that choice
 (`grassmann`).
 
 Kernels take integer rows, then are fraction-free too, in every arity: each
-row is scaled by the lcm of its coefficients' denominators, so the elimination
-runs over the integers, and each basis vector is back-substituted from the
-Bareiss echelon form and divided by the gcd of its entries (`poly_gcd`), so it
+row is scaled to coprime integer coefficients (`poly.integer_row`; no gcd or
+lcm of integers is computed here), so the elimination runs over the integers,
+and each basis vector is back-substituted from the Bareiss echelon form,
+divided by the gcd of its entries (`poly_gcd`) and scaled the same way, so it
 is primitive over the polynomial ring.
 """
 
@@ -42,11 +43,10 @@ from .poly import (
     InternalInvariantError,
     MultiPoly,
     RatFunc,
-    _coeff,
-    _div,
     _result,
     exact_div,
     exact_quotients,
+    integer_row,
     poly_gcd,
 )
 
@@ -94,14 +94,12 @@ def eval_matrix(m: Sequence[Sequence[MultiPoly]], point: Sequence) -> list[list[
     return [[entry.eval(point) for entry in row] for row in m]
 
 
-def integer_row(values: Sequence[Fraction]) -> list[int]:
-    """The primitive integer multiple of a rational vector: denominators
-    cleared by their lcm, then divided by the gcd.  The sign is kept, and a
-    zero (or empty) vector stays as it is."""
-    scale = math.lcm(*(c.denominator for c in values))
-    ints = [c.numerator * (scale // c.denominator) for c in values]
-    g = math.gcd(*ints) or 1
-    return [c // g for c in ints]
+def _integer_coefficients(polys: Sequence[MultiPoly]) -> PolyVector:
+    """The polys times the one positive rational that leaves all their
+    coefficients together coprime integers (`integer_row`).  A nonzero
+    scaling keeps a row's kernel and a vector's span."""
+    ints = iter(integer_row([c for p in polys for c in p.terms.values()]))
+    return [_result(p.vars, {e: next(ints) for e in p.terms}) for p in polys]
 
 
 def _reduce_row(
@@ -288,20 +286,15 @@ def minors(m: Sequence[Sequence[MultiPoly]], size: int) -> list[MultiPoly]:
 
 
 def primitive_part(polys: PolyVector) -> PolyVector:
-    """A nonzero vector divided by the gcd of its entries and by the
-    positive rational content of all its coefficients together."""
+    """A nonzero vector divided by the gcd of its entries, then given
+    coprime integer coefficients (`_integer_coefficients`)."""
     g = MultiPoly.zero(polys[0].vars)
     for p in polys:
         if p:
             g = poly_gcd(g, p)
     if not g.is_constant():
         polys = exact_quotients(polys, g)
-    coeffs = [c for p in polys for c in p.terms.values()]
-    num = math.gcd(*(c.numerator for c in coeffs))
-    content = _coeff(Fraction(num, math.lcm(*(c.denominator for c in coeffs))))
-    if content == 1:
-        return polys
-    return [MultiPoly(g.vars, {e: _div(v, content) for e, v in p.terms.items()}) for p in polys]
+    return _integer_coefficients(polys)
 
 
 def _primitive_kernel_vector(
@@ -329,19 +322,6 @@ def _primitive_kernel_vector(
     return primitive_part(w)
 
 
-def _integer_poly_row(row: Sequence[MultiPoly]) -> PolyVector:
-    """The row times the lcm of its coefficients' denominators: every
-    coefficient becomes an int, and the kernel over the fraction field is
-    unchanged."""
-    scale = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
-    if scale == 1:
-        return list(row)
-    return [
-        _result(p.vars, {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()})
-        for p in row
-    ]
-
-
 def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:
     """Basis of the right kernel over the fraction field.
 
@@ -355,7 +335,7 @@ def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:
     """
     if not m or not m[0]:
         raise ValueError("kernel of an empty matrix")
-    int_rows = [_integer_poly_row(row) for row in m]
+    int_rows = [_integer_coefficients(row) for row in m]
     rows, pivots, _ = _bareiss(int_rows)
     basis = []
     for f in range(len(m[0])):
@@ -446,10 +426,15 @@ def frac_rank(m: Sequence[Sequence[Fraction]]) -> int:
 def frac_kernel(m: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
     """Basis of the right kernel of a Fraction matrix with ``ncols`` columns,
     one vector per free column."""
-    rows, pivots = frac_rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    return _rref_kernel(*frac_rref(m), ncols)
+
+
+def _rref_kernel(
+    rows: Sequence[Sequence[Fraction]], pivots: Sequence[int], ncols: int
+) -> list[list[Fraction]]:
+    """`frac_kernel` read off a reduced row echelon form and its pivots."""
     basis = []
-    for f in free:
+    for f in [c for c in range(ncols) if c not in pivots]:
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for a, c in enumerate(pivots):

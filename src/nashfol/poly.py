@@ -1,9 +1,10 @@
 """Exact multivariate polynomials and rational functions over the rationals.
 
 A coefficient is an `int` when it is an integer and a `fractions.Fraction`
-otherwise; every coefficient division goes through `_div`, so nothing in this
-module (or the package) ever touches floating point.  `3` and `Fraction(3)`
-print, compare and hash alike, so the representation never shows in output.
+otherwise; every coefficient division goes through `_div`, or divides exact
+integers in `integer_row`, the one content routine, so nothing in the package
+ever touches floating point.  `3` and `Fraction(3)` print, compare and hash
+alike, so the representation never shows in output.
 
 A polynomial is a sparse map from exponent vectors to nonzero coefficients,
 tagged with an ordered tuple of variable names.  The canonical term order
@@ -13,11 +14,11 @@ serialization lists terms in descending graded-lex order, so equal polynomials
 always print identically.
 
 Rational functions are kept in lowest terms: numerator and denominator are
-divided by their gcd (`poly_gcd`, exact in every arity) and the denominator by
-its rational content, so equal fractions have one representation and equality
-is structural.  A rational function is constructed, compared and printed, and
-nothing more: arithmetic is done on numerators and denominators as
-polynomials.
+divided by their gcd (`poly_gcd`, exact in every arity), and both by the
+denominator's content, so equal fractions have one representation and
+equality is structural.  A rational function is constructed, compared and
+printed, and nothing more: arithmetic is done on numerators and denominators
+as polynomials.
 """
 
 from __future__ import annotations
@@ -113,6 +114,17 @@ def _result(variables: tuple[str, ...], terms: dict[Exponents, Scalar]) -> "Mult
     p.vars = variables
     p.terms = terms
     return p
+
+
+def integer_row(values: Iterable[Scalar]) -> list[int]:
+    """The primitive integer multiple of a rational vector, the one content
+    routine: denominators cleared by their lcm, then divided by the gcd.
+    The sign is kept, and a zero (or empty) vector stays as it is."""
+    values = list(values)
+    scale = math.lcm(*(c.denominator for c in values))
+    ints = [c.numerator * (scale // c.denominator) for c in values]
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints]
 
 
 def _mul_terms(
@@ -340,25 +352,20 @@ class MultiPoly:
     # -- content and divisibility -------------------------------------------
 
     def content(self) -> Fraction:
-        """Signed rational content: primitive part has coprime integer
-        coefficients and positive leading (graded-lex) coefficient."""
+        """Signed rational content: the polynomial divided by it is its
+        `primitive` part."""
         if not self.terms:
             return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = math.gcd(num, abs(c.numerator))
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        c = Fraction(num, den)
-        if self.leading()[1] < 0:
-            c = -c
-        return c
+        e, c = next(iter(self.terms.items()))
+        return Fraction(c, self.primitive().terms[e])
 
     def primitive(self) -> "MultiPoly":
-        c = _coeff(self.content())
-        if c == 1:
-            return self
-        return MultiPoly(self.vars, {e: _div(v, c) for e, v in self.terms.items()})
+        """The primitive part: coprime integer coefficients (`integer_row`)
+        and a positive leading (graded-lex) coefficient."""
+        ints = integer_row(self.terms.values())
+        if self.terms and self.leading()[1] < 0:
+            ints = [-c for c in ints]
+        return _result(self.vars, dict(zip(self.terms, ints)))
 
     def monomial_content(self) -> Exponents:
         """Componentwise minimum exponent vector across all terms."""
@@ -492,12 +499,6 @@ def _primitive_prs(f: dict, g: dict, primitive) -> dict:
     return f
 
 
-def _integer_primitive(r: dict) -> dict:
-    """An integer coefficient dict divided by the gcd of its coefficients."""
-    content = math.gcd(*r.values())
-    return {d: c // content for d, c in r.items()}
-
-
 # Evaluation points the heuristic gcd tries before the exact fallback.
 GCDHEU_TRIES = 6
 
@@ -601,7 +602,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     a, b = a.primitive(), b.primitive()
     if len(a.vars) == 1:
         f, g = ({e: c for (e,), c in p.terms.items()} for p in (a, b))
-        last = _primitive_prs(f, g, _integer_primitive)
+        last = _primitive_prs(f, g, lambda r: dict(zip(r, integer_row(r.values()))))
         return _result(a.vars, {(e,): c for e, c in last.items()}).primitive()
     h = _heuristic_gcd(a, b)
     return h if h is not None else _recursive_gcd(a, b)
@@ -632,10 +633,10 @@ class RatFunc:
             g = poly_gcd(num, den)
             if not g.is_constant():
                 num, den = exact_div(num, g), exact_div(den, g)
-        c = den.content()
-        if c != 1:
-            den = MultiPoly(den.vars, {e: _div(v, c) for e, v in den.terms.items()})
-            num = MultiPoly(num.vars, {e: _div(v, c) for e, v in num.terms.items()})
+        primitive = den.primitive()
+        e, c = next(iter(den.terms.items()))
+        if primitive.terms[e] != c:
+            num, den = num * Fraction(primitive.terms[e], c), primitive
         self.num = num
         self.den = den
 

@@ -53,10 +53,9 @@ from .documents import (
     rational,
 )
 from .grassmann import PlueckerVector, Subspace
-from .linalg import integer_row
 from .nash import default_arcs, limit_along, nash_fiber_sample
 from .poisson import cotangent_algebroid
-from .poly import MultiPoly, RatFunc, point_text
+from .poly import MultiPoly, RatFunc, integer_row, point_text
 
 
 class ScenarioError(ValueError):
@@ -753,8 +752,8 @@ def run_scenario(scenario: Scenario, seed: int = 0) -> Report:
         json_value(dict, step, f"step {idx}")
         try:
             steps.append(runner.run_step(step))
-        except (ScenarioError, DocumentError):
-            raise
+        except (ScenarioError, DocumentError) as exc:
+            raise type(exc)(f"step {idx} ({step.get('op')!r}): {exc}") from exc
         # A malformed expectation (a list where a number belongs, a string
         # where an object belongs, a missing key) fails with TypeError or
         # LookupError; it is reported against its step like a ValueError.

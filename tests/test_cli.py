@@ -631,7 +631,8 @@ def test_explicit_source_the_scenario_lacks_exits_2(name, source, tmp_path, caps
     assert main(["run-scenario", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: step asks for the {source}; scenario has none\n"
+    message = f"step asks for the {source}; scenario has none"
+    assert captured.err == f"error: step 0 ('rank'): {message}\n"
 
 
 def test_bivector_step_reads_the_bivectors_kernel_sections(tmp_path, capsys):
@@ -732,7 +733,7 @@ _FIBER_STEP = "step 0 ('nash-fiber') failed: "
     [
         (["axis"], _FIBER_STEP + "all 1 arcs stayed in the singular locus at (0, 0)"),
         (["off"], _FIBER_STEP + "curve targets (1, 0), sampling at (0, 0)"),
-        ([], '"curves" must name at least one curve'),
+        ([], "step 0 ('nash-fiber'): \"curves\" must name at least one curve"),
     ],
     ids=["all-singular", "other-target", "no-curves"],
 )
@@ -749,6 +750,29 @@ def test_nash_fiber_curve_errors_print_points_as_reports_do(curves, message, tmp
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        ({"op": "kernel-at", "point": "nowhere"}, "unknown point 'nowhere'"),
+        (
+            {"op": "nash-fiber", "point": ["0", "0"], "curves": 5},
+            '"curves" must be a JSON list, not 5',
+        ),
+    ],
+    ids=["scenario-error", "document-error"],
+)
+def test_a_malformed_later_step_names_its_index(step, message, tmp_path, capsys):
+    """A scenario or document error inside a step names the step, as an
+    engine error does, and still exits 2."""
+    doc = {"name": "axes", "algebroid": _BUNDLE, "steps": [{"op": "rank", "expect": 2}, step]}
+    path = tmp_path / "steps.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run-scenario", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: step 1 ({step['op']!r}): {message}\n"
 
 
 @pytest.mark.parametrize("command", ["kernel-at", "nash-fiber"])

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -19,7 +20,6 @@ from nashfol.linalg import (
     frac_kernel,
     frac_rank,
     frac_rref,
-    integer_row,
     kernel_basis,
     minors,
     poly_mat_mul,
@@ -28,7 +28,7 @@ from nashfol.linalg import (
     solve,
 )
 from nashfol.nash import limit_subspace
-from nashfol.poly import MultiPoly, RatFunc, exact_quotients, parse_poly, poly_gcd
+from nashfol.poly import MultiPoly, RatFunc, exact_quotients, integer_row, parse_poly, poly_gcd
 from oracles import frac_det, kernel_basis_by_rref, ratfunc_solve, rref
 
 XYZ = ("x", "y", "z")
@@ -199,6 +199,32 @@ def test_integer_row(values, expected):
     assert integer_row(values) == expected
 
 
+def _is_primitive_multiple(got, values) -> bool:
+    """The Fraction oracle of the content normal form: ``got`` holds coprime
+    ints, one positive rational times ``values`` (all zeros for a zero
+    vector)."""
+    if not all(type(c) is int for c in got) or len(got) != len(values):
+        return False
+    if not any(values):
+        return not any(got)
+    ratios = {Fraction(c) / v if v else Fraction(0) for c, v in zip(got, values) if c or v}
+    return len(ratios) == 1 and ratios.pop() > 0 and math.gcd(*got) == 1
+
+
+_rational = st.one_of(st.integers(-30, 30), st.fractions(max_denominator=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_rational, max_size=6))
+@example([Fraction(-4), 6, 0, 10])
+@example([Fraction(2, 3), Fraction(-4, 9), 5])
+def test_integer_row_matches_the_fraction_oracle(values):
+    """int and Fraction entries alike reach the primitive integer multiple,
+    and the sign of every entry is kept."""
+    assert _is_primitive_multiple(integer_row(values), values)
+    assert integer_row(iter(values)) == integer_row(values)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     st.one_of(
@@ -206,22 +232,15 @@ def test_integer_row(values, expected):
         st.lists(_fraction_polys(XY), min_size=1, max_size=4),
     )
 )
-def test_integer_poly_row_is_a_positive_integer_multiple(row):
+def test_integer_coefficients_is_a_positive_rational_multiple(row):
     """The row that kernel_basis eliminates, and checks its vectors against,
-    is one positive integer times the given row, with int coefficients: a
-    wrong scaling of the row would change the kernel that is checked."""
-    scaled = linalg._integer_poly_row(row)
-    assert all(type(c) is int for p in scaled for c in p.terms.values())
+    is one positive rational times the given row, with coprime int
+    coefficients: a wrong scaling of the row would change the kernel that
+    is checked."""
+    scaled = linalg._integer_coefficients(row)
     assert [p.terms.keys() for p in scaled] == [p.terms.keys() for p in row]
-    ratios = {
-        Fraction(c) / p.terms[e] for p, q in zip(row, scaled) for e, c in q.terms.items()
-    }
-    assert len(ratios) <= 1
-    if ratios:
-        (scale,) = ratios
-        assert scale.denominator == 1 and scale > 0
-    else:
-        assert scaled == list(row)
+    coeffs = [p.terms[e] for p in row for e in p.terms]
+    assert _is_primitive_multiple([q.terms[e] for q in scaled for e in q.terms], coeffs)
 
 
 def test_solve_cramer():

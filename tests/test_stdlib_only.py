@@ -32,6 +32,27 @@ def test_every_import_is_nashfol_or_stdlib():
     assert not foreign
 
 
+def _integer_gcd_calls(path: Path) -> set[str]:
+    """The names ``gcd`` and ``lcm`` of ``math`` that a module mentions, as
+    ``math.gcd`` or imported from math."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "math" and node.attr in ("gcd", "lcm"):
+                found.add(f"math.{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.update(f"math.{a.name}" for a in node.names if a.name in ("gcd", "lcm"))
+    return found
+
+
+def test_only_poly_computes_integer_gcds():
+    """The rational content of coefficients is decided in one module:
+    `poly.integer_row` and the gcd routines beside it."""
+    found = {path.name: _integer_gcd_calls(path) for path in SOURCES}
+    assert found.pop("poly.py")
+    assert not {name: calls for name, calls in found.items() if calls}
+
+
 def _unused_imports(path: Path) -> set[str]:
     """Names a module imports but never reads (``from __future__`` aside)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
