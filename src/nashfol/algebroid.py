@@ -298,31 +298,6 @@ def strong_kernel_at(
     return Subspace(bundle.fiber_rank, values)
 
 
-def _kernel_bracket_at(algebroid: AlmostLieAlgebroid, x: Point):
-    """The bracket ker rho_x x ker rho_x -> ker rho_x, sum u_i v_j c_ij(x), with
-    the anchor and every c_ij evaluated at x once for all the brackets taken."""
-    ax = algebroid.bundle.anchor_at(x)
-    structure = sorted(algebroid.structure.items())
-    constants = [(i, j, [ck.eval(x) for ck in c]) for (i, j), c in structure]
-
-    def in_kernel(w):
-        return all(sum(a * b for a, b in zip(row, w, strict=True)) == 0 for row in ax)
-
-    def bracket(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
-        if not in_kernel(u) or not in_kernel(v):
-            raise NotInKernelError(f"argument not in the anchor kernel at {point_text(x)}")
-        out = [Fraction(0)] * algebroid.bundle.fiber_rank
-        for i, j, c in constants:
-            coeff = u[i] * v[j] - u[j] * v[i]
-            if coeff:
-                out = [o + coeff * ck for o, ck in zip(out, c)]
-        if not in_kernel(out):
-            raise InternalInvariantError("pointwise bracket left the kernel")
-        return out
-
-    return bracket
-
-
 @dataclass(frozen=True)
 class IsotropyAlgebra:
     """The quotient ker rho_x / Sker rho_x with its induced Lie bracket.
@@ -355,7 +330,8 @@ def _quotient_basis(sker: Subspace, ker: Subspace):
     """Representatives of ker / sker and the quotient coordinates of each
     kernel row, from one elimination of the matrix whose columns are the Sker
     rows, then the kernel rows: its pivot columns past Sker are the kernel rows
-    that extend Sker, and column p + i is kernel row i in (Sker, reps)."""
+    that extend Sker, which follow the Sker rows in a basis of ker adapted to
+    Sker, and column p + i is kernel row i in that basis."""
     p = sker.dim
     echelon, pivots = frac_rref(list(zip(*sker.rows, *ker.rows)))
     reps = tuple(ker.rows[c - p] for c in pivots[p:])
@@ -365,6 +341,24 @@ def _quotient_basis(sker: Subspace, ker: Subspace):
     return reps, row_coordinates
 
 
+def _pointwise_brackets(algebroid: AlmostLieAlgebroid, x: Point, vectors):
+    """[v_i, v_j] = sum_{k<l} (v_i[k] v_j[l] - v_i[l] v_j[k]) c_kl(x) for each
+    pair i < j of the vectors, keyed (i, j), with every c_kl evaluated at x
+    once.  Nothing is checked: the caller checks each value once."""
+    structure = sorted(algebroid.structure.items())
+    constants = [(k, l, [c.eval(x) for c in sec]) for (k, l), sec in structure]
+    out = {}
+    for i, j in combinations(range(len(vectors)), 2):
+        u, v = vectors[i], vectors[j]
+        value = [Fraction(0)] * algebroid.bundle.fiber_rank
+        for k, l, c in constants:
+            coeff = u[k] * v[l] - u[l] * v[k]
+            if coeff:
+                value = [o + coeff * ck for o, ck in zip(value, c)]
+        out[(i, j)] = value
+    return out
+
+
 def isotropy_algebra_at(
     algebroid: AlmostLieAlgebroid,
     kernel_gens: Sequence[Sequence[MultiPoly]],
@@ -372,10 +366,14 @@ def isotropy_algebra_at(
 ) -> IsotropyAlgebra:
     """Isotropy Lie algebra at a point.
 
-    Representatives are the kernel RREF rows that extend the strong kernel;
-    well-definedness ([Sker, ker]_x inside Sker) is verified and failure
-    raises WellDefinednessFailureError.  When the input passes the Jacobi
-    scan, the quotient constants are checked against Jacobi numerically.
+    Representatives are the kernel RREF rows that extend the strong kernel.
+    Each bracket of the adapted basis (Sker rows, then representatives) is
+    taken once and mapped to quotient coordinates once, which checks that it
+    lies in the kernel.  The bracket is bilinear and skew, so [Sker, ker]_x
+    lies in Sker exactly when every bracket with a Sker row has zero
+    coordinates (else WellDefinednessFailureError); those of two
+    representatives are the structure constants.  When the input passes the
+    Jacobi scan, the constants are checked against Jacobi numerically.
     """
     bundle = algebroid.bundle
     ker = kernel_at(bundle, x)
@@ -383,22 +381,23 @@ def isotropy_algebra_at(
     if not ker.contains_subspace(sker):
         # cannot happen for validated generators; guards evaluation slips
         raise NotInKernelError("strong kernel escapes the kernel")
-    bracket = _kernel_bracket_at(algebroid, x)
-    for s in sker.rows:
-        for u in ker.rows:
-            if not sker.contains(bracket(s, u)):
-                raise WellDefinednessFailureError(
-                    f"[Sker, ker] leaves Sker at {point_text(x)}; "
-                    "the kernel generator set is incomplete or wrong"
-                )
     reps, row_coordinates = _quotient_basis(sker, ker)
     dim = ker.dim - sker.dim
     if len(reps) != dim:
         raise InternalInvariantError("quotient representatives miss the quotient dimension")
     iso = IsotropyAlgebra(dim, reps, {}, ker, sker, row_coordinates)
-    # the bracket raises if its value leaves the kernel, so none maps to None
-    for a, b in combinations(range(dim), 2):
-        iso.structure[(a, b)] = iso.coordinates(bracket(reps[a], reps[b]))
+    p = sker.dim
+    for (i, j), value in _pointwise_brackets(algebroid, x, sker.rows + reps).items():
+        coords = iso.coordinates(value)
+        if coords is None:
+            raise InternalInvariantError("pointwise bracket left the kernel")
+        if i >= p:
+            iso.structure[(i - p, j - p)] = coords
+        elif any(coords):
+            raise WellDefinednessFailureError(
+                f"[Sker, ker] leaves Sker at {point_text(x)}; "
+                "the kernel generator set is incomplete or wrong"
+            )
     if is_lie_algebroid(algebroid):
         _assert_jacobi_numeric(iso.structure, dim)
     return iso

@@ -51,27 +51,13 @@ class CurveGerm:
                 )
 
     @classmethod
-    def ray(cls, target: Point, direction: Sequence[Fraction]) -> "CurveGerm":
-        comps = []
-        for x0, v in zip(target, direction):
-            comps.append(
-                MultiPoly(CURVE_VAR, {(0,): Fraction(x0), (1,): Fraction(v)})
-            )
-        return cls(tuple(Fraction(c) for c in target), tuple(comps))
-
-    @classmethod
-    def quadratic(
-        cls, target: Point, v: Sequence[Fraction], w: Sequence[Fraction]
-    ) -> "CurveGerm":
-        comps = []
-        for x0, v1, v2 in zip(target, v, w):
-            comps.append(
-                MultiPoly(
-                    CURVE_VAR,
-                    {(0,): Fraction(x0), (1,): Fraction(v1), (2,): Fraction(v2)},
-                )
-            )
-        return cls(tuple(Fraction(c) for c in target), tuple(comps))
+    def polynomial(cls, target: Point, *coefficients: Sequence[Fraction]) -> "CurveGerm":
+        """The arc target + sum_m coefficients[m-1] * t^m."""
+        comps = tuple(
+            MultiPoly(CURVE_VAR, {(m,): Fraction(c) for m, c in enumerate(column)})
+            for column in zip(target, *coefficients)
+        )
+        return cls(tuple(Fraction(c) for c in target), comps)
 
 
 def kernel_curve(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPoly]]:
@@ -217,16 +203,14 @@ def default_arcs(x: Point, seed: int) -> list[CurveGerm]:
         for sign in (1, -1):
             direction = [Fraction(0)] * d
             direction[i] = Fraction(sign)
-            arcs.append(CurveGerm.ray(point, direction))
+            arcs.append(CurveGerm.polynomial(point, direction))
     rng = _seeded_rng(seed, "nash-rays")
     for _ in range(16):
-        arcs.append(CurveGerm.ray(point, _random_direction(rng, d)))
+        arcs.append(CurveGerm.polynomial(point, _random_direction(rng, d)))
     rng = _seeded_rng(seed, "nash-quadratics")
     for _ in range(8):
         arcs.append(
-            CurveGerm.quadratic(
-                point, _random_direction(rng, d), _random_direction(rng, d)
-            )
+            CurveGerm.polynomial(point, _random_direction(rng, d), _random_direction(rng, d))
         )
     return arcs
 

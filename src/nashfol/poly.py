@@ -351,14 +351,6 @@ class MultiPoly:
 
     # -- content and divisibility -------------------------------------------
 
-    def content(self) -> Fraction:
-        """Signed rational content: the polynomial divided by it is its
-        `primitive` part."""
-        if not self.terms:
-            return Fraction(1)
-        e, c = next(iter(self.terms.items()))
-        return Fraction(c, self.primitive().terms[e])
-
     def primitive(self) -> "MultiPoly":
         """The primitive part: coprime integer coefficients (`integer_row`)
         and a positive leading (graded-lex) coefficient."""
@@ -567,17 +559,17 @@ def _recursive_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
             parts.setdefault(e[-1], {})[e[:-1]] = c
         return {d: _result(inner, t) for d, t in parts.items()}
 
-    def content(f: dict) -> MultiPoly:
+    def coefficient_gcd(f: dict) -> MultiPoly:
         g = MultiPoly.zero(inner)
         for c in f.values():
             g = poly_gcd(g, c)
         return g
 
     def primitive(f: dict) -> dict:
-        return dict(zip(f, exact_quotients(f.values(), content(f))))
+        return dict(zip(f, exact_quotients(f.values(), coefficient_gcd(f))))
 
     f, g = split(a), split(b)
-    common = poly_gcd(content(f), content(g))
+    common = poly_gcd(coefficient_gcd(f), coefficient_gcd(g))
     last = _primitive_prs(primitive(f), primitive(g), primitive)
     terms = {e + (d,): v for d, c in last.items() for e, v in (c * common).terms.items()}
     return _result(a.vars, terms).primitive()

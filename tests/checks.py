@@ -15,10 +15,10 @@ from typing import Sequence
 from nashfol.algebroid import (
     AlmostLieAlgebroid,
     AnchoredBundle,
+    NotInKernelError,
     Point,
     VectorField,
     _constant_table,
-    _kernel_bracket_at,
     anchor_rank_generic,
     bracket_with_basis,
     isotropy_algebra_at,
@@ -29,7 +29,7 @@ from nashfol.grassmann import PlueckerVector, Subspace
 from nashfol.linalg import frac_kernel, frac_rank, poly_mat_vec
 from nashfol.nash import CurveGerm
 from nashfol.poisson import Bivector, gradient
-from nashfol.poly import ArityMismatchError, InternalInvariantError, MultiPoly
+from nashfol.poly import ArityMismatchError, InternalInvariantError, MultiPoly, point_text
 
 
 def rank_at(bundle: AnchoredBundle, x: Point) -> int:
@@ -45,9 +45,36 @@ def frame_rank_at(frame: ChartFrame, point: Point) -> int:
     return frac_rank([[col[i].eval(point) for col in frame.columns] for i in range(n)])
 
 
+def kernel_bracket_at(algebroid: AlmostLieAlgebroid, x: Point):
+    """The bracket ker rho_x x ker rho_x -> ker rho_x, sum u_i v_j c_ij(x), with
+    the anchor and every c_ij evaluated at x once for all the brackets taken.
+    Each call checks both arguments (NotInKernelError) and the value against
+    the anchor at x: the per-pair oracle for the engine's isotropy brackets."""
+    ax = algebroid.bundle.anchor_at(x)
+    structure = sorted(algebroid.structure.items())
+    constants = [(i, j, [ck.eval(x) for ck in c]) for (i, j), c in structure]
+
+    def in_kernel(w):
+        return all(sum(a * b for a, b in zip(row, w, strict=True)) == 0 for row in ax)
+
+    def bracket(u: Sequence[Fraction], v: Sequence[Fraction]) -> list[Fraction]:
+        if not in_kernel(u) or not in_kernel(v):
+            raise NotInKernelError(f"argument not in the anchor kernel at {point_text(x)}")
+        out = [Fraction(0)] * algebroid.bundle.fiber_rank
+        for i, j, c in constants:
+            coeff = u[i] * v[j] - u[j] * v[i]
+            if coeff:
+                out = [o + coeff * ck for o, ck in zip(out, c)]
+        if not in_kernel(out):
+            raise InternalInvariantError("pointwise bracket left the kernel")
+        return out
+
+    return bracket
+
+
 def pointwise_kernel_bracket(algebroid: AlmostLieAlgebroid, x: Point, u, v) -> list[Fraction]:
     """The bracket ker rho_x x ker rho_x -> ker rho_x, sum u_i v_j c_ij(x)."""
-    return _kernel_bracket_at(algebroid, x)(u, v)
+    return kernel_bracket_at(algebroid, x)(u, v)
 
 
 def linear_lift(algebroid: AlmostLieAlgebroid, a: Sequence[MultiPoly]):
@@ -126,7 +153,7 @@ def annihilator_duality_check(matrix: Sequence[Sequence[MultiPoly]], x: Point):
 
 def check_limit_subalgebra(algebroid: AlmostLieAlgebroid, v: Subspace, x: Point) -> bool:
     """Whether the limit is closed under the pointwise kernel bracket."""
-    bracket = _kernel_bracket_at(algebroid, x)
+    bracket = kernel_bracket_at(algebroid, x)
     for i, row_u in enumerate(v.rows):
         for row_w in v.rows[i + 1 :]:
             if not v.contains(bracket(row_u, row_w)):

@@ -203,14 +203,14 @@ def test_criterion_4_duval_kernels_and_limits(n):
         direction = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
         if direction[0] == 0 and direction[1] == 0:
             continue
-        curve = CurveGerm.ray((Fraction(0),) * 3, direction)
+        curve = CurveGerm.polynomial((Fraction(0),) * 3, direction)
         limit = limit_subspace(kernel_curve(bundle, curve))
         assert limit == Subspace(3, [[direction[1], direction[0], Fraction(0)]])
         errors = convergence_errors(bundle, curve, limit, ORACLE_TIMES)
         assert all(e == 0 for e in errors) or errors[0] > errors[1] > errors[2]
         seen_rays += 1
 
-    axis = CurveGerm.ray((Fraction(0),) * 3, [Fraction(0), Fraction(0), Fraction(1)])
+    axis = CurveGerm.polynomial((Fraction(0),) * 3, [Fraction(0), Fraction(0), Fraction(1)])
     limit = limit_subspace(kernel_curve(bundle, axis))
     assert limit == Subspace(3, [[0, 0, 1]])
     assert convergence_errors(bundle, axis, limit, ORACLE_TIMES) == [0, 0, 0]
@@ -221,7 +221,7 @@ def test_criterion_5_veronese_rays():
     lambdas = [Fraction(1), Fraction(2), Fraction(3), Fraction(-1), Fraction(1, 2)]
     limits = []
     for lam in lambdas:
-        curve = CurveGerm.ray((Fraction(0), Fraction(0)), [Fraction(1), lam])
+        curve = CurveGerm.polynomial((Fraction(0), Fraction(0)), [Fraction(1), lam])
         limit = limit_subspace(kernel_curve(bundle, curve))
         annihilators = [
             [Fraction(1), lam, lam * lam, Fraction(0), Fraction(0), Fraction(0)],

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 
 import pytest
@@ -31,17 +31,19 @@ from nashfol.algebroid import (
 )
 from nashfol.grassmann import Subspace
 from nashfol.nash import CurveGerm, kernel_curve
-from nashfol.poly import MultiPoly, parse_poly
+from nashfol.poly import InternalInvariantError, MultiPoly, parse_poly
 from nashfol.scenario import load_scenario, run_scenario
-from checks import linear_lift, pointwise_kernel_bracket, rank_at
+from checks import kernel_bracket_at, linear_lift, pointwise_kernel_bracket, rank_at
 from encoders import algebroid_to_doc
 from models import (
     basis_section,
     corpus_names,
     load_corpus_scenario,
     matrix_action_algebroid,
+    rotation_action_algebroid,
     special_linear_2_algebroid,
     sphere_generators_algebroid,
+    vanishing_order_algebroid,
 )
 
 XYZ = ("x", "y", "z")
@@ -253,7 +255,7 @@ def test_kernel_curve_on_a_rank_deficient_anchor_skips_rank(monkeypatch):
     calls = _count_calls(monkeypatch, nash_module, "rank")
     gl2 = matrix_action_algebroid(2).bundle
     assert anchor_rank_generic(gl2) < gl2.fiber_rank
-    ray = CurveGerm.ray([Fraction(0)] * 2, [Fraction(1), Fraction(2)])
+    ray = CurveGerm.polynomial([Fraction(0)] * 2, [Fraction(1), Fraction(2)])
     assert len(kernel_curve(gl2, ray)) == gl2.fiber_rank - anchor_rank_generic(gl2)
     assert calls == []
 
@@ -357,6 +359,76 @@ def test_isotropy_well_definedness_guard():
     gens = [[one, -one, zero]]
     with pytest.raises(WellDefinednessFailureError):
         isotropy_algebra_at(alg, gens, [Fraction(0)])
+
+
+ISOTROPY_MODELS = {
+    "sl2": special_linear_2_algebroid,
+    "gl2": partial(matrix_action_algebroid, 2),
+    "gl3": partial(matrix_action_algebroid, 3),
+    "order-2": partial(vanishing_order_algebroid, 2, 2),
+    "rotations": rotation_action_algebroid,
+    "spheres": sphere_generators_algebroid,
+}
+
+
+@cache
+def _isotropy_model(name: str):
+    alg = ISOTROPY_MODELS[name]()
+    return alg, generic_kernel_sections(alg.bundle)
+
+
+_COORDINATE = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def _model_points(draw):
+    name = draw(st.sampled_from(sorted(ISOTROPY_MODELS)))
+    d = _isotropy_model(name)[0].bundle.base_dim
+    return name, draw(st.lists(_COORDINATE, min_size=d, max_size=d))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_model_points(), st.booleans())
+@example(("gl3", [Fraction(0), Fraction(1), Fraction(0)]), True)
+@example(("gl3", [Fraction(1), Fraction(0), Fraction(0)]), True)
+@example(("gl2", [Fraction(0), Fraction(0)]), False)
+def test_isotropy_brackets_match_the_per_pair_oracle(model_point, with_gens):
+    """Each structure constant is the per-pair bracket of two representatives
+    in quotient coordinates, and [Sker, ker] is refused exactly when a
+    bracket of a Sker row with a kernel row leaves Sker."""
+    name, x = model_point
+    alg, sections = _isotropy_model(name)
+    gens = sections if with_gens else []
+    bracket = kernel_bracket_at(alg, x)
+    ker, sker = kernel_at(alg.bundle, x), strong_kernel_at(alg.bundle, gens, x)
+    if any(not sker.contains(bracket(s, u)) for s in sker.rows for u in ker.rows):
+        with pytest.raises(WellDefinednessFailureError, match="Sker, ker"):
+            isotropy_algebra_at(alg, gens, x)
+        return
+    iso = isotropy_algebra_at(alg, gens, x)
+    assert list(iso.structure) == list(combinations(range(iso.dim), 2))
+    for (a, b), coords in iso.structure.items():
+        assert coords == iso.coordinates(bracket(iso.basis[a], iso.basis[b]))
+
+
+def _kernel_escape_algebroid() -> AlmostLieAlgebroid:
+    """Anchor (x, 0, 1) with c_01 = e_2: at x = 0, e_0 and e_1 span the
+    kernel, and their bracket e_2 leaves it, since the anchor fails the
+    morphism axiom (rho(e_2) = d/dx, not [x d/dx, 0] = 0)."""
+    vs = ("x",)
+    zero, one = MultiPoly.zero(vs), MultiPoly.constant(vs, 1)
+    bundle = AnchoredBundle(vs, [[parse_poly("x", vs), zero, one]])
+    return AlmostLieAlgebroid(bundle, {(0, 1): [zero, zero, one]})
+
+
+@pytest.mark.parametrize("gens", [[], [["0", "1", "0"]]], ids=["no-generators", "e1"])
+def test_isotropy_refuses_a_bracket_that_leaves_the_kernel(gens):
+    alg = _kernel_escape_algebroid()
+    sections = [[parse_poly(c, ("x",)) for c in g] for g in gens]
+    with pytest.raises(InternalInvariantError, match="^pointwise bracket left the kernel$"):
+        isotropy_algebra_at(alg, sections, [Fraction(0)])
 
 
 def test_linear_lift_of_constant_sections():

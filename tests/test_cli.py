@@ -890,6 +890,27 @@ def test_console_script_installed():
 _ISOTROPY_ARGS = ["isotropy", "--point", "0,0", "--input"]
 
 
+@pytest.mark.parametrize("gens", [[], [["0", "1", "0"]]], ids=["no-generators", "e1"])
+def test_bracket_leaving_the_kernel_exits_2(gens, tmp_path, capsys):
+    # anchor (x, 0, 1) with c_01 = e_2 fails the morphism axiom, so at x = 0
+    # the bracket of the kernel vectors e_0 and e_1 is e_2, outside the kernel
+    doc = {
+        "algebroid": {
+            "vars": ["x"],
+            "rank": 3,
+            "anchor": [["x", "0", "1"]],
+            "brackets": {"0,1": ["0", "0", "1"]},
+        },
+        "kernel_gens": gens,
+    }
+    path = tmp_path / "escape.json"
+    path.write_text(json.dumps(doc))
+    assert main(["isotropy", "--input", str(path), "--point", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: pointwise bracket left the kernel\n"
+
+
 def test_internal_invariant_failure_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(
         linalg, "poly_mat_vec", lambda m, v: [MultiPoly.constant(v[0].vars, 1)]

@@ -40,7 +40,7 @@ ORIGIN3 = (Fraction(0), Fraction(0), Fraction(0))
 
 
 def ray(target, direction):
-    return CurveGerm.ray([Fraction(c) for c in target], [Fraction(c) for c in direction])
+    return CurveGerm.polynomial([Fraction(c) for c in target], [Fraction(c) for c in direction])
 
 
 def test_curve_germ_validation():

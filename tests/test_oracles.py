@@ -100,7 +100,7 @@ _LINEAR = st.tuples(_ENTRY, _ENTRY, _ENTRY).map(
 )
 def test_limit_along_reuses_a_correct_pluecker_vector(anchor, direction):
     bundle = AnchoredBundle(_XY, anchor)
-    ray = CurveGerm.ray([Fraction(0)] * 2, [Fraction(v) for v in direction])
+    ray = CurveGerm.polynomial([Fraction(0)] * 2, [Fraction(v) for v in direction])
     try:
         limit = limit_along(bundle, ray)
     except CurveInSingularLocusError:
@@ -153,7 +153,7 @@ def _kernel_curve_verdicts(bundle, ray):
 # keeps the arc inside a coordinate hyperplane.
 _SLOPE = st.builds(Fraction, _UNIT, st.sampled_from([1, 2, 3]))
 _RAYS = st.tuples(st.tuples(st.integers(0, 1), _UNIT), st.tuples(_SLOPE, _SLOPE)).map(
-    lambda pd: CurveGerm.ray([Fraction(c) for c in pd[0]], list(pd[1]))
+    lambda pd: CurveGerm.polynomial([Fraction(c) for c in pd[0]], list(pd[1]))
 )
 
 
@@ -168,9 +168,9 @@ def test_kernel_curve_finds_singular_arcs_on_both_branches():
     zero = MultiPoly.zero(_XY)
     full_rank = AnchoredBundle(_XY, [[x, zero], [zero, y]])
     deficient = AnchoredBundle(_XY, [[x, x * y], [x, x * y]])
-    inside_x_axis = CurveGerm.ray([Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)])
-    constant = CurveGerm.ray([Fraction(0), Fraction(2)], [Fraction(0), Fraction(0)])
-    regular = CurveGerm.ray([Fraction(0), Fraction(0)], [Fraction(1), Fraction(1)])
+    inside_x_axis = CurveGerm.polynomial([Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)])
+    constant = CurveGerm.polynomial([Fraction(0), Fraction(2)], [Fraction(0), Fraction(0)])
+    regular = CurveGerm.polynomial([Fraction(0), Fraction(0)], [Fraction(1), Fraction(1)])
     assert _kernel_curve_verdicts(full_rank, inside_x_axis) == "singular"
     assert _kernel_curve_verdicts(deficient, constant) == "singular"
     assert _kernel_curve_verdicts(full_rank, regular) == []

@@ -209,9 +209,9 @@ def test_exact_division():
 
 def test_content_and_primitive():
     p = P("4*x^2 - 6*y")
-    assert p.content() == 2
+    assert p == p.primitive() * 2
     assert p.primitive() == P("2*x^2 - 3*y")
-    assert (-p).content() == -2
+    assert -p == (-p).primitive() * -2
     assert (-p).primitive() == P("2*x^2 - 3*y")
     half = P("1/2*x - 1/4*y")
     assert half.primitive() == P("2*x - y")

@@ -332,6 +332,15 @@ def _readme_step_table() -> dict[str, list[str]]:
     return rows
 
 
+def test_readme_library_example_runs(capsys):
+    """README's Library block runs as written and prints the limit it names."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", text, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out == "Subspace(4, dim=2)\n"
+
+
 def test_readme_step_table_matches_the_op_table():
     """Every op has one row, naming the step keys the op reads and, for an
     op that checks named keys, those keys in check order."""

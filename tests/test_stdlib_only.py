@@ -75,22 +75,24 @@ ENTRY_POINTS = {"check_flag": "benchmarks/workloads.py"}
 
 
 def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the non-dunder methods of the classes."""
+    """Top-level functions and classes, and the non-dunder methods of the
+    classes, each with whether it is a method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
                 if isinstance(sub, ast.FunctionDef) and not (
                     sub.name.startswith("__") and sub.name.endswith("__")
                 ):
-                    yield sub
+                    yield sub, True
 
 
-def _names(node: ast.AST):
-    """Every name the code under ``node`` mentions: read, as an attribute, or as a string."""
+def _names(node: ast.AST, attributes_only: bool = False):
+    """Every name the code under ``node`` mentions: read (unless
+    ``attributes_only``), as an attribute, or as a string."""
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not attributes_only:
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
@@ -100,14 +102,18 @@ def _names(node: ast.AST):
 
 def _unreferenced(paths) -> set[str]:
     """Names of the definitions in ``paths`` that no code in ``paths`` mentions
-    outside the definition itself."""
+    outside the definition itself.  A method is reached only as an attribute
+    or a string, so a local helper of the same name cannot mask it."""
     trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
-    mentions = Counter(name for tree in trees for name in _names(tree))
+    mentions = {
+        methods: Counter(name for tree in trees for name in _names(tree, methods))
+        for methods in (False, True)
+    }
     return {
         node.name
         for tree in trees
-        for node in _definitions(tree)
-        if mentions[node.name] == sum(name == node.name for name in _names(node))
+        for node, method in _definitions(tree)
+        if mentions[method][node.name] == sum(name == node.name for name in _names(node, method))
     }
 
 
