@@ -30,7 +30,6 @@ from .algebroid import (
 )
 from .grassmann import Subspace
 from .linalg import (
-    RowEchelon,
     _bareiss,
     _integer_coefficients,
     _primitive_kernel_vector,
@@ -43,6 +42,7 @@ from .linalg import (
     poly_mat_mul,
     poly_mat_vec,
     primitive_part,
+    rank,
     solve,
 )
 from .nash import _seeded_rng
@@ -285,7 +285,9 @@ class ChartFrame:
     tautological_frame.
 
     J * P = A o phi with det J != 0, so P decides kernel membership without
-    A o phi; a column that P does not kill is refused here, once.
+    A o phi; a column that P does not kill is refused here, once.  Span and
+    rank questions are answered by the certificate when the frame has one,
+    else by `linalg.rank`.
     """
 
     def __init__(
@@ -304,10 +306,9 @@ class ChartFrame:
         return len(self.columns)
 
     @cached_property
-    def echelon(self) -> RowEchelon:
-        """The columns eliminated once; its pivot count is the frame rank over
-        the fraction field."""
-        return RowEchelon(self.columns)
+    def rank(self) -> int:
+        """The rank over the fraction field (a certificate makes it the width)."""
+        return rank(self.columns)
 
     @cached_property
     def certificate(self) -> FrameCertificate | None:
@@ -340,10 +341,10 @@ class ChartFrame:
     def spans(self, section: Section) -> bool:
         """Whether the section lies in the columns' span over the fraction
         field: by the certificate's residual F * (F_I^-1 s_I) - s when the
-        frame has one, else by replaying the echelon form on it."""
+        frame has one, else by whether appending it keeps the frame rank."""
         cert = self.certificate
         if cert is None:
-            return self.echelon.contains(section)
+            return rank(self.columns + [list(section)]) == self.rank
         zero = MultiPoly.zero(self.nca.pullback.chart.chart_vars)
         coeffs = [
             sum((section[i] * c for i, c in zip(cert.rows, row) if c), zero)
@@ -591,13 +592,14 @@ def check_debord_on_chart(frame: ChartFrame) -> tuple[bool, dict]:
     + nullity, so the quotient rank is the ambient rank less the frame width.
     True when the columns are independent over the fraction field and the
     quotient keeps the generic anchor rank, so the induced quotient anchor is
-    injective on a dense open subset of the chart.
+    injective on a dense open subset of the chart.  The frame rank is the
+    width of a certified frame, whose rows I have det F_I a nonzero
+    constant, else the frame's cached `rank`.
     """
     source = frame.nca.pullback.bundle
     n = source.fiber_rank
     quotient_rank = n - frame.width
-    # a certificate's rows I have det F_I a nonzero constant, so the rank is k
-    frame_rank = frame.width if frame.certificate is not None else len(frame.echelon.pivot_cols)
+    frame_rank = frame.width if frame.certificate is not None else frame.rank
     certificate = {
         "ambient_rank": n,
         "quotient_rank": quotient_rank,

@@ -20,7 +20,8 @@ non-maximal and polynomial minors, chooses between the table and one `det`
 per minor: it uses the table when the table's multiplication count does not
 exceed the bound count * size^3 on one elimination per minor, and otherwise
 takes the dets and caches nothing.  Pluecker vectors never need that choice
-(`grassmann`).
+(`grassmann`).  `solve` and `adjugate` take every determinant they need
+from one `minors` call: the maximal minors of [m | b], and the cofactors.
 
 Kernels take integer rows, then are fraction-free too, in every arity: each
 row is scaled to coprime integer coefficients (`poly.integer_row`; no gcd or
@@ -102,27 +103,15 @@ def _integer_coefficients(polys: Sequence[MultiPoly]) -> PolyVector:
     return [_result(p.vars, {e: next(ints) for e in p.terms}) for p in polys]
 
 
-def _reduce_row(
-    row: PolyVector, pivot_row: Sequence[MultiPoly], c: int, prev: MultiPoly | None
-) -> None:
-    """One fraction-free step in place: right of column c the row becomes
-    (pivot * row - row[c] * pivot_row) / prev, and row[c] becomes zero.
-
-    ``prev`` is the previous pivot (None before the first, when there is
-    nothing to divide by); the division is exact by Sylvester's identity.
-    """
-    pivot = pivot_row[c]
-    for j in range(c + 1, len(row)):
-        num = pivot * row[j] - row[c] * pivot_row[j]
-        row[j] = exact_div(num, prev) if num and prev is not None else num
-    row[c] = MultiPoly.zero(pivot.vars)
-
-
 def _bareiss(m: Sequence[Sequence[MultiPoly]]):
     """Forward elimination.  Returns (rows, pivot_cols, sign).
 
     ``rows`` is the fraction-free echelon form; row a has its pivot in column
-    pivot_cols[a] and zeros below every pivot.
+    pivot_cols[a] and zeros below every pivot.  Each step takes every row
+    below the pivot row, right of the pivot column c, to (pivot * row -
+    row[c] * pivot_row) / prev and zeroes row[c]; ``prev`` is the previous
+    pivot (none before the first step), and the division is exact by
+    Sylvester's identity.
     """
     rows = mat_copy(m)
     if not rows or not rows[0]:
@@ -141,9 +130,14 @@ def _bareiss(m: Sequence[Sequence[MultiPoly]]):
         if p != r:
             rows[r], rows[p] = rows[p], rows[r]
             sign = -sign
-        for i in range(r + 1, nrows):
-            _reduce_row(rows[i], rows[r], c, prev)
-        prev = rows[r][c]
+        pivot_row = rows[r]
+        pivot = pivot_row[c]
+        for row in rows[r + 1 :]:
+            for j in range(c + 1, ncols):
+                num = pivot * row[j] - row[c] * pivot_row[j]
+                row[j] = exact_div(num, prev) if num and prev is not None else num
+            row[c] = MultiPoly.zero(pivot.vars)
+        prev = pivot
         pivot_cols.append(c)
         r += 1
     return rows, pivot_cols, sign
@@ -155,34 +149,18 @@ def rank(m: Sequence[Sequence[MultiPoly]]) -> int:
     return len(pivots)
 
 
-class RowEchelon:
-    """The fraction-free echelon form of a matrix, kept to test further rows.
-
-    ``contains(v)`` replays on v the steps Bareiss would apply to it as an
-    extra last row of the matrix, so each division stays exact.  A nonzero
-    remainder means v is outside the row span over the fraction field.
-    """
-
-    def __init__(self, m: Sequence[Sequence[MultiPoly]]):
-        self.rows, self.pivot_cols, _ = _bareiss(m)
-
-    def contains(self, v: Sequence[MultiPoly]) -> bool:
-        if self.rows and len(v) != len(self.rows[0]):
-            raise ValueError("vector length does not match the matrix width")
-        out = list(v)
-        prev = None
-        for row, c in zip(self.rows, self.pivot_cols):
-            _reduce_row(out, row, c, prev)
-            prev = row[c]
-        return not any(out)
-
-
-def det(m: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+def _order(m: Sequence[Sequence[MultiPoly]]) -> int:
+    """The n of an n-by-n matrix; an empty or non-square one is refused."""
     if not m:
         raise ValueError("determinant of an empty matrix")
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("determinant needs a square matrix")
+    return n
+
+
+def det(m: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    n = _order(m)
     rows, pivots, sign = _bareiss(m)
     if len(pivots) < n:
         return MultiPoly.zero(m[0][0].vars)
@@ -350,37 +328,33 @@ def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:
     return basis
 
 
+def _signed(p: MultiPoly, k: int) -> MultiPoly:
+    return p if k % 2 == 0 else -p
+
+
 def solve(m: Sequence[Sequence[MultiPoly]], b: Sequence[MultiPoly]) -> list[RatFunc]:
-    """Solve a square generically-invertible system by Cramer's rule."""
-    n = len(m)
-    d = det(m)
+    """Solve a square generically-invertible system by Cramer's rule.
+
+    One `minors` call on [m | b] gives det(m) first, then, in reverse order,
+    the minor without column j, which is (-1)^(n-1-j) det(m with column j
+    replaced by b)."""
+    n = _order(m)
+    d, *rest = minors([list(row) + [b[i]] for i, row in enumerate(m)], n)
     if d.is_zero():
         raise ValueError("coefficient matrix is singular over the fraction field")
-    out = []
-    for j in range(n):
-        col = [[b[i] if k == j else m[i][k] for k in range(n)] for i in range(n)]
-        out.append(RatFunc(det(col), d))
-    return out
+    return [RatFunc(_signed(p, n - 1 - j), d) for j, p in enumerate(reversed(rest))]
 
 
 def adjugate(m: Sequence[Sequence[MultiPoly]]) -> PolyMatrix:
-    """Transposed cofactor matrix, so that m * adjugate(m) = det(m) * I."""
-    n = len(m)
+    """Transposed cofactor matrix, so that m * adjugate(m) = det(m) * I.
+
+    The cofactors come from one `minors(m, n-1)` call: in reverse order, the
+    minor without row j and column i is the (j n + i)-th."""
+    n = _order(m)
     if n == 1:
         return [[MultiPoly.constant(m[0][0].vars, 1)]]
-    adj = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            sub = [
-                [m[a][b] for b in range(n) if b != i]
-                for a in range(n)
-                if a != j
-            ]
-            cof = det(sub)
-            row.append(cof if (i + j) % 2 == 0 else -cof)
-        adj.append(row)
-    return adj
+    cof = minors(m, n - 1)[::-1]
+    return [[_signed(cof[j * n + i], i + j) for j in range(n)] for i in range(n)]
 
 
 # ---------------------------------------------------------------------------

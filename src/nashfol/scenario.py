@@ -291,11 +291,8 @@ def _pluecker(doc, actual: PlueckerVector, _) -> PlueckerVector:
 
 
 def _plueckers(doc, actual: list, _) -> list:
-    """Sorted like the sample's limits; raw lists when there is no limit."""
-    return sorted(
-        PlueckerVector(actual[0].n, actual[0].k, _ints(coords)) if actual else _ints(coords)
-        for coords in _expected(list, doc)
-    )
+    """Sorted like the sample's limits (a sample has at least one)."""
+    return sorted(PlueckerVector(actual[0].n, actual[0].k, _ints(c)) for c in _expected(list, doc))
 
 
 def _polys(doc, _, ring_vars) -> list[list[MultiPoly]]:

@@ -11,7 +11,15 @@ from typing import Sequence
 
 from nashfol.algebroid import anchor_rank_generic, bracket_with_basis, section_bracket
 from nashfol.grassmann import Subspace
-from nashfol.linalg import _bareiss, frac_rank, frac_rref, kernel_basis, poly_mat_vec, rank
+from nashfol.linalg import (
+    _bareiss,
+    det,
+    frac_rank,
+    frac_rref,
+    kernel_basis,
+    poly_mat_vec,
+    rank,
+)
 from nashfol.nash import CURVE_VAR, CurveInSingularLocusError
 from nashfol.poly import (
     ArityMismatchError,
@@ -68,6 +76,49 @@ def rref(m: Sequence[Sequence[MultiPoly]]):
                 for rb, ra in zip(rat_rows[b], rat_rows[a])
             ]
     return rat_rows, pivots
+
+
+def in_span_by_rref(rows: Sequence[Sequence[MultiPoly]], v: Sequence[MultiPoly]) -> bool:
+    """Whether v lies in the span of the rows over the fraction field: v,
+    reduced against the unit-pivot rows of ``rref`` over Q(u), leaves zero."""
+    rest = [RatFunc(p) for p in v]
+    for row, c in zip(*rref(rows)):
+        factor = rest[c]
+        if not factor.is_zero():
+            rest = [ratfunc_difference(x, ratfunc_product(factor, y)) for x, y in zip(rest, row)]
+    return all(x.is_zero() for x in rest)
+
+
+def solve_by_cramer(m: Sequence[Sequence[MultiPoly]], b: Sequence[MultiPoly]) -> list[RatFunc]:
+    """``linalg.solve`` as it was before it read its minors from one
+    ``minors`` call: one ``det`` of m, and one of m with each column
+    replaced by b."""
+    n = len(m)
+    d = det(m)
+    if d.is_zero():
+        raise ValueError("coefficient matrix is singular over the fraction field")
+    out = []
+    for j in range(n):
+        col = [[b[i] if k == j else m[i][k] for k in range(n)] for i in range(n)]
+        out.append(RatFunc(det(col), d))
+    return out
+
+
+def adjugate_by_cofactors(m: Sequence[Sequence[MultiPoly]]) -> list[list[MultiPoly]]:
+    """``linalg.adjugate`` as it was before it read its cofactors from one
+    ``minors`` call: one ``det`` per deleted row and column."""
+    n = len(m)
+    if n == 1:
+        return [[MultiPoly.constant(m[0][0].vars, 1)]]
+    adj = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            sub = [[m[a][b] for b in range(n) if b != i] for a in range(n) if a != j]
+            cof = det(sub)
+            row.append(cof if (i + j) % 2 == 0 else -cof)
+        adj.append(row)
+    return adj
 
 
 def clear_denominators(entries: Sequence[RatFunc]) -> list[MultiPoly]:
@@ -258,8 +309,9 @@ def kernel_basis_by_rref(m: Sequence[Sequence[MultiPoly]]) -> list[list[MultiPol
 
 def check_ideal_sampled(frame) -> tuple[bool, dict]:
     """The report ``charts.check_ideal`` gives, with no certificate: every
-    bracket tested against the frame's echelon form over the fraction field
-    and at each of the frame's exceptional samples."""
+    bracket tested against the frame's columns over the fraction field, by
+    ``in_span_by_rref`` and not by the frame, and at each of the frame's
+    exceptional samples."""
     chart_alg = frame.nca.algebroid
     n = chart_alg.bundle.fiber_rank
     report = {
@@ -284,7 +336,7 @@ def check_ideal_sampled(frame) -> tuple[bool, dict]:
         for u0 in frame.samples
     ]
     for bracket in to_check:
-        if not frame.echelon.contains(bracket):
+        if not in_span_by_rref(frame.columns, bracket):
             report["generic"] = False
         for fiber, u0 in zip(fibers, frame.samples):
             if not fiber.contains([v.eval(u0) for v in bracket]):

@@ -43,7 +43,7 @@ from nashfol.poly import (
 )
 from nashfol.scenario import run_scenario
 from checks import frame_rank_at
-from oracles import check_ideal_sampled
+from oracles import check_ideal_sampled, in_span_by_rref
 from models import (
     blowup,
     identity_chart,
@@ -529,7 +529,7 @@ def test_certified_frame_reports_a_bracket_outside_its_span():
 
 
 @pytest.mark.parametrize("name", sorted(_CORPUS_FRAMES))
-def test_debord_rank_comes_from_the_certificate_else_the_echelon(name, monkeypatch):
+def test_debord_rank_comes_from_the_certificate_else_from_rank(name, monkeypatch):
     frame = _CORPUS_FRAMES[name]
     chart_vars = frame.nca.pullback.chart.chart_vars
     # a column and a non-constant multiple of it: no certificate, rank 1
@@ -539,13 +539,14 @@ def test_debord_rank_comes_from_the_certificate_else_the_echelon(name, monkeypat
     assert dependent.certificate is None
     ok, cert = check_debord_on_chart(dependent)
     assert not ok and cert["frame_rank"] == 1
-    # a certified frame's rank is its width, which its echelon form confirms
+    # a certified frame's rank is its width, which `rank` confirms; the
+    # report reads it without computing a rank
     want = check_debord_on_chart(_reframed(frame, frame.columns))
-    assert want[1]["frame_rank"] == frame.width == len(frame.echelon.pivot_cols)
-    built = []
-    monkeypatch.setattr(charts_module, "RowEchelon", lambda *args: built.append(args))
+    assert want[1]["frame_rank"] == frame.width == _reframed(frame, frame.columns).rank
+    ranked = []
+    monkeypatch.setattr(charts_module, "rank", lambda *args: ranked.append(args))
     assert check_debord_on_chart(_reframed(frame, frame.columns)) == want
-    assert built == []
+    assert ranked == []
 
 
 def _unimodular(draw, k):
@@ -601,3 +602,30 @@ def test_check_ideal_matches_the_sampled_oracle_on_a_scaled_column(frame, data):
     columns = [[p * factor for p in col] if a == j else col for a, col in enumerate(frame.columns)]
     scaled = _reframed(frame, columns)
     assert check_ideal(scaled) == check_ideal_sampled(scaled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_FRAMES, st.data())
+def test_uncertified_frame_spans_match_the_rref_oracle(frame, data):
+    """A column joined by a non-constant multiple of another leaves the
+    frame without a certificate; its span test then reads the stacked rank,
+    and agrees with reduction over Q(u) on vectors inside and outside."""
+    chart_vars = frame.nca.pullback.chart.chart_vars
+
+    def poly():
+        return parse_poly(data.draw(st.sampled_from(_FACTORS)).format(*chart_vars), chart_vars)
+
+    columns = [list(col) for col in frame.columns]
+    factor = poly()
+    columns.append([p * factor for p in columns[data.draw(st.integers(0, frame.width - 1))]])
+    uncertified = _reframed(frame, columns)
+    assert uncertified.certificate is None
+    zero = MultiPoly.zero(chart_vars)
+    n = len(columns[0])
+    if data.draw(st.booleans()):
+        coeffs = [poly() if data.draw(st.booleans()) else zero for _ in columns]
+        v = [sum((c * col[i] for c, col in zip(coeffs, columns)), zero) for i in range(n)]
+        assert uncertified.spans(v)
+    else:
+        v = [poly() if data.draw(st.booleans()) else zero for _ in range(n)]
+    assert uncertified.spans(v) == in_span_by_rref(columns, v)

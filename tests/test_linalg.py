@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import nashfol.linalg as linalg
 from nashfol.linalg import (
-    RowEchelon,
     SizeError,
     adjugate,
     det,
@@ -29,7 +28,14 @@ from nashfol.linalg import (
 )
 from nashfol.nash import limit_subspace
 from nashfol.poly import MultiPoly, RatFunc, exact_quotients, integer_row, parse_poly, poly_gcd
-from oracles import frac_det, kernel_basis_by_rref, ratfunc_solve, rref
+from oracles import (
+    adjugate_by_cofactors,
+    frac_det,
+    kernel_basis_by_rref,
+    ratfunc_solve,
+    rref,
+    solve_by_cramer,
+)
 
 XYZ = ("x", "y", "z")
 X12 = ("x1", "x2")
@@ -480,61 +486,58 @@ def test_ratfunc_solve():
     assert outside is None
 
 
-UV = ("u", "v")
-
-
-def _in_span_by_stacked_rank(columns, v):
-    """Oracle: v is in the column span iff appending it keeps the rank."""
-    n = len(v)
-    matrix = [[col[i] for col in columns] for i in range(n)]
-    return rank([row + [v[i]] for i, row in enumerate(matrix)]) == rank(matrix)
-
-
-_uv_poly = st.dictionaries(
-    st.tuples(st.integers(0, 2), st.integers(0, 2)),
-    st.integers(-3, 3).map(Fraction),
-    max_size=3,
-).map(lambda terms: MultiPoly(UV, terms))
+def _small_polys(variables):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 1)] * len(variables)), st.integers(-3, 3), max_size=2
+    ).map(lambda terms: MultiPoly(variables, terms))
 
 
 @st.composite
-def _frame_and_vector(draw):
-    """Small frames over Q[u,v] with dependent and zero columns, plus a vector
-    drawn inside their span or (usually) outside it."""
+def _square_system(draw):
+    """A square polynomial matrix of size 1-4 in one or two variables, and a
+    right-hand side.  Half the matrices are made singular: one row becomes a
+    polynomial multiple of another, or zero."""
+    entry = _small_polys(draw(st.sampled_from([("x",), ("x", "y")])))
     n = draw(st.integers(1, 4))
-    vec = st.lists(_uv_poly, min_size=n, max_size=n)
-    columns = draw(st.lists(vec, min_size=1, max_size=3))
-    zero = [MultiPoly.zero(UV)] * n
-    for kind in draw(st.lists(st.sampled_from(["zero", "dependent"]), max_size=2)):
-        if kind == "zero":
-            columns.append(list(zero))
-        else:
-            a, b = draw(_uv_poly), draw(_uv_poly)
-            columns.append([a * x + b * y for x, y in zip(columns[0], columns[-1])])
+    m = [[draw(entry) for _ in range(n)] for _ in range(n)]
     if draw(st.booleans()):
-        coeffs = [draw(_uv_poly) for _ in columns]
-        v = list(zero)
-        for c, col in zip(coeffs, columns):
-            v = [acc + c * x for acc, x in zip(v, col)]
-        return columns, v, True
-    return columns, draw(vec), False
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        factor = draw(entry) if i != j else MultiPoly.zero(m[0][0].vars)
+        m[i] = [factor * p for p in m[j]]
+    return m, [draw(entry) for _ in range(n)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(_frame_and_vector())
-def test_row_echelon_contains_matches_stacked_rank(case):
-    columns, v, inside = case
-    got = RowEchelon(columns).contains(v)
-    assert got == _in_span_by_stacked_rank(columns, v)
-    if inside:
-        assert got
+@settings(max_examples=100, deadline=None)
+@given(_square_system())
+def test_adjugate_matches_one_det_per_cofactor(case):
+    m, _ = case
+    assert adjugate(m) == adjugate_by_cofactors(m)
 
 
-def test_row_echelon_reduces_against_skipped_columns():
-    # the first column has no pivot, so the bracket row would take it
-    span = RowEchelon([[parse_poly(e, UV) for e in ("0", "u", "v")]])
-    assert span.contains([parse_poly(e, UV) for e in ("0", "u*v", "v^2")])
-    assert not span.contains([parse_poly(e, UV) for e in ("1", "u*v", "v^2")])
-    assert not span.contains([parse_poly(e, UV) for e in ("0", "u", "u")])
-    with pytest.raises(ValueError):
-        span.contains([parse_poly("u", UV)])
+@settings(max_examples=100, deadline=None)
+@given(_square_system())
+def test_solve_matches_one_det_per_column(case):
+    m, b = case
+    if det(m).is_zero():
+        for solver in (solve, solve_by_cramer):
+            with pytest.raises(ValueError, match="^coefficient matrix is singular over"):
+                solver(m, b)
+    else:
+        assert solve(m, b) == solve_by_cramer(m, b)
+
+
+@pytest.mark.parametrize(
+    "m, text",
+    [
+        ([], "determinant of an empty matrix"),
+        (M([["x", "y"]]), "determinant needs a square matrix"),
+        (M([["x"], ["y"]]), "determinant needs a square matrix"),
+    ],
+)
+def test_solve_and_adjugate_refuse_empty_and_non_square_input(m, text):
+    b = [parse_poly("x", XYZ)] * len(m)
+    for solver in (solve, solve_by_cramer):
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            solver(m, b)
+    with pytest.raises(ValueError, match=f"^{text}$"):
+        adjugate(m)

@@ -53,6 +53,35 @@ def test_only_poly_computes_integer_gcds():
     assert not {name: calls for name, calls in found.items() if calls}
 
 
+def _det_callers(path: Path) -> set[str]:
+    """The functions of a module that call ``det`` (by name or as an
+    attribute), each as its dotted path inside the module."""
+    found = set()
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", None) == "det" or getattr(func, "attr", None) == "det":
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), ())
+    return found
+
+
+def test_every_minor_comes_from_minors():
+    """Determinants are taken in two places: `linalg.minors`, when one
+    elimination per minor costs less than the Laplace table, and the chart
+    Jacobian.  Every other minor, cofactor or Cramer numerator is read from
+    one `minors` call."""
+    found = {f"{path.stem}.{scope}" for path in SOURCES for scope in _det_callers(path)}
+    assert found == {"linalg.minors", "charts.ChartMap.__init__"}
+
+
 def _unused_imports(path: Path) -> set[str]:
     """Names a module imports but never reads (``from __future__`` aside)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
