@@ -30,9 +30,6 @@ from .algebroid import (
 )
 from .grassmann import Subspace
 from .linalg import (
-    _bareiss,
-    _integer_coefficients,
-    _primitive_kernel_vector,
     adjugate,
     det,
     frac_kernel,
@@ -41,7 +38,6 @@ from .linalg import (
     kernel_basis,
     poly_mat_mul,
     poly_mat_vec,
-    primitive_part,
     rank,
     solve,
 )
@@ -57,6 +53,7 @@ from .poly import (
     integer_row,
     point_text,
     poly_gcd,
+    primitive_part,
 )
 
 Point = Sequence[Fraction]
@@ -218,7 +215,8 @@ def pullback_bivector(
 
 class ChartPullback:
     """A bundle's anchor pulled back to a chart once: ``fields`` holds each
-    anchor column's pullback, ``anchor`` the chart anchor P, J * P = A o phi."""
+    anchor column's pullback, ``anchor`` the chart anchor P, J * P = A o phi,
+    and ``kernel`` P's kernel basis, read by the frame and the relations."""
 
     def __init__(self, bundle: AnchoredBundle, chart: ChartMap):
         if bundle.base_vars != chart.target_vars:
@@ -235,6 +233,15 @@ class ChartPullback:
             raise NotResolvedByChartError(failures)
         rows = [[f.components[i].as_poly() for f in self.fields] for i in range(self.chart.dim)]
         return AnchoredBundle(self.chart.chart_vars, rows)
+
+    @cached_property
+    def kernel(self) -> list[Section]:
+        """`kernel_basis(P)`, eliminated once per chart.  det J != 0, so P
+        keeps the source's generic rank, which rank + nullity = n confirms."""
+        kernel = kernel_basis(self.anchor.anchor)
+        if self.bundle.fiber_rank - len(kernel) != anchor_rank_generic(self.bundle):
+            raise InternalInvariantError("chart anchor lost the source's generic rank")
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -449,17 +456,13 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
     """Kernel frame of the pulled-back anchor P, repaired to full rank on the
     exceptional locus by bounded column operations.
 
-    J * P = A o phi with det J != 0, so P has the kernel and the rank of the
-    substituted anchor without substituting A.
+    It starts from the pullback's `kernel` of P: J * P = A o phi with det J
+    != 0, so that is the kernel of the substituted anchor.
     """
     chart = nca.pullback.chart
-    bundle = nca.algebroid.bundle
-    cols = kernel_basis(bundle.anchor)
+    cols = list(nca.pullback.kernel)
     k = len(cols)
-    n = bundle.fiber_rank
-    # rank + nullity = n: P's rank is read from its kernel
-    if n - k != anchor_rank_generic(nca.pullback.bundle):
-        raise ValueError("chart does not resolve: substituted anchor dropped rank")
+    n = nca.algebroid.bundle.fiber_rank
     samples = exceptional_samples(chart, seed=seed)
     for _ in range(4 * n + 1):
         for u0 in samples:
@@ -552,27 +555,26 @@ def debord_generators(pullback: ChartPullback) -> list[Relation]:
     Subsets are scanned in lexicographic index order; the first one whose
     relation coefficients all reduce to polynomials wins.  When no subset
     manages that, the first independent subset is kept and the offending
-    relations are reported with polynomial = False (not fatal).  The
-    pullback keeps the source's generic rank, since det J != 0.
+    relations are reported with polynomial = False (not fatal).  The rank
+    and the first subset's relations come from the pullback's `kernel`.
     """
     anchor = pullback.anchor.anchor
     n = pullback.bundle.fiber_rank
-    r = anchor_rank_generic(pullback.bundle)
+    r = n - len(pullback.kernel)
     fallback: list[Relation] | None = None
     for subset in itertools.combinations(range(n), r):
         rest = [j for j in range(n) if j not in subset]
-        order = list(subset) + rest
-        # the subset is independent iff its columns are the first r pivots;
-        # the Cramer vector w of free column f = r+i then gives rest[i] as
-        # the sum over c < r of -w[c] / w[f] times column c
-        rows, pivots, _ = _bareiss([_integer_coefficients([row[j] for j in order]) for row in anchor])
-        if pivots[:r] != list(range(r)):
+        if subset == tuple(range(r)):
+            kernel = pullback.kernel
+        else:  # the subset's columns first
+            kernel = kernel_basis([[row[j] for j in (*subset, *rest)] for row in anchor])
+        # one vector per free column, ascending, each zero past it: the subset
+        # is independent iff each is nonzero past r, and vector i then gives
+        # rest[i] as the sum over c < r of -w[c] / w[r+i] times column c
+        if not all(any(w[r:]) for w in kernel):
             continue
-        if len(pivots) > r:
-            raise InternalInvariantError("maximal independent subset failed to span")
         relations = []
-        for f, j in enumerate(rest, start=r):
-            w = _primitive_kernel_vector(rows, pivots, f)
+        for f, (j, w) in enumerate(zip(rest, kernel), start=r):
             coeffs = tuple(RatFunc(-w[c], w[f]) for c in range(r))
             relations.append(Relation(j, subset, coeffs, all(c.is_polynomial() for c in coeffs)))
         if fallback is None:
@@ -588,8 +590,8 @@ def check_debord_on_chart(frame: ChartFrame) -> tuple[bool, dict]:
     """Certify the exact-sequence ranks: frame + quotient = ambient.
 
     The frame's columns lie in the kernel of the pullback matrix (its
-    constructor checks them), and tautological_frame sizes the frame by rank
-    + nullity, so the quotient rank is the ambient rank less the frame width.
+    constructor checks them) and it is as wide as P's kernel, so by rank +
+    nullity the quotient rank is the ambient rank less the frame width.
     True when the columns are independent over the fraction field and the
     quotient keeps the generic anchor rank, so the induced quotient anchor is
     injective on a dense open subset of the chart.  The frame rank is the

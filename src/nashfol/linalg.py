@@ -24,11 +24,11 @@ takes the dets and caches nothing.  Pluecker vectors never need that choice
 from one `minors` call: the maximal minors of [m | b], and the cofactors.
 
 Kernels take integer rows, then are fraction-free too, in every arity: each
-row is scaled to coprime integer coefficients (`poly.integer_row`; no gcd or
-lcm of integers is computed here), so the elimination runs over the integers,
-and each basis vector is back-substituted from the Bareiss echelon form,
-divided by the gcd of its entries (`poly_gcd`) and scaled the same way, so it
-is primitive over the polynomial ring.
+row is scaled to coprime integer coefficients (`poly.integer_polys`), so the
+elimination runs over the integers, and each basis vector is back-substituted
+from the Bareiss echelon form and made primitive over the polynomial ring
+(`poly.primitive_part`).  The content of coefficients is decided in `poly`
+alone, and the echelon form is read in this module alone.
 """
 
 from __future__ import annotations
@@ -44,11 +44,9 @@ from .poly import (
     InternalInvariantError,
     MultiPoly,
     RatFunc,
-    _result,
     exact_div,
-    exact_quotients,
-    integer_row,
-    poly_gcd,
+    integer_polys,
+    primitive_part,
 )
 
 PolyMatrix = list[list[MultiPoly]]
@@ -93,14 +91,6 @@ def poly_mat_mul(a: Sequence[Sequence[MultiPoly]], b: Sequence[Sequence[MultiPol
 
 def eval_matrix(m: Sequence[Sequence[MultiPoly]], point: Sequence) -> list[list[Fraction]]:
     return [[entry.eval(point) for entry in row] for row in m]
-
-
-def _integer_coefficients(polys: Sequence[MultiPoly]) -> PolyVector:
-    """The polys times the one positive rational that leaves all their
-    coefficients together coprime integers (`integer_row`).  A nonzero
-    scaling keeps a row's kernel and a vector's span."""
-    ints = iter(integer_row([c for p in polys for c in p.terms.values()]))
-    return [_result(p.vars, {e: next(ints) for e in p.terms}) for p in polys]
 
 
 def _bareiss(m: Sequence[Sequence[MultiPoly]]):
@@ -263,18 +253,6 @@ def minors(m: Sequence[Sequence[MultiPoly]], size: int) -> list[MultiPoly]:
     return out
 
 
-def primitive_part(polys: PolyVector) -> PolyVector:
-    """A nonzero vector divided by the gcd of its entries, then given
-    coprime integer coefficients (`_integer_coefficients`)."""
-    g = MultiPoly.zero(polys[0].vars)
-    for p in polys:
-        if p:
-            g = poly_gcd(g, p)
-    if not g.is_constant():
-        polys = exact_quotients(polys, g)
-    return _integer_coefficients(polys)
-
-
 def _primitive_kernel_vector(
     rows: Sequence[Sequence[MultiPoly]], pivots: Sequence[int], f: int
 ) -> PolyVector:
@@ -305,15 +283,16 @@ def kernel_basis(m: Sequence[Sequence[MultiPoly]]) -> list[PolyVector]:
 
     One vector per free column, in ascending column order, whose entry at
     its free column has positive leading coefficient, and primitive over
-    the polynomial ring: each row is first scaled to integer coefficients,
-    and the vector is back-substituted from the fraction-free echelon form
-    (`_primitive_kernel_vector`), with no rational-function arithmetic.
-    Each vector is checked against those integer rows: a nonzero scaling of
-    a row keeps its kernel, so (S M) v = 0 exactly when M v = 0.
+    the polynomial ring: each row is first scaled to integer coefficients
+    (`integer_polys`), and the vector is back-substituted from the fraction-
+    free echelon form (`_primitive_kernel_vector`), so it is zero past its
+    free column.  Each vector is checked against those integer rows: a
+    nonzero scaling of a row keeps its kernel, so (S M) v = 0 exactly when
+    M v = 0.  A matrix with rows but no columns has the empty basis.
     """
-    if not m or not m[0]:
+    if not m:
         raise ValueError("kernel of an empty matrix")
-    int_rows = [_integer_coefficients(row) for row in m]
+    int_rows = [integer_polys(row) for row in m]
     rows, pivots, _ = _bareiss(int_rows)
     basis = []
     for f in range(len(m[0])):

@@ -127,6 +127,26 @@ def integer_row(values: Iterable[Scalar]) -> list[int]:
     return [c // g for c in ints]
 
 
+def integer_polys(polys: Sequence["MultiPoly"]) -> list["MultiPoly"]:
+    """The polys times the one positive rational that leaves all their
+    coefficients together coprime integers (`integer_row`).  A nonzero
+    scaling keeps a row's kernel and a vector's span."""
+    ints = iter(integer_row([c for p in polys for c in p.terms.values()]))
+    return [_result(p.vars, {e: next(ints) for e in p.terms}) for p in polys]
+
+
+def primitive_part(polys: Sequence["MultiPoly"]) -> list["MultiPoly"]:
+    """A nonzero vector divided by the gcd of its entries (`poly_gcd`), then
+    given coprime integer coefficients (`integer_polys`)."""
+    g = MultiPoly.zero(polys[0].vars)
+    for p in polys:
+        if p:
+            g = poly_gcd(g, p)
+    if not g.is_constant():
+        polys = exact_quotients(polys, g)
+    return integer_polys(polys)
+
+
 def _mul_terms(
     left: dict[Exponents, Scalar], right: dict[Exponents, Scalar]
 ) -> dict[Exponents, Scalar]:
@@ -654,9 +674,6 @@ class RatFunc:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __hash__(self) -> int:  # pragma: no cover - not used as dict keys
-        raise TypeError("RatFunc is unhashable (no dict or set is keyed by one)")
-
     def __str__(self) -> str:
         if self.den.is_constant():
             return str(self.num)
@@ -670,6 +687,7 @@ class RatFunc:
 # parsing
 # ---------------------------------------------------------------------------
 
+_DIGITS = frozenset("0123456789")  # str.isdigit also takes '²' and '٣'
 _TOKEN_KINDS = ("INT", "IDENT", "+", "-", "*", "^", "/", "(", ")", "END")
 
 
@@ -681,9 +699,9 @@ def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             yield ("INT", text[i:j], i)
             i = j

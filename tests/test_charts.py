@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import nashfol.algebroid as algebroid_module
 import nashfol.charts as charts_module
+import nashfol.linalg as linalg_module
 from nashfol.algebroid import (
     AlmostLieAlgebroid,
     AnchoredBundle,
+    anchor_rank_generic,
     is_lie_algebroid,
     kernel_at,
 )
@@ -479,6 +481,44 @@ _CORPUS_FRAMES = {name: _corpus_frame(name) for name in ("gl2", "gl3", "sl2", "s
 # the same frames with zero brackets, whose brackets leave the span
 _UNBRACKETED_FRAMES = {name: _frame_and_bundle(name)[0] for name in _CORPUS_FRAMES}
 _CERTIFIED_ROWS = {"gl2": (2, 3), "gl3": (3, 4, 5, 6, 7, 8), "sl2": (2,), "so3": (0,)}
+
+
+@pytest.mark.parametrize("name, eliminations", [("gl2", 1), ("gl3", 1), ("sl2", 1), ("so3", 3)])
+def test_chart_anchor_is_eliminated_once_per_chart(name, eliminations, monkeypatch):
+    """The Debord relations and the frame read one cached kernel of P; only a
+    Debord subset after the first eliminates P again, and so3's first
+    subset is dependent, so two more follow there."""
+    sc = load_corpus_scenario(name)
+    step = next(s for s in sc.steps if s["op"] == "nash-chart-report")
+    nca = on_chart(sc.sources["algebroid"].algebroid, sc.charts[step["chart"]])
+    # the source's generic rank is taken once per bundle; take it first, as
+    # sl2 and so3 name their chart variables as the base's
+    anchor_rank_generic(nca.pullback.bundle)
+    chart_vars = nca.pullback.chart.chart_vars
+    eliminated = []
+    bareiss = linalg_module._bareiss
+
+    def spy(m):
+        if m and m[0] and m[0][0].vars == chart_vars:
+            eliminated.append(m)
+        return bareiss(m)
+
+    # a module that imports _bareiss by name holds a binding of its own
+    for module in (linalg_module, charts_module):
+        monkeypatch.setattr(module, "_bareiss", spy, raising=False)
+    debord_generators(nca.pullback)
+    tautological_frame(nca)
+    assert len(eliminated) == eliminations
+
+
+def test_chart_kernel_checks_rank_plus_nullity(monkeypatch):
+    sl2 = special_linear_2_algebroid()
+    pullback = ChartPullback(sl2.bundle, blowup(XY, 0))
+    monkeypatch.setattr(charts_module, "anchor_rank_generic", lambda bundle: 1)
+    with pytest.raises(InternalInvariantError, match="lost the source's generic rank"):
+        debord_generators(pullback)
+    with pytest.raises(InternalInvariantError, match="lost the source's generic rank"):
+        tautological_frame(nash_anchor_on_chart(sl2, pullback))
 
 
 @pytest.mark.parametrize("name", sorted(_CORPUS_FRAMES))

@@ -27,7 +27,15 @@ from nashfol.linalg import (
     solve,
 )
 from nashfol.nash import limit_subspace
-from nashfol.poly import MultiPoly, RatFunc, exact_quotients, integer_row, parse_poly, poly_gcd
+from nashfol.poly import (
+    MultiPoly,
+    RatFunc,
+    exact_quotients,
+    integer_polys,
+    integer_row,
+    parse_poly,
+    poly_gcd,
+)
 from oracles import (
     adjugate_by_cofactors,
     frac_det,
@@ -89,6 +97,13 @@ def test_kernel_of_scaling_anchor():
     # membership check: anchor annihilates each kernel vector
     for vec in ker:
         assert all(p.is_zero() for p in poly_mat_vec(anchor, vec))
+
+
+def test_kernel_of_a_matrix_without_columns_is_empty():
+    # a rank-0 bundle's anchor: one row per base variable, no columns
+    assert kernel_basis([[], []]) == []
+    with pytest.raises(ValueError, match="kernel of an empty matrix"):
+        kernel_basis([])
 
 
 def test_kernel_vectors_are_primitive():
@@ -243,7 +258,7 @@ def test_integer_coefficients_is_a_positive_rational_multiple(row):
     is one positive rational times the given row, with coprime int
     coefficients: a wrong scaling of the row would change the kernel that
     is checked."""
-    scaled = linalg._integer_coefficients(row)
+    scaled = integer_polys(row)
     assert [p.terms.keys() for p in scaled] == [p.terms.keys() for p in row]
     coeffs = [p.terms[e] for p in row for e in p.terms]
     assert _is_primitive_multiple([q.terms[e] for q in scaled for e in q.terms], coeffs)

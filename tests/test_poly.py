@@ -132,6 +132,16 @@ def test_syntax_error_carries_byte_offset():
     assert exc.value.offset == 2
 
 
+@pytest.mark.parametrize("text, offset", [("x^\u00b2", 2), ("\u0663*x", 0), ("x + 1\u0663", 5)])
+def test_digits_are_ascii(text, offset):
+    """str.isdigit also accepts superscripts and other scripts' digits: the
+    superscript two then reached int() as a bare ValueError, and the Arabic-
+    Indic three parsed as 3."""
+    with pytest.raises(PolySyntaxError) as exc:
+        parse_poly(text, XY)
+    assert exc.value.offset == offset
+
+
 @pytest.mark.parametrize("text, offset", [("3/4^2", 3), ("-3/4^2", 4)])
 def test_power_right_after_a_fraction_is_refused(text, offset):
     # the usual reading is 3/(4^2) = 3/16; the grammar's would be (3/4)^2
@@ -266,6 +276,9 @@ def test_ratfunc_is_a_value_without_arithmetic():
     with pytest.raises(TypeError):
         one + one
     assert one != P("1") and one != 1
+    # defining __eq__ leaves the class unhashable: no dict or set keys on one
+    with pytest.raises(TypeError):
+        hash(one)
 
 
 def test_parse_rational():

@@ -262,6 +262,36 @@ def test_report_doc_shape():
     assert doc["steps"][0]["checks"][0]["label"] == "rank"
 
 
+def test_rank_0_bundle_has_a_chart_report():
+    """A bundle with no sections pulls back to a chart with an empty anchor,
+    whose kernel is empty: no relations, an empty frame and ranks 0."""
+    doc = {
+        "name": "rank-0",
+        "algebroid": {"vars": ["x", "y"], "rank": 0, "anchor": [[], []], "brackets": {}},
+        "charts": {"c": {"chart_vars": ["u", "v"], "phi": ["u", "u*v"], "exceptional": "u"}},
+        "steps": [
+            {"op": "rank", "expect": 0},
+            {"op": "relations", "chart": "c", "expect": []},
+            {"op": "pullback-chart", "chart": "c", "expect": {"pullbacks": []}},
+            {
+                "op": "nash-chart-report",
+                "chart": "c",
+                "expect": {
+                    "resolved": True,
+                    "frame": [],
+                    "ideal": True,
+                    "debord": True,
+                    "frame_rank": 0,
+                    "quotient_rank": 0,
+                },
+            },
+        ],
+    }
+    report = run_scenario(load_scenario(doc))
+    assert report.passed
+    assert report.check_counts == (9, 9)
+
+
 def test_run_single_step_matches_scenario_run():
     sc = load_scenario(SO3_DOC)
     result = run_single_step(sc, {"op": "rank"}, seed=0)

@@ -82,6 +82,36 @@ def test_every_minor_comes_from_minors():
     assert found == {"linalg.minors", "charts.ChartMap.__init__"}
 
 
+# Private names one module of the package imports from another, each shared
+# on purpose: grassmann reads linalg's Laplace table and RREF kernel, and
+# charts seeds its exceptional samples by nash's one seed policy.
+PRIVATE_IMPORTS = {
+    ("grassmann", "linalg", "_column_subsets"),
+    ("grassmann", "linalg", "_laplace_minors"),
+    ("grassmann", "linalg", "_rref_kernel"),
+    ("charts", "nash", "_seeded_rng"),
+}
+
+
+def _private_imports(path: Path) -> set[tuple[str, str, str]]:
+    """(importer, module, name) for each ``from .module import _name``."""
+    return {
+        (path.stem, node.module, alias.name)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+
+
+def test_no_module_imports_another_modules_internals():
+    """Each representation is known to one module: linalg alone reads its
+    echelon layout, and poly alone builds polynomials through its trusted
+    constructor `_result`."""
+    found = set().union(*(_private_imports(path) for path in SOURCES))
+    assert found == PRIVATE_IMPORTS
+
+
 def _unused_imports(path: Path) -> set[str]:
     """Names a module imports but never reads (``from __future__`` aside)."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
