@@ -25,7 +25,7 @@ from .linalg import (
     poly_mat_vec,
     rank,
 )
-from .poly import ArityMismatchError, InternalInvariantError, MultiPoly, point_text
+from .poly import ArityMismatchError, InternalInvariantError, MultiPoly, check_ring, point_text
 
 Section = list[MultiPoly]
 VectorField = list[MultiPoly]
@@ -160,10 +160,13 @@ def vf_bracket(x_field: Sequence[MultiPoly], y_field: Sequence[MultiPoly]) -> Ve
 
 
 def lie_derivative(field: Sequence[MultiPoly], f: MultiPoly) -> MultiPoly:
-    """Derivative of a function along a vector field."""
+    """Derivative of a function along a vector field, sum_v field_v * df/dv over
+    the nonzero terms only, with every component's ring checked once."""
+    check_ring(f.vars, field)
     acc = MultiPoly.zero(f.vars)
     for comp, v in zip(field, f.vars):
-        acc = acc + comp * f.diff(v)
+        if comp.terms and (d := f.diff(v)).terms:
+            acc = acc + comp * d
     return acc
 
 

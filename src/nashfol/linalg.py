@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from types import MappingProxyType
 from typing import Sequence
 
@@ -44,6 +44,7 @@ from .poly import (
     InternalInvariantError,
     MultiPoly,
     RatFunc,
+    check_ring,
     exact_div,
     integer_polys,
     primitive_part,
@@ -69,11 +70,16 @@ def mat_copy(m: Sequence[Sequence[MultiPoly]]) -> PolyMatrix:
 
 
 def poly_mat_vec(m: Sequence[Sequence[MultiPoly]], v: Sequence[MultiPoly]) -> PolyVector:
+    """M*v, multiplying only the pairs whose factors are both nonzero; the
+    ring of every entry of M and v is checked once per call."""
+    vs = v[0].vars
+    check_ring(vs, chain(v, *m))
     out = []
     for row in m:
-        acc = MultiPoly.zero(v[0].vars)
+        acc = MultiPoly.zero(vs)
         for entry, coord in zip(row, v):
-            acc = acc + entry * coord
+            if entry.terms and coord.terms:
+                acc = acc + entry * coord
         out.append(acc)
     return out
 

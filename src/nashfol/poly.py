@@ -13,6 +13,10 @@ the exponent vector, earlier variables weighing more), and printing/
 serialization lists terms in descending graded-lex order, so equal polynomials
 always print identically.
 
+A polynomial is never mutated, so an operation with a zero operand returns an
+operand after the ring check (`check_ring`): a sum returns the other one and a
+product the zero.
+
 Rational functions are kept in lowest terms: numerator and denominator are
 divided by their gcd (`poly_gcd`, exact in every arity), and both by the
 denominator's content, so equal fractions have one representation and
@@ -24,6 +28,7 @@ as polynomials.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -147,6 +152,13 @@ def primitive_part(polys: Sequence["MultiPoly"]) -> list["MultiPoly"]:
     return integer_polys(polys)
 
 
+def check_ring(variables: tuple[str, ...], polys: Iterable["MultiPoly"]) -> None:
+    """The ring check: ArityMismatchError unless every poly is over ``variables``."""
+    for p in polys:
+        if p.vars != variables:
+            raise ArityMismatchError(f"variable mismatch: {variables} vs {p.vars}")
+
+
 def _mul_terms(
     left: dict[Exponents, Scalar], right: dict[Exponents, Scalar]
 ) -> dict[Exponents, Scalar]:
@@ -171,9 +183,10 @@ class MultiPoly:
     nonzero coefficients, each an int when it is an integer and a Fraction
     otherwise.  The constructor validates and normalizes what it is given;
     arithmetic results are built by `_result`, which skips that validation.
-    Instances are treated as immutable; all arithmetic returns new objects.
-    Operations between polynomials require identical ``vars`` tuples;
-    variable sets are never silently merged.
+    Instances are treated as immutable: arithmetic returns new objects, but
+    for a zero operand, where it returns an operand (x + 0 is x, x * 0 the
+    zero).  Operations between polynomials require identical ``vars`` tuples,
+    zero ones too; variable sets are never silently merged.
     """
 
     __slots__ = ("vars", "terms")
@@ -248,20 +261,17 @@ class MultiPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same_ring(self, other: "MultiPoly") -> None:
-        if self.vars != other.vars:
-            raise ArityMismatchError(
-                f"variable mismatch: {self.vars} vs {other.vars}"
-            )
-
     def _coerce(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         if isinstance(other, MultiPoly):
-            self._check_same_ring(other)
+            if other.vars != self.vars:  # check_ring, inlined on the hot path
+                raise ArityMismatchError(f"variable mismatch: {self.vars} vs {other.vars}")
             return other
         return MultiPoly.constant(self.vars, other)
 
     def __add__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         other = self._coerce(other)
+        if not self.terms or not other.terms:
+            return other if not self.terms else self
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e, 0) + c
@@ -277,10 +287,13 @@ class MultiPoly:
         return _result(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return self if not other.terms else self + (-other)
 
     def __mul__(self, other: Union["MultiPoly", Scalar]) -> "MultiPoly":
         other = self._coerce(other)
+        if not self.terms or not other.terms:
+            return self if not self.terms else other
         return _result(self.vars, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
@@ -332,7 +345,8 @@ class MultiPoly:
     def subst(
         self, variables: Sequence[str], images: Sequence["MultiPoly"]
     ) -> "MultiPoly":
-        """Substitute each variable by a polynomial over a new variable tuple."""
+        """Substitute each variable by a polynomial over a new variable tuple;
+        a term with a positive power of a zero image is dropped unexpanded."""
         if len(images) != len(self.vars):
             raise ArityMismatchError(
                 f"{len(images)} images supplied for {len(self.vars)} variables"
@@ -353,6 +367,9 @@ class MultiPoly:
             for i, e in enumerate(exps):
                 if not e:
                     continue
+                if not images[i].terms:  # a positive power of a zero image
+                    term = {}
+                    break
                 table = powers[i]
                 if e not in table:
                     prev = max(k for k in table if k <= e)
@@ -438,7 +455,7 @@ def _divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     exactly when q divides p (while it is a multiple of q, its leading term
     is divisible), and in one variable it is the Euclidean remainder.
     """
-    p._check_same_ring(q)
+    check_ring(p.vars, (q,))
     if q.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     q_exps, q_coeff = q.leading()
@@ -604,7 +621,7 @@ def poly_gcd(a: MultiPoly, b: MultiPoly) -> MultiPoly:
     the heuristic gcd over Z, then the recursive PRS if the heuristic finds
     nothing.
     """
-    a._check_same_ring(b)
+    check_ring(a.vars, (b,))
     if not a or not b:
         return (a or b).primitive()
     for p, q in ((a, b), (b, a)):
@@ -636,7 +653,7 @@ class RatFunc:
     def __init__(self, num: MultiPoly, den: Union[MultiPoly, None] = None):
         if den is None:
             den = MultiPoly.constant(num.vars, 1)
-        num._check_same_ring(den)
+        check_ring(num.vars, (den,))
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
@@ -688,6 +705,7 @@ class RatFunc:
 # ---------------------------------------------------------------------------
 
 _DIGITS = frozenset("0123456789")  # str.isdigit also takes '²' and '٣'
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")  # \d also takes '٣'
 _TOKEN_KINDS = ("INT", "IDENT", "+", "-", "*", "^", "/", "(", ")", "END")
 
 
@@ -848,8 +866,11 @@ def parse_poly(text: str, variables: Sequence[str]) -> MultiPoly:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' with optional sign into a Fraction."""
+    """Parse -?p or -?p/q (ASCII digits, q nonzero) into a Fraction, refusing
+    what Fraction() also reads: '1_000', '0.5', '٣', and '1e9' expanded in full."""
     s = text.strip()
+    if not _RATIONAL.fullmatch(s):
+        raise ValueError(f"malformed rational {text!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:

@@ -20,6 +20,7 @@ from typing import Callable
 from .algebroid import (
     AlmostLieAlgebroid,
     AnchoredBundle,
+    WellDefinednessFailureError,
     anchor_rank_generic,
     generic_kernel_sections,
     isotropy_algebra_at,
@@ -473,7 +474,15 @@ class _Runner:
         return StepResult(summary, details, text=text), sub
 
     def step_isotropy(self, src, step, x):
-        iso = isotropy_algebra_at(src.algebroid, src.kernel_gens, x)
+        try:
+            iso = isotropy_algebra_at(src.algebroid, src.kernel_gens, x)
+        except WellDefinednessFailureError as exc:
+            if src.given_gens is not None:
+                raise
+            raise WellDefinednessFailureError(
+                f"{exc}: these are the generic kernel sections, a basis over the fraction "
+                'field; a scenario\'s "kernel_gens" can supply a generating set'
+            ) from None
         abelian = all(
             all(c == 0 for c in coeffs) for coeffs in iso.structure.values()
         )

@@ -31,7 +31,7 @@ from nashfol.algebroid import (
 )
 from nashfol.grassmann import Subspace
 from nashfol.nash import CurveGerm, kernel_curve
-from nashfol.poly import InternalInvariantError, MultiPoly, parse_poly
+from nashfol.poly import ArityMismatchError, InternalInvariantError, MultiPoly, parse_poly
 from nashfol.scenario import load_scenario, run_scenario
 from checks import kernel_bracket_at, linear_lift, pointwise_kernel_bracket, rank_at
 from encoders import algebroid_to_doc
@@ -92,6 +92,27 @@ def test_section_bracket_leibniz_random():
         deriv = lie_derivative(rho_a, f)
         rhs = [f * c + deriv * bk for c, bk in zip(section_bracket(alg, a, b), b)]
         assert lhs == rhs
+
+
+def test_lie_derivative_skips_zero_terms_and_keeps_the_ring_check(monkeypatch):
+    """Zero components and zero partial derivatives are not multiplied, and
+    a zero component over another variable tuple is still refused."""
+    from nashfol.algebroid import lie_derivative
+
+    f = parse_poly("x*y + x", XYZ)  # df/dz = 0
+    field, expected = V(XYZ, "z", "0", "x"), parse_poly("y*z + z", XYZ)
+    products = []
+    original = MultiPoly.__mul__
+
+    def spy(a, b):
+        products.append((str(a), str(b)))
+        return original(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", spy)
+    assert lie_derivative(field, f) == expected
+    assert products == [("z", "y + 1")]
+    with pytest.raises(ArityMismatchError):
+        lie_derivative([*V(XYZ, "z", "x"), MultiPoly.zero(("x", "y"))], f)
 
 
 def test_anchor_morphism_for_golden_models():

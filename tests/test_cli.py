@@ -785,6 +785,29 @@ def test_point_of_the_wrong_arity_exits_2(command, tmp_path, capsys):
     assert captured.err == "error: point has 3 coordinates, expected 2\n"
 
 
+@pytest.mark.parametrize("coordinate", ["\u0663/\u0664", "1_000", "0.5", "1e100000000"])
+def test_point_outside_the_rational_grammar_exits_2_at_once(coordinate, capsys):
+    """Fraction() would read these, and expand 1e100000000 for minutes."""
+    point = f"{coordinate},0,0"
+    assert main(["kernel-at", "--input", corpus_path("gl3"), "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: a coordinate: malformed rational {coordinate!r}\n"
+
+
+def test_isotropy_names_the_generic_kernel_sections(capsys):
+    """gl3 gives no kernel_gens, so the step used the generic kernel sections,
+    a basis over the fraction field that misses the kernel at (0, 1, 0)."""
+    assert main(["isotropy", "--input", corpus_path("gl3"), "--point", "0,1,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: [Sker, ker] leaves Sker at (0, 1, 0); the kernel generator set is "
+        "incomplete or wrong: these are the generic kernel sections, a basis over "
+        'the fraction field; a scenario\'s "kernel_gens" can supply a generating set\n'
+    )
+
+
 def test_pullback_chart_exits_2_when_the_pullback_fails_its_identity(monkeypatch, capsys):
     original = charts.solve
 

@@ -15,6 +15,7 @@ from nashfol.documents import (
     load_json,
     point_from_doc,
     poly_from_doc,
+    rational,
 )
 from nashfol.algebroid import AlmostLieAlgebroid, AnchoredBundle
 from encoders import algebroid_to_doc, bivector_to_doc, curve_to_doc
@@ -175,6 +176,12 @@ def test_pair_named_twice_is_refused(read, doc):
     """"0,1" and "0, 1" name one pair: neither silently wins."""
     with pytest.raises(DocumentError, match="pair 0,1 twice: '0,1' and '0, 1'"):
         read(doc)
+
+
+@pytest.mark.parametrize("text", ["\u0663/\u0664", "1_000", "0.5", "1e100000000"])
+def test_rational_text_outside_the_grammar_is_refused(text):
+    with pytest.raises(DocumentError, match="malformed rational"):
+        rational(text, "a coordinate")
 
 
 @pytest.mark.parametrize("number", ["1e-400", "0.5", "true"])

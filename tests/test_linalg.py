@@ -28,6 +28,7 @@ from nashfol.linalg import (
 )
 from nashfol.nash import limit_subspace
 from nashfol.poly import (
+    ArityMismatchError,
     MultiPoly,
     RatFunc,
     exact_quotients,
@@ -278,6 +279,29 @@ def test_poly_mat_mul():
     a = M([["x", "y"], ["0", "z"]])
     b = M([["1", "0"], ["x", "1"]])
     assert poly_mat_mul(a, b) == M([["x + x*y", "y"], ["x*z", "z"]])
+
+
+def test_poly_mat_vec_multiplies_only_nonzero_pairs(monkeypatch):
+    """One product per pair of nonzero factors; a zero entry of the matrix or
+    of the vector over another variable tuple is still refused."""
+    m = M([["x", "0", "y"], ["0", "0", "z"], ["2", "x*y", "0"]])
+    v = M([["1", "x", "0"]])[0]
+    expected = M([["x", "0", "x^2*y + 2"]])[0]
+    products = []
+    original = MultiPoly.__mul__
+
+    def spy(a, b):
+        products.append((str(a), str(b)))
+        return original(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", spy)
+    assert poly_mat_vec(m, v) == expected
+    assert products == [("x", "1"), ("2", "1"), ("x*y", "x")]
+    zero_xy = MultiPoly.zero(("x", "y"))
+    with pytest.raises(ArityMismatchError):
+        poly_mat_vec([[m[0][0], zero_xy, m[0][2]]], v)
+    with pytest.raises(ArityMismatchError):
+        poly_mat_vec(m, [v[0], v[1], zero_xy])
 
 
 def test_minors_size_error():

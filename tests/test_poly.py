@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -197,6 +198,77 @@ def test_variable_mismatch_is_refused():
         P("x") + parse_poly("x", XYZ)
 
 
+# Term dicts over XY, the zero polynomial half the time.
+_TERMS = st.one_of(
+    st.just({}),
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.fractions(max_denominator=6),
+        max_size=4,
+    ),
+)
+_SCALARS = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4))
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _dict_path(op: str, a: MultiPoly, b: MultiPoly) -> MultiPoly:
+    """The general path, zero operands included: every pair of terms, summed
+    in a dict and normalized by the validating constructor."""
+    if op == "*":
+        terms = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                e = tuple(map(operator.add, e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+    else:
+        terms = dict(a.terms)
+        for e, c in b.terms.items():
+            terms[e] = terms.get(e, 0) + (c if op == "+" else -c)
+    return MultiPoly(a.vars, terms)
+
+
+def _form(p: MultiPoly) -> list:
+    """Variables and terms, each coefficient with its type: 3 and Fraction(3)
+    compare equal, but only the int is in coefficient form."""
+    return [p.vars, sorted((e, type(c).__name__, c) for e, c in p.terms.items())]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TERMS, st.one_of(_TERMS, _SCALARS), st.sampled_from(sorted(_OPS)))
+def test_arithmetic_matches_the_dict_path(a_terms, b, op):
+    """+, - and * equal the general dict path on zero and nonzero polynomials
+    and int or Fraction scalars, on either side, and a zero operand over
+    another variable tuple is refused like any other."""
+    a = MultiPoly(XY, a_terms)
+    if isinstance(b, dict):
+        b_poly = operand = MultiPoly(XY, b)
+        other = MultiPoly(("x", "z"), b)
+        for left, right in ((a, other), (other, a)):
+            with pytest.raises(ArityMismatchError) as exc:
+                _OPS[op](left, right)
+            assert str(exc.value) == f"variable mismatch: {left.vars} vs {right.vars}"
+    else:
+        b_poly, operand = MultiPoly.constant(XY, b), b
+    assert _form(_OPS[op](a, operand)) == _form(_dict_path(op, a, b_poly))
+    if op != "-":  # a scalar on the left goes through __radd__ and __rmul__
+        assert _form(_OPS[op](operand, a)) == _form(_dict_path(op, b_poly, a))
+
+
+def test_a_zero_operand_is_returned_as_it_is():
+    """A polynomial is never mutated, so a sum with zero is the other operand
+    and a product with zero is the zero operand."""
+    p, zero = P("x - 1/2*y"), MultiPoly.zero(XY)
+    assert p + zero is p and zero + p is p and p - zero is p
+    assert p * zero is zero and zero * p is zero
+
+
+def test_subst_of_a_zero_image():
+    t = ("t",)
+    zero, var = MultiPoly.zero(t), MultiPoly.variable(t, "t")
+    assert P("x^2*y + 3*y - x + 2").subst(t, [zero, var]) == parse_poly("3*t + 2", t)
+    assert P("x*y").subst(t, [zero, var]).is_zero()
+
+
 def test_eval_diff_subst():
     p = P("x^2*y - 3*y")
     assert p.eval([2, 5]) == 20 - 15
@@ -283,9 +355,20 @@ def test_ratfunc_is_a_value_without_arithmetic():
 
 def test_parse_rational():
     assert parse_rational("-3/4") == Fraction(-3, 4)
-    assert parse_rational("7") == 7
+    assert parse_rational(" 7 ") == 7
     with pytest.raises(ValueError):
         parse_rational("3/4/5")
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["\u0663/\u0664", "1_000", "0.5", "1e100000000", "+3", "3/-4", "3/0", "- 3", "", "/4"],
+)
+def test_parse_rational_takes_only_the_grammar(text):
+    """Only -?[0-9]+(/[0-9]+)? with a nonzero denominator: Fraction() would
+    read non-ASCII digits, underscores and decimals, and expand an exponent."""
+    with pytest.raises(ValueError, match="malformed rational"):
+        parse_rational(text)
 
 
 def test_json_document_roundtrip():

@@ -299,6 +299,25 @@ def test_run_single_step_matches_scenario_run():
     assert result.details == {"rank": 2}
 
 
+def test_no_product_of_term_dicts_has_an_empty_factor(monkeypatch):
+    """The gl3 action is sparse (9 nonzero anchor entries of 27), yet the
+    term-pair loop is never entered for a product that is zero at once."""
+    import nashfol.poly as poly_module
+
+    original, empty = poly_module._mul_terms, []
+
+    def spy(left, right):
+        if not left or not right:
+            empty.append((left, right))
+        return original(left, right)
+
+    monkeypatch.setattr(poly_module, "_mul_terms", spy)
+    scenario = load_corpus_scenario("gl3")
+    assert run_scenario(scenario, seed=0).passed
+    run_single_step(scenario, {"op": "nash-fiber", "point": "origin"}, seed=0)
+    assert empty == []
+
+
 def test_scenario_without_expectations_passes():
     sc = load_scenario(dict(SO3_DOC, steps=[{"op": "rank"}, {"op": "singular-locus"}]))
     report = run_scenario(sc)
