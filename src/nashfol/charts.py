@@ -6,8 +6,10 @@ is a diffeomorphism onto its image, so vector fields and bivectors on the
 base pull back to unique rational objects on the chart; whether those are
 polynomial is exactly the question of whether the chart resolves the
 foliation.  The tautological frame collects polynomial kernel columns of the
-pulled-back anchor, and the quotient checks certify the rank bookkeeping
-ambient = frame + quotient on each chart.
+pulled-back anchor: the chart's part K of 0 -> K -> Nash(A) -> D -> 0.  Two
+checks give a verdict each: `check_ideal` that K is a bracket ideal, and
+`check_debord_on_chart` that ambient = frame + quotient with the quotient D
+keeping the generic anchor rank.  The frame alone knows its rank.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from .poly import (
     InternalInvariantError,
     MultiPoly,
     RatFunc,
-    divides,
     exact_div,
     integer_row,
     point_text,
@@ -92,7 +93,8 @@ class ChartMap:
 
     ``phi`` maps chart coordinates to base coordinates; ``jac`` caches the
     Jacobian d(phi_i)/d(u_j).  ``exceptional`` (optional) cuts out the locus
-    where the chart collapses and must divide a power of det(jac).
+    where the chart collapses and must divide det(jac)^d, d the chart
+    dimension.
     """
 
     def __init__(
@@ -124,8 +126,13 @@ class ChartMap:
         if exceptional is not None:
             if exceptional.vars != cvs:
                 raise ArityMismatchError("exceptional polynomial over the wrong variables")
-            # 0 divides no nonzero power; divides() would divide by it
-            if exceptional.is_zero() or not divides(exceptional, self.jac_det ** len(cvs)):
+            # e | det^d exactly when d divisions of e by its gcd with det leave
+            # a nonzero constant (0 divides no nonzero power); det^d is not expanded
+            rest = exceptional
+            for _ in range(len(cvs)):
+                if not rest.is_constant():
+                    rest = exact_div(rest, poly_gcd(rest, self.jac_det))
+            if rest.is_zero() or not rest.is_constant():
                 raise ValueError(
                     f"exceptional polynomial {exceptional} does not divide a power of det(jac)"
                 )
@@ -150,7 +157,6 @@ class PulledBackField:
     """The unique rational chart field Y with (Jacobian of phi) * Y = X o phi."""
 
     components: tuple[RatFunc, ...]
-    polynomial_flag: bool
     denominator: MultiPoly | None
 
 
@@ -178,8 +184,7 @@ def pullback_vector_field(chart: ChartMap, field: Sequence[MultiPoly]) -> Pulled
     cleared = [c.num * exact_div(lcd, c.den) for c in comps]
     if poly_mat_vec(chart.jac, cleared) != [lcd * p for p in rhs]:
         raise InternalInvariantError("pullback does not satisfy its defining equation")
-    polynomial = lcd.is_constant()
-    return PulledBackField(tuple(comps), polynomial, None if polynomial else lcd)
+    return PulledBackField(tuple(comps), None if lcd.is_constant() else lcd)
 
 
 def pullback_bivector(
@@ -228,7 +233,9 @@ class ChartPullback:
     @cached_property
     def anchor(self) -> AnchoredBundle:
         """P over the chart variables; refuses every column with a pole."""
-        failures = [(j, f.denominator) for j, f in enumerate(self.fields) if not f.polynomial_flag]
+        failures = [
+            (j, f.denominator) for j, f in enumerate(self.fields) if f.denominator is not None
+        ]
         if failures:
             raise NotResolvedByChartError(failures)
         rows = [[f.components[i].as_poly() for f in self.fields] for i in range(self.chart.dim)]
@@ -314,8 +321,10 @@ class ChartFrame:
 
     @cached_property
     def rank(self) -> int:
-        """The rank over the fraction field (a certificate makes it the width)."""
-        return rank(self.columns)
+        """The rank over the fraction field: the width of a certified frame,
+        whose rows I have det F_I a nonzero constant, else `linalg.rank` of
+        the columns."""
+        return self.width if self.certificate is not None else rank(self.columns)
 
     @cached_property
     def certificate(self) -> FrameCertificate | None:
@@ -486,57 +495,33 @@ def tautological_frame(nca: NashChartAlgebroid, seed: int = 0) -> ChartFrame:
     raise FrameReductionFailedError([u0])
 
 
-def check_ideal(frame: ChartFrame) -> tuple[bool, dict]:
+def check_ideal(frame: ChartFrame) -> bool:
     """Bracket-ideal and Lie-algebra-bundle check for the frame on its chart.
 
     Brackets of frame columns against basis sections (and against each other)
-    must stay in the frame's column span, generically over the fraction field
-    and pointwise at the frame's seeded exceptional samples.
-
-    On a certified frame (``ChartFrame.certificate``) span membership is
-    module membership and holds at every chart point, so it is decided
-    exactly and only a bracket outside the span is evaluated at the samples.
-    Other frames test every bracket generically and at each sample, and true
-    module membership is not decided for them.  Both report the label
-    "generic + sampled", which stays until the goldens that pin it are
-    re-captured.
+    must stay in the frame's column span over the fraction field; the check
+    is False at the first one that does not.  On a certified frame
+    (``ChartFrame.certificate``) span membership is module membership and
+    holds at every chart point, so that decides it exactly.  Other frames
+    must also keep every bracket in the span of their columns at each of the
+    frame's seeded exceptional samples; true module membership is not
+    decided for them.
     """
     chart_alg = frame.nca.algebroid
     n = chart_alg.bundle.fiber_rank
-    report = {
-        "label": "generic + sampled",
-        "samples": [[str(c) for c in u0] for u0 in frame.samples],
-        "pairs_checked": 0,
-        "generic": True,
-        "pointwise": True,
-    }
-    to_check: list[Section] = []
-    for kappa in frame.columns:
-        for j in range(n):
-            to_check.append(bracket_with_basis(chart_alg, kappa, j))
-    for a_idx in range(frame.width):
-        for b_idx in range(a_idx + 1, frame.width):
-            to_check.append(
-                section_bracket(chart_alg, frame.columns[a_idx], frame.columns[b_idx])
-            )
-    report["pairs_checked"] = len(to_check)
-    fibers = None
-    for bracket in to_check:
-        inside = frame.spans(bracket)
-        if not inside:
-            report["generic"] = False
-        elif frame.certificate is not None:
-            continue
-        if fibers is None:
-            fibers = [
-                Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns])
-                for u0 in frame.samples
-            ]
-        for fiber, u0 in zip(fibers, frame.samples):
-            if not fiber.contains([v.eval(u0) for v in bracket]):
-                report["pointwise"] = False
-    ok = report["generic"] and report["pointwise"]
-    return ok, report
+    columns = frame.columns
+    brackets = [bracket_with_basis(chart_alg, kappa, j) for kappa in columns for j in range(n)]
+    brackets += [section_bracket(chart_alg, a, b) for a, b in itertools.combinations(columns, 2)]
+    if not all(frame.spans(bracket) for bracket in brackets):
+        return False
+    if frame.certificate is not None:
+        return True
+    fibers = [Subspace(n, [[p.eval(u0) for p in col] for col in columns]) for u0 in frame.samples]
+    return all(
+        fiber.contains([v.eval(u0) for v in bracket])
+        for bracket in brackets
+        for fiber, u0 in zip(fibers, frame.samples)
+    )
 
 
 @dataclass(frozen=True)
@@ -586,26 +571,18 @@ def debord_generators(pullback: ChartPullback) -> list[Relation]:
     return fallback
 
 
-def check_debord_on_chart(frame: ChartFrame) -> tuple[bool, dict]:
+def check_debord_on_chart(frame: ChartFrame) -> bool:
     """Certify the exact-sequence ranks: frame + quotient = ambient.
 
     The frame's columns lie in the kernel of the pullback matrix (its
     constructor checks them) and it is as wide as P's kernel, so by rank +
     nullity the quotient rank is the ambient rank less the frame width.
-    True when the columns are independent over the fraction field and the
-    quotient keeps the generic anchor rank, so the induced quotient anchor is
-    injective on a dense open subset of the chart.  The frame rank is the
-    width of a certified frame, whose rows I have det F_I a nonzero
-    constant, else the frame's cached `rank`.
+    True when the frame's `rank` is its width, so its columns are independent
+    over the fraction field, and the quotient keeps the generic anchor rank,
+    so the induced quotient anchor is injective on a dense open subset of
+    the chart.
     """
     source = frame.nca.pullback.bundle
-    n = source.fiber_rank
-    quotient_rank = n - frame.width
-    frame_rank = frame.width if frame.certificate is not None else frame.rank
-    certificate = {
-        "ambient_rank": n,
-        "quotient_rank": quotient_rank,
-        "frame_rank": frame_rank,
-    }
-    ok = frame_rank == frame.width and quotient_rank == anchor_rank_generic(source)
-    return ok, certificate
+    return frame.rank == frame.width and (
+        source.fiber_rank - frame.width == anchor_rank_generic(source)
+    )

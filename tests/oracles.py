@@ -307,20 +307,13 @@ def kernel_basis_by_rref(m: Sequence[Sequence[MultiPoly]]) -> list[list[MultiPol
     return basis
 
 
-def check_ideal_sampled(frame) -> tuple[bool, dict]:
-    """The report ``charts.check_ideal`` gives, with no certificate: every
+def check_ideal_sampled(frame) -> bool:
+    """The verdict ``charts.check_ideal`` gives, with no certificate: every
     bracket tested against the frame's columns over the fraction field, by
     ``in_span_by_rref`` and not by the frame, and at each of the frame's
     exceptional samples."""
     chart_alg = frame.nca.algebroid
     n = chart_alg.bundle.fiber_rank
-    report = {
-        "label": "generic + sampled",
-        "samples": [[str(c) for c in u0] for u0 in frame.samples],
-        "pairs_checked": 0,
-        "generic": True,
-        "pointwise": True,
-    }
     to_check = []
     for kappa in frame.columns:
         for j in range(n):
@@ -330,19 +323,18 @@ def check_ideal_sampled(frame) -> tuple[bool, dict]:
             to_check.append(
                 section_bracket(chart_alg, frame.columns[a_idx], frame.columns[b_idx])
             )
-    report["pairs_checked"] = len(to_check)
     fibers = [
         Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns])
         for u0 in frame.samples
     ]
-    for bracket in to_check:
-        if not in_span_by_rref(frame.columns, bracket):
-            report["generic"] = False
-        for fiber, u0 in zip(fibers, frame.samples):
-            if not fiber.contains([v.eval(u0) for v in bracket]):
-                report["pointwise"] = False
-    ok = report["generic"] and report["pointwise"]
-    return ok, report
+    return all(
+        in_span_by_rref(frame.columns, bracket)
+        and all(
+            fiber.contains([v.eval(u0) for v in bracket])
+            for fiber, u0 in zip(fibers, frame.samples)
+        )
+        for bracket in to_check
+    )
 
 
 def gcd_by_euclid(a: MultiPoly, b: MultiPoly) -> MultiPoly:

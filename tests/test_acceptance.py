@@ -157,10 +157,10 @@ def test_criterion_2_so3_chart_reproduction():
 
     nca = nash_anchor_on_chart(a, pullback)
     frame = tautological_frame(nca)
-    ideal_ok, _ = check_ideal(frame)
-    debord_ok, cert = check_debord_on_chart(frame)
-    assert ideal_ok and debord_ok
-    assert (cert["frame_rank"], cert["quotient_rank"], cert["ambient_rank"]) == (1, 2, 3)
+    assert check_ideal(frame) is True
+    assert check_debord_on_chart(frame) is True
+    # frame rank + quotient rank = ambient rank
+    assert (frame.rank, 3 - frame.width) == (1, 2)
 
 
 def test_criterion_3_gl_chart_membership_and_singular_locus():

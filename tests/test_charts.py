@@ -13,6 +13,7 @@ from nashfol.algebroid import (
     AlmostLieAlgebroid,
     AnchoredBundle,
     anchor_rank_generic,
+    bracket_with_basis,
     is_lie_algebroid,
     kernel_at,
 )
@@ -41,6 +42,7 @@ from nashfol.poly import (
     InternalInvariantError,
     MultiPoly,
     RatFunc,
+    divides,
     parse_poly,
 )
 from nashfol.scenario import run_scenario
@@ -97,11 +99,43 @@ def test_chart_validation():
         ChartMap(XY, XY, polys(XY, "x", "y"), exceptional=parse_poly("x", XY))
 
 
+_S3 = "(1 + x + y + z)"
+_EXCEPTIONAL_CASES = [
+    (("x", "x*y"), "x"),
+    (("x", "x*y"), "x^2"),
+    (("x", "x*y"), "x^3"),
+    (("x", "x*y"), "x + 1"),
+    (("x + x*y", "y"), "(y + 1)^2"),
+    (("x + x*y", "y"), "x*(y + 1)"),
+    (("x^2 - 2*x", "y"), "2*x - 2"),
+    (("x^2 - 2*x", "y"), "3"),
+    (("x^2 - 2*x", "y"), "0"),
+    ((f"x*{_S3}^2", "y", "z"), f"{_S3}^3"),
+    ((f"x*{_S3}^2", "y", "z"), f"{_S3}^4"),
+    ((f"x*{_S3}^2", "y", "z"), f"(1 + 3*x + y + z)*{_S3}"),
+    ((f"x*{_S3}^2", "y", "z"), f"(1 + 3*x + y + z)^4*{_S3}"),
+]
+
+
+@pytest.mark.parametrize("phi, exceptional", _EXCEPTIONAL_CASES)
+def test_exceptional_check_matches_the_power_test(phi, exceptional):
+    """A chart keeps its exceptional polynomial e exactly when e is nonzero
+    and divides det(J)^d, d the chart dimension."""
+    vs = XYZ[: len(phi)]
+    e = parse_poly(exceptional, vs)
+    det = ChartMap(vs, vs, polys(vs, *phi)).jac_det
+    if not e.is_zero() and divides(e, det ** len(vs)):
+        assert ChartMap(vs, vs, polys(vs, *phi), exceptional=e).exceptional == e
+    else:
+        with pytest.raises(ValueError, match="does not divide a power of det"):
+            ChartMap(vs, vs, polys(vs, *phi), exceptional=e)
+
+
 def test_identity_chart_is_trivial():
     ch = identity_chart(XYZ)
     field = polys(XYZ, "x*y", "z^2 - 1", "3")
     pb = pullback_vector_field(ch, field)
-    assert pb.polynomial_flag and pb.denominator is None
+    assert pb.denominator is None
     assert [c.as_poly() for c in pb.components] == field
     pi = linear_poisson_so3()
     mat, pole = pullback_bivector(ch, pi)
@@ -127,7 +161,7 @@ def test_pullback_identity_check_refuses_a_wrong_solution(field, polynomial, mon
         comps[-1] = RatFunc(comps[-1].num + comps[-1].den, comps[-1].den)
         return comps
 
-    assert pullback_vector_field(ch, polys(XYZ, *field)).polynomial_flag is polynomial
+    assert (pullback_vector_field(ch, polys(XYZ, *field)).denominator is None) is polynomial
     monkeypatch.setattr(charts_module, "solve", perturbed)
     with pytest.raises(InternalInvariantError, match="pullback does not satisfy its defining"):
         pullback_vector_field(ch, polys(XYZ, *field))
@@ -136,7 +170,6 @@ def test_pullback_identity_check_refuses_a_wrong_solution(field, polynomial, mon
 def test_pullback_of_constant_field_is_not_liftable():
     ch = blowup(("a", "b"), 0, chart_vars=("u", "v"))
     pb = pullback_vector_field(ch, polys(("a", "b"), "0", "1"))
-    assert not pb.polynomial_flag
     assert str(pb.denominator) == "u"
     assert [str(c) for c in pb.components] == ["0", "(1) / (u)"]
     bundle = AnchoredBundle(("a", "b"), [polys(("a", "b"), "0"), polys(("a", "b"), "1")])
@@ -179,12 +212,9 @@ def test_sl2_chart_frame_and_quotient():
     nca = on_chart(sl2, ch)
     frame = tautological_frame(nca)
     assert col_strs(frame) == [["-y", "-y^2", "1"]]
-    ok, report = check_ideal(frame)
-    assert ok and report["label"] == "generic + sampled"
-    ok, cert = check_debord_on_chart(frame)
-    assert ok
-    assert cert["frame_rank"] == 1 and cert["quotient_rank"] == 2
-    assert cert["ambient_rank"] == 3
+    assert check_ideal(frame) is True
+    assert check_debord_on_chart(frame) is True
+    assert (frame.rank, frame.width, nca.algebroid.bundle.fiber_rank) == (1, 1, 3)
 
 
 def test_sl2_chart_algebroid_stays_lie():
@@ -214,12 +244,9 @@ def test_so3_chart_frame_and_quotient():
     nca = on_chart(so3, ch)
     frame = tautological_frame(nca)
     assert col_strs(frame) == [["1", "-y", "z"]]
-    ok, _ = check_ideal(frame)
-    assert ok
-    ok, cert = check_debord_on_chart(frame)
-    assert ok
-    assert cert["frame_rank"] == 1 and cert["quotient_rank"] == 2
-    assert cert["frame_rank"] + cert["quotient_rank"] == cert["ambient_rank"]
+    assert check_ideal(frame) is True
+    assert check_debord_on_chart(frame) is True
+    assert (frame.rank, frame.width, nca.algebroid.bundle.fiber_rank) == (1, 1, 3)
 
 
 def test_so3_bivector_pullback_pole():
@@ -265,10 +292,9 @@ def test_gl2_chart_pullbacks_and_frame():
     ]
     frame = tautological_frame(nca)
     assert col_strs(frame) == [["-y2", "0", "1", "0"], ["0", "-y2", "0", "1"]]
-    ok, cert = check_debord_on_chart(frame)
-    assert ok and cert["frame_rank"] == 2 and cert["quotient_rank"] == 2
-    ok, _ = check_ideal(frame)
-    assert ok
+    assert check_debord_on_chart(frame) is True
+    assert (frame.rank, frame.width) == (2, 2)
+    assert check_ideal(frame) is True
 
 
 def test_gl3_chart_relations_all_polynomial():
@@ -289,9 +315,8 @@ def test_gl3_chart_relations_all_polynomial():
     ]
     nca = nash_anchor_on_chart(gl3, pullback)
     frame = tautological_frame(nca)
-    assert frame.width == 6
-    ok, cert = check_debord_on_chart(frame)
-    assert ok and cert["frame_rank"] + cert["quotient_rank"] == 9
+    assert frame.width == frame.rank == 6
+    assert check_debord_on_chart(frame) is True
 
 
 def test_frame_reduction_failure_is_reported():
@@ -337,12 +362,10 @@ def test_check_ideal_fails_only_pointwise():
     nca = on_chart(AlmostLieAlgebroid(bundle, {}), ch)
     frame = ChartFrame(nca, [polys(XY, "y", "0")], exceptional_samples(ch))
     assert frame.certificate is None
-    ok, report = check_ideal(frame)
-    assert not ok
-    assert report["generic"] is True
-    assert report["pointwise"] is False
-    assert report["pairs_checked"] == 2
-    assert (ok, report) == check_ideal_sampled(frame)
+    brackets = [bracket_with_basis(nca.algebroid, frame.columns[0], j) for j in range(2)]
+    assert all(in_span_by_rref(frame.columns, b) for b in brackets)
+    assert check_ideal(frame) is False
+    assert check_ideal_sampled(frame) is False
 
 
 def test_exceptional_samples_are_deterministic():
@@ -536,10 +559,9 @@ def test_corpus_frames_are_certified_and_check_ideal_builds_no_subspace(name, mo
         return Subspace(*args)
 
     monkeypatch.setattr(charts_module, "Subspace", spy)
-    ok, report = check_ideal(frame)
+    assert check_ideal(frame) is True
     assert built == []
-    assert ok
-    assert (ok, report) == check_ideal_sampled(frame)
+    assert check_ideal_sampled(frame) is True
 
 
 def test_empty_frame_is_certified():
@@ -548,24 +570,43 @@ def test_empty_frame_is_certified():
     frame = tautological_frame(on_chart(AlmostLieAlgebroid(bundle, {}), blowup(vs, 0)))
     assert frame.width == 0
     assert frame.certificate == FrameCertificate((), ())
-    ok, report = check_ideal(frame)
-    assert ok and report["pairs_checked"] == 0
-    assert (ok, report) == check_ideal_sampled(frame)
+    assert check_ideal(frame) is True
+    assert check_ideal_sampled(frame) is True
 
 
-def test_certified_frame_reports_a_bracket_outside_its_span():
-    # the repaired frame of the CLI chart report: rows 0 and 2 are constant,
-    # and with zero brackets [kappa, e_j] = -rho(e_j)(kappa) leaves the span
+def _outside_bracket_frame(seed):
+    """The repaired frame of the CLI chart report: rows 0 and 2 are constant,
+    and with zero brackets [kappa, e_j] = -rho(e_j)(kappa) leaves the span."""
     vs, uv = ("x", "y"), ("u", "v")
     bundle = AnchoredBundle(vs, [polys(vs, "x^2", "x", "x"), polys(vs, "x*y", "y", "y")])
     chart = ChartMap(uv, vs, polys(uv, "u", "u*v"))
+    return tautological_frame(on_chart(AlmostLieAlgebroid(bundle, {}), chart), seed=seed)
+
+
+def test_certified_frame_reports_a_bracket_outside_its_span():
     for seed in (0, 3):
-        frame = tautological_frame(on_chart(AlmostLieAlgebroid(bundle, {}), chart), seed=seed)
+        frame = _outside_bracket_frame(seed)
         assert col_strs(frame) == [["-1", "u", "0"], ["0", "-1", "1"]]
         assert frame.certificate.rows == (0, 2)
-        ok, report = check_ideal(frame)
-        assert not ok and report["generic"] is False
-        assert (ok, report) == check_ideal_sampled(frame)
+        assert check_ideal(frame) is False
+        assert check_ideal_sampled(frame) is False
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_certified_frame_with_a_bracket_outside_builds_no_subspace(seed, monkeypatch):
+    """The certificate already decides the verdict, so nothing is sampled."""
+    frame = _outside_bracket_frame(seed)
+    assert frame.certificate is not None and frame.samples
+    built = []
+
+    def spy(*args):
+        built.append(args)
+        return Subspace(*args)
+
+    monkeypatch.setattr(charts_module, "Subspace", spy)
+    verdict = check_ideal(frame)
+    assert built == []
+    assert verdict is False
 
 
 @pytest.mark.parametrize("name", sorted(_CORPUS_FRAMES))
@@ -577,15 +618,16 @@ def test_debord_rank_comes_from_the_certificate_else_from_rank(name, monkeypatch
     col = frame.columns[0]
     dependent = _reframed(frame, [col, [p * factor for p in col]])
     assert dependent.certificate is None
-    ok, cert = check_debord_on_chart(dependent)
-    assert not ok and cert["frame_rank"] == 1
-    # a certified frame's rank is its width, which `rank` confirms; the
-    # report reads it without computing a rank
-    want = check_debord_on_chart(_reframed(frame, frame.columns))
-    assert want[1]["frame_rank"] == frame.width == _reframed(frame, frame.columns).rank
+    assert dependent.rank == 1
+    assert check_debord_on_chart(dependent) is False
+    # a certified frame's rank is its width, which `linalg.rank` confirms;
+    # the frame reads it without computing a rank
+    assert linalg_module.rank(frame.columns) == frame.width
     ranked = []
     monkeypatch.setattr(charts_module, "rank", lambda *args: ranked.append(args))
-    assert check_debord_on_chart(_reframed(frame, frame.columns)) == want
+    certified = _reframed(frame, frame.columns)
+    assert certified.rank == frame.width
+    assert check_debord_on_chart(certified) is True
     assert ranked == []
 
 

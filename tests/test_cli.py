@@ -822,6 +822,33 @@ def test_pullback_chart_exits_2_when_the_pullback_fails_its_identity(monkeypatch
     assert "Traceback" not in captured.err
 
 
+def test_pullback_chart_refuses_an_exceptional_polynomial_without_a_power(
+    tmp_path, monkeypatch, capsys
+):
+    """det J = s*(s + 2*u1) with s = 1 + u1 + ... + u6: u1 + 1 divides no
+    power of it, and the check decides that without expanding det(J)^6."""
+    chart_vars = [f"u{i}" for i in range(1, 7)]
+    s = "(" + " + ".join(["1", *chart_vars]) + ")"
+    bundle = {"vars": chart_vars, "rank": 1, "anchor": [["1"]] + [["0"]] * 5}
+    phi = [f"u1*{s}*{s}", *chart_vars[1:]]
+    chart = {"chart_vars": chart_vars, "phi": phi, "exceptional": "u1 + 1"}
+    paths = [tmp_path / "bundle.json", tmp_path / "chart.json"]
+    for path, doc in zip(paths, (bundle, chart)):
+        path.write_text(json.dumps(doc))
+
+    def refused(self, n):
+        raise AssertionError("a polynomial power was expanded")
+
+    monkeypatch.setattr(MultiPoly, "__pow__", refused)
+    args = ["pullback-chart", "--input", str(paths[0]), "--chart", str(paths[1])]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: exceptional polynomial u1 + 1 does not divide a power of det(jac)\n"
+    )
+
+
 _KERNEL_Q3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
