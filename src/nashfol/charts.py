@@ -134,7 +134,8 @@ class ChartMap:
                     rest = exact_div(rest, poly_gcd(rest, self.jac_det))
             if rest.is_zero() or not rest.is_constant():
                 raise ValueError(
-                    f"exceptional polynomial {exceptional} does not divide a power of det(jac)"
+                    f"exceptional polynomial {exceptional} does not divide "
+                    f"det(jac)^{len(cvs)}"
                 )
         self.exceptional = exceptional
 

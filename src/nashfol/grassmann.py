@@ -73,11 +73,8 @@ class Subspace:
 
     def pluecker(self) -> "PlueckerVector":
         """The maximal minors of the RREF rows up to dim n/2, and past it of
-        the annihilator's rows, read off the RREF: the minor on column set C is
-        then (-1)^(sum C) times the annihilator's on the complement of C, up
-        to one global sign and scale.  The sign is read from the complement,
-        whose sum differs from sum C by n(n-1)/2; complements run in reverse
-        lexicographic order.  Primitive integer rows scale every minor by one
+        the annihilator's rows, read off the RREF and complemented
+        (`_complement`).  Primitive integer rows scale every minor by one
         positive factor.  PlueckerVector removes all these global factors."""
         if self._pluecker is None:
             n, k = self.n, self.dim
@@ -86,10 +83,30 @@ class Subspace:
             s = len(rows)
             coords = _laplace_minors([integer_row(r) for r in rows], s, 0) if s else [1]
             if dual:
-                sets = _column_subsets(n, s)[0]
-                coords = [-q if sum(c) % 2 else q for c, q in zip(sets, coords)][::-1]
+                coords = _complement(n, s, coords)
             self._pluecker = PlueckerVector(n, k, coords)
         return self._pluecker
+
+    def annihilator(self) -> "Subspace":
+        """The subspace {w : v.w = 0 for every v here}, of dim n - dim, read
+        off the RREF.  Its Pluecker vector is this one's, complemented
+        (`_complement`), and is kept, so it is never recomputed."""
+        n = self.n
+        dual = Subspace(n, _rref_kernel(self.rows, self.pivots, n))
+        coords = _complement(n, self.dim, self.pluecker().coords)
+        dual._pluecker = PlueckerVector(n, dual.dim, coords)
+        return dual
+
+
+def _complement(n: int, s: int, coords: Sequence) -> list:
+    """The Pluecker coordinates of the annihilator of an s-plane in Q^n, from
+    the s-plane's: the annihilator's minor on the complement of a column set
+    C is (-1)^(sum C) times the s-plane's minor on C, up to one global sign
+    and scale.  The sign is read from C, whose sum differs from its
+    complement's by n(n-1)/2; complements of the s-subsets in lexicographic
+    order run in reverse lexicographic order."""
+    sets = _column_subsets(n, s)[0]
+    return [-q if sum(c) % 2 else q for c, q in zip(sets, coords)][::-1]
 
 
 class PlueckerVector:

@@ -1,11 +1,25 @@
 """Exact limits of anchor kernels along polynomial arcs.
 
-The fiber of the kernel closure over a point is probed with curve germs: for
-each arc the kernel of the substituted anchor is computed over Q(t), its
-Pluecker vector is divided by the largest power of t it carries, and t = 0
-lands on the limit subspace.  Arc sampling under-approximates the true fiber;
-the default budget (coordinate rays, seeded random rays, seeded quadratic
-arcs) is deterministic for a given seed.
+The fiber of the kernel closure over a point is probed with curve germs: the
+anchor A is substituted along each arc, a subspace of Q(t)^n is read off it,
+its Pluecker vector is divided by the largest power of t it carries, and
+t = 0 lands on the limit subspace.  There are two paths, chosen by the shape
+of the anchor alone:
+
+- Full row rank (generic rank r equal to the number d of rows): the rows of
+  A(t) span an r-plane, whose Pluecker coordinates are the r-by-r minors of
+  the rows; the kernel limit is the annihilator of that plane's limit.  This
+  is exact: ker A(t) is the annihilator of the row space of A(t), and taking
+  annihilators maps the Pluecker coordinates of Gr(r, n) to those of
+  Gr(n - r, n) by a signed permutation, so it commutes with the limit.  If
+  every minor vanishes, the rows are dependent along the whole arc, which
+  then stays in the singular locus.
+- Otherwise (d > r) the kernel is computed over Q(t) and its own maximal
+  minors are limited.
+
+Arc sampling under-approximates the true fiber; the default budget
+(coordinate rays, seeded random rays, seeded quadratic arcs) is
+deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -19,9 +33,11 @@ from typing import Sequence
 from .algebroid import AnchoredBundle, Point, anchor_rank_generic, kernel_at, strong_kernel_at
 from .grassmann import PlueckerVector, Subspace, unpluecker
 from .linalg import kernel_basis, minors, rank
-from .poly import MultiPoly, point_text
+from .poly import MultiPoly, integer_polys, point_text
 
 CURVE_VAR = ("t",)
+
+_SINGULAR_ARC = "anchor rank drops along the whole arc; pick a curve leaving the singular locus"
 
 
 class CurveInSingularLocusError(ValueError):
@@ -60,6 +76,14 @@ class CurveGerm:
         return cls(tuple(Fraction(c) for c in target), comps)
 
 
+def _substituted(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPoly]]:
+    """The anchor along the arc: each entry with the arc substituted, over Q[t]."""
+    if len(curve.components) != bundle.base_dim:
+        raise ValueError("curve dimension does not match the base")
+    images = list(curve.components)
+    return [[entry.subst(CURVE_VAR, images) for entry in row] for row in bundle.anchor]
+
+
 def kernel_curve(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPoly]]:
     """Kernel basis of the anchor along the arc, as vectors over Q[t].
 
@@ -68,12 +92,7 @@ def kernel_curve(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPol
     A rank-deficient anchor is eliminated once: rank + nullity = n, so the
     arc's rank is read from the kernel's size.
     """
-    if len(curve.components) != bundle.base_dim:
-        raise ValueError("curve dimension does not match the base")
-    images = list(curve.components)
-    substituted = [
-        [entry.subst(CURVE_VAR, images) for entry in row] for row in bundle.anchor
-    ]
+    substituted = _substituted(bundle, curve)
     r = anchor_rank_generic(bundle)
     n = bundle.fiber_rank
     if r < n:
@@ -82,10 +101,7 @@ def kernel_curve(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPol
     else:
         basis, arc_rank = [], rank(substituted)
     if arc_rank < r:
-        raise CurveInSingularLocusError(
-            "anchor rank drops along the whole arc; pick a curve leaving the "
-            "singular locus"
-        )
+        raise CurveInSingularLocusError(_SINGULAR_ARC)
     return basis
 
 
@@ -96,6 +112,9 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
     the least power t^v they carry, read each minor's t^v coefficient,
     reconstruct.  The reconstruction is round-trip verified, and the
     returned subspace keeps the Pluecker vector that check computed.
+    Vectors dependent over Q(t) have every minor zero and no limit: as the
+    rows of a full-row-rank anchor, they put the arc in the singular locus,
+    so CurveInSingularLocusError is raised.
     """
     k = len(basis_over_t)
     if k == 0:
@@ -110,14 +129,25 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
         v = p.monomial_content()[0]
         valuation = v if valuation is None else min(valuation, v)
     if valuation is None:
-        raise ValueError("basis is degenerate over Q(t)")
+        raise CurveInSingularLocusError(_SINGULAR_ARC)
     at_zero = [p.terms.get((valuation,), 0) for p in coords]
     return unpluecker(PlueckerVector(n, k, at_zero))
 
 
 def limit_along(bundle: AnchoredBundle, curve: CurveGerm) -> Subspace:
-    """The t -> 0 limit of the anchor kernel along the arc: the one arc-limit
-    path.  A full-rank anchor has the zero subspace as its limit."""
+    """The t -> 0 limit of the anchor kernel along the arc, the one arc-limit
+    entry point.
+
+    An anchor of full row rank (d == r) takes the annihilator of the limit of
+    its row space: one table of r-by-r minors of the substituted rows, each
+    row scaled to integer coefficients (`integer_polys`), both finds a
+    singular arc and gives the limit, and the annihilator keeps its Pluecker
+    vector.  Any other anchor limits its kernel over Q(t) (`kernel_curve`);
+    full column rank has the zero subspace as its limit.
+    """
+    if bundle.base_dim == anchor_rank_generic(bundle):
+        rows = [integer_polys(row) for row in _substituted(bundle, curve)]
+        return limit_subspace(rows).annihilator()
     basis = kernel_curve(bundle, curve)
     if not basis:
         return Subspace(bundle.fiber_rank, [])

@@ -13,8 +13,11 @@ import pytest
 import nashfol
 import nashfol.charts as charts
 import nashfol.linalg as linalg
+from nashfol.algebroid import AnchoredBundle
 from nashfol.cli import _build_parser, main
-from nashfol.poly import MultiPoly, RatFunc
+from nashfol.linalg import minors
+from nashfol.nash import CurveGerm, kernel_curve
+from nashfol.poly import MultiPoly, RatFunc, parse_poly
 from nashfol.scenario import OPS
 from models import corpus_names
 
@@ -80,6 +83,20 @@ def test_nash_limit_of_full_rank_anchor_is_zero_subspace(tmp_path, capsys):
     limit = json.loads(capsys.readouterr().out)
     assert main(["nash-fiber", "--input", str(bundle), "--point", "0", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["limits"] == [limit]
+
+
+def test_nash_limit_refuses_an_arc_inside_the_singular_locus(tmp_path, capsys):
+    # gl2 has full row rank: every 2x2 minor of its rows vanishes along the
+    # constant arc at the origin, and the kernel path's refusal is kept
+    curve = tmp_path / "constant.json"
+    curve.write_text(json.dumps({"target": ["0", "0"], "components": ["0", "0"]}))
+    args = ["nash-limit", "--input", corpus_path("gl2"), "--curve", str(curve)]
+    assert main(args) == 2
+    assert capsys.readouterr() == (
+        "",
+        "error: anchor rank drops along the whole arc; pick a curve leaving the "
+        "singular locus\n",
+    )
 
 
 def test_nash_fiber_seed_in_header_and_determinism(so3_pi_file, capsys):
@@ -331,16 +348,22 @@ def test_gl3_fiber_takes_every_minor_from_the_table(monkeypatch, capsys):
 def test_nash_limit_of_a_near_square_basis_takes_one_det_per_minor(
     tmp_path, monkeypatch, capsys
 ):
-    # a rank-1 anchor with 24 columns has a 23x24 kernel basis, whose table
-    # would hold about 2^24 sub-minors; the 24 maximal minors are 24 dets
+    # a rank-1 anchor with 24 columns has full row rank, so nash-limit takes
+    # its row's 24 1x1 minors; its 23x24 kernel basis, whose table would hold
+    # about 2^24 sub-minors, has 24 maximal minors, taken as 24 dets
     bundle = tmp_path / "rank1.json"
     row = [f"x^{j % 3 + 1}" for j in range(24)]
     bundle.write_text(json.dumps({"vars": ["x"], "rank": 24, "anchor": [row]}))
     curve = tmp_path / "ray.json"
     curve.write_text(json.dumps({"target": ["0"], "components": ["t"]}))
     sizes = _spy_on_det_from_minors(monkeypatch)
-    assert main(["nash-limit", "--input", str(bundle), "--curve", str(curve)]) == 0
+    anchor = AnchoredBundle(("x",), [[parse_poly(p, ("x",)) for p in row]])
+    basis = kernel_curve(anchor, CurveGerm.polynomial([0], [1]))
+    assert len(minors(basis, 23)) == 24
     assert sizes == [23] * 24
+    sizes.clear()
+    assert main(["nash-limit", "--input", str(bundle), "--curve", str(curve)]) == 0
+    assert sizes == []
     # the limit is the hyperplane where the x-linear columns sum to zero
     rows = []
     for i in range(24):
@@ -845,7 +868,7 @@ def test_pullback_chart_refuses_an_exceptional_polynomial_without_a_power(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: exceptional polynomial u1 + 1 does not divide a power of det(jac)\n"
+        "error: exceptional polynomial u1 + 1 does not divide det(jac)^6\n"
     )
 
 

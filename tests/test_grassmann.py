@@ -96,6 +96,24 @@ def test_pluecker_matches_frac_det_of_the_rref(case):
     assert s.pluecker() == PlueckerVector(n, s.dim, coords)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_spanning_vectors())
+@example((3, []))
+@example((4, [[Fraction(int(i == j), i + 1) for j in range(4)] for i in range(4)]))
+@example((9, [[Fraction((i + 2) ** j, i + 1) for j in range(9)] for i in range(3)]))
+def test_annihilator_is_an_involution_with_a_correct_pluecker_vector(case):
+    n, vectors = case
+    s = Subspace(n, vectors)
+    ann = s.annihilator()
+    assert ann.dim == n - s.dim
+    assert all(sum(a * b for a, b in zip(v, w)) == 0 for v in s.rows for w in ann.rows)
+    assert ann._pluecker is not None
+    assert ann.pluecker() == Subspace(n, ann.rows).pluecker()
+    back = ann.annihilator()
+    assert back == s
+    assert back.pluecker() == Subspace(n, vectors).pluecker()
+
+
 def test_not_decomposable():
     # e0^e1 + e2^e3 violates the quadratic Grassmannian relation
     pv = PlueckerVector(4, 2, [1, 0, 0, 0, 0, 1])

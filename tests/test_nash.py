@@ -18,6 +18,7 @@ from nashfol.nash import (
     check_flag,
     default_arcs,
     kernel_curve,
+    limit_along,
     limit_subspace,
     nash_fiber_sample,
 )
@@ -72,6 +73,19 @@ def test_kernel_curve_singular_arc():
     constant = CurveGerm(ORIGIN2, (MultiPoly.zero(T), MultiPoly.zero(T)))
     with pytest.raises(CurveInSingularLocusError):
         kernel_curve(gl2.bundle, constant)
+
+
+def test_row_space_limit_refuses_a_singular_arc_as_kernel_curve_does():
+    # gl2 has full row rank, so limit_along reads the arc from the minors of
+    # its rows; they all vanish along the constant arc at the origin
+    gl2 = matrix_action_algebroid(2)
+    constant = CurveGerm(ORIGIN2, (MultiPoly.zero(T), MultiPoly.zero(T)))
+    with pytest.raises(CurveInSingularLocusError) as by_kernel:
+        kernel_curve(gl2.bundle, constant)
+    with pytest.raises(CurveInSingularLocusError) as by_rows:
+        limit_along(gl2.bundle, constant)
+    assert str(by_rows.value) == str(by_kernel.value)
+    assert "anchor rank drops along the whole arc" in str(by_rows.value)
 
 
 def test_limit_subspace_constant_kernel():

@@ -3,7 +3,7 @@ generated inputs."""
 
 from fractions import Fraction
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nashfol.algebroid import (
@@ -14,7 +14,13 @@ from nashfol.algebroid import (
 )
 from nashfol.charts import ChartPullback, debord_generators
 from nashfol.grassmann import Subspace, unpluecker
-from nashfol.nash import CurveGerm, CurveInSingularLocusError, kernel_curve, limit_along
+from nashfol.nash import (
+    CurveGerm,
+    CurveInSingularLocusError,
+    kernel_curve,
+    limit_along,
+    limit_subspace,
+)
 from nashfol.poly import MultiPoly, parse_poly
 from models import identity_chart
 from oracles import (
@@ -175,6 +181,66 @@ def test_kernel_curve_finds_singular_arcs_on_both_branches():
     assert _kernel_curve_verdicts(deficient, constant) == "singular"
     assert _kernel_curve_verdicts(full_rank, regular) == []
     assert len(_kernel_curve_verdicts(deficient, regular)) == 1
+
+
+@st.composite
+def _full_row_rank_anchors(draw):
+    """Anchors over (x, y) with two rows, 2-4 columns and generic rank 2;
+    homogeneous entries vanish at the origin, so arcs through it are often
+    singular."""
+    entries = st.one_of(_HOMOGENEOUS, _LINEAR)
+    rows = [[draw(entries) for _ in range(draw(st.integers(2, 4)))]]
+    rows.append([draw(entries) for _ in rows[0]])
+    bundle = AnchoredBundle(_XY, rows)
+    assume(anchor_rank_generic(bundle) == 2)
+    return bundle
+
+
+_QUADRATICS = st.tuples(
+    st.tuples(st.integers(0, 1), _UNIT), st.tuples(_SLOPE, _SLOPE), st.tuples(_SLOPE, _SLOPE)
+).map(lambda pd: CurveGerm.polynomial([Fraction(c) for c in pd[0]], list(pd[1]), list(pd[2])))
+
+
+def _row_space_verdicts(bundle, arc):
+    """limit_along, which limits the row space of a full-row-rank anchor, and
+    the kernel's own limit: the same subspace and Pluecker vector, or both
+    find the arc in the singular locus."""
+    try:
+        limit = limit_along(bundle, arc)
+    except CurveInSingularLocusError:
+        limit = "singular"
+    try:
+        basis = kernel_curve(bundle, arc)
+        want = limit_subspace(basis) if basis else Subspace(bundle.fiber_rank, [])
+    except CurveInSingularLocusError:
+        want = "singular"
+    assert limit == want
+    if want != "singular":
+        assert limit._pluecker is not None
+        assert limit.pluecker() == want.pluecker()
+    return limit
+
+
+_X, _Y = (MultiPoly.variable(_XY, v) for v in _XY)
+_ZERO = MultiPoly.zero(_XY)
+# rank 1 on the y-axis, rank 0 at the origin
+_Y_AXIS_DROP = AnchoredBundle(_XY, [[_X, _ZERO, _Y], [_ZERO, _X, _ZERO]])
+_ON_Y_AXIS = CurveGerm.polynomial([Fraction(0)] * 2, [0, 1], [0, Fraction(-1, 2)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_full_row_rank_anchors(), st.one_of(_RAYS, _QUADRATICS))
+@example(_Y_AXIS_DROP, _ON_Y_AXIS)
+def test_row_space_limit_matches_the_kernel_limit(bundle, arc):
+    _row_space_verdicts(bundle, arc)
+
+
+def test_row_space_limit_finds_singular_arcs():
+    constant = CurveGerm.polynomial([Fraction(0)] * 2, [0, 0])
+    crossing = CurveGerm.polynomial([Fraction(0)] * 2, [1, 0], [0, 1])
+    assert _row_space_verdicts(_Y_AXIS_DROP, _ON_Y_AXIS) == "singular"
+    assert _row_space_verdicts(_Y_AXIS_DROP, constant) == "singular"
+    assert _row_space_verdicts(_Y_AXIS_DROP, crossing).dim == 1
 
 
 _XYZ = ("x", "y", "z")
