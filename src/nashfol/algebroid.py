@@ -276,9 +276,11 @@ def singular_locus(bundle: AnchoredBundle) -> list[MultiPoly]:
 def generic_kernel_sections(bundle: AnchoredBundle) -> list[Section]:
     """Polynomial sections spanning ker(anchor) over the fraction field.
 
-    These generate the kernel at every regular point; at singular points they
-    may span less than the pointwise kernel (that gap is the whole story of
-    the strong kernel).
+    They are a basis over the fraction field (`kernel_basis`), not a
+    generating set: their values span ker rho_x where the pivot minor of the
+    elimination is nonzero, and elsewhere may span less, at a regular point
+    too (gl3 at (0, 1, 0)).  A scenario's `kernel_gens` can supply a
+    generating set.
     """
     if anchor_rank_generic(bundle) == bundle.fiber_rank:
         return []

@@ -27,10 +27,10 @@ class NotDecomposableError(ValueError):
 
 
 class Subspace:
-    """A linear subspace of Q^n in canonical (RREF) form.  It is never
-    mutated, so its Pluecker vector is computed at most once and kept."""
+    """A linear subspace of Q^n in canonical (RREF) form: equal subspaces
+    have equal rows."""
 
-    __slots__ = ("n", "rows", "pivots", "_pluecker")
+    __slots__ = ("n", "rows", "pivots")
 
     def __init__(self, n: int, vectors: Iterable[Sequence[Fraction]]):
         vecs = [list(v) for v in vectors]
@@ -41,7 +41,6 @@ class Subspace:
         self.n = n
         self.rows = tuple(tuple(row) for row in rows)
         self.pivots = tuple(pivots)
-        self._pluecker: PlueckerVector | None = None
 
     @property
     def dim(self) -> int:
@@ -72,41 +71,18 @@ class Subspace:
         return self.n == other.n and all(self.contains(r) for r in other.rows)
 
     def pluecker(self) -> "PlueckerVector":
-        """The maximal minors of the RREF rows up to dim n/2, and past it of
-        the annihilator's rows, read off the RREF and complemented
-        (`_complement`).  Primitive integer rows scale every minor by one
-        positive factor.  PlueckerVector removes all these global factors."""
-        if self._pluecker is None:
-            n, k = self.n, self.dim
-            dual = 2 * k > n
-            rows = _rref_kernel(self.rows, self.pivots, n) if dual else self.rows
-            s = len(rows)
-            coords = _laplace_minors([integer_row(r) for r in rows], s, 0) if s else [1]
-            if dual:
-                coords = _complement(n, s, coords)
-            self._pluecker = PlueckerVector(n, k, coords)
-        return self._pluecker
-
-    def annihilator(self) -> "Subspace":
-        """The subspace {w : v.w = 0 for every v here}, of dim n - dim, read
-        off the RREF.  Its Pluecker vector is this one's, complemented
-        (`_complement`), and is kept, so it is never recomputed."""
+        """The maximal minors of the RREF rows up to dim n/2; past it, those
+        of the annihilator's rows, read off the RREF, and dualised back
+        (`PlueckerVector.annihilator`).  Primitive integer rows scale every
+        minor by one positive factor.  PlueckerVector removes all these
+        global factors."""
         n = self.n
-        dual = Subspace(n, _rref_kernel(self.rows, self.pivots, n))
-        coords = _complement(n, self.dim, self.pluecker().coords)
-        dual._pluecker = PlueckerVector(n, dual.dim, coords)
-        return dual
-
-
-def _complement(n: int, s: int, coords: Sequence) -> list:
-    """The Pluecker coordinates of the annihilator of an s-plane in Q^n, from
-    the s-plane's: the annihilator's minor on the complement of a column set
-    C is (-1)^(sum C) times the s-plane's minor on C, up to one global sign
-    and scale.  The sign is read from C, whose sum differs from its
-    complement's by n(n-1)/2; complements of the s-subsets in lexicographic
-    order run in reverse lexicographic order."""
-    sets = _column_subsets(n, s)[0]
-    return [-q if sum(c) % 2 else q for c, q in zip(sets, coords)][::-1]
+        dual = 2 * self.dim > n
+        rows = _rref_kernel(self.rows, self.pivots, n) if dual else self.rows
+        s = len(rows)
+        coords = _laplace_minors([integer_row(r) for r in rows], s, 0) if s else [1]
+        pv = PlueckerVector(n, s, coords)
+        return pv.annihilator() if dual else pv
 
 
 class PlueckerVector:
@@ -132,6 +108,18 @@ class PlueckerVector:
         self.n = n
         self.k = k
         self.coords = tuple(sign * c for c in ints)
+
+    def annihilator(self) -> "PlueckerVector":
+        """The vector of the annihilator {w : v.w = 0 for every v in the
+        plane}, a point of Gr(n - k, n).  Its minor on the complement of a
+        column set C is (-1)^(sum C) times this plane's minor on C, up to one
+        global sign and scale.  The sign is read from C, whose sum differs
+        from its complement's by n(n-1)/2; complements of the k-subsets in
+        lexicographic order run in reverse lexicographic order.  Taken twice,
+        it gives back this vector."""
+        sets = _column_subsets(self.n, self.k)[0]
+        coords = [-q if sum(c) % 2 else q for c, q in zip(sets, self.coords)][::-1]
+        return PlueckerVector(self.n, self.n - self.k, coords)
 
     def first_nonzero(self) -> int:
         return next(i for i, c in enumerate(self.coords) if c)

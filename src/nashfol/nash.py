@@ -3,17 +3,19 @@
 The fiber of the kernel closure over a point is probed with curve germs: the
 anchor A is substituted along each arc, a subspace of Q(t)^n is read off it,
 its Pluecker vector is divided by the largest power of t it carries, and
-t = 0 lands on the limit subspace.  There are two paths, chosen by the shape
-of the anchor alone:
+t = 0 lands on the limit, a point of the Grassmannian kept as its Pluecker
+vector.  A Subspace is built only for a limit that is reported, once per
+distinct limit.  There are two paths, chosen by the shape of the anchor
+alone:
 
 - Full row rank (generic rank r equal to the number d of rows): the rows of
   A(t) span an r-plane, whose Pluecker coordinates are the r-by-r minors of
-  the rows; the kernel limit is the annihilator of that plane's limit.  This
-  is exact: ker A(t) is the annihilator of the row space of A(t), and taking
-  annihilators maps the Pluecker coordinates of Gr(r, n) to those of
-  Gr(n - r, n) by a signed permutation, so it commutes with the limit.  If
-  every minor vanishes, the rows are dependent along the whole arc, which
-  then stays in the singular locus.
+  the rows; the kernel limit is the annihilator of that plane's limit, taken
+  on the Pluecker vector.  This is exact: ker A(t) is the annihilator of the
+  row space of A(t), and taking annihilators maps the Pluecker coordinates
+  of Gr(r, n) to those of Gr(n - r, n) by a signed permutation, so it
+  commutes with the limit.  If every minor vanishes, the rows are dependent
+  along the whole arc, which then stays in the singular locus.
 - Otherwise (d > r) the kernel is computed over Q(t) and its own maximal
   minors are limited.
 
@@ -105,16 +107,15 @@ def kernel_curve(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPol
     return basis
 
 
-def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
-    """The t -> 0 limit of the span of polynomial-in-t basis vectors.
+def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> PlueckerVector:
+    """The Pluecker vector of the t -> 0 limit of the span of
+    polynomial-in-t basis vectors.
 
-    Computed in Pluecker coordinates: take maximal minors over Q[t], find
-    the least power t^v they carry, read each minor's t^v coefficient,
-    reconstruct.  The reconstruction is round-trip verified, and the
-    returned subspace keeps the Pluecker vector that check computed.
-    Vectors dependent over Q(t) have every minor zero and no limit: as the
-    rows of a full-row-rank anchor, they put the arc in the singular locus,
-    so CurveInSingularLocusError is raised.
+    Take maximal minors over Q[t], find the least power t^v they carry, and
+    read each minor's t^v coefficient; `unpluecker` turns the vector into a
+    subspace and verifies it.  Vectors dependent over Q(t) have every minor
+    zero and no limit: as the rows of a full-row-rank anchor, they put the
+    arc in the singular locus, so CurveInSingularLocusError is raised.
     """
     k = len(basis_over_t)
     if k == 0:
@@ -131,18 +132,18 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> Subspace:
     if valuation is None:
         raise CurveInSingularLocusError(_SINGULAR_ARC)
     at_zero = [p.terms.get((valuation,), 0) for p in coords]
-    return unpluecker(PlueckerVector(n, k, at_zero))
+    return PlueckerVector(n, k, at_zero)
 
 
-def limit_along(bundle: AnchoredBundle, curve: CurveGerm) -> Subspace:
-    """The t -> 0 limit of the anchor kernel along the arc, the one arc-limit
-    entry point.
+def limit_along(bundle: AnchoredBundle, curve: CurveGerm) -> PlueckerVector:
+    """The Pluecker vector of the t -> 0 limit of the anchor kernel along the
+    arc, the one arc-limit entry point.
 
-    An anchor of full row rank (d == r) takes the annihilator of the limit of
-    its row space: one table of r-by-r minors of the substituted rows, each
-    row scaled to integer coefficients (`integer_polys`), both finds a
-    singular arc and gives the limit, and the annihilator keeps its Pluecker
-    vector.  Any other anchor limits its kernel over Q(t) (`kernel_curve`);
+    An anchor of full row rank (d == r) takes the annihilator
+    (`PlueckerVector.annihilator`) of the limit of its row space: one table
+    of r-by-r minors of the substituted rows, each row scaled to integer
+    coefficients (`integer_polys`), both finds a singular arc and gives the
+    limit.  Any other anchor limits its kernel over Q(t) (`kernel_curve`);
     full column rank has the zero subspace as its limit.
     """
     if bundle.base_dim == anchor_rank_generic(bundle):
@@ -150,7 +151,7 @@ def limit_along(bundle: AnchoredBundle, curve: CurveGerm) -> Subspace:
         return limit_subspace(rows).annihilator()
     basis = kernel_curve(bundle, curve)
     if not basis:
-        return Subspace(bundle.fiber_rank, [])
+        return PlueckerVector(bundle.fiber_rank, 0, [1])
     return limit_subspace(basis)
 
 
@@ -179,33 +180,37 @@ def nash_fiber_sample(
 
     Arcs stuck in the singular locus are recorded and skipped; if none
     survive, AllCurvesSingularError.  Limits are deduplicated by Pluecker
-    vector and sorted by it, so the result is independent of arc order.
+    vector and sorted by it, so the result is independent of arc order, and
+    each distinct one becomes a verified subspace (`unpluecker`) once.
     """
     if len(x) != bundle.base_dim:
         raise ValueError(f"point has {len(x)} coordinates, expected {bundle.base_dim}")
     point = tuple(Fraction(c) for c in x)
+    if not curves:
+        raise ValueError(f"no arcs to probe the fiber over {point_text(point)}")
     for curve in curves:
         if curve.target != point:
             raise ValueError(
                 f"curve targets {point_text(curve.target)}, sampling at {point_text(point)}"
             )
-    seen: dict[PlueckerVector, LimitRecord] = {}
+    first_arc: dict[PlueckerVector, CurveGerm] = {}
     status = []
     for curve in curves:
         try:
-            limit = limit_along(bundle, curve)
+            pv = limit_along(bundle, curve)
         except CurveInSingularLocusError:
             status.append("singular")
             continue
-        pv = limit.pluecker()
         status.append("ok")
-        if pv not in seen:
-            seen[pv] = LimitRecord(subspace=limit, pluecker=pv, curve=curve)
-    if not seen:
+        first_arc.setdefault(pv, curve)
+    if not first_arc:
         raise AllCurvesSingularError(
             f"all {len(curves)} arcs stayed in the singular locus at {point_text(point)}"
         )
-    records = tuple(seen[pv] for pv in sorted(seen))
+    records = tuple(
+        LimitRecord(subspace=unpluecker(pv), pluecker=pv, curve=first_arc[pv])
+        for pv in sorted(first_arc)
+    )
     return NashFiberSample(point=point, limits=records, curve_status=tuple(status))
 
 

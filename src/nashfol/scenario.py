@@ -53,7 +53,7 @@ from .documents import (
     poly_from_doc,
     rational,
 )
-from .grassmann import PlueckerVector, Subspace
+from .grassmann import PlueckerVector, Subspace, unpluecker
 from .nash import default_arcs, limit_along, nash_fiber_sample
 from .poisson import cotangent_algebroid
 from .poly import MultiPoly, RatFunc, integer_row, point_text
@@ -501,8 +501,8 @@ class _Runner:
         return StepResult(summary, details, text=text), {"dim": iso.dim, "abelian": abelian}
 
     def step_nash_limit(self, src, step, curve):
-        limit = limit_along(src.bundle, curve)
-        pv = limit.pluecker()
+        pv = limit_along(src.bundle, curve)
+        limit = unpluecker(pv)
         basis = _basis_rows(limit)
         details = {"dim": limit.dim, "pluecker": list(pv.coords), "basis": basis}
         text = (

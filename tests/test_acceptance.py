@@ -204,14 +204,14 @@ def test_criterion_4_duval_kernels_and_limits(n):
         if direction[0] == 0 and direction[1] == 0:
             continue
         curve = CurveGerm.polynomial((Fraction(0),) * 3, direction)
-        limit = limit_subspace(kernel_curve(bundle, curve))
+        limit = unpluecker(limit_subspace(kernel_curve(bundle, curve)))
         assert limit == Subspace(3, [[direction[1], direction[0], Fraction(0)]])
         errors = convergence_errors(bundle, curve, limit, ORACLE_TIMES)
         assert all(e == 0 for e in errors) or errors[0] > errors[1] > errors[2]
         seen_rays += 1
 
     axis = CurveGerm.polynomial((Fraction(0),) * 3, [Fraction(0), Fraction(0), Fraction(1)])
-    limit = limit_subspace(kernel_curve(bundle, axis))
+    limit = unpluecker(limit_subspace(kernel_curve(bundle, axis)))
     assert limit == Subspace(3, [[0, 0, 1]])
     assert convergence_errors(bundle, axis, limit, ORACLE_TIMES) == [0, 0, 0]
 
@@ -222,7 +222,7 @@ def test_criterion_5_veronese_rays():
     limits = []
     for lam in lambdas:
         curve = CurveGerm.polynomial((Fraction(0), Fraction(0)), [Fraction(1), lam])
-        limit = limit_subspace(kernel_curve(bundle, curve))
+        limit = unpluecker(limit_subspace(kernel_curve(bundle, curve)))
         annihilators = [
             [Fraction(1), lam, lam * lam, Fraction(0), Fraction(0), Fraction(0)],
             [Fraction(0), Fraction(0), Fraction(0), Fraction(1), lam, lam * lam],
@@ -263,7 +263,7 @@ def test_criterion_6_property_suite():
         x = sc.points.get("origin") or next(iter(sc.points.values()))
         for arc in smaller_arc_budget(x, rng.randint(0, 9999), rays=3, quadratics=1):
             try:
-                limit = limit_subspace(kernel_curve(bundle, arc))
+                limit = unpluecker(limit_subspace(kernel_curve(bundle, arc)))
             except CurveInSingularLocusError:
                 continue
             limits_checked += 1

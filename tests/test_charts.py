@@ -449,7 +449,7 @@ def _assert_limit_is_frame_span(frame, bundle, u0, w):
     n = bundle.fiber_rank
     assert frame_rank_at(frame, u0) == frame.width
     span = Subspace(n, [[p.eval(u0) for p in col] for col in frame.columns])
-    assert limit_along(bundle, arc) == span
+    assert limit_along(bundle, arc) == span.pluecker()
 
 
 @pytest.mark.parametrize("name", ["gl2", "gl3", "sl2", "so3"])

@@ -9,7 +9,7 @@ from nashfol.algebroid import (
     generic_kernel_sections,
     kernel_at,
 )
-from nashfol.grassmann import Subspace
+from nashfol.grassmann import Subspace, unpluecker
 from nashfol.linalg import poly_mat_mul
 from nashfol.nash import (
     AllCurvesSingularError,
@@ -91,21 +91,21 @@ def test_row_space_limit_refuses_a_singular_arc_as_kernel_curve_does():
 def test_limit_subspace_constant_kernel():
     bundle = pi_sharp(linear_poisson_so3())
     basis = kernel_curve(bundle, ray([0, 0, 0], [1, 0, 0]))
-    assert limit_subspace(basis) == Subspace(3, [[1, 0, 0]])
+    assert limit_subspace(basis) == Subspace(3, [[1, 0, 0]]).pluecker()
 
 
 def test_limit_subspace_surface_ray():
     pi = surface_bivector(2)
     bundle = pi_sharp(pi)
     basis = kernel_curve(bundle, ray([0, 0, 0], [1, 2, 3]))
-    assert limit_subspace(basis) == Subspace(3, [[2, 1, 0]])
+    assert limit_subspace(basis) == Subspace(3, [[2, 1, 0]]).pluecker()
 
 
 def test_limit_subspace_veronese_rays():
     f2 = vanishing_order_bundle(2, 2)
     for lam in (0, 1, 2):
         basis = kernel_curve(f2, ray([0, 0], [1, lam]))
-        v = limit_subspace(basis)
+        v = unpluecker(limit_subspace(basis))
         assert v.dim == 4
         ann1 = [Fraction(1), Fraction(lam), Fraction(lam * lam), 0, 0, 0]
         ann2 = [0, 0, 0, Fraction(1), Fraction(lam), Fraction(lam * lam)]
@@ -153,6 +153,13 @@ def test_nash_fiber_all_singular():
     constant = CurveGerm(ORIGIN2, (MultiPoly.zero(T), MultiPoly.zero(T)))
     with pytest.raises(AllCurvesSingularError):
         nash_fiber_sample(gl2.bundle, ORIGIN2, [constant])
+
+
+def test_nash_fiber_refuses_an_empty_arc_list():
+    gl2 = matrix_action_algebroid(2)
+    with pytest.raises(ValueError, match=r"^no arcs to probe the fiber over \(0, 0\)$") as info:
+        nash_fiber_sample(gl2.bundle, ORIGIN2, [])
+    assert not isinstance(info.value, AllCurvesSingularError)
 
 
 def test_full_rank_anchor_gives_zero_dimensional_fiber():
@@ -267,7 +274,7 @@ def test_default_arcs_deterministic():
 def test_convergence_oracle_rotation():
     bundle = pi_sharp(linear_poisson_so3())
     curve = ray([0, 0, 0], [1, 2, 2])
-    limit = limit_subspace(kernel_curve(bundle, curve))
+    limit = unpluecker(limit_subspace(kernel_curve(bundle, curve)))
     times = [Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000)]
     errors = convergence_errors(bundle, curve, limit, times)
     for earlier, later in zip(errors, errors[1:]):

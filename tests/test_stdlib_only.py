@@ -53,8 +53,8 @@ def test_only_poly_computes_integer_gcds():
     assert not {name: calls for name, calls in found.items() if calls}
 
 
-def _det_callers(path: Path) -> set[str]:
-    """The functions of a module that call ``det`` (by name or as an
+def _callers(path: Path, name: str) -> set[str]:
+    """The functions of a module that call ``name`` (by name or as an
     attribute), each as its dotted path inside the module."""
     found = set()
 
@@ -65,7 +65,7 @@ def _det_callers(path: Path) -> set[str]:
                 continue
             if isinstance(child, ast.Call):
                 func = child.func
-                if getattr(func, "id", None) == "det" or getattr(func, "attr", None) == "det":
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
                     found.add(".".join(scope))
             visit(child, scope)
 
@@ -78,8 +78,15 @@ def test_every_minor_comes_from_minors():
     elimination per minor costs less than the Laplace table, and the chart
     Jacobian.  Every other minor, cofactor or Cramer numerator is read from
     one `minors` call."""
-    found = {f"{path.stem}.{scope}" for path in SOURCES for scope in _det_callers(path)}
+    found = {f"{path.stem}.{scope}" for path in SOURCES for scope in _callers(path, "det")}
     assert found == {"linalg.minors", "charts.ChartMap.__init__"}
+
+
+def test_only_printed_limits_become_subspaces():
+    """An arc limit stays a Pluecker vector: `unpluecker` builds a subspace
+    once per distinct limit of a fiber sample, and once for `nash-limit`."""
+    found = {f"{path.stem}.{scope}" for path in SOURCES for scope in _callers(path, "unpluecker")}
+    assert found == {"nash.nash_fiber_sample", "scenario._Runner.step_nash_limit"}
 
 
 # Private names one module of the package imports from another, each shared
