@@ -21,7 +21,8 @@ alone:
 
 Arc sampling under-approximates the true fiber; the default budget
 (coordinate rays, seeded random rays, seeded quadratic arcs) is
-deterministic for a given seed.
+deterministic for a given seed, and rescaled to integer coefficients with
+the same limits (`default_arcs`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Sequence
 from .algebroid import AnchoredBundle, Point, anchor_rank_generic, kernel_at, strong_kernel_at
 from .grassmann import PlueckerVector, Subspace, unpluecker
 from .linalg import kernel_basis, minors, rank
-from .poly import MultiPoly, integer_polys, point_text
+from .poly import MultiPoly, common_denominator, integer_polys, point_text
 
 CURVE_VAR = ("t",)
 
@@ -63,14 +64,20 @@ class CurveGerm:
         for comp, coord in zip(self.components, self.target):
             if comp.vars != CURVE_VAR:
                 raise ValueError("curve components must be univariate in t")
-            if comp.eval([Fraction(0)]) != coord:
+            if comp.terms.get((0,), 0) != coord:
                 raise ValueError(
                     f"curve does not start at its target: {comp} at 0 != {coord}"
                 )
 
     @classmethod
     def polynomial(cls, target: Point, *coefficients: Sequence[Fraction]) -> "CurveGerm":
-        """The arc target + sum_m coefficients[m-1] * t^m."""
+        """The arc target + sum_m coefficients[m-1] * t^m; each coefficient
+        vector has one entry per target coordinate."""
+        for column in coefficients:
+            if len(column) != len(target):
+                raise ValueError(
+                    f"coefficient vector has {len(column)} entries, the target {len(target)}"
+                )
         comps = tuple(
             MultiPoly(CURVE_VAR, {(m,): Fraction(c) for m, c in enumerate(column)})
             for column in zip(target, *coefficients)
@@ -228,9 +235,29 @@ def _random_direction(rng: Random, d: int) -> list[Fraction]:
     ]
 
 
+def _integer_arc(point: list[Fraction], *coefficients: list[Fraction]) -> CurveGerm:
+    """The arc point + sum_m coefficients[m-1] * (L t)^m, L the lcm of the
+    coefficients' denominators."""
+    scale = common_denominator(c for column in coefficients for c in column)
+    return CurveGerm.polynomial(
+        point,
+        *([c * scale**m for c in column] for m, column in enumerate(coefficients, 1)),
+    )
+
+
 def default_arcs(x: Point, seed: int) -> list[CurveGerm]:
     """The standard arc budget at a point: signed coordinate rays, 16 seeded
-    random rays, 8 seeded quadratic arcs.  Deterministic for a given seed."""
+    random rays, 8 seeded quadratic arcs.  Deterministic for a given seed.
+
+    The random arcs draw coefficients with denominators 1, 2 and 3, and
+    each is reparametrized by t -> L t, L the lcm of its denominators: a
+    ray x + c t becomes x + (L c) t, a quadratic x + a t + b t^2 becomes
+    x + (L a) t + (L^2 b) t^2, and at an integer point an integer anchor
+    is substituted over Z[t].  Limits and singular verdicts stay: t -> L t
+    is an automorphism of Q(t), which keeps the least t-valuation v of the
+    Pluecker coordinates and multiplies every coordinate's t^v coefficient
+    by L^v.
+    """
     d = len(x)
     point = [Fraction(c) for c in x]
     arcs = []
@@ -241,12 +268,10 @@ def default_arcs(x: Point, seed: int) -> list[CurveGerm]:
             arcs.append(CurveGerm.polynomial(point, direction))
     rng = _seeded_rng(seed, "nash-rays")
     for _ in range(16):
-        arcs.append(CurveGerm.polynomial(point, _random_direction(rng, d)))
+        arcs.append(_integer_arc(point, _random_direction(rng, d)))
     rng = _seeded_rng(seed, "nash-quadratics")
     for _ in range(8):
-        arcs.append(
-            CurveGerm.polynomial(point, _random_direction(rng, d), _random_direction(rng, d))
-        )
+        arcs.append(_integer_arc(point, _random_direction(rng, d), _random_direction(rng, d)))
     return arcs
 
 

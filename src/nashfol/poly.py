@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -121,12 +122,18 @@ def _result(variables: tuple[str, ...], terms: dict[Exponents, Scalar]) -> "Mult
     return p
 
 
+def common_denominator(values: Iterable[Scalar]) -> int:
+    """The lcm of the denominators of rationals, 1 for none: the least
+    positive integer whose multiples of them are all integers."""
+    return math.lcm(*(c.denominator for c in values))
+
+
 def integer_row(values: Iterable[Scalar]) -> list[int]:
     """The primitive integer multiple of a rational vector, the one content
     routine: denominators cleared by their lcm, then divided by the gcd.
     The sign is kept, and a zero (or empty) vector stays as it is."""
     values = list(values)
-    scale = math.lcm(*(c.denominator for c in values))
+    scale = common_denominator(values)
     ints = [c.numerator * (scale // c.denominator) for c in values]
     g = math.gcd(*ints) or 1
     return [c // g for c in ints]
@@ -167,7 +174,7 @@ def _mul_terms(
     terms: dict[Exponents, Scalar] = {}
     for e1, c1 in left.items():
         for e2, c2 in right.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
+            e = tuple(map(add, e1, e2))
             s = terms.get(e, 0) + c1 * c2
             if s:
                 terms[e] = s
@@ -358,24 +365,25 @@ class MultiPoly:
                     f"substitution image over {img.vars}, expected {vs}"
                 )
         # one power table per call, as term dicts, since exponent vectors
-        # repeat powers a lot; terms are summed into one dict and wrapped once
+        # repeat powers a lot; the first power is the image itself, with no
+        # product; terms are summed into one dict and wrapped once
         unit = (0,) * len(vs)
-        powers: list[dict[int, dict[Exponents, Scalar]]] = [{0: {unit: 1}} for _ in images]
+        powers = [{1: img.terms} for img in images]
         result: dict[Exponents, Scalar] = {}
         for exps, coeff in self.terms.items():
             term = {unit: coeff}
             for i, e in enumerate(exps):
                 if not e:
                     continue
-                if not images[i].terms:  # a positive power of a zero image
+                table = powers[i]
+                if not table[1]:  # a positive power of a zero image
                     term = {}
                     break
-                table = powers[i]
                 if e not in table:
-                    prev = max(k for k in table if k <= e)
+                    prev = max(k for k in table if k < e)
                     acc = table[prev]
                     for _ in range(e - prev):
-                        acc = _mul_terms(acc, images[i].terms)
+                        acc = _mul_terms(acc, table[1])
                     table[e] = acc
                 term = _mul_terms(term, table[e])
             for e, c in term.items():
@@ -409,8 +417,8 @@ class MultiPoly:
         """Divide by the monomial with the given exponents (must divide)."""
         terms = {}
         for e, c in self.terms.items():
-            d = tuple(a - b for a, b in zip(e, exps))
-            if any(x < 0 for x in d):
+            d = tuple(map(sub, e, exps))
+            if min(d, default=0) < 0:
                 raise ExactDivisionError(f"monomial {exps} does not divide {self}")
             terms[d] = c
         return MultiPoly(self.vars, terms)
@@ -463,13 +471,13 @@ def _divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     rem = dict(p.terms)
     while rem:
         r_exps = max(rem, key=grlex_key)
-        t = tuple(a - b for a, b in zip(r_exps, q_exps))
-        if any(x < 0 for x in t):
+        t = tuple(map(sub, r_exps, q_exps))
+        if min(t, default=0) < 0:
             break
         c = _div(rem[r_exps], q_coeff)
         quotient[t] = c
         for e, v in q.terms.items():
-            e = tuple(a + b for a, b in zip(t, e))
+            e = tuple(map(add, t, e))
             s = rem.get(e, 0) - c * v
             if s:
                 rem[e] = s

@@ -20,7 +20,13 @@ from nashfol.linalg import (
     poly_mat_vec,
     rank,
 )
-from nashfol.nash import CURVE_VAR, CurveInSingularLocusError
+from nashfol.nash import (
+    CURVE_VAR,
+    CurveGerm,
+    CurveInSingularLocusError,
+    _random_direction,
+    _seeded_rng,
+)
 from nashfol.poly import (
     ArityMismatchError,
     InternalInvariantError,
@@ -277,6 +283,28 @@ def kernel_curve_by_rank(bundle, curve) -> list[list[MultiPoly]]:
     if r == bundle.fiber_rank:
         return []
     return kernel_basis(substituted)
+
+
+def rational_default_arcs(x, seed: int) -> list[CurveGerm]:
+    """The arcs ``nash.default_arcs`` returned before it rescaled t: the
+    same seeded draws, with their rational coefficients kept as drawn."""
+    d = len(x)
+    point = [Fraction(c) for c in x]
+    arcs = []
+    for i in range(d):
+        for sign in (1, -1):
+            direction = [Fraction(0)] * d
+            direction[i] = Fraction(sign)
+            arcs.append(CurveGerm.polynomial(point, direction))
+    rng = _seeded_rng(seed, "nash-rays")
+    for _ in range(16):
+        arcs.append(CurveGerm.polynomial(point, _random_direction(rng, d)))
+    rng = _seeded_rng(seed, "nash-quadratics")
+    for _ in range(8):
+        arcs.append(
+            CurveGerm.polynomial(point, _random_direction(rng, d), _random_direction(rng, d))
+        )
+    return arcs
 
 
 def kernel_basis_by_rref(m: Sequence[Sequence[MultiPoly]]) -> list[list[MultiPoly]]:

@@ -47,6 +47,11 @@ def ray(target, direction):
 def test_curve_germ_validation():
     with pytest.raises(ValueError):
         CurveGerm((Fraction(1),), (parse_poly("t", T),))
+    # a coefficient vector of another length than the target is refused,
+    # not truncated to the shortest
+    for coefficients in (([1, 2], [3, 4, 5]), ([1, 2],), ([1], [])):
+        with pytest.raises(ValueError, match="coefficient vector has"):
+            CurveGerm.polynomial((0,), *coefficients)
     c = ray([1, 2], [3, 4])
     assert [p.eval([Fraction(1, 2)]) for p in c.components] == [Fraction(5, 2), Fraction(4)]
 

@@ -1,6 +1,7 @@
 """Fast paths against the slow code they replaced (kept in oracles.py), on
 generated inputs."""
 
+import math
 from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
@@ -17,16 +18,19 @@ from nashfol.grassmann import Subspace, unpluecker
 from nashfol.nash import (
     CurveGerm,
     CurveInSingularLocusError,
+    default_arcs,
     kernel_curve,
     limit_along,
     limit_subspace,
+    nash_fiber_sample,
 )
 from nashfol.poly import MultiPoly, parse_poly
-from models import identity_chart
+from models import corpus_names, identity_chart, load_corpus_scenario, reparametrize
 from oracles import (
     frac_solve,
     greedy_representatives,
     kernel_curve_by_rank,
+    rational_default_arcs,
     relations_by_solve,
 )
 
@@ -234,6 +238,63 @@ def test_row_space_limit_finds_singular_arcs():
     assert _row_space_verdicts(_Y_AXIS_DROP, _ON_Y_AXIS) == "singular"
     assert _row_space_verdicts(_Y_AXIS_DROP, constant) == "singular"
     assert _row_space_verdicts(_Y_AXIS_DROP, crossing).k == 1
+
+
+def _limit_or_singular(bundle, arc):
+    try:
+        return limit_along(bundle, arc)
+    except CurveInSingularLocusError:
+        return "singular"
+
+
+# two equal rows: generic rank 1 < d = 2, the kernel path; _Y_AXIS_DROP has
+# generic rank 2 = d, the row path
+_EQUAL_ROWS = AnchoredBundle(_XY, [[_X, _X * _Y], [_X, _X * _Y]])
+_NONZERO_SCALE = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(_two_row_anchors(), _full_row_rank_anchors()),
+    st.one_of(_RAYS, _QUADRATICS),
+    _NONZERO_SCALE,
+)
+@example(_Y_AXIS_DROP, CurveGerm.polynomial([Fraction(0)] * 2, [1, 0], [0, 1]), Fraction(-2))
+@example(_Y_AXIS_DROP, _ON_Y_AXIS, Fraction(3, 2))
+@example(_EQUAL_ROWS, CurveGerm.polynomial([Fraction(0)] * 2, [1, 1]), Fraction(-1, 3))
+@example(_EQUAL_ROWS, CurveGerm.polynomial([Fraction(0), Fraction(2)], [0, 0]), Fraction(-4))
+def test_limit_along_is_unchanged_by_rescaling_t(bundle, arc, scale):
+    """gamma(scale * t) has the limit of gamma(t), and is singular exactly
+    when gamma is: the reparametrization default_arcs applies."""
+    assert _limit_or_singular(bundle, reparametrize(arc, scale)) == _limit_or_singular(
+        bundle, arc
+    )
+
+
+def test_integer_default_arcs_give_the_rational_arcs_limits():
+    """At every declared point of every shipped scenario, for seeds 0-3, the
+    integer default arcs give the per-arc verdicts and the limits that the
+    rational arcs they replaced give."""
+    for name in corpus_names():
+        scenario = load_corpus_scenario(name)
+        for x in scenario.points.values():
+            for seed in range(4):
+                arcs, rational = default_arcs(x, seed), rational_default_arcs(x, seed)
+                for arc, drawn in zip(arcs, rational, strict=True):
+                    for comp in arc.components:
+                        assert all(type(c) is int for c in comp.terms.values()), (name, arc)
+                    # t -> L t, L the lcm of the drawn coefficients' denominators
+                    scale = math.lcm(
+                        *(c.denominator for comp in drawn.components for c in comp.terms.values())
+                    )
+                    assert arc == reparametrize(drawn, Fraction(scale)), (name, arc)
+                for source in scenario.sources.values():
+                    got = nash_fiber_sample(source.bundle, x, arcs)
+                    want = nash_fiber_sample(source.bundle, x, rational)
+                    assert got.curve_status == want.curve_status, (name, x, seed)
+                    assert [rec.pluecker for rec in got.limits] == [
+                        rec.pluecker for rec in want.limits
+                    ], (name, x, seed)
 
 
 _XYZ = ("x", "y", "z")

@@ -269,6 +269,49 @@ def test_subst_of_a_zero_image():
     assert P("x*y").subst(t, [zero, var]).is_zero()
 
 
+_ST = ("s", "t")
+# Images over (s, t), the zero polynomial half the time, and polynomials
+# over XYZ with powers up to 7, repeated across terms.
+_IMAGES = st.one_of(
+    st.just({}),
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4)),
+        max_size=3,
+    ),
+)
+_XYZ_TERMS = st.dictionaries(
+    st.tuples(*[st.sampled_from([0, 1, 2, 3, 7])] * 3),
+    st.fractions(max_denominator=3),
+    max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_XYZ_TERMS, st.tuples(_IMAGES, _IMAGES, _IMAGES))
+def test_subst_is_the_sum_of_products_of_image_powers(terms, images):
+    """Substitution, with its power table and its first powers taken as the
+    images themselves, equals expanding every term by repeated products."""
+    images = [MultiPoly(_ST, image) for image in images]
+    p = MultiPoly(XYZ, terms)
+    expanded = MultiPoly.zero(_ST)
+    for exps, c in p.terms.items():
+        term = MultiPoly.constant(_ST, c)
+        for image, e in zip(images, exps):
+            term = term * image**e
+        expanded = expanded + term
+    assert _form(p.subst(_ST, images)) == _form(expanded)
+
+
+def test_zero_variable_products_and_quotients():
+    """Exponent vectors in a ring without variables are empty tuples."""
+    six, four = MultiPoly.constant((), 6), MultiPoly.constant((), 4)
+    assert (six * four).terms == {(): 24}
+    assert exact_div(six, four) == MultiPoly.constant((), Fraction(3, 2))
+    assert divides(four, six)
+    assert six.shift_down(()) == six
+
+
 def test_eval_diff_subst():
     p = P("x^2*y - 3*y")
     assert p.eval([2, 5]) == 20 - 15
