@@ -20,6 +20,7 @@ from .linalg import (
     eval_matrix,
     frac_kernel,
     frac_rref,
+    independent_rows,
     kernel_basis,
     minors,
     poly_mat_vec,
@@ -54,7 +55,9 @@ class AnchoredBundle:
 
     ``anchor`` has one row per base coordinate and one column per frame
     section; entries are MultiPoly over ``base_vars``.  The bundle is never
-    mutated after construction, so its generic rank is computed once and kept.
+    mutated after construction, so its generic rank and its pivot rows (the
+    first rows that span the anchor's row space, `anchor_row_basis`) are
+    computed once and kept.
     """
 
     def __init__(self, base_vars: Sequence[str], anchor: Sequence[Sequence[MultiPoly]]):
@@ -76,6 +79,7 @@ class AnchoredBundle:
         self.base_vars = vs
         self.anchor = rows
         self._generic_rank: int | None = None
+        self._pivot_rows: tuple[int, ...] | None = None
 
     @property
     def base_dim(self) -> int:
@@ -254,6 +258,20 @@ def anchor_rank_generic(bundle: AnchoredBundle) -> int:
     if bundle._generic_rank is None:
         bundle._generic_rank = rank(bundle.anchor) if bundle.fiber_rank else 0
     return bundle._generic_rank
+
+
+def anchor_row_basis(bundle: AnchoredBundle) -> tuple[int, ...]:
+    """The indices of the anchor's pivot rows: the lexicographically first r
+    rows independent over the fraction field of the base, r the generic rank
+    (`linalg.independent_rows`, computed once per bundle).  They span the
+    anchor's row space over that field, and over Q(t) along every arc on
+    which one of their r-by-r minors is nonzero."""
+    if bundle._pivot_rows is None:
+        rows = tuple(independent_rows(bundle.anchor))
+        if len(rows) != anchor_rank_generic(bundle):
+            raise InternalInvariantError("anchor pivot rows miss the generic rank")
+        bundle._pivot_rows = rows
+    return bundle._pivot_rows
 
 
 def kernel_at(bundle: AnchoredBundle, x: Point) -> Subspace:

@@ -145,6 +145,16 @@ def rank(m: Sequence[Sequence[MultiPoly]]) -> int:
     return len(pivots)
 
 
+def independent_rows(m: Sequence[Sequence[MultiPoly]]) -> list[int]:
+    """The indices of the lexicographically first rows of m that are
+    independent over the fraction field, as many as its rank: the pivot
+    columns of one elimination of the transpose.  A pivot column of an
+    echelon form is one independent of the columns before it, so row i is
+    kept exactly when it is independent of rows 0, ..., i-1."""
+    _, pivots, _ = _bareiss([list(column) for column in zip(*m)])
+    return pivots
+
+
 def _order(m: Sequence[Sequence[MultiPoly]]) -> int:
     """The n of an n-by-n matrix; an empty or non-square one is refused."""
     if not m:

@@ -5,18 +5,21 @@ anchor A is substituted along each arc, a subspace of Q(t)^n is read off it,
 its Pluecker vector is divided by the largest power of t it carries, and
 t = 0 lands on the limit, a point of the Grassmannian kept as its Pluecker
 vector.  A Subspace is built only for a limit that is reported, once per
-distinct limit.  There are two paths, chosen by the shape of the anchor
-alone:
+distinct limit.  There is one path, with one fallback:
 
-- Full row rank (generic rank r equal to the number d of rows): the rows of
-  A(t) span an r-plane, whose Pluecker coordinates are the r-by-r minors of
-  the rows; the kernel limit is the annihilator of that plane's limit, taken
-  on the Pluecker vector.  This is exact: ker A(t) is the annihilator of the
-  row space of A(t), and taking annihilators maps the Pluecker coordinates
-  of Gr(r, n) to those of Gr(n - r, n) by a signed permutation, so it
-  commutes with the limit.  If every minor vanishes, the rows are dependent
-  along the whole arc, which then stays in the singular locus.
-- Otherwise (d > r) the kernel is computed over Q(t) and its own maximal
+- The anchor's pivot rows, its lexicographically first r rows independent
+  over Q(x) with r its generic rank (`anchor_row_basis`), are substituted
+  along the arc; the kernel limit is the annihilator of the limit of their
+  span, taken on the Pluecker vector of their r-by-r minors.  This is exact
+  whenever one of those minors is nonzero along the arc: every (r+1)-minor
+  of A vanishes, so rank A(t) <= r, the pivot rows then span the row space
+  of A(t) over Q(t), and ker A(t) is its annihilator.  Taking annihilators
+  maps the Pluecker coordinates of Gr(r, n) to those of Gr(n - r, n) by a
+  signed permutation (Hodge and Pedoe, ch. VII), so it commutes with the
+  limit.
+- When every r-by-r minor of the pivot rows vanishes along the arc, the
+  whole substituted anchor is eliminated over Q(t) (`kernel_curve`): it
+  finds the arc in the singular locus, or its kernel, whose own maximal
   minors are limited.
 
 Arc sampling under-approximates the true fiber; the default budget
@@ -33,7 +36,14 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .algebroid import AnchoredBundle, Point, anchor_rank_generic, kernel_at, strong_kernel_at
+from .algebroid import (
+    AnchoredBundle,
+    Point,
+    anchor_rank_generic,
+    anchor_row_basis,
+    kernel_at,
+    strong_kernel_at,
+)
 from .grassmann import PlueckerVector, Subspace, unpluecker
 from .linalg import kernel_basis, minors, rank
 from .poly import MultiPoly, common_denominator, integer_polys, point_text
@@ -85,23 +95,28 @@ class CurveGerm:
         return cls(tuple(Fraction(c) for c in target), comps)
 
 
-def _substituted(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPoly]]:
-    """The anchor along the arc: each entry with the arc substituted, over Q[t]."""
+def _substituted(
+    bundle: AnchoredBundle, curve: CurveGerm, rows: Sequence[int]
+) -> list[list[MultiPoly]]:
+    """The given anchor rows along the arc: each entry with the arc
+    substituted, over Q[t]."""
     if len(curve.components) != bundle.base_dim:
         raise ValueError("curve dimension does not match the base")
     images = list(curve.components)
-    return [[entry.subst(CURVE_VAR, images) for entry in row] for row in bundle.anchor]
+    return [[entry.subst(CURVE_VAR, images) for entry in bundle.anchor[i]] for i in rows]
 
 
 def kernel_curve(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPoly]]:
-    """Kernel basis of the anchor along the arc, as vectors over Q[t].
+    """Kernel basis of the anchor along the arc, as vectors over Q[t]: the
+    exact fallback of `limit_along`, for arcs on which every r-by-r minor of
+    the pivot rows vanishes.
 
-    Requires the substituted anchor to keep the generic rank over Q(t);
-    an arc trapped in the singular locus raises CurveInSingularLocusError.
-    A rank-deficient anchor is eliminated once: rank + nullity = n, so the
-    arc's rank is read from the kernel's size.
+    Requires the substituted anchor, all of its rows, to keep the generic
+    rank over Q(t); an arc trapped in the singular locus raises
+    CurveInSingularLocusError.  A rank-deficient anchor is eliminated once:
+    rank + nullity = n, so the arc's rank is read from the kernel's size.
     """
-    substituted = _substituted(bundle, curve)
+    substituted = _substituted(bundle, curve, range(bundle.base_dim))
     r = anchor_rank_generic(bundle)
     n = bundle.fiber_rank
     if r < n:
@@ -114,15 +129,13 @@ def kernel_curve(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPol
     return basis
 
 
-def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> PlueckerVector:
+def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> PlueckerVector | None:
     """The Pluecker vector of the t -> 0 limit of the span of
     polynomial-in-t basis vectors.
 
     Take maximal minors over Q[t], find the least power t^v they carry, and
-    read each minor's t^v coefficient; `unpluecker` turns the vector into a
-    subspace and verifies it.  Vectors dependent over Q(t) have every minor
-    zero and no limit: as the rows of a full-row-rank anchor, they put the
-    arc in the singular locus, so CurveInSingularLocusError is raised.
+    read each minor's t^v coefficient.  Vectors dependent over Q(t) have
+    every minor zero and span no k-plane to limit: None.
     """
     k = len(basis_over_t)
     if k == 0:
@@ -137,7 +150,7 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> PlueckerVecto
         v = p.monomial_content()[0]
         valuation = v if valuation is None else min(valuation, v)
     if valuation is None:
-        raise CurveInSingularLocusError(_SINGULAR_ARC)
+        return None
     at_zero = [p.terms.get((valuation,), 0) for p in coords]
     return PlueckerVector(n, k, at_zero)
 
@@ -146,20 +159,23 @@ def limit_along(bundle: AnchoredBundle, curve: CurveGerm) -> PlueckerVector:
     """The Pluecker vector of the t -> 0 limit of the anchor kernel along the
     arc, the one arc-limit entry point.
 
-    An anchor of full row rank (d == r) takes the annihilator
-    (`PlueckerVector.annihilator`) of the limit of its row space: one table
-    of r-by-r minors of the substituted rows, each row scaled to integer
-    coefficients (`integer_polys`), both finds a singular arc and gives the
-    limit.  Any other anchor limits its kernel over Q(t) (`kernel_curve`);
-    full column rank has the zero subspace as its limit.
+    The pivot rows (`anchor_row_basis`), and only they, are substituted and
+    scaled to integer coefficients (`integer_polys`); the limit is the
+    annihilator (`PlueckerVector.annihilator`) of the limit of their span,
+    from one table of their r-by-r minors.  No pivot rows (r = 0) span the
+    zero space, whose annihilator is everything.  Only when every minor
+    vanishes along the arc is the whole anchor eliminated (`kernel_curve`),
+    which decides the arc or raises CurveInSingularLocusError; an empty
+    kernel there has the zero subspace as its limit.
     """
-    if bundle.base_dim == anchor_rank_generic(bundle):
-        rows = [integer_polys(row) for row in _substituted(bundle, curve)]
-        return limit_subspace(rows).annihilator()
+    n = bundle.fiber_rank
+    pivots = anchor_row_basis(bundle)
+    rows = [integer_polys(row) for row in _substituted(bundle, curve, pivots)]
+    row_space = limit_subspace(rows) if rows else PlueckerVector(n, 0, [1])
+    if row_space is not None:
+        return row_space.annihilator()
     basis = kernel_curve(bundle, curve)
-    if not basis:
-        return PlueckerVector(bundle.fiber_rank, 0, [1])
-    return limit_subspace(basis)
+    return limit_subspace(basis) if basis else PlueckerVector(n, 0, [1])
 
 
 @dataclass(frozen=True)
@@ -257,6 +273,12 @@ def default_arcs(x: Point, seed: int) -> list[CurveGerm]:
     is an automorphism of Q(t), which keeps the least t-valuation v of the
     Pluecker coordinates and multiplies every coordinate's t^v coefficient
     by L^v.
+
+    The 8 quadratics draw their tangents as the rays draw directions, with
+    no zero coordinate, so they repeat ray limits: at every declared point
+    of the shipped scenarios, for seeds 0-3, each gives the limit of its
+    own tangent ray.  They stay in the budget, which fixes the arc counts
+    of every report.
     """
     d = len(x)
     point = [Fraction(c) for c in x]

@@ -17,6 +17,7 @@ from nashfol.algebroid import (
     NotInKernelModuleError,
     WellDefinednessFailureError,
     anchor_rank_generic,
+    anchor_row_basis,
     bracket_with_basis,
     generic_kernel_sections,
     is_lie_algebroid,
@@ -279,6 +280,15 @@ def test_kernel_curve_on_a_rank_deficient_anchor_skips_rank(monkeypatch):
     ray = CurveGerm.polynomial([Fraction(0)] * 2, [Fraction(1), Fraction(2)])
     assert len(kernel_curve(gl2, ray)) == gl2.fiber_rank - anchor_rank_generic(gl2)
     assert calls == []
+
+
+def test_pivot_rows_must_number_the_generic_rank(monkeypatch):
+    gl2 = matrix_action_algebroid(2).bundle
+    monkeypatch.setattr(algebroid_module, "independent_rows", lambda m: [0])
+    with pytest.raises(InternalInvariantError, match="^anchor pivot rows miss the generic rank$"):
+        anchor_row_basis(gl2)
+    monkeypatch.undo()
+    assert anchor_row_basis(gl2) == (0, 1)
 
 
 def test_generic_rank_and_singular_locus():

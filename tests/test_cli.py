@@ -13,6 +13,7 @@ import pytest
 import nashfol
 import nashfol.charts as charts
 import nashfol.linalg as linalg
+import nashfol.nash as nash_module
 from nashfol.algebroid import AnchoredBundle
 from nashfol.cli import _build_parser, main
 from nashfol.linalg import minors
@@ -86,8 +87,8 @@ def test_nash_limit_of_full_rank_anchor_is_zero_subspace(tmp_path, capsys):
 
 
 def test_nash_limit_refuses_an_arc_inside_the_singular_locus(tmp_path, capsys):
-    # gl2 has full row rank: every 2x2 minor of its rows vanishes along the
-    # constant arc at the origin, and the kernel path's refusal is kept
+    # every 2x2 minor of gl2's pivot rows vanishes along the constant arc at
+    # the origin, and the kernel fallback refuses the arc
     curve = tmp_path / "constant.json"
     curve.write_text(json.dumps({"target": ["0", "0"], "components": ["0", "0"]}))
     args = ["nash-limit", "--input", corpus_path("gl2"), "--curve", str(curve)]
@@ -285,6 +286,24 @@ _SO3_TEXT = [
 def test_single_command_text_on_so3(args, expected, capsys):
     assert main([args[0], "--input", corpus_path("so3"), *args[1:]]) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_nash_limit_on_so3_with_and_without_the_kernel_fallback(monkeypatch, capsys):
+    # so3's pivot rows are its first two, (0, z, y) and (z, 0, -x): along the
+    # x-axis the first vanishes, every 2x2 minor of the two with it, and the
+    # whole anchor is eliminated; along the skew ray the minors decide
+    fallbacks = []
+    kernel_curve = nash_module.kernel_curve
+    monkeypatch.setattr(
+        nash_module, "kernel_curve", lambda *args: fallbacks.append(args) or kernel_curve(*args)
+    )
+    args = ["nash-limit", "--input", corpus_path("so3"), "--curve"]
+    assert main(args + ["x-axis"]) == 0
+    assert capsys.readouterr().out == "limit: dim 1, basis [(1, 0, 0)], pluecker (1, 0, 0)\n"
+    assert len(fallbacks) == 1
+    assert main(args + ["skew-ray"]) == 0
+    assert capsys.readouterr().out == "limit: dim 1, basis [(1, -2, 3)], pluecker (1, -2, 3)\n"
+    assert len(fallbacks) == 1
 
 
 def test_commands_are_the_step_ops():

@@ -69,6 +69,16 @@ def test_rank_generic_vs_pointwise():
     assert frac_rank(eval_matrix(anchor, [1, 0, 0])) == 2
 
 
+def test_independent_rows_skip_rows_dependent_on_those_before():
+    # row 1 is x times row 0, and row 3 is row 0 plus row 2
+    rows = M([["x", "y", "0"], ["x^2", "x*y", "0"], ["0", "z", "1"], ["x", "y + z", "1"]])
+    assert linalg.independent_rows(rows) == [0, 2]
+    assert linalg.independent_rows(rows[1:]) == [0, 1]
+    assert linalg.independent_rows(M([["0", "0"], ["x", "0"]])) == [1]
+    assert linalg.independent_rows([]) == []
+    assert linalg.independent_rows([[], []]) == []
+
+
 def test_minors_of_plane_anchor():
     # frozen: the three 2x2 minors of [[x,0,y],[-y,x,0]] in column-pair order
     anchor = M([["x", "0", "y"], ["-y", "x", "0"]])

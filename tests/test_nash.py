@@ -81,8 +81,9 @@ def test_kernel_curve_singular_arc():
 
 
 def test_row_space_limit_refuses_a_singular_arc_as_kernel_curve_does():
-    # gl2 has full row rank, so limit_along reads the arc from the minors of
-    # its rows; they all vanish along the constant arc at the origin
+    # gl2 has full row rank, so both its rows are pivot rows; their minors
+    # all vanish along the constant arc at the origin, and the kernel
+    # fallback refuses the arc
     gl2 = matrix_action_algebroid(2)
     constant = CurveGerm(ORIGIN2, (MultiPoly.zero(T), MultiPoly.zero(T)))
     with pytest.raises(CurveInSingularLocusError) as by_kernel:

@@ -3,18 +3,23 @@ generated inputs."""
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import nashfol.algebroid as algebroid_module
+import nashfol.nash as nash_module
 from nashfol.algebroid import (
     AnchoredBundle,
     IsotropyAlgebra,
     _quotient_basis,
     anchor_rank_generic,
+    anchor_row_basis,
 )
 from nashfol.charts import ChartPullback, debord_generators
 from nashfol.grassmann import Subspace, unpluecker
+from nashfol.linalg import rank
 from nashfol.nash import (
     CurveGerm,
     CurveInSingularLocusError,
@@ -199,10 +204,18 @@ _QUADRATICS = st.tuples(
 ).map(lambda pd: CurveGerm.polynomial([Fraction(c) for c in pd[0]], list(pd[1]), list(pd[2])))
 
 
+_XYZ = ("x", "y", "z")
+_SMALL = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
+    _ENTRY.filter(bool).map(Fraction),
+    max_size=3,
+).map(lambda terms: MultiPoly(_XYZ, terms))
+
+
 def _row_space_verdicts(bundle, arc):
-    """limit_along, which limits the row space of a full-row-rank anchor, and
-    the kernel's own limit: the same Pluecker vector of a subspace, or both
-    find the arc in the singular locus."""
+    """limit_along, which limits the span of the anchor's pivot rows, and the
+    kernel's own limit: the same Pluecker vector of a subspace, or both find
+    the arc in the singular locus."""
     try:
         limit = limit_along(bundle, arc)
     except CurveInSingularLocusError:
@@ -240,6 +253,112 @@ def test_row_space_limit_finds_singular_arcs():
     assert _row_space_verdicts(_Y_AXIS_DROP, crossing).k == 1
 
 
+_ZERO_XYZ = MultiPoly.zero(_XYZ)
+_HOMOGENEOUS_XYZ = st.tuples(_UNIT, _UNIT, _UNIT).map(
+    lambda c: MultiPoly(_XYZ, dict(zip([(1, 0, 0), (0, 1, 0), (0, 0, 1)], map(Fraction, c))))
+)
+
+
+@st.composite
+def _dependent_row_anchors(draw):
+    """Anchors over (x, y, z) with three rows, 1-4 columns and generic rank
+    below three: past the first, each row is fresh, a repeat of an earlier
+    row or a Q[x, y, z]-combination of the earlier rows, and at least one is
+    not fresh.  The rows are then shuffled, so a skipped row may come before
+    a kept one.  Homogeneous entries vanish at the origin, so arcs through
+    it, and arcs inside a coordinate plane, often leave the pivot rows
+    dependent."""
+    n = draw(st.integers(1, 4))
+    rows = [[draw(_HOMOGENEOUS_XYZ) for _ in range(n)]]
+    kinds = draw(
+        st.lists(st.sampled_from(["fresh", "repeat", "combination"]), min_size=2, max_size=2)
+    )
+    assume(kinds != ["fresh", "fresh"])
+    for kind in kinds:
+        if kind == "fresh":
+            rows.append([draw(_HOMOGENEOUS_XYZ) for _ in range(n)])
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            factors = [draw(_SMALL) for _ in rows]
+            rows.append(
+                [sum((f * row[j] for f, row in zip(factors, rows)), _ZERO_XYZ) for j in range(n)]
+            )
+    return AnchoredBundle(_XYZ, draw(st.permutations(rows)))
+
+
+_STEP = st.tuples(_SLOPE, _SLOPE, _SLOPE)
+# rays and quadratics through the origin, where every homogeneous anchor
+# vanishes, or other small points of Q^3; a zero slope keeps the arc inside a
+# coordinate plane
+_ARCS_XYZ = st.tuples(
+    st.one_of(st.just((0, 0, 0)), st.tuples(_UNIT, _UNIT, _UNIT)),
+    _STEP,
+    st.one_of(st.none(), _STEP),
+).map(
+    lambda pdq: CurveGerm.polynomial(
+        [Fraction(c) for c in pdq[0]], *[list(v) for v in pdq[1:] if v is not None]
+    )
+)
+# generic rank 1 < d = 2: the pivot row [x, 0] vanishes along the y-axis, the
+# fallback runs, and the kernel there is the line through (0, 1)
+_X_THEN_Y = AnchoredBundle(_XY, [[_X, _ZERO], [_Y, _ZERO]])
+_ALONG_Y = CurveGerm.polynomial([Fraction(0)] * 2, [0, 1])
+_ALONG_X = CurveGerm.polynomial([Fraction(0)] * 2, [1, 0])
+_NO_ANCHOR = AnchoredBundle(_XY, [[_ZERO, _ZERO], [_ZERO, _ZERO]])
+_ONE_COLUMN = AnchoredBundle(_XY, [[_X], [_Y]])
+_CONSTANT = CurveGerm.polynomial([Fraction(0)] * 2, [0, 0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_dependent_row_anchors(), _full_row_rank_anchors()))
+def test_pivot_rows_are_the_first_rows_independent_of_those_before(bundle):
+    eliminations = []
+    independent_rows = algebroid_module.independent_rows
+
+    def counting(m):
+        eliminations.append(m)
+        return independent_rows(m)
+
+    with mock.patch.object(algebroid_module, "independent_rows", counting):
+        kept = anchor_row_basis(bundle)
+        assert anchor_row_basis(bundle) is kept
+    assert len(eliminations) == 1
+    rows = bundle.anchor
+    assert rank([rows[i] for i in kept]) == len(kept) == anchor_rank_generic(bundle)
+    for i in sorted(set(range(len(rows))) - set(kept)):
+        assert rank(rows[: i + 1]) == rank(rows[:i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_dependent_row_anchors(), _ARCS_XYZ)
+@example(_X_THEN_Y, _ALONG_Y)
+@example(_NO_ANCHOR, _ALONG_X)
+@example(_ONE_COLUMN, _ALONG_X)
+@example(_ONE_COLUMN, _ALONG_Y)
+@example(_X_THEN_Y, _CONSTANT)
+def test_pivot_row_limit_matches_the_kernel_limit_on_dependent_rows(bundle, arc):
+    _row_space_verdicts(bundle, arc)
+
+
+def test_pivot_row_limits_on_dependent_rows(monkeypatch):
+    fallbacks = []
+    kernel_curve = nash_module.kernel_curve
+    monkeypatch.setattr(
+        nash_module, "kernel_curve", lambda *args: fallbacks.append(args) or kernel_curve(*args)
+    )
+    assert anchor_row_basis(_X_THEN_Y) == (0,)
+    assert _row_space_verdicts(_X_THEN_Y, _ALONG_X) == Subspace(2, [[0, 1]]).pluecker()
+    assert fallbacks == []
+    assert _row_space_verdicts(_X_THEN_Y, _ALONG_Y) == Subspace(2, [[0, 1]]).pluecker()
+    assert fallbacks == [(_X_THEN_Y, _ALONG_Y)]
+    assert anchor_row_basis(_NO_ANCHOR) == ()
+    assert _row_space_verdicts(_NO_ANCHOR, _ALONG_X) == Subspace(2, [[1, 0], [0, 1]]).pluecker()
+    for axis in (_ALONG_X, _ALONG_Y):
+        assert _row_space_verdicts(_ONE_COLUMN, axis) == Subspace(1, []).pluecker()
+    assert _row_space_verdicts(_X_THEN_Y, _CONSTANT) == "singular"
+
+
 def _limit_or_singular(bundle, arc):
     try:
         return limit_along(bundle, arc)
@@ -247,8 +366,9 @@ def _limit_or_singular(bundle, arc):
         return "singular"
 
 
-# two equal rows: generic rank 1 < d = 2, the kernel path; _Y_AXIS_DROP has
-# generic rank 2 = d, the row path
+# two equal rows: generic rank 1 < d = 2, so limit_along substitutes the
+# first row alone; _Y_AXIS_DROP has generic rank 2 = d, and both rows are
+# pivot rows
 _EQUAL_ROWS = AnchoredBundle(_XY, [[_X, _X * _Y], [_X, _X * _Y]])
 _NONZERO_SCALE = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 4))
 
@@ -295,14 +415,6 @@ def test_integer_default_arcs_give_the_rational_arcs_limits():
                     assert [rec.pluecker for rec in got.limits] == [
                         rec.pluecker for rec in want.limits
                     ], (name, x, seed)
-
-
-_XYZ = ("x", "y", "z")
-_SMALL = st.dictionaries(
-    st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)),
-    _ENTRY.filter(bool).map(Fraction),
-    max_size=3,
-).map(lambda terms: MultiPoly(_XYZ, terms))
 
 
 @st.composite

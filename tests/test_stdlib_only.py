@@ -89,6 +89,15 @@ def test_only_printed_limits_become_subspaces():
     assert found == {"nash.nash_fiber_sample", "scenario._Runner.step_nash_limit"}
 
 
+def test_only_limit_along_eliminates_the_whole_anchor_along_an_arc():
+    """`kernel_curve` is the exact fallback of the pivot-row limit, for arcs
+    on which every r-by-r minor of the pivot rows vanishes."""
+    found = {
+        f"{path.stem}.{scope}" for path in SOURCES for scope in _callers(path, "kernel_curve")
+    }
+    assert found == {"nash.limit_along"}
+
+
 # Private names one module of the package imports from another, each shared
 # on purpose: grassmann reads linalg's Laplace table and RREF kernel, and
 # charts seeds its exceptional samples by nash's one seed policy.
