@@ -6,10 +6,10 @@ holds the projective embedding as a primitive integer tuple (first nonzero
 entry positive); `unpluecker` inverts the embedding and rejects inputs that
 are not decomposable by round-trip verification.
 
-Every Pluecker vector comes from one Laplace table of size at most n/2, which
-never costs more than one elimination per minor: past n/2 the table is the
-annihilator's, by the duality of Gr(k, n) and Gr(n-k, n) (Hodge and Pedoe,
-Methods of Algebraic Geometry I, ch. VII).
+Every Pluecker vector comes from one Laplace table of size at most n/2
+(`linalg.integer_minors`), never costlier than one elimination per minor:
+past n/2 the table is the annihilator's, by the duality of Gr(k, n) and
+Gr(n-k, n) (Hodge and Pedoe, Methods of Algebraic Geometry I, ch. VII).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .linalg import _column_subsets, _laplace_minors, _rref_kernel, frac_rref
+from .linalg import _column_subsets, _rref_kernel, frac_rref, integer_minors
 from .poly import integer_row
 
 
@@ -80,7 +80,7 @@ class Subspace:
         dual = 2 * self.dim > n
         rows = _rref_kernel(self.rows, self.pivots, n) if dual else self.rows
         s = len(rows)
-        coords = _laplace_minors([integer_row(r) for r in rows], s, 0) if s else [1]
+        coords = integer_minors([integer_row(r) for r in rows], s) if s else [1]
         pv = PlueckerVector(n, s, coords)
         return pv.annihilator() if dual else pv
 

@@ -19,8 +19,9 @@ cache; the entries are computed per call.  Only `minors`, which also takes
 non-maximal and polynomial minors, chooses between the table and one `det`
 per minor: it uses the table when the table's multiplication count does not
 exceed the bound count * size^3 on one elimination per minor, and otherwise
-takes the dets and caches nothing.  Pluecker vectors never need that choice
-(`grassmann`).  `solve` and `adjugate` take every determinant they need
+takes the dets and caches nothing.  `integer_minors` takes the table on the
+same terms and otherwise returns None; Pluecker vectors (`grassmann`) always
+pass.  `solve` and `adjugate` take every determinant they need
 from one `minors` call: the maximal minors of [m | b], and the cofactors.
 
 Kernels take integer rows, then are fraction-free too, in every arity: each
@@ -245,13 +246,8 @@ def _laplace_minors(m: Sequence[Sequence], size: int, zero) -> list:
     return [entry for rset in combinations(range(nrows), size) for entry in level[rset]]
 
 
-def minors(m: Sequence[Sequence[MultiPoly]], size: int) -> list[MultiPoly]:
-    """All size-by-size minors, row/column index sets in lexicographic order.
-
-    The size and the MAX_MINORS bound are checked before any work.  The
-    minors then come from one Laplace table when it pays (`_laplace_pays`),
-    and otherwise from one `det` per minor.
-    """
+def _minor_shape(m: Sequence[Sequence], size: int) -> tuple[int, int]:
+    """The shape of m, if it has 1 to MAX_MINORS size-by-size minors."""
     nrows, ncols = len(m), len(m[0]) if m else 0
     if size < 1 or size > min(nrows, ncols):
         raise SizeError(f"no {size}x{size} minors in a {nrows}x{ncols} matrix")
@@ -260,6 +256,24 @@ def minors(m: Sequence[Sequence[MultiPoly]], size: int) -> list[MultiPoly]:
         raise SizeError(
             f"{count} {size}x{size} minors of a {nrows}x{ncols} matrix exceed {MAX_MINORS}"
         )
+    return nrows, ncols
+
+
+def integer_minors(m: Sequence[Sequence[int]], size: int) -> list[int] | None:
+    """The minors of `minors`, of an integer matrix, from one Laplace table
+    where it pays (`_laplace_pays`), else None; refused as `minors` refuses."""
+    nrows, ncols = _minor_shape(m, size)
+    return _laplace_minors(m, size, 0) if _laplace_pays(nrows, ncols, size) else None
+
+
+def minors(m: Sequence[Sequence[MultiPoly]], size: int) -> list[MultiPoly]:
+    """All size-by-size minors, row/column index sets in lexicographic order.
+
+    The size and the MAX_MINORS bound are checked before any work.  The
+    minors then come from one Laplace table when it pays (`_laplace_pays`),
+    and otherwise from one `det` per minor.
+    """
+    nrows, ncols = _minor_shape(m, size)
     if _laplace_pays(nrows, ncols, size):
         return _laplace_minors(m, size, MultiPoly.zero(m[0][0].vars))
     out = []

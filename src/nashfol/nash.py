@@ -5,22 +5,23 @@ anchor A is substituted along each arc, a subspace of Q(t)^n is read off it,
 its Pluecker vector is divided by the largest power of t it carries, and
 t = 0 lands on the limit, a point of the Grassmannian kept as its Pluecker
 vector.  A Subspace is built only for a limit that is reported, once per
-distinct limit.  There is one path, with one fallback:
+distinct limit.  Only the anchor's pivot rows, its lexicographically first
+r rows independent over Q(x) with r its generic rank (`anchor_row_basis`),
+are substituted.  Every (r+1)-minor of A vanishes, so when an r-by-r minor
+of the pivot rows is nonzero along the arc they span the row space of A(t)
+over Q(t), and ker A(t) is its annihilator; taking annihilators maps the
+Pluecker coordinates of Gr(r, n) to those of Gr(n - r, n) by a signed
+permutation (Hodge and Pedoe, ch. VII), so it commutes with the limit.
+Three paths are tried in turn:
 
-- The anchor's pivot rows, its lexicographically first r rows independent
-  over Q(x) with r its generic rank (`anchor_row_basis`), are substituted
-  along the arc; the kernel limit is the annihilator of the limit of their
-  span, taken on the Pluecker vector of their r-by-r minors.  This is exact
-  whenever one of those minors is nonzero along the arc: every (r+1)-minor
-  of A vanishes, so rank A(t) <= r, the pivot rows then span the row space
-  of A(t) over Q(t), and ker A(t) is its annihilator.  Taking annihilators
-  maps the Pluecker coordinates of Gr(r, n) to those of Gr(n - r, n) by a
-  signed permutation (Hodge and Pedoe, ch. VII), so it commutes with the
-  limit.
-- When every r-by-r minor of the pivot rows vanishes along the arc, the
-  whole substituted anchor is eliminated over Q(t) (`kernel_curve`): it
-  finds the arc in the singular locus, or its kernel, whose own maximal
-  minors are limited.
+- Leading coefficients: row i is t^(v_i) (L_i + O(t)), so the minor on
+  columns C is t^(sum v_i) (det L_C + O(t)); when the integer matrix L has
+  rank r, its minors are the limit's coordinates.
+- Polynomial minors, where L drops rank: the rows' minors over Z[t], read
+  at the least power of t they carry (`limit_subspace`).
+- Kernel, where a row or every minor vanishes: the whole anchor, eliminated
+  over Q(t) (`kernel_curve`), puts the arc in the singular locus, or gives
+  its kernel, whose own maximal minors are limited.
 
 Arc sampling under-approximates the true fiber; the default budget
 (coordinate rays, seeded random rays, seeded quadratic arcs) is
@@ -45,8 +46,8 @@ from .algebroid import (
     strong_kernel_at,
 )
 from .grassmann import PlueckerVector, Subspace, unpluecker
-from .linalg import kernel_basis, minors, rank
-from .poly import MultiPoly, common_denominator, integer_polys, point_text
+from .linalg import integer_minors, kernel_basis, minors, rank
+from .poly import MultiPoly, common_denominator, integer_polys, integer_row, point_text
 
 CURVE_VAR = ("t",)
 
@@ -134,8 +135,9 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> PlueckerVecto
     polynomial-in-t basis vectors.
 
     Take maximal minors over Q[t], find the least power t^v they carry, and
-    read each minor's t^v coefficient.  Vectors dependent over Q(t) have
-    every minor zero and span no k-plane to limit: None.
+    read each minor's t^v coefficient (`limit_along` first tries the rows'
+    lowest-order terms).  Vectors dependent over Q(t) have every minor zero
+    and span no k-plane to limit: None.
     """
     k = len(basis_over_t)
     if k == 0:
@@ -155,25 +157,37 @@ def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> PlueckerVecto
     return PlueckerVector(n, k, at_zero)
 
 
+def _lowest_terms(row: Sequence[MultiPoly]) -> list[int]:
+    """The integer row of the t^v coefficients of a row over Q[t], t^v the
+    lowest power of t in it; zeros for a row that vanishes."""
+    v = min((e for p in row for (e,) in p.terms), default=None)
+    return integer_row([p.terms.get((v,), 0) for p in row])
+
+
 def limit_along(bundle: AnchoredBundle, curve: CurveGerm) -> PlueckerVector:
     """The Pluecker vector of the t -> 0 limit of the anchor kernel along the
-    arc, the one arc-limit entry point.
+    arc, the one arc-limit entry point: the annihilator
+    (`PlueckerVector.annihilator`) of the limit of the span of the
+    substituted pivot rows (`anchor_row_basis`), everything for r = 0.
 
-    The pivot rows (`anchor_row_basis`), and only they, are substituted and
-    scaled to integer coefficients (`integer_polys`); the limit is the
-    annihilator (`PlueckerVector.annihilator`) of the limit of their span,
-    from one table of their r-by-r minors.  No pivot rows (r = 0) span the
-    zero space, whose annihilator is everything.  Only when every minor
-    vanishes along the arc is the whole anchor eliminated (`kernel_curve`),
-    which decides the arc or raises CurveInSingularLocusError; an empty
-    kernel there has the zero subspace as its limit.
+    The module's three paths are tried in turn: the minors of the integer
+    matrix L of the rows' lowest-order terms (`integer_minors`), each the
+    t^(sum v_i) coefficient of the rows' minor; where L drops rank, the
+    rows' polynomial minors (`limit_subspace` on `integer_polys`); where a
+    row or every minor vanishes, the kernel (`kernel_curve`), which decides
+    the arc or raises CurveInSingularLocusError, an empty kernel limiting to
+    the zero subspace.  Too many minors raise `linalg.SizeError` first.
     """
     n = bundle.fiber_rank
-    pivots = anchor_row_basis(bundle)
-    rows = [integer_polys(row) for row in _substituted(bundle, curve, pivots)]
-    row_space = limit_subspace(rows) if rows else PlueckerVector(n, 0, [1])
-    if row_space is not None:
-        return row_space.annihilator()
+    rows = _substituted(bundle, curve, anchor_row_basis(bundle))
+    lowest = [_lowest_terms(row) for row in rows]
+    coords = integer_minors(lowest, len(rows)) if rows else [1]
+    if coords and any(coords):
+        return PlueckerVector(n, len(rows), coords).annihilator()
+    if all(any(row) for row in lowest):
+        row_space = limit_subspace([integer_polys(row) for row in rows])
+        if row_space is not None:
+            return row_space.annihilator()
     basis = kernel_curve(bundle, curve)
     return limit_subspace(basis) if basis else PlueckerVector(n, 0, [1])
 

@@ -343,6 +343,30 @@ def test_singular_locus_over_the_minor_cap_exits_2(tmp_path, monkeypatch, capsys
     )
 
 
+@pytest.mark.parametrize("command", ["nash-limit", "nash-fiber"])
+def test_arc_limits_over_the_minor_cap_exit_2(command, tmp_path, monkeypatch, capsys):
+    # the 6 pivot rows x_i e_i of a 6x24 anchor have C(24, 6) = 134 596
+    # maximal minors, refused before any is computed, whichever path the
+    # arc would take: the first default arc runs along the x0-axis, where
+    # five pivot rows vanish
+    names = [f"x{i}" for i in range(6)]
+    anchor = [[name if j == i else "0" for j in range(24)] for i, name in enumerate(names)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"vars": names, "rank": 24, "anchor": anchor}))
+    curve = tmp_path / "ray.json"
+    curve.write_text(json.dumps({"target": ["0"] * 6, "components": ["t"] * 6}))
+    monkeypatch.setattr(linalg, "det", lambda m: pytest.fail("a minor was expanded"))
+    monkeypatch.setattr(
+        linalg, "_laplace_minors", lambda *args: pytest.fail("a minor table was built")
+    )
+    ref = ["--curve", str(curve)] if command == "nash-limit" else ["--point", "0,0,0,0,0,0"]
+    assert main([command, "--input", str(path)] + ref) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"error: 134596 6x6 minors of a 6x24 matrix exceed {linalg.MAX_MINORS}\n",
+    )
+
+
 def _spy_on_det_from_minors(monkeypatch) -> list[int]:
     """Record the size of every determinant that `linalg.minors` takes."""
     sizes = []

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import nashfol.nash as nash_module
 from nashfol.algebroid import (
     AnchoredBundle,
     anchor_rank_generic,
@@ -26,7 +27,9 @@ from nashfol.poisson import pi_sharp
 from nashfol.poly import MultiPoly, parse_poly
 from checks import check_limit_subalgebra, convergence_errors, isotropy_image
 from models import (
+    corpus_names,
     linear_poisson_so3,
+    load_corpus_scenario,
     matrix_action_algebroid,
     reparametrize,
     smaller_arc_budget,
@@ -285,3 +288,40 @@ def test_convergence_oracle_rotation():
     errors = convergence_errors(bundle, curve, limit, times)
     for earlier, later in zip(errors, errors[1:]):
         assert later <= earlier / 5 or (earlier == 0 and later == 0)
+
+
+# The path limit_along takes for each default arc (seed 7) at each shipped
+# scenario's origin: (leading coefficients, polynomial minors, kernel).  The
+# kernel arcs are coordinate rays along which a pivot row vanishes; duval's
+# random rays keep their pivot rows independent while the rows' lowest-order
+# terms, (0, 0, -a) and (0, 0, b) along (a, b, c) t, drop rank.
+_LIMIT_PATHS = {
+    "duval2": (2, 24, 4),
+    "duval3": (2, 24, 4),
+    "duval4": (2, 24, 4),
+    "f2": (28, 0, 0),
+    "gl2": (28, 0, 0),
+    "gl3": (30, 0, 0),
+    "sl2": (28, 0, 0),
+    "so3": (26, 0, 4),
+    "su2_so3": (26, 0, 4),
+}
+
+
+def test_limit_paths_of_the_default_arcs_at_each_origin(monkeypatch):
+    calls = []
+    for name in ("limit_subspace", "kernel_curve"):
+        original = getattr(nash_module, name)
+        monkeypatch.setattr(
+            nash_module, name, lambda *args, f=original, n=name: calls.append(n) or f(*args)
+        )
+    assert sorted(_LIMIT_PATHS) == corpus_names()
+    for name, want in _LIMIT_PATHS.items():
+        scenario = load_corpus_scenario(name)
+        for source in scenario.sources.values():
+            paths = [0, 0, 0]
+            for arc in default_arcs(scenario.points["origin"], 7):
+                calls.clear()
+                limit_along(source.bundle, arc)
+                paths[2 if "kernel_curve" in calls else 1 if calls else 0] += 1
+            assert tuple(paths) == want, (name, source.name)

@@ -2,7 +2,9 @@
 generated inputs."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 from hypothesis import assume, example, given, settings
@@ -357,6 +359,132 @@ def test_pivot_row_limits_on_dependent_rows(monkeypatch):
     for axis in (_ALONG_X, _ALONG_Y):
         assert _row_space_verdicts(_ONE_COLUMN, axis) == Subspace(1, []).pluecker()
     assert _row_space_verdicts(_X_THEN_Y, _CONSTANT) == "singular"
+
+
+_DEGREES = st.sampled_from([e for e in product(range(3), repeat=3) if 1 <= sum(e) <= 2])
+# zero, or one monomial of degree 1 or 2: sparse rows of mixed order, whose
+# lowest-order terms along a ray through the origin often drop rank
+_MONOMIAL = st.builds(
+    lambda c, e: MultiPoly(_XYZ, {e: Fraction(c)} if c else {}), _ENTRY, _DEGREES
+)
+
+
+@st.composite
+def _mixed_order_anchors(draw):
+    """Anchors over (x, y, z) with three columns and three rows: two of
+    sparse mixed-order entries, and a third that is fresh too or a
+    Q[x, y, z]-combination of the first two, in any order."""
+    rows = [[draw(_MONOMIAL) for _ in range(3)] for _ in range(2)]
+    if draw(st.booleans()):
+        rows.append([draw(_MONOMIAL) for _ in range(3)])
+    else:
+        factors = [draw(_SMALL) for _ in rows]
+        rows.append([factors[0] * a + factors[1] * b for a, b in zip(*rows)])
+    return AnchoredBundle(_XYZ, draw(st.permutations(rows)))
+
+
+# the origin, or rational points with non-integer coordinates, at which the
+# rows' lowest-order terms are rationals
+_COORD = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 3)])
+_ARCS_Q3 = st.tuples(
+    st.one_of(st.just((0, 0, 0)), st.tuples(_COORD, _COORD, _COORD)),
+    _STEP,
+    st.one_of(st.none(), _STEP),
+).map(
+    lambda pdq: CurveGerm.polynomial(
+        [Fraction(c) for c in pdq[0]], *[list(v) for v in pdq[1:] if v is not None]
+    )
+)
+
+
+def _lowest_order_rank(bundle, arc):
+    """The rank of the substituted pivot rows' lowest-order terms, each row
+    read at its own lowest power of t; None when a row vanishes."""
+    lowest = []
+    for i in anchor_row_basis(bundle):
+        row = [p.subst(("t",), list(arc.components)) for p in bundle.anchor[i]]
+        powers = [e for p in row for (e,) in p.terms]
+        if not powers:
+            return None
+        lowest.append([p.terms.get((min(powers),), 0) for p in row])
+    return Subspace(bundle.fiber_rank, lowest).dim
+
+
+_X3, _Y3, _Z3 = (MultiPoly.variable(_XYZ, v) for v in _XYZ)
+_RAY_123 = CurveGerm.polynomial([Fraction(0)] * 3, [1, 2, 3])
+# along (t, t, t) the rows are t^2 (1, 0, 0) and t (1, 1, 0) + t^2 (0, 0, 1):
+# their own lowest orders 2 and 1 give the limit span(e0, e1), one common
+# order 2 would read span(e0, e2)
+_MIXED_ORDERS = AnchoredBundle(
+    _XYZ, [[_X3 * _X3, _ZERO_XYZ, _ZERO_XYZ], [_X3, _Y3, _Z3 * _Z3], [_ZERO_XYZ] * 3]
+)
+_ALONG_DIAGONAL = CurveGerm.polynomial([Fraction(0)] * 3, [1, 1, 1])
+# duval2's sharp map: along (a, b, c) t its pivot rows (0, -c^2 t^2, -a t)
+# and (c^2 t^2, 0, b t) stay independent while their lowest-order terms
+# (0, 0, -a) and (0, 0, b) do not
+_DUVAL2 = AnchoredBundle(
+    _XYZ, [[_ZERO_XYZ, -_Z3 * _Z3, -_X3], [_Z3 * _Z3, _ZERO_XYZ, _Y3], [_X3, -_Y3, _ZERO_XYZ]]
+)
+# generic rank 2 with pivot rows 0 and 2; along (0, t, t) row 0 vanishes and
+# the kernel is the line through e1
+_VANISHING_ROW = AnchoredBundle(
+    _XYZ, [[_X3, _ZERO_XYZ, _ZERO_XYZ], [_Y3, _ZERO_XYZ, _ZERO_XYZ], [_ZERO_XYZ, _ZERO_XYZ, _Z3]]
+)
+_ALONG_YZ = CurveGerm.polynomial([Fraction(0)] * 3, [0, 1, 1])
+# at (1/2, -1/3, 0) the rows' lowest-order terms are rational
+_RATIONAL_RAY = CurveGerm.polynomial([Fraction(1, 2), Fraction(-1, 3), Fraction(0)], [0, 0, 1])
+
+
+@contextmanager
+def _limit_paths():
+    """The names of the fallbacks that limit_along calls, `limit_subspace`
+    and `kernel_curve`, recorded in order while the block runs."""
+    calls = []
+
+    def spy(name):
+        original = getattr(nash_module, name)
+        return lambda *args: calls.append(name) or original(*args)
+
+    names = ("limit_subspace", "kernel_curve")
+    with mock.patch.multiple(nash_module, **{name: spy(name) for name in names}):
+        yield calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixed_order_anchors(), _ARCS_Q3)
+@example(_MIXED_ORDERS, _ALONG_DIAGONAL)
+@example(_DUVAL2, _RAY_123)
+@example(_VANISHING_ROW, _ALONG_YZ)
+@example(_MIXED_ORDERS, _RATIONAL_RAY)
+def test_lowest_order_limit_matches_the_kernel_limit(bundle, arc):
+    """limit_along against the kernel's limit; it takes the polynomial
+    minors only where the rows' lowest-order terms drop rank, and the
+    kernel only where a row vanishes or the polynomial minors all do."""
+    with _limit_paths() as calls:
+        _row_space_verdicts(bundle, arc)
+    order_rank = _lowest_order_rank(bundle, arc)
+    if order_rank is None:
+        assert calls[:1] == ["kernel_curve"]
+    elif order_rank == len(anchor_row_basis(bundle)):
+        assert calls == []
+    else:
+        assert calls[:1] == ["limit_subspace"]
+
+
+def test_lowest_order_limits_of_the_pinned_arcs():
+    with _limit_paths() as calls:
+        limit = _row_space_verdicts(_MIXED_ORDERS, _ALONG_DIAGONAL)
+        assert limit == Subspace(3, [[0, 0, 1]]).pluecker()
+        assert calls == []
+        assert _row_space_verdicts(_DUVAL2, _RAY_123) == Subspace(3, [[2, 1, 0]]).pluecker()
+        assert calls == ["limit_subspace"]
+        calls.clear()
+        limit = _row_space_verdicts(_VANISHING_ROW, _ALONG_YZ)
+        assert limit == Subspace(3, [[0, 1, 0]]).pluecker()
+        assert calls == ["kernel_curve", "limit_subspace"]
+        calls.clear()
+        assert _row_space_verdicts(_MIXED_ORDERS, _RATIONAL_RAY).k == 1
+        assert calls == []
 
 
 def _limit_or_singular(bundle, arc):

@@ -98,12 +98,20 @@ def test_only_limit_along_eliminates_the_whole_anchor_along_an_arc():
     assert found == {"nash.limit_along"}
 
 
+def test_only_limit_along_takes_polynomial_minors_along_an_arc():
+    """`limit_subspace` is the second path of `limit_along`, for arcs on
+    which the pivot rows' lowest-order terms drop rank."""
+    found = {
+        f"{path.stem}.{scope}" for path in SOURCES for scope in _callers(path, "limit_subspace")
+    }
+    assert found == {"nash.limit_along"}
+
+
 # Private names one module of the package imports from another, each shared
-# on purpose: grassmann reads linalg's Laplace table and RREF kernel, and
+# on purpose: grassmann reads linalg's column-subset index and RREF kernel, and
 # charts seeds its exceptional samples by nash's one seed policy.
 PRIVATE_IMPORTS = {
     ("grassmann", "linalg", "_column_subsets"),
-    ("grassmann", "linalg", "_laplace_minors"),
     ("grassmann", "linalg", "_rref_kernel"),
     ("charts", "nash", "_seeded_rng"),
 }
