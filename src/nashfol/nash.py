@@ -12,16 +12,16 @@ of the pivot rows is nonzero along the arc they span the row space of A(t)
 over Q(t), and ker A(t) is its annihilator; taking annihilators maps the
 Pluecker coordinates of Gr(r, n) to those of Gr(n - r, n) by a signed
 permutation (Hodge and Pedoe, ch. VII), so it commutes with the limit.
-Three paths are tried in turn:
+Two paths are tried in turn, each a span limit (`limit_subspace`): row i is
+t^(v_i) (L_i + O(t)), so the minor on columns C is t^(sum v_i) (det L_C +
+O(t)), read from the integer matrix L where it has full rank, and from the
+rows' polynomial minors at their least power of t where it drops rank.
 
-- Leading coefficients: row i is t^(v_i) (L_i + O(t)), so the minor on
-  columns C is t^(sum v_i) (det L_C + O(t)); when the integer matrix L has
-  rank r, its minors are the limit's coordinates.
-- Polynomial minors, where L drops rank: the rows' minors over Z[t], read
-  at the least power of t they carry (`limit_subspace`).
-- Kernel, where a row or every minor vanishes: the whole anchor, eliminated
-  over Q(t) (`kernel_curve`), puts the arc in the singular locus, or gives
-  its kernel, whose own maximal minors are limited.
+- Pivot rows: the annihilator of their span limit.
+- Kernel, where the pivot rows are dependent over Q(t) (a row or every
+  minor vanishes): the whole anchor, eliminated over Q(t) (`kernel_curve`),
+  puts the arc in the singular locus, or gives its kernel, whose own span
+  is limited.
 
 Arc sampling under-approximates the true fiber; the default budget
 (coordinate rays, seeded random rays, seeded quadratic arcs) is
@@ -109,8 +109,8 @@ def _substituted(
 
 def kernel_curve(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPoly]]:
     """Kernel basis of the anchor along the arc, as vectors over Q[t]: the
-    exact fallback of `limit_along`, for arcs on which every r-by-r minor of
-    the pivot rows vanishes.
+    exact fallback of `limit_along`, for arcs along which the pivot rows are
+    dependent over Q(t), so that `limit_subspace` finds no span to limit.
 
     Requires the substituted anchor, all of its rows, to keep the generic
     rank over Q(t); an arc trapped in the singular locus raises
@@ -130,33 +130,6 @@ def kernel_curve(bundle: AnchoredBundle, curve: CurveGerm) -> list[list[MultiPol
     return basis
 
 
-def limit_subspace(basis_over_t: Sequence[Sequence[MultiPoly]]) -> PlueckerVector | None:
-    """The Pluecker vector of the t -> 0 limit of the span of
-    polynomial-in-t basis vectors.
-
-    Take maximal minors over Q[t], find the least power t^v they carry, and
-    read each minor's t^v coefficient (`limit_along` first tries the rows'
-    lowest-order terms).  Vectors dependent over Q(t) have every minor zero
-    and span no k-plane to limit: None.
-    """
-    k = len(basis_over_t)
-    if k == 0:
-        raise ValueError("empty basis has no limit; ambient dimension unknown")
-    n = len(basis_over_t[0])
-    matrix = [list(row) for row in basis_over_t]
-    coords = minors(matrix, k) if k <= n else []
-    valuation = None
-    for p in coords:
-        if p.is_zero():
-            continue
-        v = p.monomial_content()[0]
-        valuation = v if valuation is None else min(valuation, v)
-    if valuation is None:
-        return None
-    at_zero = [p.terms.get((valuation,), 0) for p in coords]
-    return PlueckerVector(n, k, at_zero)
-
-
 def _lowest_terms(row: Sequence[MultiPoly]) -> list[int]:
     """The integer row of the t^v coefficients of a row over Q[t], t^v the
     lowest power of t in it; zeros for a row that vanishes."""
@@ -164,41 +137,64 @@ def _lowest_terms(row: Sequence[MultiPoly]) -> list[int]:
     return integer_row([p.terms.get((v,), 0) for p in row])
 
 
+def limit_subspace(rows: Sequence[Sequence[MultiPoly]]) -> PlueckerVector | None:
+    """The Pluecker vector of the t -> 0 limit of the span of k rows over
+    Q[t], the one span limit; None for rows dependent over Q(t), which span
+    no k-plane to limit: k > n, a row that vanishes, or every minor zero.
+
+    Row i is t^(v_i) (L_i + O(t)), so the minor on columns C is
+    t^(sum v_i) (det L_C + O(t)): when the integer matrix L of the rows'
+    lowest-order terms has rank k, its minors (`integer_minors`) are the
+    limit.  Otherwise, or where their table does not pay, the rows' minors
+    over Z[t] (`minors`) are read at the least power t^v they carry.  Too
+    many minors raise `linalg.SizeError` before any is taken.
+    """
+    k = len(rows)
+    if k == 0:
+        raise ValueError("empty basis has no limit; ambient dimension unknown")
+    n = len(rows[0])
+    if k > n:
+        return None
+    lowest = [_lowest_terms(row) for row in rows]
+    coords = integer_minors(lowest, k)
+    if coords and any(coords):
+        return PlueckerVector(n, k, coords)
+    if not all(any(row) for row in lowest):
+        return None
+    coords = minors([integer_polys(row) for row in rows], k)
+    valuation = min((p.monomial_content()[0] for p in coords if p), default=None)
+    if valuation is None:
+        return None
+    return PlueckerVector(n, k, [p.terms.get((valuation,), 0) for p in coords])
+
+
 def limit_along(bundle: AnchoredBundle, curve: CurveGerm) -> PlueckerVector:
     """The Pluecker vector of the t -> 0 limit of the anchor kernel along the
-    arc, the one arc-limit entry point: the annihilator
-    (`PlueckerVector.annihilator`) of the limit of the span of the
-    substituted pivot rows (`anchor_row_basis`), everything for r = 0.
+    arc, the one arc-limit entry point.
 
-    The module's three paths are tried in turn: the minors of the integer
-    matrix L of the rows' lowest-order terms (`integer_minors`), each the
-    t^(sum v_i) coefficient of the rows' minor; where L drops rank, the
-    rows' polynomial minors (`limit_subspace` on `integer_polys`); where a
-    row or every minor vanishes, the kernel (`kernel_curve`), which decides
-    the arc or raises CurveInSingularLocusError, an empty kernel limiting to
-    the zero subspace.  Too many minors raise `linalg.SizeError` first.
+    The module's two paths are tried in turn: the annihilator
+    (`PlueckerVector.annihilator`) of the span limit (`limit_subspace`) of
+    the substituted pivot rows (`anchor_row_basis`), everything for r = 0;
+    where those rows are dependent over Q(t), the span limit of the kernel
+    (`kernel_curve`), which decides the arc or raises
+    CurveInSingularLocusError, an empty kernel limiting to the zero
+    subspace.
     """
     n = bundle.fiber_rank
     rows = _substituted(bundle, curve, anchor_row_basis(bundle))
-    lowest = [_lowest_terms(row) for row in rows]
-    coords = integer_minors(lowest, len(rows)) if rows else [1]
-    if coords and any(coords):
-        return PlueckerVector(n, len(rows), coords).annihilator()
-    if all(any(row) for row in lowest):
-        row_space = limit_subspace([integer_polys(row) for row in rows])
-        if row_space is not None:
-            return row_space.annihilator()
+    row_space = limit_subspace(rows) if rows else PlueckerVector(n, 0, [1])
+    if row_space is not None:
+        return row_space.annihilator()
     basis = kernel_curve(bundle, curve)
     return limit_subspace(basis) if basis else PlueckerVector(n, 0, [1])
 
 
 @dataclass(frozen=True)
 class LimitRecord:
-    """One distinct limit subspace with the first arc that produced it."""
+    """One distinct limit, as a subspace and as its Pluecker vector."""
 
     subspace: Subspace
     pluecker: PlueckerVector
-    curve: CurveGerm
 
 
 @dataclass(frozen=True)
@@ -230,7 +226,7 @@ def nash_fiber_sample(
             raise ValueError(
                 f"curve targets {point_text(curve.target)}, sampling at {point_text(point)}"
             )
-    first_arc: dict[PlueckerVector, CurveGerm] = {}
+    limits: set[PlueckerVector] = set()
     status = []
     for curve in curves:
         try:
@@ -239,14 +235,13 @@ def nash_fiber_sample(
             status.append("singular")
             continue
         status.append("ok")
-        first_arc.setdefault(pv, curve)
-    if not first_arc:
+        limits.add(pv)
+    if not limits:
         raise AllCurvesSingularError(
             f"all {len(curves)} arcs stayed in the singular locus at {point_text(point)}"
         )
     records = tuple(
-        LimitRecord(subspace=unpluecker(pv), pluecker=pv, curve=first_arc[pv])
-        for pv in sorted(first_arc)
+        LimitRecord(subspace=unpluecker(pv), pluecker=pv) for pv in sorted(limits)
     )
     return NashFiberSample(point=point, limits=records, curve_status=tuple(status))
 

@@ -10,7 +10,7 @@ from itertools import combinations
 from typing import Sequence
 
 from nashfol.algebroid import anchor_rank_generic, bracket_with_basis, section_bracket
-from nashfol.grassmann import Subspace
+from nashfol.grassmann import PlueckerVector, Subspace
 from nashfol.linalg import (
     _bareiss,
     det,
@@ -283,6 +283,22 @@ def kernel_curve_by_rank(bundle, curve) -> list[list[MultiPoly]]:
     if r == bundle.fiber_rank:
         return []
     return kernel_basis(substituted)
+
+
+def span_limit_by_minors(rows: Sequence[Sequence[MultiPoly]]) -> PlueckerVector | None:
+    """The t -> 0 limit of the span of k rows over Q[t] as
+    ``nash.limit_subspace`` took it before it read the rows' lowest-order
+    terms: every maximal minor, one ``det`` per column set, read at the
+    least power of t the minors carry; None when every minor vanishes,
+    k > n included."""
+    n = len(rows[0])
+    coords = [
+        det([[row[j] for j in cols] for row in rows]) for cols in combinations(range(n), len(rows))
+    ]
+    powers = [e for p in coords for (e,) in p.terms]
+    if not powers:
+        return None
+    return PlueckerVector(n, len(rows), [p.terms.get((min(powers),), 0) for p in coords])
 
 
 def rational_default_arcs(x, seed: int) -> list[CurveGerm]:

@@ -86,6 +86,17 @@ def test_nash_limit_of_full_rank_anchor_is_zero_subspace(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["limits"] == [limit]
 
 
+def test_nash_limit_of_a_zero_anchor_checks_the_curve_first(tmp_path, capsys):
+    # r = 0 needs no substituted row, but a one-coordinate arc on a plane
+    # is refused before the whole space is returned
+    bundle = tmp_path / "zero.json"
+    bundle.write_text(json.dumps({"vars": ["x", "y"], "rank": 2, "anchor": [["0", "0"]] * 2}))
+    curve = tmp_path / "ray.json"
+    curve.write_text(json.dumps({"target": [0], "components": ["t"]}))
+    assert main(["nash-limit", "--input", str(bundle), "--curve", str(curve)]) == 2
+    assert capsys.readouterr() == ("", "error: curve dimension does not match the base\n")
+
+
 def test_nash_limit_refuses_an_arc_inside_the_singular_locus(tmp_path, capsys):
     # every 2x2 minor of gl2's pivot rows vanishes along the constant arc at
     # the origin, and the kernel fallback refuses the arc

@@ -39,6 +39,7 @@ from oracles import (
     kernel_curve_by_rank,
     rational_default_arcs,
     relations_by_solve,
+    span_limit_by_minors,
 )
 
 _ENTRY = st.integers(-3, 3)
@@ -216,15 +217,16 @@ _SMALL = st.dictionaries(
 
 def _row_space_verdicts(bundle, arc):
     """limit_along, which limits the span of the anchor's pivot rows, and the
-    kernel's own limit: the same Pluecker vector of a subspace, or both find
-    the arc in the singular locus."""
+    kernel's own limit by its polynomial minors (`span_limit_by_minors`):
+    the same Pluecker vector of a subspace, or both find the arc in the
+    singular locus."""
     try:
         limit = limit_along(bundle, arc)
     except CurveInSingularLocusError:
         limit = "singular"
     try:
         basis = kernel_curve(bundle, arc)
-        want = limit_subspace(basis) if basis else Subspace(bundle.fiber_rank, []).pluecker()
+        want = span_limit_by_minors(basis) if basis else Subspace(bundle.fiber_rank, []).pluecker()
     except CurveInSingularLocusError:
         want = "singular"
     assert limit == want
@@ -437,15 +439,16 @@ _RATIONAL_RAY = CurveGerm.polynomial([Fraction(1, 2), Fraction(-1, 3), Fraction(
 
 @contextmanager
 def _limit_paths():
-    """The names of the fallbacks that limit_along calls, `limit_subspace`
-    and `kernel_curve`, recorded in order while the block runs."""
+    """The names of the steps off the leading path that limit_along takes,
+    the polynomial minors (`minors`) and the kernel (`kernel_curve`),
+    recorded in order while the block runs."""
     calls = []
 
     def spy(name):
         original = getattr(nash_module, name)
         return lambda *args: calls.append(name) or original(*args)
 
-    names = ("limit_subspace", "kernel_curve")
+    names = ("minors", "kernel_curve")
     with mock.patch.multiple(nash_module, **{name: spy(name) for name in names}):
         yield calls
 
@@ -468,7 +471,7 @@ def test_lowest_order_limit_matches_the_kernel_limit(bundle, arc):
     elif order_rank == len(anchor_row_basis(bundle)):
         assert calls == []
     else:
-        assert calls[:1] == ["limit_subspace"]
+        assert calls[:1] == ["minors"]
 
 
 def test_lowest_order_limits_of_the_pinned_arcs():
@@ -477,14 +480,78 @@ def test_lowest_order_limits_of_the_pinned_arcs():
         assert limit == Subspace(3, [[0, 0, 1]]).pluecker()
         assert calls == []
         assert _row_space_verdicts(_DUVAL2, _RAY_123) == Subspace(3, [[2, 1, 0]]).pluecker()
-        assert calls == ["limit_subspace"]
+        assert calls == ["minors"]
         calls.clear()
         limit = _row_space_verdicts(_VANISHING_ROW, _ALONG_YZ)
         assert limit == Subspace(3, [[0, 1, 0]]).pluecker()
-        assert calls == ["kernel_curve", "limit_subspace"]
+        assert calls == ["kernel_curve"]
         calls.clear()
         assert _row_space_verdicts(_MIXED_ORDERS, _RATIONAL_RAY).k == 1
         assert calls == []
+
+
+_T = ("t",)
+_RATIONAL = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]).map(Fraction)
+_POLY_T = st.dictionaries(st.integers(0, 2).map(lambda e: (e,)), _RATIONAL, max_size=2).map(
+    lambda terms: MultiPoly(_T, terms)
+)
+
+
+def _t_rows(*rows):
+    return [[parse_poly(p, _T) for p in row] for row in rows]
+
+
+@st.composite
+def _rows_over_t(draw):
+    """k rows of n entries over Q[t], k <= n + 1, each multiplied by its
+    own power of t, so the rows' valuations differ, and shuffled.  Past the
+    first, a row is fresh; c r + t f for an earlier row r, a constant c and
+    a fresh f, whose lowest-order terms are often c times r's while the
+    rows stay independent; a Q[t]-combination of the rows before it; or
+    zero."""
+    n = draw(st.integers(1, 4))
+    t = MultiPoly.variable(_T, "t")
+    kinds = ["fresh", "perturbed", "perturbed", "combination", "zero"]
+    rows = []
+    for _ in range(draw(st.integers(1, min(n + 1, 3)))):
+        kind = draw(st.sampled_from(kinds)) if rows else "fresh"
+        fresh = [draw(_POLY_T) for _ in range(n)]
+        if kind == "fresh":
+            rows.append(fresh)
+        elif kind == "perturbed":
+            c = MultiPoly.constant(_T, draw(_RATIONAL))
+            rows.append([c * p + t * f for p, f in zip(draw(st.sampled_from(rows)), fresh)])
+        elif kind == "combination":
+            factors = [draw(_POLY_T) for _ in rows]
+            zero = MultiPoly.zero(_T)
+            rows.append(
+                [sum((f * row[j] for f, row in zip(factors, rows)), zero) for j in range(n)]
+            )
+        else:
+            rows.append([MultiPoly.zero(_T)] * n)
+    powers = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+    rows = [[p * t**v for p in row] for row, v in zip(rows, powers)]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rows_over_t())
+# valuations 2 and 1: the limit is span(e0, e1), one common order would
+# read span(e0, e2)
+@example(_t_rows(["t^2", "0", "0"], ["t", "t", "t^2"]))
+# duval2 along (1, 2, 3) t: independent rows whose lowest-order terms
+# (0, 0, -1) and (0, 0, 2) drop rank
+@example(_t_rows(["0", "-9*t^2", "-t"], ["9*t^2", "0", "2*t"]))
+# dependent over Q(t), and a zero row: None
+@example(_t_rows(["t", "t^2", "1"], ["2*t^2", "2*t^3", "2*t"]))
+@example(_t_rows(["0", "0"], ["1", "t"]))
+# rational coefficients
+@example(_t_rows(["1/2 + 1/3*t", "2/3*t", "0"], ["-1/3*t", "0", "5/2*t^2"]))
+# k = n, and k > n
+@example(_t_rows(["t", "1"], ["1", "t"]))
+@example(_t_rows(["t"], ["1"]))
+def test_span_limit_matches_the_polynomial_minors(rows):
+    assert limit_subspace(rows) == span_limit_by_minors(rows)
 
 
 def _limit_or_singular(bundle, arc):

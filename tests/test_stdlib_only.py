@@ -91,7 +91,7 @@ def test_only_printed_limits_become_subspaces():
 
 def test_only_limit_along_eliminates_the_whole_anchor_along_an_arc():
     """`kernel_curve` is the exact fallback of the pivot-row limit, for arcs
-    on which every r-by-r minor of the pivot rows vanishes."""
+    along which the pivot rows are dependent over Q(t)."""
     found = {
         f"{path.stem}.{scope}" for path in SOURCES for scope in _callers(path, "kernel_curve")
     }
@@ -99,8 +99,8 @@ def test_only_limit_along_eliminates_the_whole_anchor_along_an_arc():
 
 
 def test_only_limit_along_takes_polynomial_minors_along_an_arc():
-    """`limit_subspace` is the second path of `limit_along`, for arcs on
-    which the pivot rows' lowest-order terms drop rank."""
+    """`limit_subspace` is the one span limit over Q[t], which `limit_along`
+    takes of the pivot rows and, where they are dependent, of the kernel."""
     found = {
         f"{path.stem}.{scope}" for path in SOURCES for scope in _callers(path, "limit_subspace")
     }
