@@ -42,6 +42,18 @@ class Subspace:
         self.rows = tuple(tuple(row) for row in rows)
         self.pivots = tuple(pivots)
 
+    @classmethod
+    def _from_rref(
+        cls, n: int, rows: Sequence[Sequence[Fraction]], pivots: Sequence[int]
+    ) -> "Subspace":
+        """The subspace of rows already in reduced row echelon form with
+        these pivots, taken as they are: what `frac_rref` would return."""
+        sub = object.__new__(cls)
+        sub.n = n
+        sub.rows = tuple(tuple(row) for row in rows)
+        sub.pivots = tuple(pivots)
+        return sub
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -115,11 +127,17 @@ class PlueckerVector:
         column set C is (-1)^(sum C) times this plane's minor on C, up to one
         global sign and scale.  The sign is read from C, whose sum differs
         from its complement's by n(n-1)/2; complements of the k-subsets in
-        lexicographic order run in reverse lexicographic order.  Taken twice,
-        it gives back this vector."""
+        lexicographic order run in reverse lexicographic order.  A signed
+        permutation of a primitive integer vector is primitive, so only the
+        first nonzero entry's sign is fixed, with no `integer_row`.  Taken
+        twice, it gives back this vector."""
         sets = _column_subsets(self.n, self.k)[0]
         coords = [-q if sum(c) % 2 else q for c, q in zip(sets, self.coords)][::-1]
-        return PlueckerVector(self.n, self.n - self.k, coords)
+        if next(q for q in coords if q) < 0:
+            coords = [-q for q in coords]
+        pv = object.__new__(PlueckerVector)
+        pv.n, pv.k, pv.coords = self.n, self.n - self.k, tuple(coords)
+        return pv
 
     def first_nonzero(self) -> int:
         return next(i for i, c in enumerate(self.coords) if c)
@@ -150,6 +168,12 @@ def unpluecker(pv: PlueckerVector) -> Subspace:
     failing verification do not lie on the Grassmannian and raise
     NotDecomposableError.  The column sets and their positions are the
     shared per-shape index of the Laplace table (`linalg._column_subsets`).
+
+    These rows are already in reduced row echelon form with pivots I, for
+    any input vector, so no elimination runs: row a is 0 at the other
+    pivots by construction, and at a column j < i_a outside I its J
+    replaces i_a by the smaller j, so J precedes I lexicographically and
+    p_J = 0, I being the first nonzero coordinate.
     """
     n, k = pv.n, pv.k
     sets, index_of = _column_subsets(n, k)
@@ -168,8 +192,8 @@ def unpluecker(pv: PlueckerVector) -> Subspace:
             q = jset.index(j)
             row[j] = Fraction((-1) ** (a + q) * pv.coords[index_of[jset]], p_i)
         rows.append(row)
-    sub = Subspace(n, rows)
-    if sub.dim != k or sub.pluecker() != pv:
+    sub = Subspace._from_rref(n, rows, icols)
+    if sub.pluecker() != pv:
         raise NotDecomposableError(
             f"coordinates {list(pv.coords)} fail the Grassmannian relations"
         )

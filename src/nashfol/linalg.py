@@ -261,8 +261,12 @@ def _minor_shape(m: Sequence[Sequence], size: int) -> tuple[int, int]:
 
 def integer_minors(m: Sequence[Sequence[int]], size: int) -> list[int] | None:
     """The minors of `minors`, of an integer matrix, from one Laplace table
-    where it pays (`_laplace_pays`), else None; refused as `minors` refuses."""
+    where it pays (`_laplace_pays`), else None; refused as `minors` refuses.
+    The maximal minors of a matrix with a zero row are all zero, with no
+    table."""
     nrows, ncols = _minor_shape(m, size)
+    if size == nrows and not all(map(any, m)):
+        return [0] * math.comb(ncols, size)
     return _laplace_minors(m, size, 0) if _laplace_pays(nrows, ncols, size) else None
 
 

@@ -26,7 +26,10 @@ rows' polynomial minors at their least power of t where it drops rank.
 Arc sampling under-approximates the true fiber; the default budget
 (coordinate rays, seeded random rays, seeded quadratic arcs) is
 deterministic for a given seed, and rescaled to integer coefficients with
-the same limits (`default_arcs`).
+the same limits (`default_arcs`): each draw is reduced once, and the
+rescaled coefficients are built as integers, with no rational arithmetic.
+Every arc component is built through `MultiPoly.univariate`, and every
+`CurveGerm` still checks that it starts at its target.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .algebroid import (
 )
 from .grassmann import PlueckerVector, Subspace, unpluecker
 from .linalg import integer_minors, kernel_basis, minors, rank
-from .poly import MultiPoly, common_denominator, integer_polys, integer_row, point_text
+from .poly import MultiPoly, Scalar, common_denominator, integer_polys, integer_row, point_text
 
 CURVE_VAR = ("t",)
 
@@ -81,19 +84,17 @@ class CurveGerm:
                 )
 
     @classmethod
-    def polynomial(cls, target: Point, *coefficients: Sequence[Fraction]) -> "CurveGerm":
+    def polynomial(cls, target: Point, *coefficients: Sequence[Scalar]) -> "CurveGerm":
         """The arc target + sum_m coefficients[m-1] * t^m; each coefficient
-        vector has one entry per target coordinate."""
+        vector has one entry per target coordinate, an int or a Fraction."""
         for column in coefficients:
             if len(column) != len(target):
                 raise ValueError(
                     f"coefficient vector has {len(column)} entries, the target {len(target)}"
                 )
-        comps = tuple(
-            MultiPoly(CURVE_VAR, {(m,): Fraction(c) for m, c in enumerate(column)})
-            for column in zip(target, *coefficients)
-        )
-        return cls(tuple(Fraction(c) for c in target), comps)
+        (t,) = CURVE_VAR
+        comps = tuple(MultiPoly.univariate(t, column) for column in zip(target, *coefficients))
+        return cls(tuple(c if type(c) is Fraction else Fraction(c) for c in target), comps)
 
 
 def _substituted(
@@ -252,21 +253,26 @@ def _seeded_rng(seed: int, purpose: str) -> Random:
 
 _NUMERATORS = [n for n in range(-5, 6) if n != 0]
 _DENOMINATORS = [1, 2, 3]
+# Each draw (numerator, denominator) in lowest terms, reduced once.
+_REDUCED = {(a, q): Fraction(a, q) for a in _NUMERATORS for q in _DENOMINATORS}
 
 
-def _random_direction(rng: Random, d: int) -> list[Fraction]:
-    return [
-        Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)) for _ in range(d)
+def _integer_arc(rng: Random, point: list[Fraction], degree: int) -> CurveGerm:
+    """The arc point + sum_m c_m (L t)^m for m = 1..degree, each c_m a
+    drawn direction and L the lcm of the drawn denominators, in integers:
+    with each draw reduced to a/q, c (L t)^m has the coefficient
+    a (L^m // q)."""
+    d = len(point)
+    draws = [
+        _REDUCED[rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)] for _ in range(degree * d)
     ]
-
-
-def _integer_arc(point: list[Fraction], *coefficients: list[Fraction]) -> CurveGerm:
-    """The arc point + sum_m coefficients[m-1] * (L t)^m, L the lcm of the
-    coefficients' denominators."""
-    scale = common_denominator(c for column in coefficients for c in column)
+    scale = common_denominator(draws)
     return CurveGerm.polynomial(
         point,
-        *([c * scale**m for c in column] for m, column in enumerate(coefficients, 1)),
+        *(
+            [c.numerator * (scale**m // c.denominator) for c in draws[(m - 1) * d : m * d]]
+            for m in range(1, degree + 1)
+        ),
     )
 
 
@@ -274,12 +280,15 @@ def default_arcs(x: Point, seed: int) -> list[CurveGerm]:
     """The standard arc budget at a point: signed coordinate rays, 16 seeded
     random rays, 8 seeded quadratic arcs.  Deterministic for a given seed.
 
-    The random arcs draw coefficients with denominators 1, 2 and 3, and
-    each is reparametrized by t -> L t, L the lcm of its denominators: a
-    ray x + c t becomes x + (L c) t, a quadratic x + a t + b t^2 becomes
-    x + (L a) t + (L^2 b) t^2, and at an integer point an integer anchor
-    is substituted over Z[t].  Limits and singular verdicts stay: t -> L t
-    is an automorphism of Q(t), which keeps the least t-valuation v of the
+    Each random arc draws a numerator in +-1..5 and then a denominator in
+    1, 2 and 3 for every coefficient, a ray's direction c or a quadratic's
+    a and then b, and is reparametrized by t -> L t, L the lcm of its
+    reduced denominators: a ray x + c t becomes x + (L c) t, a quadratic
+    x + a t + b t^2 becomes x + (L a) t + (L^2 b) t^2.  Those coefficients
+    are built as integers from the reduced draws, with no rational
+    arithmetic, and at an integer point an integer anchor is substituted
+    over Z[t].  Limits and singular verdicts stay: t -> L t is an
+    automorphism of Q(t), which keeps the least t-valuation v of the
     Pluecker coordinates and multiplies every coordinate's t^v coefficient
     by L^v.
 
@@ -294,15 +303,15 @@ def default_arcs(x: Point, seed: int) -> list[CurveGerm]:
     arcs = []
     for i in range(d):
         for sign in (1, -1):
-            direction = [Fraction(0)] * d
-            direction[i] = Fraction(sign)
+            direction = [0] * d
+            direction[i] = sign
             arcs.append(CurveGerm.polynomial(point, direction))
     rng = _seeded_rng(seed, "nash-rays")
     for _ in range(16):
-        arcs.append(_integer_arc(point, _random_direction(rng, d)))
+        arcs.append(_integer_arc(rng, point, 1))
     rng = _seeded_rng(seed, "nash-quadratics")
     for _ in range(8):
-        arcs.append(_integer_arc(point, _random_direction(rng, d), _random_direction(rng, d)))
+        arcs.append(_integer_arc(rng, point, 2))
     return arcs
 
 

@@ -233,6 +233,19 @@ class MultiPoly:
         exps = tuple(1 if v == name else 0 for v in vs)
         return cls(vs, {exps: 1})
 
+    @classmethod
+    def univariate(cls, var: str, coefficients: Iterable[Scalar]) -> "MultiPoly":
+        """sum_m coefficients[m] * var^m in the one variable ``var``.  Each
+        coefficient is put in coefficient form (`_coeff`) and zeros are
+        dropped; the exponents are the coefficients' positions, so they need
+        none of the constructor's checks."""
+        terms = {}
+        for m, c in enumerate(coefficients):
+            c = _coeff(c)
+            if c:
+                terms[(m,)] = c
+        return _result((var,), terms)
+
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:

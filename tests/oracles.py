@@ -24,7 +24,8 @@ from nashfol.nash import (
     CURVE_VAR,
     CurveGerm,
     CurveInSingularLocusError,
-    _random_direction,
+    _DENOMINATORS,
+    _NUMERATORS,
     _seeded_rng,
 )
 from nashfol.poly import (
@@ -301,9 +302,14 @@ def span_limit_by_minors(rows: Sequence[Sequence[MultiPoly]]) -> PlueckerVector 
     return PlueckerVector(n, len(rows), [p.terms.get((min(powers),), 0) for p in coords])
 
 
+def _random_direction(rng, d: int) -> list[Fraction]:
+    return [Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS)) for _ in range(d)]
+
+
 def rational_default_arcs(x, seed: int) -> list[CurveGerm]:
     """The arcs ``nash.default_arcs`` returned before it rescaled t: the
-    same seeded draws, with their rational coefficients kept as drawn."""
+    same seeded draws, each a Fraction built from its numerator and then its
+    denominator, with the rational coefficients kept as drawn."""
     d = len(x)
     point = [Fraction(c) for c in x]
     arcs = []

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nashfol.grassmann import NotDecomposableError, PlueckerVector, Subspace, unpluecker
@@ -139,3 +139,54 @@ def test_pluecker_vectors_sort_deterministically():
     a = PlueckerVector(3, 1, [1, 0, 0])
     b = PlueckerVector(3, 1, [0, 1, 0])
     assert sorted([b, a]) == sorted([a, b])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spanning_vectors())
+@example((3, []))
+@example((5, [[Fraction(int(i == j), i + 1) for j in range(5)] for i in range(5)]))
+@example((9, [[Fraction((i + 2) ** j, i + 1) for j in range(9)] for i in range(6)]))
+@example((6, [[0, 0, 1, 0, Fraction(2, 3), -1], [0, 0, 0, 1, 1, 0]]))
+def test_unpluecker_gives_the_rref_of_its_chart_rows(case):
+    """The chart rows at the first nonzero coordinate are already reduced:
+    rebuilding the subspace from them through `frac_rref` gives the same
+    rows and pivots, on both sides of n/2 and at dim 0 and dim n."""
+    n, vectors = case
+    s = Subspace(n, vectors)
+    got = unpluecker(s.pluecker())
+    rebuilt = Subspace(n, got.rows)
+    assert (got.rows, got.pivots) == (rebuilt.rows, rebuilt.pivots)
+    assert (got.rows, got.pivots) == (s.rows, s.pivots)
+
+
+@st.composite
+def _two_planes(draw):
+    """Two k-planes of Q^n, 2 <= k <= n - 2, as integer rows, and two nonzero
+    weights for their Pluecker vectors."""
+    n = draw(st.integers(4, 9))
+    k = draw(st.integers(2, n - 2))
+    rows = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    planes = [draw(st.lists(rows, min_size=k, max_size=k)) for _ in range(2)]
+    weights = [draw(st.integers(-4, 4).filter(bool)) for _ in range(2)]
+    return n, k, planes, weights
+
+
+def _coordinate_plane(n, columns):
+    return [[int(j == i) for j in range(n)] for i in columns]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_two_planes())
+@example((4, 2, [_coordinate_plane(4, (0, 1)), _coordinate_plane(4, (2, 3))], [1, 1]))
+@example((6, 3, [_coordinate_plane(6, (0, 1, 2)), _coordinate_plane(6, (0, 3, 4))], [2, -3]))
+def test_unpluecker_refuses_sums_of_planes_meeting_in_codimension_two(case):
+    """a p(S) + b p(T) is decomposable exactly when S and T meet in
+    dimension at least k - 1; planes meeting in less are refused."""
+    n, k, planes, weights = case
+    spans = [span_of_integer_vectors(n, plane) for plane in planes]
+    assume(all(s.dim == k for s in spans))
+    assume(Subspace(n, [row for s in spans for row in s.rows]).dim >= k + 2)
+    p, q = (s.pluecker().coords for s in spans)
+    a, b = weights
+    with pytest.raises(NotDecomposableError):
+        unpluecker(PlueckerVector(n, k, [a * x + b * y for x, y in zip(p, q)]))

@@ -590,3 +590,14 @@ def test_solve_and_adjugate_refuse_empty_and_non_square_input(m, text):
             solver(m, b)
     with pytest.raises(ValueError, match=f"^{text}$"):
         adjugate(m)
+
+
+def test_integer_minors_of_a_zero_row_build_no_table(monkeypatch):
+    """Maximal minors with a zero row are all zero, read without a table;
+    the size rules still come first."""
+    monkeypatch.setattr(linalg, "_laplace_minors", lambda *a: pytest.fail("a table was built"))
+    assert linalg.integer_minors([[1, 2, 3], [0, 0, 0]], 2) == [0, 0, 0]
+    assert linalg.integer_minors([[0] * 4], 1) == [0] * 4
+    wide = [[int(i == j) for j in range(24)] for i in range(5)] + [[0] * 24]
+    with pytest.raises(linalg.SizeError, match="134596 6x6 minors"):
+        linalg.integer_minors(wide, 6)

@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import nashfol.grassmann as grassmann
+import nashfol.linalg as linalg
 import nashfol.nash as nash_module
 from nashfol.algebroid import (
     AnchoredBundle,
@@ -336,3 +339,61 @@ def test_limit_paths_of_the_default_arcs_at_each_origin(monkeypatch):
                 paths[2 if "kernel_curve" in calls else 1 if calls else 0] += 1
             assert tuple(paths) == want, (name, source.kind)
     assert kernel_arcs == 24
+
+
+def test_fast_paths_of_one_nash_fiber_at_each_origin(monkeypatch):
+    """One default-budget fiber sample at each shipped scenario's origin:
+    `default_arcs` builds its arcs without the public `MultiPoly`
+    constructor, `unpluecker` reads its subspace off the chart with no
+    `frac_rref`, `PlueckerVector.annihilator` fixes a sign with no
+    `integer_row`, and no minor table is built for leading coefficients with
+    a zero row."""
+    inside: list[str] = []
+    entered = Counter()
+    found = []
+
+    def scoped(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            entered[name] += 1
+            inside.append(name)
+            try:
+                return original(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    def forbidden(owner, name, scope):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            if scope in inside:
+                found.append((name, scope))
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    scoped(nash_module, "default_arcs")
+    scoped(nash_module, "unpluecker")
+    scoped(grassmann.PlueckerVector, "annihilator")
+    forbidden(MultiPoly, "__init__", "default_arcs")
+    forbidden(grassmann, "frac_rref", "unpluecker")
+    forbidden(grassmann, "integer_row", "annihilator")
+    table = linalg._laplace_minors
+
+    def laplace_spy(m, *args):
+        if not all(map(any, m)):
+            found.append(("_laplace_minors", "a zero row"))
+        return table(m, *args)
+
+    monkeypatch.setattr(linalg, "_laplace_minors", laplace_spy)
+    for name in corpus_names():
+        scenario = load_corpus_scenario(name)
+        origin = scenario.points["origin"]
+        for source in scenario.sources.values():
+            arcs = nash_module.default_arcs(origin, 7)
+            assert nash_fiber_sample(source.bundle, origin, arcs).limits
+            assert not found, (name, source.kind, found)
+    assert set(entered) == {"default_arcs", "unpluecker", "annihilator"}

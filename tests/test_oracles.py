@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import product
 from unittest import mock
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -586,6 +587,14 @@ def test_limit_along_is_unchanged_by_rescaling_t(bundle, arc, scale):
     )
 
 
+def _drawn_scale(drawn: CurveGerm) -> int:
+    """L, the lcm of the denominators of an arc's drawn coefficients (of t^m
+    for m >= 1; the target's own denominators are not drawn)."""
+    return math.lcm(
+        *(c.denominator for comp in drawn.components for (m,), c in comp.terms.items() if m)
+    )
+
+
 def test_integer_default_arcs_give_the_rational_arcs_limits():
     """At every declared point of every shipped scenario, for seeds 0-3, the
     integer default arcs give the per-arc verdicts and the limits that the
@@ -599,10 +608,7 @@ def test_integer_default_arcs_give_the_rational_arcs_limits():
                     for comp in arc.components:
                         assert all(type(c) is int for c in comp.terms.values()), (name, arc)
                     # t -> L t, L the lcm of the drawn coefficients' denominators
-                    scale = math.lcm(
-                        *(c.denominator for comp in drawn.components for c in comp.terms.values())
-                    )
-                    assert arc == reparametrize(drawn, Fraction(scale)), (name, arc)
+                    assert arc == reparametrize(drawn, Fraction(_drawn_scale(drawn))), (name, arc)
                 for source in scenario.sources.values():
                     got = nash_fiber_sample(source.bundle, x, arcs)
                     want = nash_fiber_sample(source.bundle, x, rational)
@@ -610,6 +616,73 @@ def test_integer_default_arcs_give_the_rational_arcs_limits():
                     assert [rec.pluecker for rec in got.limits] == [
                         rec.pluecker for rec in want.limits
                     ], (name, x, seed)
+
+
+_POINT_COORDS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 9).flatmap(lambda d: st.lists(_POINT_COORDS, min_size=d, max_size=d)),
+    st.integers(0, 2**20),
+)
+@example([Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)], 0)
+@example([Fraction(-3, 2), Fraction(1, 3)], 3)
+@example([Fraction(0)] * 9, 41)
+@example([Fraction(i - 4, i + 1) for i in range(9)], 7)
+def test_integer_default_arcs_are_the_rescaled_rational_arcs(x, seed):
+    """At rational, non-integer and 9-dimensional points, every default arc
+    is its rational draw reparametrized by t -> L t: the same target, and
+    integer coefficients of t^m for m >= 1."""
+    arcs, rational = default_arcs(x, seed), rational_default_arcs(x, seed)
+    for arc, drawn in zip(arcs, rational, strict=True):
+        assert arc.target == tuple(x)
+        for comp in arc.components:
+            assert all(type(c) is int for (m,), c in comp.terms.items() if m), arc
+        assert arc == reparametrize(drawn, Fraction(_drawn_scale(drawn))), (x, seed)
+
+
+_COEFFICIENTS = st.lists(
+    st.one_of(st.integers(-50, 50), st.fractions(max_denominator=6)), max_size=6
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_COEFFICIENTS)
+@example([])
+@example([0, 0])
+@example([Fraction(4, 2), 0, Fraction(-1, 3), True])
+def test_univariate_matches_the_public_constructor(coefficients):
+    """`MultiPoly.univariate` gives the polynomial the public constructor
+    gives, with the same coefficient forms: ints for integers, zeros
+    dropped."""
+    got = MultiPoly.univariate("t", coefficients)
+    want = MultiPoly(("t",), {(m,): c for m, c in enumerate(coefficients)})
+    assert (got.vars, got.terms) == (want.vars, want.terms)
+    assert [type(c) for c in got.terms.values()] == [type(c) for c in want.terms.values()]
+
+
+def test_univariate_refuses_what_the_constructor_refuses():
+    for bad in (0.5, "1"):
+        with pytest.raises(TypeError):
+            MultiPoly.univariate("t", [1, bad])
+        with pytest.raises(TypeError):
+            MultiPoly(("t",), {(0,): 1, (1,): bad})
+
+
+def test_curve_germ_still_refuses_a_wrong_target():
+    """The arc constructors build components through `univariate`, and the
+    germ still checks them: a component that misses its target coordinate,
+    a component count that differs from the target's, and a component in
+    another variable are refused."""
+    arc = CurveGerm.polynomial([Fraction(1, 2), 0], [1, 2])
+    assert arc.components == (parse_poly("1/2 + t", ("t",)), parse_poly("2*t", ("t",)))
+    with pytest.raises(ValueError, match="does not start at its target"):
+        CurveGerm((Fraction(1), Fraction(0)), arc.components)
+    with pytest.raises(ValueError, match="component count"):
+        CurveGerm((Fraction(1, 2),), arc.components)
+    with pytest.raises(ValueError, match="univariate in t"):
+        CurveGerm((Fraction(0),), (MultiPoly.univariate("s", [0, 1]),))
 
 
 @st.composite
