@@ -26,7 +26,7 @@ from .linalg import (
     poly_mat_vec,
     rank,
 )
-from .poly import ArityMismatchError, InternalInvariantError, MultiPoly, check_ring, point_text
+from .poly import ArityMismatchError, InternalInvariantError, MultiPoly, check_ring, dot, point_text
 
 Section = list[MultiPoly]
 VectorField = list[MultiPoly]
@@ -164,14 +164,24 @@ def vf_bracket(x_field: Sequence[MultiPoly], y_field: Sequence[MultiPoly]) -> Ve
 
 
 def lie_derivative(field: Sequence[MultiPoly], f: MultiPoly) -> MultiPoly:
-    """Derivative of a function along a vector field, sum_v field_v * df/dv over
-    the nonzero terms only, with every component's ring checked once."""
-    check_ring(f.vars, field)
-    acc = MultiPoly.zero(f.vars)
-    for comp, v in zip(field, f.vars):
-        if comp.terms and (d := f.diff(v)).terms:
-            acc = acc + comp * d
-    return acc
+    """Derivative of a function along a vector field, sum_v field_v * df/dv:
+    one `dot`, with df/dv taken only where field_v is nonzero."""
+    if not f:  # every partial is zero
+        check_ring(f.vars, field)
+        return f
+    zero = MultiPoly.zero(f.vars)
+    return dot(field, [f.diff(v) if comp else zero for comp, v in zip(field, f.vars)])
+
+
+def _plus_structure(out: Section, terms: list[tuple[MultiPoly, Section]]) -> Section:
+    """out + sum coeff * section over the (coeff, section) terms, the structure
+    sum of a Leibniz bracket: one `dot` for each component that a section with
+    a nonzero coefficient reaches."""
+    terms = [(coeff, sec) for coeff, sec in terms if coeff]
+    if not terms:
+        return out
+    coeffs, sections = zip(*terms)
+    return [o + dot(coeffs, col) if any(col) else o for o, col in zip(out, zip(*sections))]
 
 
 def section_bracket(
@@ -185,11 +195,8 @@ def section_bracket(
     rho_a = bundle.anchor_of_section(a)
     rho_b = bundle.anchor_of_section(b)
     out = [lie_derivative(rho_a, b[k]) - lie_derivative(rho_b, a[k]) for k in range(n)]
-    for (i, j), c in sorted(algebroid.structure.items()):
-        coeff = a[i] * b[j] - a[j] * b[i]
-        if coeff:
-            out = [o + coeff * ck for o, ck in zip(out, c)]
-    return out
+    pairs = sorted(algebroid.structure.items())
+    return _plus_structure(out, [(a[i] * b[j] - a[j] * b[i], c) for (i, j), c in pairs])
 
 
 def bracket_with_basis(algebroid: AlmostLieAlgebroid, s: Sequence[MultiPoly], c: int) -> Section:
@@ -202,13 +209,13 @@ def bracket_with_basis(algebroid: AlmostLieAlgebroid, s: Sequence[MultiPoly], c:
         raise IndexError(f"basis index {c} out of range for rank {n}")
     column = [row[c] for row in algebroid.bundle.anchor]
     out = [-lie_derivative(column, p) if p else p for p in s]
+    terms = []
     for m, coeff in enumerate(s):
         # [e_m, e_c] is c_mc, or -c_cm when m > c
         sec = algebroid.structure.get((m, c) if m < c else (c, m)) if coeff else None
         if sec:
-            coeff = coeff if m < c else -coeff
-            out = [o + coeff * ck for o, ck in zip(out, sec)]
-    return out
+            terms.append((coeff if m < c else -coeff, sec))
+    return _plus_structure(out, terms)
 
 
 def morphism_defect_pairs(algebroid: AlmostLieAlgebroid) -> list[tuple[int, int]]:

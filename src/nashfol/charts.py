@@ -50,6 +50,7 @@ from .poly import (
     InternalInvariantError,
     MultiPoly,
     RatFunc,
+    dot,
     exact_div,
     integer_row,
     point_text,
@@ -343,16 +344,17 @@ class ChartFrame:
         n = self.nca.algebroid.bundle.fiber_rank
         origin = [0] * self.nca.pullback.chart.dim
         constant = [i for i in range(n) if all(col[i].is_constant() for col in self.columns)]
-        # the transposed constant block: its pivot columns are the first
-        # independent constant rows of F
+        # the transposed constant block with I_k appended: its pivots are the
+        # first independent constant rows I of F, then the I_k part is (F_I^-1)^T
+        m = len(constant)
         block = [[col[i].eval(origin) for i in constant] for col in self.columns]
-        _, pivots = frac_rref(block)
-        if len(pivots) < k:
+        reduced, pivots = frac_rref(
+            [row + [int(a == b) for b in range(k)] for a, row in enumerate(block)]
+        )
+        if any(p >= m for p in pivots):
             return None
-        square = [[block[a][p] for a in range(k)] for p in pivots]
-        reduced, _ = frac_rref([row + [int(r == s) for s in range(k)] for r, row in enumerate(square)])
         return FrameCertificate(
-            tuple(constant[p] for p in pivots), tuple(tuple(row[k:]) for row in reduced)
+            tuple(constant[p] for p in pivots), tuple(zip(*(row[m:] for row in reduced)))
         )
 
     def spans(self, section: Section) -> bool:
@@ -367,9 +369,10 @@ class ChartFrame:
             sum((section[i] * c for i, c in zip(cert.rows, row) if c), zero)
             for row in cert.inverse
         ]
+        if not coeffs:  # the empty frame spans the zero section alone
+            return not any(section)
         return all(
-            sum((col[i] * c for col, c in zip(self.columns, coeffs) if col[i] and c), zero)
-            == section[i]
+            dot([col[i] for col in self.columns], coeffs) == section[i]
             for i in range(len(section))
             if i not in cert.rows
         )

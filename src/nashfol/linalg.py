@@ -29,7 +29,8 @@ row is scaled to coprime integer coefficients (`poly.integer_polys`), so the
 elimination runs over the integers, and each basis vector is back-substituted
 from the Bareiss echelon form and made primitive over the polynomial ring
 (`poly.primitive_part`).  The content of coefficients is decided in `poly`
-alone, and the echelon form is read in this module alone.
+alone, and so are products: each sum of them here is one `poly.dot`, over
+the one term-pair loop `poly._add_product`.  The echelon form is read here alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 from types import MappingProxyType
 from typing import Sequence
 
@@ -45,7 +46,7 @@ from .poly import (
     InternalInvariantError,
     MultiPoly,
     RatFunc,
-    check_ring,
+    dot,
     exact_div,
     integer_polys,
     primitive_part,
@@ -71,29 +72,14 @@ def mat_copy(m: Sequence[Sequence[MultiPoly]]) -> PolyMatrix:
 
 
 def poly_mat_vec(m: Sequence[Sequence[MultiPoly]], v: Sequence[MultiPoly]) -> PolyVector:
-    """M*v, multiplying only the pairs whose factors are both nonzero; the
-    ring of every entry of M and v is checked once per call."""
-    vs = v[0].vars
-    check_ring(vs, chain(v, *m))
-    out = []
-    for row in m:
-        acc = MultiPoly.zero(vs)
-        for entry, coord in zip(row, v):
-            if entry.terms and coord.terms:
-                acc = acc + entry * coord
-        out.append(acc)
-    return out
+    """M*v, one `dot` per row: only pairs of nonzero factors are multiplied,
+    and the ring of every entry is checked."""
+    return [dot(row, v) for row in m]
 
 
 def poly_mat_mul(a: Sequence[Sequence[MultiPoly]], b: Sequence[Sequence[MultiPoly]]) -> PolyMatrix:
-    zero = MultiPoly.zero(a[0][0].vars)
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(len(b))), zero)
-            for j in range(len(b[0]))
-        ]
-        for i in range(len(a))
-    ]
+    """A*B, one `dot` per entry."""
+    return [[dot(row, col) for col in zip(*b)] for row in a]
 
 
 def eval_matrix(m: Sequence[Sequence[MultiPoly]], point: Sequence) -> list[list[Fraction]]:
@@ -130,8 +116,9 @@ def _bareiss(m: Sequence[Sequence[MultiPoly]]):
         pivot_row = rows[r]
         pivot = pivot_row[c]
         for row in rows[r + 1 :]:
+            factors = (pivot, -row[c])
             for j in range(c + 1, ncols):
-                num = pivot * row[j] - row[c] * pivot_row[j]
+                num = dot(factors, (row[j], pivot_row[j]))
                 row[j] = exact_div(num, prev) if num and prev is not None else num
             row[c] = MultiPoly.zero(pivot.vars)
         prev = pivot
@@ -304,10 +291,7 @@ def _primitive_kernel_vector(
     w[f] = rows[len(pivots) - 1][pivots[-1]] if pivots else MultiPoly.constant(zero.vars, 1)
     for a in range(len(pivots) - 1, -1, -1):
         c, row = pivots[a], rows[a]
-        acc = zero
-        for j in range(c + 1, ncols):
-            if row[j] and w[j]:
-                acc = acc + row[j] * w[j]
+        acc = dot(row[c:], w[c:])  # w[c] is still zero, so the sum is over j > c
         w[c] = exact_div(-acc, row[c]) if acc else zero
     return primitive_part(w)
 

@@ -15,7 +15,8 @@ always print identically.
 
 A polynomial is never mutated, so an operation with a zero operand returns an
 operand after the ring check (`check_ring`): a sum returns the other one and a
-product the zero.
+product the zero.  Every product is formed by `_add_product`, the one loop over
+pairs of terms, and every sum of products by `dot`, wrapped once.
 
 Rational functions are kept in lowest terms: numerator and denominator are
 divided by their gcd (`poly_gcd`, exact in every arity), and both by the
@@ -166,21 +167,36 @@ def check_ring(variables: tuple[str, ...], polys: Iterable["MultiPoly"]) -> None
             raise ArityMismatchError(f"variable mismatch: {variables} vs {p.vars}")
 
 
-def _mul_terms(
-    left: dict[Exponents, Scalar], right: dict[Exponents, Scalar]
+def _add_product(
+    acc: dict[Exponents, Scalar], left: dict[Exponents, Scalar], right: dict[Exponents, Scalar]
 ) -> dict[Exponents, Scalar]:
-    """The term dict of a product, zero coefficients dropped; the coefficient
-    form is left for `_result` to restore."""
-    terms: dict[Exponents, Scalar] = {}
+    """Add the product of two term dicts into ``acc`` and return it: the one
+    loop over pairs of terms.  A coefficient that cancels is dropped; the
+    coefficient form is left for `_result` to restore."""
     for e1, c1 in left.items():
         for e2, c2 in right.items():
             e = tuple(map(add, e1, e2))
-            s = terms.get(e, 0) + c1 * c2
+            s = acc.get(e, 0) + c1 * c2
             if s:
-                terms[e] = s
+                acc[e] = s
             else:
-                terms.pop(e, None)
-    return terms
+                del acc[e]
+    return acc
+
+
+def dot(left: Sequence["MultiPoly"], right: Sequence["MultiPoly"]) -> "MultiPoly":
+    """sum_i left[i] * right[i], the one sum of polynomial products: each pair
+    of nonzero factors is added into one term dict (`_add_product`), wrapped
+    once.  Every factor's ring is checked against left[0]'s, zero ones too;
+    an empty sum has no ring to read, so ``left`` must not be empty."""
+    variables = left[0].vars
+    terms: dict[Exponents, Scalar] = {}
+    for a, b in zip(left, right):
+        if a.vars != variables or b.vars != variables:  # check_ring, inlined
+            raise ArityMismatchError(f"variable mismatch: {a.vars} vs {b.vars}")
+        if a.terms and b.terms:
+            _add_product(terms, a.terms, b.terms)
+    return _result(variables, terms)
 
 
 class MultiPoly:
@@ -314,7 +330,7 @@ class MultiPoly:
         other = self._coerce(other)
         if not self.terms or not other.terms:
             return self if not self.terms else other
-        return _result(self.vars, _mul_terms(self.terms, other.terms))
+        return _result(self.vars, _add_product({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -378,33 +394,28 @@ class MultiPoly:
                     f"substitution image over {img.vars}, expected {vs}"
                 )
         # one power table per call, as term dicts, since exponent vectors
-        # repeat powers a lot; the first power is the image itself, with no
-        # product; terms are summed into one dict and wrapped once
+        # repeat powers a lot; the first power is the image itself, and each
+        # term's product of powers adds into the result times its coefficient
         unit = (0,) * len(vs)
         powers = [{1: img.terms} for img in images]
         result: dict[Exponents, Scalar] = {}
         for exps, coeff in self.terms.items():
-            term = {unit: coeff}
+            monomial = None
             for i, e in enumerate(exps):
                 if not e:
                     continue
                 table = powers[i]
                 if not table[1]:  # a positive power of a zero image
-                    term = {}
                     break
                 if e not in table:
                     prev = max(k for k in table if k < e)
                     acc = table[prev]
                     for _ in range(e - prev):
-                        acc = _mul_terms(acc, table[1])
+                        acc = _add_product({}, acc, table[1])
                     table[e] = acc
-                term = _mul_terms(term, table[e])
-            for e, c in term.items():
-                s = result.get(e, 0) + c
-                if s:
-                    result[e] = s
-                else:
-                    result.pop(e, None)
+                monomial = table[e] if monomial is None else _add_product({}, monomial, table[e])
+            else:
+                _add_product(result, {unit: coeff}, monomial or {unit: 1})
         return _result(vs, result)
 
     # -- content and divisibility -------------------------------------------
@@ -489,13 +500,7 @@ def _divmod(p: MultiPoly, q: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
             break
         c = _div(rem[r_exps], q_coeff)
         quotient[t] = c
-        for e, v in q.terms.items():
-            e = tuple(map(add, t, e))
-            s = rem.get(e, 0) - c * v
-            if s:
-                rem[e] = s
-            else:
-                del rem[e]
+        _add_product(rem, {t: -c}, q.terms)
     return _result(p.vars, quotient), _result(p.vars, rem)
 
 

@@ -41,6 +41,11 @@ from nashfol.poly import (
 )
 
 
+def dot_by_products(left: Sequence[MultiPoly], right: Sequence[MultiPoly]) -> MultiPoly:
+    """sum_i left[i] * right[i], one `MultiPoly.__mul__` and one `+` per pair."""
+    return sum((a * b for a, b in zip(left, right)), MultiPoly.zero(left[0].vars))
+
+
 def ratfunc_sum(a: RatFunc, b: RatFunc) -> RatFunc:
     """a + b, from the numerators and denominators."""
     return RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import nashfol.algebroid as algebroid_module
 import nashfol.nash as nash_module
+import nashfol.poly as poly_module
 from nashfol.algebroid import (
     AlmostLieAlgebroid,
     AnchoredBundle,
@@ -96,20 +97,20 @@ def test_section_bracket_leibniz_random():
 
 
 def test_lie_derivative_skips_zero_terms_and_keeps_the_ring_check(monkeypatch):
-    """Zero components and zero partial derivatives are not multiplied, and
-    a zero component over another variable tuple is still refused."""
+    """Zero components and zero partial derivatives never reach the term-pair
+    loop, and a zero component over another variable tuple is still refused."""
     from nashfol.algebroid import lie_derivative
 
     f = parse_poly("x*y + x", XYZ)  # df/dz = 0
     field, expected = V(XYZ, "z", "0", "x"), parse_poly("y*z + z", XYZ)
     products = []
-    original = MultiPoly.__mul__
+    original = poly_module._add_product
 
-    def spy(a, b):
-        products.append((str(a), str(b)))
-        return original(a, b)
+    def spy(acc, left, right):
+        products.append((str(MultiPoly(XYZ, left)), str(MultiPoly(XYZ, right))))
+        return original(acc, left, right)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", spy)
+    monkeypatch.setattr(poly_module, "_add_product", spy)
     assert lie_derivative(field, f) == expected
     assert products == [("z", "y + 1")]
     with pytest.raises(ArityMismatchError):

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nashfol.linalg as linalg
+import nashfol.poly as poly_module
 from nashfol.linalg import (
     SizeError,
     adjugate,
@@ -292,19 +293,20 @@ def test_poly_mat_mul():
 
 
 def test_poly_mat_vec_multiplies_only_nonzero_pairs(monkeypatch):
-    """One product per pair of nonzero factors; a zero entry of the matrix or
-    of the vector over another variable tuple is still refused."""
+    """One run of the term-pair loop per pair of nonzero factors; a zero
+    entry of the matrix or of the vector over another variable tuple is
+    still refused."""
     m = M([["x", "0", "y"], ["0", "0", "z"], ["2", "x*y", "0"]])
     v = M([["1", "x", "0"]])[0]
     expected = M([["x", "0", "x^2*y + 2"]])[0]
     products = []
-    original = MultiPoly.__mul__
+    original = poly_module._add_product
 
-    def spy(a, b):
-        products.append((str(a), str(b)))
-        return original(a, b)
+    def spy(acc, left, right):
+        products.append((str(MultiPoly(XYZ, left)), str(MultiPoly(XYZ, right))))
+        return original(acc, left, right)
 
-    monkeypatch.setattr(MultiPoly, "__mul__", spy)
+    monkeypatch.setattr(poly_module, "_add_product", spy)
     assert poly_mat_vec(m, v) == expected
     assert products == [("x", "1"), ("2", "1"), ("x*y", "x")]
     zero_xy = MultiPoly.zero(("x", "y"))

@@ -14,13 +14,14 @@ from nashfol.poly import (
     RatFunc,
     UnknownVariableError,
     divides,
+    dot,
     exact_div,
     parse_poly,
     parse_rational,
 )
 from nashfol.documents import poly_from_doc
 from encoders import poly_to_doc
-from oracles import ratfunc_product, ratfunc_sum
+from oracles import dot_by_products, ratfunc_product, ratfunc_sum
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -252,6 +253,30 @@ def test_arithmetic_matches_the_dict_path(a_terms, b, op):
     assert _form(_OPS[op](a, operand)) == _form(_dict_path(op, a, b_poly))
     if op != "-":  # a scalar on the left goes through __radd__ and __rmul__
         assert _form(_OPS[op](operand, a)) == _form(_dict_path(op, b_poly, a))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_TERMS, _TERMS), min_size=1, max_size=5), st.booleans())
+def test_dot_is_the_sum_of_products(pairs, cancel):
+    """`dot` equals the sum of `*` products, in coefficient form, on zero
+    factors, Fraction coefficients and sums that cancel to zero; a zero
+    factor over another variable tuple is refused on either side."""
+    left = [MultiPoly(XY, a) for a, _ in pairs]
+    right = [MultiPoly(XY, b) for _, b in pairs]
+    if cancel:  # each product again with the opposite sign
+        left, right = left + [-a for a in left], right + right
+    assert _form(dot(left, right)) == _form(dot_by_products(left, right))
+    if cancel:
+        assert dot(left, right).is_zero()
+    other = MultiPoly.zero(("x", "z"))
+    for i in range(len(left)):
+        for vector in (left, right):
+            swapped = vector[:i] + [other] + vector[i + 1 :]
+            args = (swapped, right) if vector is left else (left, swapped)
+            with pytest.raises(ArityMismatchError):
+                dot(*args)
+            with pytest.raises(ArityMismatchError):
+                dot_by_products(*args)
 
 
 def test_a_zero_operand_is_returned_as_it_is():

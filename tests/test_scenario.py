@@ -300,22 +300,24 @@ def test_run_single_step_matches_scenario_run():
 
 
 def test_no_product_of_term_dicts_has_an_empty_factor(monkeypatch):
-    """The gl3 action is sparse (9 nonzero anchor entries of 27), yet the
-    term-pair loop is never entered for a product that is zero at once."""
+    """The gl3 action is sparse (9 nonzero anchor entries of 27), yet the one
+    term-pair loop, behind every product, `dot`, `subst` and division step,
+    is never entered for a product that is zero at once."""
     import nashfol.poly as poly_module
 
-    original, empty = poly_module._mul_terms, []
+    original, empty, runs = poly_module._add_product, [], []
 
-    def spy(left, right):
+    def spy(acc, left, right):
+        runs.append(1)
         if not left or not right:
             empty.append((left, right))
-        return original(left, right)
+        return original(acc, left, right)
 
-    monkeypatch.setattr(poly_module, "_mul_terms", spy)
+    monkeypatch.setattr(poly_module, "_add_product", spy)
     scenario = load_corpus_scenario("gl3")
     assert run_scenario(scenario, seed=0).passed
     run_single_step(scenario, {"op": "nash-fiber", "point": "origin"}, seed=0)
-    assert empty == []
+    assert runs and empty == []
 
 
 def test_scenario_without_expectations_passes():

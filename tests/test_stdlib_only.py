@@ -53,6 +53,20 @@ def test_only_poly_computes_integer_gcds():
     assert not {name: calls for name, calls in found.items() if calls}
 
 
+def _reads_terms(path: Path) -> bool:
+    """Whether a module names an attribute ``terms``, a polynomial's term dict."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return any(isinstance(node, ast.Attribute) and node.attr == "terms" for node in ast.walk(tree))
+
+
+def test_only_poly_and_nash_read_term_dicts():
+    """Products of polynomials and their sums are formed in `poly` alone
+    (`_add_product`, `dot`); `nash` reads t-adic coefficients off arcs'
+    term dicts."""
+    readers = {path.stem for path in SOURCES if _reads_terms(path)}
+    assert "poly" in readers and readers <= {"poly", "nash"}
+
+
 def _callers(path: Path, name: str) -> set[str]:
     """The functions of a module that call ``name`` (by name or as an
     attribute), each as its dotted path inside the module."""
